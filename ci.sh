@@ -40,8 +40,8 @@ echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps'
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo build --release --workspace"
-# --workspace: a plain root build compiles only the facade package and never
-# produces target/release/srra, which the smoke tests below drive.
+# The root manifest's default-members already cover every member; --workspace
+# keeps target/release/srra, which the smoke tests below drive, explicit.
 cargo build --release --workspace
 
 echo "==> cargo test -q"

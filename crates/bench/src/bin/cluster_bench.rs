@@ -31,7 +31,7 @@
 use std::time::Instant;
 
 use srra_cluster::{ClusterClient, ClusterConfig};
-use srra_serve::{Client, PointOutcome, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, PointOutcome, QueryPoint, Server, ServerConfig};
 
 /// Canonicals per mget / points per explore batch (as serve_bench).
 const BATCH: usize = 48;
@@ -248,7 +248,10 @@ fn bench_failover(clients: usize, points: &[QueryPoint]) -> String {
 
     // Kill node 0 mid-run: the next reads hit its stale keep-alive sockets
     // and fail over to the surviving replica.
-    Client::new(addrs[0].clone()).shutdown().expect("shutdown");
+    Connection::connect(&addrs[0])
+        .expect("connects")
+        .shutdown()
+        .expect("shutdown");
     handles.remove(0).join().expect("node thread");
     let (failover_wall, failover_latencies) = run_mget(&config, clients, points);
 

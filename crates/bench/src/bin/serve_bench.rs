@@ -42,8 +42,7 @@
 use std::time::Instant;
 
 use srra_serve::{
-    Client, Connection, PointOutcome, QueryPoint, Request, Response, Server, ServerConfig,
-    ServerStats,
+    Connection, PointOutcome, QueryPoint, Request, Response, Server, ServerConfig, ServerStats,
 };
 
 /// Requests per pipeline window / canonicals per mget / points per mexplore.
@@ -75,22 +74,9 @@ fn rotation(points: &[QueryPoint], index: usize, clients: usize) -> Vec<QueryPoi
         .collect()
 }
 
-/// Dials one keep-alive connection speaking the suite's codec.
+/// Dials one connection speaking the suite's codec.
 fn dial(addr: &str, binary: bool) -> Connection {
-    if binary {
-        Connection::connect_binary(addr).expect("connects")
-    } else {
-        Connection::connect(addr).expect("connects")
-    }
-}
-
-/// A connection-per-request client speaking the suite's codec.
-fn one_shot_client(addr: &str, binary: bool) -> Client {
-    if binary {
-        Client::new_binary(addr.to_owned())
-    } else {
-        Client::new(addr.to_owned())
-    }
+    Connection::connect_with_codec(addr, binary, None).expect("connects")
 }
 
 /// Fans `clients` workers out, runs `work` in each (receiving its rotated
@@ -128,18 +114,17 @@ fn run_oneshot(
     binary: bool,
 ) -> (f64, Vec<u64>) {
     fan_out(clients, points, |local| {
-        let client = one_shot_client(addr, binary);
         let mut latencies = Vec::with_capacity(local.len());
         for point in &local {
             let sent = Instant::now();
             if get {
                 let canonical = srra_serve::canonical_for(point).expect("grid resolves");
-                client
+                dial(addr, binary)
                     .get(&canonical)
                     .expect("get succeeds")
                     .expect("warm store hits");
             } else {
-                let reply = client
+                let reply = dial(addr, binary)
                     .explore(std::slice::from_ref(point))
                     .expect("explore succeeds");
                 assert_eq!(reply.records.len(), 1);
@@ -305,7 +290,7 @@ fn run_suite(
         ),
     ];
 
-    let client = one_shot_client(&addr, binary);
+    let mut client = dial(&addr, binary);
     let samples = client.series_samples(4).expect("series answers");
     assert!(!samples.is_empty(), "the sampler ran during the suite");
     let stats = client.stats().expect("stats");

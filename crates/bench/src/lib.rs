@@ -9,9 +9,9 @@
 //!   wall-clock time, slices and BlockRAMs ([`table1()`]), plus the aggregate
 //!   improvement percentages quoted in the text ([`Table1Summary`]).
 //!
-//! The binaries `table1`, `figure2` and `sweep` print these reproductions; the Criterion
-//! benches under `benches/` measure the allocator runtimes and run the ablation
-//! studies (cut-selection policy, register budget, RAM latency).
+//! The binaries `table1`, `figure2` and `sweep` print these reproductions; the
+//! timed end-to-end and per-layer benchmark lives in the separate `perfbench/`
+//! package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

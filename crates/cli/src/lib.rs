@@ -35,8 +35,8 @@ use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
 use srra_serve::{
-    ClientError, Connection, QueryPoint, Request, Response, Server, ServerConfig, ShardedStore,
-    SnapshotDelta, Span,
+    Connection, QueryPoint, Request, Response, Server, ServerConfig, ShardedStore, SnapshotDelta,
+    Span,
 };
 
 /// Usage text printed for `srra help` and on argument errors.
@@ -700,20 +700,6 @@ fn parse_query_points(args: &[String]) -> Result<Vec<QueryPoint>, CliError> {
     Ok(points)
 }
 
-/// Dials `addr` with the codec the user picked (`--binary` or JSON lines)
-/// and the `--timeout-ms` I/O deadline, if any.
-fn query_connect(
-    addr: &str,
-    binary: bool,
-    timeout: Option<std::time::Duration>,
-) -> Result<Connection, ClientError> {
-    if binary {
-        Connection::connect_binary_with_timeout(addr, timeout)
-    } else {
-        Connection::connect_with_timeout(addr, timeout)
-    }
-}
-
 /// Splits an optional `--timeout-ms <n>` pair out of `args`, mapping `0` to
 /// "no deadline" (`std` rejects zero-duration socket timeouts); the
 /// remaining arguments come back in order.
@@ -825,7 +811,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     let (trace, args) = take_trace_flag(&args)?;
     let (timeout, args) = take_timeout_flag(&args)?;
     let connect = |addr: &str| -> Result<Connection, CliError> {
-        let mut connection = query_connect(addr, binary, timeout)
+        let mut connection = Connection::connect_with_codec(addr, binary, timeout)
             .map_err(|err| CliError(format!("query: {err}")))?;
         connection
             .set_trace(trace.as_deref())
@@ -1763,8 +1749,7 @@ mod tests {
             "{\"op\":\"mget\",\"canonicals\":[\"kernel=fir;algo=CPA-RA;budget=32;latency=2;device=XCV1000-BG560\",\"nope\"]}\n",
             "{\"op\":\"stats\"}\n",
         );
-        let out =
-            cmd_query_pipe(query_connect(&addr, false, None).unwrap(), input.as_bytes()).unwrap();
+        let out = cmd_query_pipe(Connection::connect(&addr).unwrap(), input.as_bytes()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3, "{out}");
         assert!(lines[0].starts_with("{\"ok\":true,\"records\":["), "{out}");
@@ -1779,7 +1764,7 @@ mod tests {
         // stats line, whose latency digests move between runs) come back
         // byte-identical to the JSON-codec run.
         let binary_out =
-            cmd_query_pipe(query_connect(&addr, true, None).unwrap(), input.as_bytes()).unwrap();
+            cmd_query_pipe(Connection::connect_binary(&addr).unwrap(), input.as_bytes()).unwrap();
         let binary_lines: Vec<&str> = binary_out.lines().collect();
         assert_eq!(binary_lines.len(), 3, "{binary_out}");
         assert_eq!(binary_lines[..2], lines[..2], "{binary_out}");
@@ -1794,12 +1779,10 @@ mod tests {
         assert!(hit.contains("\"kernel\":\"fir\""), "{hit}");
 
         // Malformed or empty stdin fails client-side, before any bytes move.
-        assert!(cmd_query_pipe(
-            query_connect(&addr, false, None).unwrap(),
-            "not json\n".as_bytes()
-        )
-        .is_err());
-        assert!(cmd_query_pipe(query_connect(&addr, false, None).unwrap(), "".as_bytes()).is_err());
+        assert!(
+            cmd_query_pipe(Connection::connect(&addr).unwrap(), "not json\n".as_bytes()).is_err()
+        );
+        assert!(cmd_query_pipe(Connection::connect(&addr).unwrap(), "".as_bytes()).is_err());
 
         let down = run(&args(&["query", "--addr", &addr, "shutdown"])).unwrap();
         assert!(down.contains("shutting_down"));

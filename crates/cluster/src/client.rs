@@ -208,7 +208,7 @@ pub(crate) struct Node {
     connection: Option<Connection>,
     /// `Some(instant)` while the node is marked down; no connect attempt is
     /// made before it.
-    pub(crate) down_until: Option<Instant>,
+    down_until: Option<Instant>,
     /// Next back-off period (doubles per consecutive failure).
     backoff: Duration,
     /// Requests this client successfully routed to the node.
@@ -260,7 +260,7 @@ impl Node {
     /// the call's outcome re-marks the node either way.  Keeps the
     /// `cluster_nodes_down` gauge honest where a bare `down_until = None`
     /// would leak a decrement.
-    fn forget_down_window(&mut self) {
+    pub(crate) fn forget_down_window(&mut self) {
         if self.down_until.take().is_some() {
             cluster_counters().nodes_down.dec();
         }
@@ -280,12 +280,7 @@ impl Node {
             )));
         }
         if self.connection.is_none() {
-            let dialled = if self.binary {
-                Connection::connect_binary_with_timeout(&self.addr, self.timeout)
-            } else {
-                Connection::connect_with_timeout(&self.addr, self.timeout)
-            };
-            match dialled {
+            match Connection::connect_with_codec(&self.addr, self.binary, self.timeout) {
                 Ok(mut connection) => {
                     connection
                         .set_trace(self.trace.as_deref())

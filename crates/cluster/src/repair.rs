@@ -76,7 +76,7 @@ impl ClusterClient {
     pub fn digest_all(&mut self) -> Result<Vec<Vec<ShardDigest>>, ClusterError> {
         (0..self.nodes.len())
             .map(|index| {
-                self.nodes[index].down_until = None;
+                self.nodes[index].forget_down_window();
                 self.nodes[index]
                     .call(Connection::digest)
                     .map_err(|err| node_err(&self.nodes[index].addr, err))
@@ -87,7 +87,7 @@ impl ClusterClient {
     /// All canonical strings a node holds, walked shard by shard with the
     /// paged `scan` op.
     fn scan_node(&mut self, node: usize) -> Result<Vec<String>, ClusterError> {
-        self.nodes[node].down_until = None;
+        self.nodes[node].forget_down_window();
         let shards = self.nodes[node]
             .call(Connection::digest)
             .map_err(|err| node_err(&self.nodes[node].addr, err))?
@@ -169,7 +169,7 @@ impl ClusterClient {
                 if records.is_empty() {
                     continue;
                 }
-                self.nodes[target].down_until = None;
+                self.nodes[target].forget_down_window();
                 let stored = self.nodes[target]
                     .call(|connection| connection.put(&records))
                     .map_err(|err| node_err(&self.nodes[target].addr, err))?;
@@ -234,22 +234,17 @@ impl ClusterClient {
                 for (owner, batch) in groups {
                     let addr = &target_ring.nodes()[owner];
                     let stored = if let Some(member) = members[owner] {
-                        self.nodes[member].down_until = None;
+                        self.nodes[member].forget_down_window();
                         self.nodes[member]
                             .call(|connection| connection.put(&batch))
                             .map_err(|err| node_err(addr, err))?
                     } else {
                         let connection = match &mut targets[owner] {
                             Some(connection) => connection,
-                            slot @ None => {
-                                let dialled = if self.binary {
-                                    Connection::connect_binary_with_timeout(addr, self.timeout)
-                                } else {
-                                    Connection::connect_with_timeout(addr, self.timeout)
-                                }
-                                .map_err(|err| node_err(addr, err))?;
-                                slot.insert(dialled)
-                            }
+                            slot @ None => slot.insert(
+                                Connection::connect_with_codec(addr, self.binary, self.timeout)
+                                    .map_err(|err| node_err(addr, err))?,
+                            ),
                         };
                         connection.put(&batch).map_err(|err| node_err(addr, err))?
                     };

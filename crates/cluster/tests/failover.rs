@@ -3,7 +3,7 @@
 //! unreplicated cluster reports unavailability instead of wrong answers.
 
 use srra_cluster::{ClusterClient, ClusterConfig, ClusterError};
-use srra_serve::{Client, PointOutcome, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, PointOutcome, QueryPoint, Server, ServerConfig};
 
 /// A 24-point workload spanning two kernels and three algorithms.
 fn workload() -> Vec<QueryPoint> {
@@ -94,7 +94,10 @@ fn replicated_cluster_answers_byte_identically_after_a_node_kill() {
 
     // Kill node 0 mid-run (graceful shutdown; the cluster client still holds
     // a keep-alive connection to it and only learns on its next call).
-    Client::new(addrs[0].clone()).shutdown().expect("shutdown");
+    Connection::connect(&addrs[0])
+        .expect("connects")
+        .shutdown()
+        .expect("shutdown");
     handles.remove(0).join().expect("server thread");
 
     // Reads fail over to the surviving replica and stay byte-identical.
@@ -141,7 +144,10 @@ fn failover_reads_keep_their_trace_id_on_the_replica() {
     // Kill node 0, then read the whole workload under one trace id: node
     // 0's share fails over to the surviving replica, and the replayed
     // sub-batches must still carry the id.
-    Client::new(addrs[0].clone()).shutdown().expect("shutdown");
+    Connection::connect(&addrs[0])
+        .expect("connects")
+        .shutdown()
+        .expect("shutdown");
     handles.remove(0).join().expect("server thread");
     cluster
         .set_trace(Some("failover-sweep.1"))
@@ -213,7 +219,10 @@ fn unreplicated_cluster_reports_unavailable_keys_instead_of_guessing() {
         .find(|canonical| cluster.ring().node_for_canonical(canonical) != victim)
         .expect("the ring splits 24 keys over both nodes")
         .clone();
-    Client::new(victim).shutdown().expect("shutdown");
+    Connection::connect(&victim)
+        .expect("connects")
+        .shutdown()
+        .expect("shutdown");
     handles.remove(0).join().expect("server thread");
 
     // The orphaned key has no replica successor: unavailable, not a miss.

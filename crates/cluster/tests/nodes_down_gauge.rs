@@ -52,6 +52,11 @@ fn nodes_down_gauge_rises_on_mark_down_and_clears_on_recovery() {
         "forget-then-re-mark is one window, not two"
     );
 
+    // The repair paths dial through the window the same way: a digest
+    // pass against the still-dead node fails and re-marks it, once.
+    assert!(cluster.digest_all().is_err(), "the dead node cannot answer");
+    assert_eq!(nodes_down(), 1, "a repair dial-through is one window too");
+
     // Revive the dead address; the next probe recovers the node.
     let revived = Server::bind(&ServerConfig {
         addr: dead_addr,

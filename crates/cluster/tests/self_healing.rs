@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use srra_cluster::{ClusterClient, ClusterConfig, ClusterExploreReply};
 use srra_explore::PointRecord;
 use srra_obs::Registry;
-use srra_serve::{Client, Connection, PointOutcome, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, PointOutcome, QueryPoint, Server, ServerConfig};
 
 /// The fault a [`FaultProxy`] injects.  Consulted per forwarded chunk, not
 /// just at accept time, so switching the fault affects connections that are
@@ -381,7 +381,8 @@ fn read_repair_reconverges_a_primary_that_restarted_empty() {
 
     // Node 0 dies and an empty replacement appears behind the same proxy
     // address: placement is unchanged, the primary's data is gone.
-    Client::new(addrs[0].clone())
+    Connection::connect(&addrs[0])
+        .expect("connects")
         .shutdown()
         .expect("shutdown node 0");
     handles.remove(0).join().expect("node 0 thread");
@@ -443,7 +444,8 @@ fn repair_restores_every_record_after_an_empty_restart() {
 
     // Node 0 is replaced by an empty node (full replication makes every node
     // an owner of every record, so the replacement address is free to move).
-    Client::new(addrs[0].clone())
+    Connection::connect(&addrs[0])
+        .expect("connects")
         .shutdown()
         .expect("shutdown node 0");
     handles.remove(0).join().expect("node 0 thread");

@@ -1,13 +1,12 @@
-//! A minimal recursive JSON reader/writer for the wire protocol.
+//! A minimal recursive JSON reader/writer, shared by the JSONL cache files
+//! ([`PointRecord`](crate::PointRecord)) and the serve layer's wire protocol.
 //!
-//! The workspace's `serde` is an offline no-op shim, and the flat-object
-//! parser inside `srra_explore` only handles the shape of a
-//! [`srra_explore::PointRecord`] line, so the protocol layer carries its own
-//! small JSON value type.  Numbers are kept as their raw source text: the
-//! parser never converts to `f64` and back, so re-rendering a parsed value
-//! reproduces the original digits exactly (this is what lets a client pass an
-//! embedded record object straight back to
-//! [`srra_explore::PointRecord::from_json_line`] without losing precision).
+//! The workspace's `serde` is an offline no-op shim, so the workspace carries
+//! its own small JSON value type.  Numbers are kept as their raw source text:
+//! the parser never converts to `f64` and back, so re-rendering a parsed value
+//! reproduces the original digits exactly, and
+//! [`PointRecord::from_json_value`](crate::PointRecord::from_json_value)
+//! decodes the f64 fields of an embedded record bit-exactly.
 
 use std::fmt::Write as _;
 
@@ -35,14 +34,11 @@ impl JsonValue {
     ///
     /// Returns a description of the first syntax problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser { text, pos: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != parser.text.len() {
             return Err(format!("trailing input at byte {}", parser.pos));
         }
         Ok(value)
@@ -165,20 +161,23 @@ pub fn render_string(out: &mut String, text: &str) {
     out.push('"');
 }
 
+/// The parse cursor.  `pos` is a byte offset that only ever stops on a
+/// char boundary: every token it steps over is ASCII, and strings are left
+/// just past their closing `"`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -195,7 +194,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -273,46 +272,42 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
-        // Decode by chars, not bytes: the input is valid UTF-8 already, so
-        // track multi-byte sequences through a chars iterator over the rest.
-        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-            .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-        let mut chars = rest.char_indices();
         loop {
-            let Some((offset, ch)) = chars.next() else {
-                return Err("unterminated string".to_owned());
-            };
-            match ch {
-                '"' => {
-                    self.pos += offset + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
-                        let digits: String =
-                            (0..4).filter_map(|_| chars.next().map(|c| c.1)).collect();
-                        if digits.len() != 4 {
-                            return Err("truncated \\u escape".to_owned());
-                        }
-                        let code = u32::from_str_radix(&digits, 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape `\\{other:?}`")),
-                },
-                c => out.push(c),
+            // Copy the run up to the next `"` or `\` in one piece.  Both are
+            // ASCII, so the run ends on a char boundary, and the scan never
+            // looks past this string.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| "unterminated string".to_owned())?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
             }
+            let escaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let digits = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                    let code = u32::from_str_radix(digits, 16)
+                        .map_err(|e| format!("bad \\u escape: {e}"))?;
+                    self.pos += 4;
+                    char::from_u32(code).ok_or_else(|| format!("bad \\u code point {code:#x}"))?
+                }
+                other => return Err(format!("bad escape at byte {}: {other:?}", self.pos)),
+            };
+            self.pos += 1;
+            out.push(escaped);
         }
     }
 
@@ -339,8 +334,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let raw =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let raw = &self.text[start..self.pos];
         if raw.parse::<f64>().is_err() {
             return Err(format!("bad number `{raw}` at byte {start}"));
         }

@@ -48,6 +48,7 @@
 
 pub mod codec;
 mod engine;
+mod json;
 mod pareto;
 mod render;
 mod segment;
@@ -56,6 +57,7 @@ mod store;
 
 pub use codec::{WireError, WireSerde};
 pub use engine::{evaluate_point, evaluate_point_timed, Exploration, Explorer, StageTimings};
+pub use json::{render_string, JsonValue};
 pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};
 pub use render::{exploration_csv, render_best_allocators, render_exploration, render_frontier};
 pub use segment::{SegmentStore, MAX_SEGMENT_RECORD_LEN, SEGMENT_MAGIC};

@@ -40,7 +40,8 @@ use srra_obs::{
 };
 
 use crate::protocol::{
-    valid_trace_id, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats, ShardDigest,
+    valid_trace_id, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    ShardDigest,
 };
 
 /// First byte of every binary frame.  `0xB1` can never open a JSON request
@@ -174,68 +175,6 @@ pub fn encode_response_frame(
     frame_into(out, trace, |buf| response.serialize_into(buf))
 }
 
-/// Appends a `get` request frame from a borrowed canonical — the binary twin
-/// of the JSON `render_get_request` fast path (no owned [`Request`] needed).
-pub(crate) fn encode_get_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    canonical: &str,
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_GET.serialize_into(buf)?;
-        write_str(buf, canonical)
-    })
-}
-
-/// Appends an `mget` request frame from borrowed canonicals.
-pub(crate) fn encode_mget_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    canonicals: &[String],
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_MGET.serialize_into(buf)?;
-        write_seq_len(buf, canonicals.len())?;
-        for canonical in canonicals {
-            write_str(buf, canonical)?;
-        }
-        Ok(())
-    })
-}
-
-/// Appends an `explore`/`mexplore` request frame from borrowed points.
-pub(crate) fn encode_points_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    multi: bool,
-    points: &[QueryPoint],
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        if multi { TAG_MEXPLORE } else { TAG_EXPLORE }.serialize_into(buf)?;
-        write_seq_len(buf, points.len())?;
-        for point in points {
-            point.serialize_into(buf)?;
-        }
-        Ok(())
-    })
-}
-
-/// Appends a `put` request frame from borrowed records.
-pub(crate) fn encode_put_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    records: &[PointRecord],
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_PUT.serialize_into(buf)?;
-        write_seq_len(buf, records.len())?;
-        for record in records {
-            record.serialize_into(buf)?;
-        }
-        Ok(())
-    })
-}
-
 /// Decodes a frame payload (trace prefix + tagged body), requiring every
 /// byte to be consumed.
 ///
@@ -270,20 +209,6 @@ pub fn decode_payload<T: WireSerde>(payload: &[u8]) -> Result<(T, Option<String>
     Ok((value, trace))
 }
 
-const TAG_GET: u8 = 1;
-const TAG_MGET: u8 = 2;
-const TAG_EXPLORE: u8 = 3;
-const TAG_MEXPLORE: u8 = 4;
-const TAG_PUT: u8 = 5;
-const TAG_PING: u8 = 6;
-const TAG_STATS: u8 = 7;
-const TAG_METRICS: u8 = 8;
-const TAG_SHUTDOWN: u8 = 9;
-const TAG_TRACE: u8 = 10;
-const TAG_DIGEST: u8 = 11;
-const TAG_SCAN: u8 = 12;
-const TAG_SERIES: u8 = 13;
-
 impl WireSerde for QueryPoint {
     fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         write_str(out, &self.kernel)?;
@@ -306,111 +231,79 @@ impl WireSerde for QueryPoint {
 
 impl WireSerde for Request {
     fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+        self.op().tag().serialize_into(out)?;
         match self {
-            Request::Get { canonical } => {
-                TAG_GET.serialize_into(out)?;
-                write_str(out, canonical)
-            }
-            Request::MultiGet { canonicals } => {
-                TAG_MGET.serialize_into(out)?;
-                canonicals.serialize_into(out)
-            }
-            Request::Explore { points } => {
-                TAG_EXPLORE.serialize_into(out)?;
+            Request::Get { canonical } => write_str(out, canonical),
+            Request::MultiGet { canonicals } => canonicals.serialize_into(out),
+            Request::Explore { points } | Request::MultiExplore { points } => {
                 points.serialize_into(out)
             }
-            Request::MultiExplore { points } => {
-                TAG_MEXPLORE.serialize_into(out)?;
-                points.serialize_into(out)
-            }
-            Request::Put { records } => {
-                TAG_PUT.serialize_into(out)?;
-                records.serialize_into(out)
-            }
-            Request::Ping => TAG_PING.serialize_into(out),
-            Request::Stats => TAG_STATS.serialize_into(out),
-            Request::Metrics { prometheus } => {
-                TAG_METRICS.serialize_into(out)?;
-                prometheus.serialize_into(out)
-            }
-            Request::Trace { id } => {
-                TAG_TRACE.serialize_into(out)?;
-                write_str(out, id)
-            }
+            Request::Put { records } => records.serialize_into(out),
+            Request::Metrics { prometheus } => prometheus.serialize_into(out),
+            Request::Trace { id } => write_str(out, id),
             Request::Series { last, window_us } => {
-                TAG_SERIES.serialize_into(out)?;
                 last.serialize_into(out)?;
                 window_us.serialize_into(out)
             }
-            Request::Digest => TAG_DIGEST.serialize_into(out),
             Request::Scan {
                 shard,
                 offset,
                 limit,
             } => {
-                TAG_SCAN.serialize_into(out)?;
                 shard.serialize_into(out)?;
                 offset.serialize_into(out)?;
                 limit.serialize_into(out)
             }
-            Request::Shutdown => TAG_SHUTDOWN.serialize_into(out),
+            Request::Ping | Request::Stats | Request::Digest | Request::Shutdown => Ok(()),
         }
     }
 
     fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            TAG_GET => Ok(Request::Get {
+        /// Reads a batch, rejecting an empty one as the JSON codec does.
+        fn batch<T: WireSerde>(
+            reader: &mut impl Read,
+            op: Op,
+            item: &str,
+        ) -> Result<Vec<T>, WireError> {
+            let items = Vec::<T>::deserialize_from(reader)?;
+            if items.is_empty() {
+                return Err(WireError::Corrupt(format!(
+                    "`{}` needs at least one {item}",
+                    op.name()
+                )));
+            }
+            Ok(items)
+        }
+        let tag = u8::deserialize_from(reader)?;
+        match Op::from_tag(tag) {
+            Some(Op::Get) => Ok(Request::Get {
                 canonical: String::deserialize_from(reader)?,
             }),
-            TAG_MGET => {
-                let canonicals = Vec::<String>::deserialize_from(reader)?;
-                if canonicals.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`mget` needs at least one canonical".to_owned(),
-                    ));
-                }
-                Ok(Request::MultiGet { canonicals })
-            }
-            TAG_EXPLORE => {
-                let points = Vec::<QueryPoint>::deserialize_from(reader)?;
-                if points.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`explore` needs at least one point".to_owned(),
-                    ));
-                }
-                Ok(Request::Explore { points })
-            }
-            TAG_MEXPLORE => {
-                let points = Vec::<QueryPoint>::deserialize_from(reader)?;
-                if points.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`mexplore` needs at least one point".to_owned(),
-                    ));
-                }
-                Ok(Request::MultiExplore { points })
-            }
-            TAG_PUT => {
-                let records = Vec::<PointRecord>::deserialize_from(reader)?;
-                if records.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`put` needs at least one record".to_owned(),
-                    ));
-                }
-                Ok(Request::Put { records })
-            }
-            TAG_PING => Ok(Request::Ping),
-            TAG_STATS => Ok(Request::Stats),
-            TAG_METRICS => Ok(Request::Metrics {
+            Some(Op::MultiGet) => Ok(Request::MultiGet {
+                canonicals: batch(reader, Op::MultiGet, "canonical")?,
+            }),
+            Some(Op::Explore) => Ok(Request::Explore {
+                points: batch(reader, Op::Explore, "point")?,
+            }),
+            Some(Op::MultiExplore) => Ok(Request::MultiExplore {
+                points: batch(reader, Op::MultiExplore, "point")?,
+            }),
+            Some(Op::Put) => Ok(Request::Put {
+                records: batch(reader, Op::Put, "record")?,
+            }),
+            Some(Op::Ping) => Ok(Request::Ping),
+            Some(Op::Stats) => Ok(Request::Stats),
+            Some(Op::Metrics) => Ok(Request::Metrics {
                 prometheus: bool::deserialize_from(reader)?,
             }),
-            TAG_TRACE => {
+            Some(Op::Trace) => {
                 let id = String::deserialize_from(reader)?;
                 if !valid_trace_id(&id) {
                     return Err(WireError::Corrupt(format!("illegal trace id {id:?}")));
                 }
                 Ok(Request::Trace { id })
             }
-            TAG_SERIES => {
+            Some(Op::Series) => {
                 let last = u64::deserialize_from(reader)?;
                 let window_us = u64::deserialize_from(reader)?;
                 if (last == 0) == (window_us == 0) {
@@ -420,8 +313,8 @@ impl WireSerde for Request {
                 }
                 Ok(Request::Series { last, window_us })
             }
-            TAG_DIGEST => Ok(Request::Digest),
-            TAG_SCAN => {
+            Some(Op::Digest) => Ok(Request::Digest),
+            Some(Op::Scan) => {
                 let shard = u64::deserialize_from(reader)?;
                 let offset = u64::deserialize_from(reader)?;
                 let limit = u64::deserialize_from(reader)?;
@@ -436,9 +329,9 @@ impl WireSerde for Request {
                     limit,
                 })
             }
-            TAG_SHUTDOWN => Ok(Request::Shutdown),
-            other => Err(WireError::Corrupt(format!(
-                "unknown request tag {other:#04x}"
+            Some(Op::Shutdown) => Ok(Request::Shutdown),
+            Some(Op::Invalid) | None => Err(WireError::Corrupt(format!(
+                "unknown request tag {tag:#04x}"
             ))),
         }
     }
@@ -1153,62 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_encoders_match_the_owned_request_encoding() {
-        let canonicals = vec!["a".to_owned(), "b".to_owned()];
-        let points = vec![QueryPoint::new("fir", "cpa", 32)];
-        let records = vec![sample_record()];
-        let cases: Vec<(Request, Vec<u8>)> = {
-            let mut cases = Vec::new();
-            let mut buf = Vec::new();
-            encode_get_frame(&mut buf, None, "a").unwrap();
-            cases.push((
-                Request::Get {
-                    canonical: "a".to_owned(),
-                },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_mget_frame(&mut buf, None, &canonicals).unwrap();
-            cases.push((
-                Request::MultiGet {
-                    canonicals: canonicals.clone(),
-                },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_points_frame(&mut buf, None, false, &points).unwrap();
-            cases.push((
-                Request::Explore {
-                    points: points.clone(),
-                },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_points_frame(&mut buf, None, true, &points).unwrap();
-            cases.push((
-                Request::MultiExplore {
-                    points: points.clone(),
-                },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_put_frame(&mut buf, None, &records).unwrap();
-            cases.push((
-                Request::Put {
-                    records: records.clone(),
-                },
-                buf.clone(),
-            ));
-            cases
-        };
-        for (request, borrowed) in cases {
-            let mut owned = Vec::new();
-            encode_request_frame(&mut owned, None, &request).unwrap();
-            assert_eq!(borrowed, owned, "{request:?}");
-        }
-    }
-
-    #[test]
     fn truncated_and_oversized_frames_are_rejected() {
         let mut wire = Vec::new();
         encode_request_frame(&mut wire, None, &Request::Ping).unwrap();
@@ -1253,14 +1090,14 @@ mod tests {
         payload.push(0);
         assert!(decode_payload::<Request>(&payload).is_err());
         // Empty batches are rejected like their JSON twins.
-        let mut body = vec![0u8, TAG_MGET];
+        let mut body = vec![0u8, Op::MultiGet.tag()];
         body.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             decode_payload::<Request>(&body),
             Err(WireError::Corrupt(_))
         ));
         // Bad trace bytes.
-        let payload = [3u8, b'a', b' ', b'b', TAG_PING];
+        let payload = [3u8, b'a', b' ', b'b', Op::Ping.tag()];
         assert!(matches!(
             decode_payload::<Request>(&payload),
             Err(WireError::Corrupt(_))

@@ -1,13 +1,12 @@
-//! Blocking clients for the serve protocol, used by `srra query`, the
-//! integration tests and the serving benchmark.
+//! The blocking client for the serve protocol, used by `srra query`, the
+//! cluster router, the integration tests and the serving benchmarks.
 //!
-//! [`Connection`] is the hot-path client: it keeps one `TcpStream` (with
-//! `TCP_NODELAY`) alive across any number of requests, renders each request
-//! plus its trailing `\n` into a reused scratch buffer and sends it with a
-//! single `write_all`, and supports *pipelining* — write N request lines
-//! back-to-back, then read the N replies in order.  [`Client`] is the
-//! connection-per-request convenience wrapper kept for one-shot callers: each
-//! call opens a fresh [`Connection`], performs one round trip and drops it.
+//! [`Connection`] keeps one `TcpStream` (with `TCP_NODELAY`) alive across any
+//! number of requests, encodes each request (a `\n`-terminated JSON line or
+//! one binary frame) into a reused buffer and sends it with a single
+//! `write_all`, and supports *pipelining* — write N requests back-to-back,
+//! then read the N replies in order.  Connection-per-request callers simply
+//! open a fresh `Connection` per call.
 //!
 //! A keep-alive socket can go stale while idle — the server restarted, or a
 //! middlebox dropped the connection — surfacing as broken-pipe / ECONNRESET
@@ -29,13 +28,9 @@ use srra_explore::codec::WireError;
 use srra_explore::PointRecord;
 use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
-use crate::binary::{
-    encode_get_frame, encode_mget_frame, encode_points_frame, encode_put_frame,
-    encode_request_frame, read_frame, FrameError,
-};
+use crate::binary::{decode_payload, encode_request_frame, read_frame, FrameError};
 use crate::protocol::{
-    render_get_request, render_mget_request, render_points_request, render_put_request,
-    stamp_trace, trace_suffix, valid_trace_id, PointOutcome, QueryPoint, Request, Response,
+    stamp_trace, trace_suffix, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response,
     ServerStats, ShardDigest,
 };
 
@@ -132,20 +127,20 @@ pub struct Connection {
     /// Whether this connection speaks the binary frame codec instead of
     /// JSON lines (chosen at connect time; the server negotiates per frame).
     binary: bool,
-    /// Scratch buffer for rendering outgoing request lines.
+    /// Outgoing request lines (JSON codec).
     scratch: String,
     /// Scratch buffer for incoming response lines.
     line: String,
-    /// Scratch buffer for outgoing binary frames.
+    /// Outgoing request frames (binary codec).
     frame: Vec<u8>,
     /// Scratch buffer for incoming binary frame payloads.
     payload: Vec<u8>,
-    /// Trace id stamped onto every outgoing request line, when set.
+    /// Trace id stamped onto every outgoing request, when set.
     trace: Option<String>,
     /// Trace id echoed on the most recently received reply, if any.
     last_trace: Option<String>,
     /// I/O deadline applied to connects, reads and writes; `None` blocks
-    /// indefinitely (the pre-deadline behaviour).
+    /// indefinitely.
     timeout: Option<Duration>,
 }
 
@@ -186,9 +181,19 @@ fn open_stream(
     Ok((BufReader::new(stream), writer))
 }
 
+/// The error for a reply that does not answer `op`: a server error reply
+/// becomes [`ClientError::Server`], any other shape
+/// [`ClientError::Protocol`].
+fn unexpected(op: Op, response: Response) -> ClientError {
+    match response {
+        Response::Error { message } => ClientError::Server(message),
+        other => ClientError::Protocol(format!("unexpected response to {}: {other:?}", op.name())),
+    }
+}
+
 impl Connection {
-    /// Connects to the server at `addr` (`host:port`) and disables Nagle's
-    /// algorithm, so single-line requests leave immediately.
+    /// Connects to the server at `addr` (`host:port`) speaking JSON lines,
+    /// with no I/O deadline.
     ///
     /// # Errors
     ///
@@ -197,26 +202,9 @@ impl Connection {
         Self::connect_with_codec(addr, false, None)
     }
 
-    /// Like [`connect`](Connection::connect), with an I/O deadline: the
-    /// connect, every read and every write time out after `timeout`, so a
-    /// hung or partitioned server costs at most the deadline instead of
-    /// blocking forever.  `None` disables the deadline.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures (including a connect timeout) and unresolvable
-    /// addresses.
-    pub fn connect_with_timeout(
-        addr: &str,
-        timeout: Option<Duration>,
-    ) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, false, timeout)
-    }
-
-    /// Like [`connect`](Connection::connect), but the connection speaks the
-    /// length-prefixed binary codec (`docs/serving.md`) instead of JSON
-    /// lines — same protocol, same server port, no text parse on either
-    /// side's hot path.
+    /// Connects to the server at `addr` speaking the length-prefixed binary
+    /// codec (`docs/serving.md`), with no I/O deadline — same protocol, same
+    /// server port, no text parse on either side's hot path.
     ///
     /// # Errors
     ///
@@ -225,20 +213,18 @@ impl Connection {
         Self::connect_with_codec(addr, true, None)
     }
 
-    /// The binary twin of [`connect_with_timeout`](Self::connect_with_timeout).
+    /// Connects to the server at `addr` speaking the binary codec when
+    /// `binary` is set and JSON lines otherwise, and disables Nagle's
+    /// algorithm so single requests leave immediately.  With a `timeout`,
+    /// the connect, every read and every write time out after it, so a hung
+    /// or partitioned server costs at most the deadline instead of blocking
+    /// forever; `None` disables the deadline.
     ///
     /// # Errors
     ///
     /// Connection failures (including a connect timeout) and unresolvable
     /// addresses.
-    pub fn connect_binary_with_timeout(
-        addr: &str,
-        timeout: Option<Duration>,
-    ) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, true, timeout)
-    }
-
-    fn connect_with_codec(
+    pub fn connect_with_codec(
         addr: &str,
         binary: bool,
         timeout: Option<Duration>,
@@ -259,24 +245,13 @@ impl Connection {
         })
     }
 
-    /// The I/O deadline this connection applies to connects, reads and
-    /// writes, if any.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// The `host:port` this connection targets.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Whether this connection speaks the binary frame codec.
     pub fn is_binary(&self) -> bool {
         self.binary
     }
 
     /// Sets (or clears, with `None`) the trace id stamped onto every
-    /// outgoing request line from now on.  The server echoes the id on each
+    /// outgoing request from now on.  The server echoes the id on each
     /// reply — readable afterwards via [`last_trace`](Connection::last_trace)
     /// — and attributes its slow-query log lines to it.
     ///
@@ -286,24 +261,13 @@ impl Connection {
     /// [`TRACE_MAX_LEN`](crate::protocol::TRACE_MAX_LEN) bytes, or contain
     /// characters outside `[A-Za-z0-9._-]`.
     pub fn set_trace(&mut self, trace: Option<&str>) -> Result<(), ClientError> {
-        match trace {
-            Some(id) if !valid_trace_id(id) => Err(ClientError::Protocol(format!(
+        if let Some(id) = trace.filter(|id| !valid_trace_id(id)) {
+            return Err(ClientError::Protocol(format!(
                 "invalid trace id `{id}`: want 1-64 bytes of [A-Za-z0-9._-]"
-            ))),
-            Some(id) => {
-                self.trace = Some(id.to_owned());
-                Ok(())
-            }
-            None => {
-                self.trace = None;
-                Ok(())
-            }
+            )));
         }
-    }
-
-    /// The trace id currently stamped onto outgoing requests, if any.
-    pub fn trace(&self) -> Option<&str> {
-        self.trace.as_deref()
+        self.trace = trace.map(str::to_owned);
+        Ok(())
     }
 
     /// The trace id the server echoed on the most recent reply, if any.
@@ -312,8 +276,8 @@ impl Connection {
     }
 
     /// Replaces the stale socket with a fresh one to the same address.  The
-    /// scratch buffers (and whatever request line `scratch` holds) survive,
-    /// so a failed call can be replayed byte-identically.
+    /// outgoing buffers survive, so a failed window can be replayed
+    /// byte-identically.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let (reader, writer) = open_stream(&self.addr, self.timeout)?;
         self.reader = reader;
@@ -321,55 +285,34 @@ impl Connection {
         Ok(())
     }
 
-    /// Writes one request (a terminated line, or one binary frame) with a
-    /// single `write_all`, without waiting for the reply.
-    ///
-    /// Pair each `send` with a later [`receive`](Connection::receive): the
-    /// server replies in request order.
-    ///
-    /// # Errors
-    ///
-    /// Socket-level failures.
-    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+    /// Appends `request` to the outgoing buffer in this connection's codec:
+    /// a binary frame carrying the trace id, or a JSON line with the trace
+    /// id stamped on and its `\n` terminator.
+    fn append_request(&mut self, request: &Request) -> Result<(), ClientError> {
         if self.binary {
-            self.frame.clear();
-            encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
-                .map_err(wire_err)?;
-            self.writer.write_all(&self.frame)?;
-            return Ok(());
+            return encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
+                .map_err(wire_err);
         }
-        self.scratch.clear();
         request.render_into(&mut self.scratch);
-        self.send_scratch_line()
-    }
-
-    /// Stamps the connection's trace id (when set) onto the request line
-    /// sitting in `scratch` and terminates it with `\n`.
-    fn finish_scratch_line(&mut self) {
         if let Some(trace) = &self.trace {
             stamp_trace(&mut self.scratch, trace);
         }
         self.scratch.push('\n');
-    }
-
-    /// Terminates and writes the request line sitting in `scratch` with one
-    /// `write_all`.
-    fn send_scratch_line(&mut self) -> Result<(), ClientError> {
-        self.finish_scratch_line();
-        self.writer.write_all(self.scratch.as_bytes())?;
         Ok(())
     }
 
-    /// Reads and decodes the next response (line or binary frame, matching
-    /// this connection's codec).
-    ///
-    /// # Errors
-    ///
-    /// Socket-level failures ([`std::io::ErrorKind::UnexpectedEof`] when the
-    /// connection closes before the reply) and malformed responses.
-    pub fn receive(&mut self) -> Result<Response, ClientError> {
+    /// Reads and decodes the next reply (a line or a binary frame, matching
+    /// this connection's codec), recording the trace id it echoes.
+    fn receive(&mut self) -> Result<Response, ClientError> {
         if self.binary {
-            return self.receive_frame();
+            match read_frame(&mut self.reader, &mut self.payload) {
+                Ok(()) => {}
+                Err(FrameError::Io(err)) => return Err(ClientError::Io(err)),
+                Err(err) => return Err(ClientError::Protocol(err.to_string())),
+            }
+            let (response, trace) = decode_payload::<Response>(&self.payload).map_err(wire_err)?;
+            self.last_trace = trace;
+            return Ok(response);
         }
         self.line.clear();
         self.reader.read_line(&mut self.line)?;
@@ -392,64 +335,6 @@ impl Connection {
         Response::parse(&self.line).map_err(ClientError::Protocol)
     }
 
-    /// The binary twin of the line-based `receive`: reads one reply frame
-    /// and decodes it, recording the echoed trace id.
-    fn receive_frame(&mut self) -> Result<Response, ClientError> {
-        match read_frame(&mut self.reader, &mut self.payload) {
-            Ok(()) => {}
-            Err(FrameError::Io(err)) => return Err(ClientError::Io(err)),
-            Err(err) => return Err(ClientError::Protocol(err.to_string())),
-        }
-        let (response, trace) =
-            crate::binary::decode_payload::<Response>(&self.payload).map_err(wire_err)?;
-        self.last_trace = trace;
-        Ok(response)
-    }
-
-    /// Completes the request prepared in the active codec's scratch buffer
-    /// (JSON: stamps the trace and terminates the line; binary: the frame is
-    /// already complete), performs the round trip, and — when the socket
-    /// turns out to be stale — reconnects and replays the identical bytes
-    /// exactly once.  Safe because every protocol op is idempotent and a
-    /// stale failure means no reply byte arrived.
-    fn roundtrip_prepared(&mut self) -> Result<Response, ClientError> {
-        if !self.binary {
-            self.finish_scratch_line();
-        }
-        match self.try_roundtrip_prepared() {
-            Err(err) if is_stale(&err) => {
-                connection_metrics().reconnect_retries.inc();
-                self.reconnect()?;
-                self.try_roundtrip_prepared()
-            }
-            other => other,
-        }
-    }
-
-    /// One attempt of [`roundtrip_prepared`](Connection::roundtrip_prepared):
-    /// writes the prepared request bytes and reads one reply.
-    fn try_roundtrip_prepared(&mut self) -> Result<Response, ClientError> {
-        if self.binary {
-            self.writer.write_all(&self.frame)?;
-        } else {
-            self.writer.write_all(self.scratch.as_bytes())?;
-        }
-        self.receive()
-    }
-
-    /// Prepares `request` in the active codec's scratch buffer (trace baked
-    /// into binary frames; JSON lines get theirs in `finish_scratch_line`).
-    fn prepare_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_request_frame(&mut self.frame, self.trace.as_deref(), request).map_err(wire_err)
-        } else {
-            self.scratch.clear();
-            request.render_into(&mut self.scratch);
-            Ok(())
-        }
-    }
-
     /// Sends one request and reads its response, transparently reconnecting
     /// and retrying once if the idle socket had gone stale (broken pipe /
     /// connection reset / immediate EOF).  `shutdown` is the one
@@ -458,24 +343,21 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket-level failures and malformed responses.
+    /// Socket-level failures and malformed responses.  A
+    /// [`Response::Error`] reply is returned as `Ok`.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.prepare_request(request)?;
-        if matches!(request, Request::Shutdown) {
-            if !self.binary {
-                self.finish_scratch_line();
-            }
-            return self.try_roundtrip_prepared();
-        }
-        self.roundtrip_prepared()
+        let mut responses = self.pipeline(std::slice::from_ref(request))?;
+        Ok(responses
+            .pop()
+            .expect("pipeline reads one reply per request"))
     }
 
-    /// Pipelines a batch: renders *all* request lines into one buffer, sends
+    /// Pipelines a batch: encodes *all* requests into one buffer, sends
     /// them with a single `write_all`, then reads the replies in order.
     ///
     /// The caller bounds the batch: both peers' socket buffers must absorb
     /// the whole request window plus the replies produced while the client
-    /// is still writing, so keep batches to at most a few hundred lines
+    /// is still writing, so keep batches to at most a few hundred requests
     /// (the in-tree callers use 48–256) and loop for larger workloads.
     ///
     /// A stale socket detected on the write or **before the first reply
@@ -491,51 +373,35 @@ impl Connection {
     /// reply is returned in place, not promoted to an `Err` — pipelined
     /// batches are position-addressed.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            for request in requests {
-                encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
-                    .map_err(wire_err)?;
-            }
-        } else {
-            self.scratch.clear();
-            for request in requests {
-                request.render_into(&mut self.scratch);
-                if let Some(trace) = &self.trace {
-                    stamp_trace(&mut self.scratch, trace);
-                }
-                self.scratch.push('\n');
-            }
+        self.scratch.clear();
+        self.frame.clear();
+        for request in requests {
+            self.append_request(request)?;
         }
         let replayable = !requests
             .iter()
             .any(|request| matches!(request, Request::Shutdown));
-        match self.try_pipeline_prepared(requests.len()) {
+        match self.try_pipeline(requests.len()) {
             Err((_, true)) if replayable => {
                 connection_metrics().reconnect_retries.inc();
                 self.reconnect()?;
-                self.try_pipeline_prepared(requests.len())
-                    .map_err(|(err, _)| err)
+                self.try_pipeline(requests.len()).map_err(|(err, _)| err)
             }
-            Err((err, _)) => Err(err),
-            Ok(responses) => Ok(responses),
+            other => other.map_err(|(err, _)| err),
         }
     }
 
     /// One attempt of [`pipeline`](Connection::pipeline): writes the whole
-    /// pre-rendered window (lines or frames), then reads `count` replies.
-    /// The error's boolean says whether a retry is safe: `true` only while
-    /// no reply byte has been consumed.
-    fn try_pipeline_prepared(
-        &mut self,
-        count: usize,
-    ) -> Result<Vec<Response>, (ClientError, bool)> {
-        let written = if self.binary {
-            self.writer.write_all(&self.frame)
+    /// encoded window, then reads `count` replies.  The error's boolean says
+    /// whether a retry is safe: `true` only while no reply byte has been
+    /// consumed.
+    fn try_pipeline(&mut self, count: usize) -> Result<Vec<Response>, (ClientError, bool)> {
+        let window = if self.binary {
+            &self.frame[..]
         } else {
-            self.writer.write_all(self.scratch.as_bytes())
+            self.scratch.as_bytes()
         };
-        if let Err(err) = written {
+        if let Err(err) = self.writer.write_all(window) {
             let err = ClientError::Io(err);
             let retryable = is_stale(&err);
             return Err((err, retryable));
@@ -559,16 +425,14 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn get(&mut self, canonical: &str) -> Result<Option<PointRecord>, ClientError> {
-        // Encoded from the borrowed canonical — no owned Request, no clone.
-        if self.binary {
-            self.frame.clear();
-            encode_get_frame(&mut self.frame, self.trace.as_deref(), canonical)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_get_request(&mut self.scratch, canonical);
+        let request = Request::Get {
+            canonical: canonical.to_owned(),
+        };
+        match self.roundtrip(&request)? {
+            Response::Found { record } => Ok(Some(record)),
+            Response::NotFound => Ok(None),
+            other => Err(unexpected(Op::Get, other)),
         }
-        expect_get(self.roundtrip_prepared()?)
     }
 
     /// Looks a batch of canonical strings up in one request/reply pair.
@@ -577,15 +441,13 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn mget(&mut self, canonicals: &[String]) -> Result<Vec<Option<PointRecord>>, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_mget_frame(&mut self.frame, self.trace.as_deref(), canonicals)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_mget_request(&mut self.scratch, canonicals);
+        let request = Request::MultiGet {
+            canonicals: canonicals.to_vec(),
+        };
+        match self.roundtrip(&request)? {
+            Response::MultiGot { records } => Ok(records),
+            other => Err(unexpected(Op::MultiGet, other)),
         }
-        expect_mget(self.roundtrip_prepared()?)
     }
 
     /// Answers a batch of design points (hits from the shards, misses
@@ -595,15 +457,21 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn explore(&mut self, points: &[QueryPoint]) -> Result<ExploreReply, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_points_frame(&mut self.frame, self.trace.as_deref(), false, points)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_points_request(&mut self.scratch, "explore", points);
+        let request = Request::Explore {
+            points: points.to_vec(),
+        };
+        match self.roundtrip(&request)? {
+            Response::Explored {
+                records,
+                hits,
+                evaluated,
+            } => Ok(ExploreReply {
+                records,
+                hits,
+                evaluated,
+            }),
+            other => Err(unexpected(Op::Explore, other)),
         }
-        expect_explore(self.roundtrip_prepared()?)
     }
 
     /// Answers a batch of design points with per-point outcomes: a point that
@@ -614,15 +482,21 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn mexplore(&mut self, points: &[QueryPoint]) -> Result<MultiExploreReply, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_points_frame(&mut self.frame, self.trace.as_deref(), true, points)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_points_request(&mut self.scratch, "mexplore", points);
+        let request = Request::MultiExplore {
+            points: points.to_vec(),
+        };
+        match self.roundtrip(&request)? {
+            Response::MultiExplored {
+                outcomes,
+                hits,
+                evaluated,
+            } => Ok(MultiExploreReply {
+                outcomes,
+                hits,
+                evaluated,
+            }),
+            other => Err(unexpected(Op::MultiExplore, other)),
         }
-        expect_mexplore(self.roundtrip_prepared()?)
     }
 
     /// Stores pre-evaluated records verbatim (the cluster replication tee);
@@ -632,24 +506,25 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn put(&mut self, records: &[PointRecord]) -> Result<u64, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_put_frame(&mut self.frame, self.trace.as_deref(), records).map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_put_request(&mut self.scratch, records);
+        let request = Request::Put {
+            records: records.to_vec(),
+        };
+        match self.roundtrip(&request)? {
+            Response::Stored { stored } => Ok(stored),
+            other => Err(unexpected(Op::Put, other)),
         }
-        expect_stored(self.roundtrip_prepared()?)
     }
 
-    /// Trivial health probe: round-trips a `ping` line.
+    /// Trivial health probe: round-trips a `ping`.
     ///
     /// # Errors
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let response = self.roundtrip(&Request::Ping)?;
-        expect_pong(response)
+        match self.roundtrip(&Request::Ping)? {
+            Response::Pong => Ok(()),
+            other => Err(unexpected(Op::Ping, other)),
+        }
     }
 
     /// Fetches the server statistics.
@@ -658,8 +533,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let response = self.roundtrip(&Request::Stats)?;
-        expect_stats(response)
+        match self.roundtrip(&Request::Stats)? {
+            Response::Stats(stats) => Ok(stats),
+            other => Err(unexpected(Op::Stats, other)),
+        }
     }
 
     /// Fetches the server's full telemetry snapshot (counters, gauges and
@@ -669,8 +546,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        let response = self.roundtrip(&Request::Metrics { prometheus: false })?;
-        expect_metrics(response)
+        match self.roundtrip(&Request::Metrics { prometheus: false })? {
+            Response::Metrics(snapshot) => Ok(snapshot),
+            other => Err(unexpected(Op::Metrics, other)),
+        }
     }
 
     /// Fetches the server's telemetry in the Prometheus text exposition
@@ -680,8 +559,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        let response = self.roundtrip(&Request::Metrics { prometheus: true })?;
-        expect_metrics_text(response)
+        match self.roundtrip(&Request::Metrics { prometheus: true })? {
+            Response::MetricsText { text } => Ok(text),
+            other => Err(unexpected(Op::Metrics, other)),
+        }
     }
 
     /// Fetches the spans the server's flight recorder retains for `id` —
@@ -692,8 +573,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn trace_spans(&mut self, id: &str) -> Result<Vec<Span>, ClientError> {
-        let response = self.roundtrip(&Request::Trace { id: id.to_owned() })?;
-        expect_traced(response)
+        match self.roundtrip(&Request::Trace { id: id.to_owned() })? {
+            Response::Traced { spans } => Ok(spans),
+            other => Err(unexpected(Op::Trace, other)),
+        }
     }
 
     /// Fetches the newest `last` samples of the server's metrics series ring
@@ -703,8 +586,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn series_samples(&mut self, last: u64) -> Result<Vec<SeriesSample>, ClientError> {
-        let response = self.roundtrip(&Request::Series { last, window_us: 0 })?;
-        expect_series(response)
+        match self.roundtrip(&Request::Series { last, window_us: 0 })? {
+            Response::Series { samples } => Ok(samples),
+            other => Err(unexpected(Op::Series, other)),
+        }
     }
 
     /// Fetches the metrics delta across the server's trailing `window_us`
@@ -716,8 +601,10 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors
     /// (including too few samples in the window, e.g. a disabled sampler).
     pub fn series_delta(&mut self, window_us: u64) -> Result<SnapshotDelta, ClientError> {
-        let response = self.roundtrip(&Request::Series { last: 0, window_us })?;
-        expect_series_delta(response)
+        match self.roundtrip(&Request::Series { last: 0, window_us })? {
+            Response::SeriesDelta { delta } => Ok(delta),
+            other => Err(unexpected(Op::Series, other)),
+        }
     }
 
     /// Fetches the server's per-shard anti-entropy digests, in shard order.
@@ -728,8 +615,10 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn digest(&mut self) -> Result<Vec<ShardDigest>, ClientError> {
-        let response = self.roundtrip(&Request::Digest)?;
-        expect_digests(response)
+        match self.roundtrip(&Request::Digest)? {
+            Response::Digests { digests } => Ok(digests),
+            other => Err(unexpected(Op::Digest, other)),
+        }
     }
 
     /// Fetches one page of shard `shard`'s canonical strings (`offset` /
@@ -746,12 +635,15 @@ impl Connection {
         offset: u64,
         limit: u64,
     ) -> Result<(Vec<String>, bool), ClientError> {
-        let response = self.roundtrip(&Request::Scan {
+        let request = Request::Scan {
             shard,
             offset,
             limit,
-        })?;
-        expect_scanned(response)
+        };
+        match self.roundtrip(&request)? {
+            Response::Scanned { canonicals, done } => Ok((canonicals, done)),
+            other => Err(unexpected(Op::Scan, other)),
+        }
     }
 
     /// Asks the server to shut down gracefully.  Never retried on a stale
@@ -763,389 +655,9 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let response = self.roundtrip(&Request::Shutdown)?;
-        expect_shutdown(response)
-    }
-}
-
-/// A connection-per-request client addressing one server.
-///
-/// Every method opens a fresh [`Connection`] (so it inherits the single
-/// `write_all` framing and `TCP_NODELAY`), performs one round trip and drops
-/// the socket.  Use [`Client::connect`] — or [`Connection::connect`] directly
-/// — to keep a connection alive across requests.
-#[derive(Debug, Clone)]
-pub struct Client {
-    addr: String,
-    binary: bool,
-}
-
-impl Client {
-    /// A client for the server at `addr` (`host:port`), speaking JSON lines.
-    pub fn new(addr: impl Into<String>) -> Self {
-        Self {
-            addr: addr.into(),
-            binary: false,
+        match self.roundtrip(&Request::Shutdown)? {
+            Response::ShuttingDown => Ok(()),
+            other => Err(unexpected(Op::Shutdown, other)),
         }
-    }
-
-    /// A client for the server at `addr` speaking the binary frame codec.
-    pub fn new_binary(addr: impl Into<String>) -> Self {
-        Self {
-            addr: addr.into(),
-            binary: true,
-        }
-    }
-
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Opens a persistent keep-alive [`Connection`] to this client's server,
-    /// in this client's codec.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures and unresolvable addresses.
-    pub fn connect(&self) -> Result<Connection, ClientError> {
-        if self.binary {
-            Connection::connect_binary(&self.addr)
-        } else {
-            Connection::connect(&self.addr)
-        }
-    }
-
-    /// Sends one request line and reads one response line over a fresh
-    /// connection.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures and malformed responses.
-    pub fn roundtrip(&self, request: &Request) -> Result<Response, ClientError> {
-        self.connect()?.roundtrip(request)
-    }
-
-    /// Looks a record up by canonical string; `None` is a miss.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn get(&self, canonical: &str) -> Result<Option<PointRecord>, ClientError> {
-        self.connect()?.get(canonical)
-    }
-
-    /// Looks a batch of canonical strings up in one request/reply pair.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn mget(&self, canonicals: &[String]) -> Result<Vec<Option<PointRecord>>, ClientError> {
-        self.connect()?.mget(canonicals)
-    }
-
-    /// Answers a batch of design points (hits from the shards, misses
-    /// evaluated server-side).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn explore(&self, points: &[QueryPoint]) -> Result<ExploreReply, ClientError> {
-        self.connect()?.explore(points)
-    }
-
-    /// Answers a batch of design points with per-point outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn mexplore(&self, points: &[QueryPoint]) -> Result<MultiExploreReply, ClientError> {
-        self.connect()?.mexplore(points)
-    }
-
-    /// Stores pre-evaluated records verbatim; returns how many were new.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn put(&self, records: &[PointRecord]) -> Result<u64, ClientError> {
-        self.connect()?.put(records)
-    }
-
-    /// Trivial health probe.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn ping(&self) -> Result<(), ClientError> {
-        self.connect()?.ping()
-    }
-
-    /// Fetches the server statistics.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn stats(&self) -> Result<ServerStats, ClientError> {
-        self.connect()?.stats()
-    }
-
-    /// Fetches the server's full telemetry snapshot as structured data.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn metrics(&self) -> Result<MetricsSnapshot, ClientError> {
-        self.connect()?.metrics()
-    }
-
-    /// Fetches the server's telemetry in the Prometheus text format.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn metrics_text(&self) -> Result<String, ClientError> {
-        self.connect()?.metrics_text()
-    }
-
-    /// Fetches the spans the server's flight recorder retains for `id`.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn trace_spans(&self, id: &str) -> Result<Vec<Span>, ClientError> {
-        self.connect()?.trace_spans(id)
-    }
-
-    /// Fetches the newest `last` samples of the server's metrics series ring.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn series_samples(&self, last: u64) -> Result<Vec<SeriesSample>, ClientError> {
-        self.connect()?.series_samples(last)
-    }
-
-    /// Fetches the metrics delta across the server's trailing window.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn series_delta(&self, window_us: u64) -> Result<SnapshotDelta, ClientError> {
-        self.connect()?.series_delta(window_us)
-    }
-
-    /// Fetches the server's per-shard anti-entropy digests.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn digest(&self) -> Result<Vec<ShardDigest>, ClientError> {
-        self.connect()?.digest()
-    }
-
-    /// Fetches one page of a shard's canonical strings.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn scan(
-        &self,
-        shard: u64,
-        offset: u64,
-        limit: u64,
-    ) -> Result<(Vec<String>, bool), ClientError> {
-        self.connect()?.scan(shard, offset, limit)
-    }
-
-    /// Asks the server to shut down gracefully.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn shutdown(&self) -> Result<(), ClientError> {
-        self.connect()?.shutdown()
-    }
-}
-
-/// Narrows a response to the `get` reply shapes.
-fn expect_get(response: Response) -> Result<Option<PointRecord>, ClientError> {
-    match response {
-        Response::Found { record } => Ok(Some(record)),
-        Response::NotFound => Ok(None),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to get: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `mget` reply shape.
-fn expect_mget(response: Response) -> Result<Vec<Option<PointRecord>>, ClientError> {
-    match response {
-        Response::MultiGot { records } => Ok(records),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to mget: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `explore` reply shape.
-fn expect_explore(response: Response) -> Result<ExploreReply, ClientError> {
-    match response {
-        Response::Explored {
-            records,
-            hits,
-            evaluated,
-        } => Ok(ExploreReply {
-            records,
-            hits,
-            evaluated,
-        }),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to explore: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `mexplore` reply shape.
-fn expect_mexplore(response: Response) -> Result<MultiExploreReply, ClientError> {
-    match response {
-        Response::MultiExplored {
-            outcomes,
-            hits,
-            evaluated,
-        } => Ok(MultiExploreReply {
-            outcomes,
-            hits,
-            evaluated,
-        }),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to mexplore: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `put` reply shape.
-fn expect_stored(response: Response) -> Result<u64, ClientError> {
-    match response {
-        Response::Stored { stored } => Ok(stored),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to put: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `ping` acknowledgement.
-fn expect_pong(response: Response) -> Result<(), ClientError> {
-    match response {
-        Response::Pong => Ok(()),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to ping: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `stats` reply shape.
-fn expect_stats(response: Response) -> Result<ServerStats, ClientError> {
-    match response {
-        Response::Stats(stats) => Ok(stats),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to stats: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the structured `metrics` reply shape.
-fn expect_metrics(response: Response) -> Result<MetricsSnapshot, ClientError> {
-    match response {
-        Response::Metrics(snapshot) => Ok(snapshot),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to metrics: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the Prometheus-text `metrics` reply shape.
-fn expect_metrics_text(response: Response) -> Result<String, ClientError> {
-    match response {
-        Response::MetricsText { text } => Ok(text),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to metrics: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `trace` reply shape.
-fn expect_traced(response: Response) -> Result<Vec<Span>, ClientError> {
-    match response {
-        Response::Traced { spans } => Ok(spans),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to trace: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the sample-mode `series` reply shape.
-fn expect_series(response: Response) -> Result<Vec<SeriesSample>, ClientError> {
-    match response {
-        Response::Series { samples } => Ok(samples),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to series: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the window-mode `series` reply shape.
-fn expect_series_delta(response: Response) -> Result<SnapshotDelta, ClientError> {
-    match response {
-        Response::SeriesDelta { delta } => Ok(delta),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to series: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `digest` reply shape.
-fn expect_digests(response: Response) -> Result<Vec<ShardDigest>, ClientError> {
-    match response {
-        Response::Digests { digests } => Ok(digests),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to digest: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `scan` reply shape.
-fn expect_scanned(response: Response) -> Result<(Vec<String>, bool), ClientError> {
-    match response {
-        Response::Scanned { canonicals, done } => Ok((canonicals, done)),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to scan: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `shutdown` acknowledgement.
-fn expect_shutdown(response: Response) -> Result<(), ClientError> {
-    match response {
-        Response::ShuttingDown => Ok(()),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to shutdown: {other:?}"
-        ))),
     }
 }

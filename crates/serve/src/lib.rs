@@ -48,29 +48,30 @@
 //!
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
 //! [`Response`] are its single shape definition, with the JSON encoding in
-//! this crate's `json`/`protocol` modules and the binary encoding in
+//! the `protocol` module (over [`JsonValue`]) and the binary encoding in
 //! `binary` (over the [`srra_explore::WireSerde`] trait).  [`Connection`]
-//! is the keep-alive, pipelining client used on hot paths
-//! ([`Connection::connect_binary`] for the binary codec); [`Client`] is the
-//! one-shot wrapper around it.
+//! is the keep-alive, pipelining client ([`Connection::connect`] for JSON
+//! lines, [`Connection::connect_binary`] for the binary codec, and
+//! [`Connection::connect_with_codec`] to pick the codec and an I/O
+//! deadline).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+//! use srra_serve::{Connection, QueryPoint, Server, ServerConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dir = std::env::temp_dir().join(format!("srra-serve-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! let server = Server::bind(&ServerConfig::ephemeral(&dir))?;
-//! let addr = server.local_addr();
+//! let addr = server.local_addr().to_string();
 //! let handle = std::thread::spawn(move || server.run());
 //!
-//! let client = Client::new(addr.to_string());
-//! let reply = client.explore(&[QueryPoint::new("fir", "cpa", 32)])?;
+//! let mut connection = Connection::connect(&addr)?;
+//! let reply = connection.explore(&[QueryPoint::new("fir", "cpa", 32)])?;
 //! assert_eq!(reply.records.len(), 1);
 //! assert_eq!(reply.evaluated, 1, "cold shard: the miss is evaluated");
-//! client.shutdown()?;
+//! connection.shutdown()?;
 //! handle.join().expect("server thread")?;
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
@@ -82,7 +83,6 @@
 
 mod binary;
 mod client;
-mod json;
 mod protocol;
 mod server;
 mod shard;
@@ -91,14 +91,17 @@ pub use binary::{
     decode_payload, encode_request_frame, encode_response_frame, read_frame, FrameError,
     BINARY_MAGIC, MAX_FRAME_LEN,
 };
-pub use client::{Client, ClientError, Connection, ExploreReply, MultiExploreReply};
-pub use json::JsonValue;
+pub use client::{ClientError, Connection, ExploreReply, MultiExploreReply};
 pub use protocol::{
     stamp_trace, trace_suffix, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request,
     Response, ServerStats, ShardDigest, TRACE_MAX_LEN,
 };
 pub use server::{canonical_for, device_by_name, ServeError, Server, ServerConfig, ServerReport};
 pub use shard::{CompactOutcome, MergeOutcome, ShardError, ShardedStore};
+
+// The wire protocol's JSON value type lives in `srra_explore`, beside the
+// JSONL cache encoding it shares; re-exported for serve-layer callers.
+pub use srra_explore::JsonValue;
 
 // The span type rides on `trace` replies, and the series types on `series`
 // replies; re-exported so serve-layer callers need not depend on `srra_obs`

@@ -20,13 +20,11 @@
 //! hot `get`/`explore` reply path allocates nothing beyond the record
 //! lookup itself and the buffer's own growth.
 
-use srra_explore::PointRecord;
+use srra_explore::{render_string, JsonValue, PointRecord};
 use srra_obs::{
     valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
     LATENCY_BUCKETS,
 };
-
-use crate::json::{render_string, JsonValue};
 
 /// Longest accepted `trace` id, in bytes.
 pub const TRACE_MAX_LEN: usize = 64;
@@ -156,64 +154,21 @@ impl QueryPoint {
     }
 }
 
-/// Renders a `[...]` of query points.
-fn render_points(out: &mut String, points: &[QueryPoint]) {
+/// Renders `[item,item,...]`, each element through `render`.
+fn render_array<T>(out: &mut String, items: &[T], mut render: impl FnMut(&mut String, &T)) {
     out.push('[');
-    for (index, point) in points.iter().enumerate() {
+    for (index, item) in items.iter().enumerate() {
         if index > 0 {
             out.push(',');
         }
-        point.render_into(out);
+        render(out, item);
     }
     out.push(']');
 }
 
-/// Renders a `get` request line from borrowed data (no trailing newline) —
-/// the hot-path twin of [`Request::render_into`] that needs no owned
-/// [`Request`].
-pub(crate) fn render_get_request(out: &mut String, canonical: &str) {
-    out.push_str("{\"op\":\"get\",\"canonical\":");
-    render_string(out, canonical);
-    out.push('}');
-}
-
-/// Renders an `mget` request line from borrowed canonicals (no trailing
-/// newline).
-pub(crate) fn render_mget_request(out: &mut String, canonicals: &[String]) {
-    out.push_str("{\"op\":\"mget\",\"canonicals\":[");
-    for (index, canonical) in canonicals.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        render_string(out, canonical);
-    }
-    out.push_str("]}");
-}
-
-/// Renders a `put` request line from borrowed records (no trailing newline).
-pub(crate) fn render_put_request(out: &mut String, records: &[PointRecord]) {
-    out.push_str("{\"op\":\"put\",\"records\":[");
-    for (index, record) in records.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        record.write_json_line(out);
-    }
-    out.push_str("]}");
-}
-
-/// Renders an `explore`-shaped request line (`op` is `explore` or
-/// `mexplore`) from borrowed points (no trailing newline).
-pub(crate) fn render_points_request(out: &mut String, op: &str, points: &[QueryPoint]) {
-    out.push_str("{\"op\":\"");
-    out.push_str(op);
-    out.push_str("\",\"points\":");
-    render_points(out, points);
-    out.push('}');
-}
-
 /// Parses the non-empty `points` array shared by `explore` and `mexplore`.
-fn parse_points(value: &JsonValue, op: &str) -> Result<Vec<QueryPoint>, String> {
+fn parse_points(value: &JsonValue, op: Op) -> Result<Vec<QueryPoint>, String> {
+    let op = op.name();
     let items = value
         .get("points")
         .and_then(JsonValue::as_array)
@@ -312,7 +267,94 @@ pub enum Request {
     Shutdown,
 }
 
+/// One wire op.  The discriminant is the op's position in the `stats` reply
+/// (and in the server's per-op instruments); [`Op::TABLE`] holds its wire
+/// name and binary request tag.  `Invalid` accounts requests that failed to
+/// decode; it is never encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Get,
+    MultiGet,
+    Explore,
+    MultiExplore,
+    Put,
+    Ping,
+    Stats,
+    Metrics,
+    Trace,
+    Series,
+    Digest,
+    Scan,
+    Shutdown,
+    Invalid,
+}
+
+impl Op {
+    /// Every op in `stats` order, with its wire name and binary request tag.
+    pub(crate) const TABLE: [(Op, &'static str, u8); 14] = [
+        (Op::Get, "get", 1),
+        (Op::MultiGet, "mget", 2),
+        (Op::Explore, "explore", 3),
+        (Op::MultiExplore, "mexplore", 4),
+        (Op::Put, "put", 5),
+        (Op::Ping, "ping", 6),
+        (Op::Stats, "stats", 7),
+        (Op::Metrics, "metrics", 8),
+        (Op::Trace, "trace", 10),
+        (Op::Series, "series", 13),
+        (Op::Digest, "digest", 11),
+        (Op::Scan, "scan", 12),
+        (Op::Shutdown, "shutdown", 9),
+        (Op::Invalid, "invalid", 0),
+    ];
+
+    /// The op's wire name (the JSON `op` member, the `stats` key).
+    pub(crate) fn name(self) -> &'static str {
+        Self::TABLE[self as usize].1
+    }
+
+    /// The op's binary request tag.
+    pub(crate) fn tag(self) -> u8 {
+        Self::TABLE[self as usize].2
+    }
+
+    /// The op named `name`; callers treat `Invalid` like an unknown name.
+    fn from_name(name: &str) -> Option<Op> {
+        Self::TABLE
+            .iter()
+            .find(|entry| entry.1 == name)
+            .map(|entry| entry.0)
+    }
+
+    /// The op tagged `tag`; callers treat `Invalid` like an unknown tag.
+    pub(crate) fn from_tag(tag: u8) -> Option<Op> {
+        Self::TABLE
+            .iter()
+            .find(|entry| entry.2 == tag)
+            .map(|entry| entry.0)
+    }
+}
+
 impl Request {
+    /// The request's op.
+    pub(crate) fn op(&self) -> Op {
+        match self {
+            Request::Get { .. } => Op::Get,
+            Request::MultiGet { .. } => Op::MultiGet,
+            Request::Explore { .. } => Op::Explore,
+            Request::MultiExplore { .. } => Op::MultiExplore,
+            Request::Put { .. } => Op::Put,
+            Request::Ping => Op::Ping,
+            Request::Stats => Op::Stats,
+            Request::Metrics { .. } => Op::Metrics,
+            Request::Trace { .. } => Op::Trace,
+            Request::Series { .. } => Op::Series,
+            Request::Digest => Op::Digest,
+            Request::Scan { .. } => Op::Scan,
+            Request::Shutdown => Op::Shutdown,
+        }
+    }
+
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(64);
@@ -323,49 +365,61 @@ impl Request {
     /// Encodes the request into `out` (no trailing newline), reusing the
     /// buffer's allocation.
     pub fn render_into(&self, out: &mut String) {
+        out.push_str("{\"op\":\"");
+        out.push_str(self.op().name());
+        out.push('"');
         match self {
-            Request::Get { canonical } => render_get_request(out, canonical),
-            Request::MultiGet { canonicals } => render_mget_request(out, canonicals),
-            Request::Explore { points } => render_points_request(out, "explore", points),
-            Request::MultiExplore { points } => render_points_request(out, "mexplore", points),
-            Request::Put { records } => render_put_request(out, records),
-            Request::Ping => out.push_str(r#"{"op":"ping"}"#),
-            Request::Stats => out.push_str(r#"{"op":"stats"}"#),
-            Request::Metrics { prometheus: false } => out.push_str(r#"{"op":"metrics"}"#),
-            Request::Metrics { prometheus: true } => {
-                out.push_str(r#"{"op":"metrics","format":"prometheus"}"#)
+            Request::Get { canonical } => {
+                out.push_str(",\"canonical\":");
+                render_string(out, canonical);
             }
+            Request::MultiGet { canonicals } => {
+                out.push_str(",\"canonicals\":");
+                render_array(out, canonicals, |out, canonical| {
+                    render_string(out, canonical)
+                });
+            }
+            Request::Explore { points } | Request::MultiExplore { points } => {
+                out.push_str(",\"points\":");
+                render_array(out, points, |out, point| point.render_into(out));
+            }
+            Request::Put { records } => {
+                out.push_str(",\"records\":");
+                render_array(out, records, |out, record| record.write_json_line(out));
+            }
+            Request::Metrics { prometheus: true } => out.push_str(",\"format\":\"prometheus\""),
             Request::Trace { id } => {
-                out.push_str("{\"op\":\"trace\",\"id\":");
+                out.push_str(",\"id\":");
                 render_string(out, id);
-                out.push('}');
             }
             Request::Series { last, window_us } => {
                 if *window_us > 0 {
-                    out.push_str("{\"op\":\"series\",\"window_us\":");
+                    out.push_str(",\"window_us\":");
                     out.push_str(&window_us.to_string());
                 } else {
-                    out.push_str("{\"op\":\"series\",\"last\":");
+                    out.push_str(",\"last\":");
                     out.push_str(&last.to_string());
                 }
-                out.push('}');
             }
-            Request::Digest => out.push_str(r#"{"op":"digest"}"#),
             Request::Scan {
                 shard,
                 offset,
                 limit,
             } => {
-                out.push_str("{\"op\":\"scan\",\"shard\":");
+                out.push_str(",\"shard\":");
                 out.push_str(&shard.to_string());
                 out.push_str(",\"offset\":");
                 out.push_str(&offset.to_string());
                 out.push_str(",\"limit\":");
                 out.push_str(&limit.to_string());
-                out.push('}');
             }
-            Request::Shutdown => out.push_str(r#"{"op":"shutdown"}"#),
+            Request::Ping
+            | Request::Stats
+            | Request::Metrics { prometheus: false }
+            | Request::Digest
+            | Request::Shutdown => {}
         }
+        out.push('}');
     }
 
     /// Decodes one request line.
@@ -388,19 +442,19 @@ impl Request {
             }
         }
         let value = JsonValue::parse(line)?;
-        let op = value
+        let name = value
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or("request needs a string `op` field")?;
-        match op {
-            "get" => Ok(Request::Get {
+        match Op::from_name(name) {
+            Some(Op::Get) => Ok(Request::Get {
                 canonical: value
                     .get("canonical")
                     .and_then(JsonValue::as_str)
                     .ok_or("`get` needs a string `canonical` field")?
                     .to_owned(),
             }),
-            "mget" => {
+            Some(Op::MultiGet) => {
                 let items = value
                     .get("canonicals")
                     .and_then(JsonValue::as_array)
@@ -418,13 +472,13 @@ impl Request {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::MultiGet { canonicals })
             }
-            "explore" => Ok(Request::Explore {
-                points: parse_points(&value, "explore")?,
+            Some(Op::Explore) => Ok(Request::Explore {
+                points: parse_points(&value, Op::Explore)?,
             }),
-            "mexplore" => Ok(Request::MultiExplore {
-                points: parse_points(&value, "mexplore")?,
+            Some(Op::MultiExplore) => Ok(Request::MultiExplore {
+                points: parse_points(&value, Op::MultiExplore)?,
             }),
-            "put" => {
+            Some(Op::Put) => {
                 let items = value
                     .get("records")
                     .and_then(JsonValue::as_array)
@@ -434,13 +488,13 @@ impl Request {
                 }
                 let records = items
                     .iter()
-                    .map(record_from_value)
+                    .map(PointRecord::from_json_value)
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::Put { records })
             }
-            "ping" => Ok(Request::Ping),
-            "stats" => Ok(Request::Stats),
-            "metrics" => match value.get("format").map(JsonValue::as_str) {
+            Some(Op::Ping) => Ok(Request::Ping),
+            Some(Op::Stats) => Ok(Request::Stats),
+            Some(Op::Metrics) => match value.get("format").map(JsonValue::as_str) {
                 None => Ok(Request::Metrics { prometheus: false }),
                 Some(Some("json")) => Ok(Request::Metrics { prometheus: false }),
                 Some(Some("prometheus" | "prom")) => Ok(Request::Metrics { prometheus: true }),
@@ -448,7 +502,7 @@ impl Request {
                     "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
                 )),
             },
-            "trace" => {
+            Some(Op::Trace) => {
                 let id = value
                     .get("id")
                     .and_then(JsonValue::as_str)
@@ -460,7 +514,7 @@ impl Request {
                 }
                 Ok(Request::Trace { id: id.to_owned() })
             }
-            "series" => {
+            Some(Op::Series) => {
                 let field = |name: &str| -> Result<u64, String> {
                     match value.get(name) {
                         None => Ok(0),
@@ -478,8 +532,8 @@ impl Request {
                 }
                 Ok(Request::Series { last, window_us })
             }
-            "digest" => Ok(Request::Digest),
-            "scan" => {
+            Some(Op::Digest) => Ok(Request::Digest),
+            Some(Op::Scan) => {
                 let shard = value
                     .get("shard")
                     .and_then(JsonValue::as_u64)
@@ -501,8 +555,8 @@ impl Request {
                     limit,
                 })
             }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op `{other}`")),
+            Some(Op::Shutdown) => Ok(Request::Shutdown),
+            Some(Op::Invalid) | None => Err(format!("unknown op `{name}`")),
         }
     }
 
@@ -872,13 +926,6 @@ pub enum Response {
     },
 }
 
-/// Decodes a [`PointRecord`] from a parsed JSON object by re-rendering it as
-/// a JSONL line.  Numbers keep their raw source text, so the round trip is
-/// bit-exact for the f64 fields.
-fn record_from_value(value: &JsonValue) -> Result<PointRecord, String> {
-    PointRecord::from_json_line(&value.render())
-}
-
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
@@ -900,68 +947,45 @@ impl Response {
             }
             Response::NotFound => out.push_str(r#"{"ok":true,"found":false}"#),
             Response::MultiGot { records } => {
-                out.push_str("{\"ok\":true,\"got\":[");
-                for (index, record) in records.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    match record {
-                        Some(record) => record.write_json_line(out),
-                        None => out.push_str("null"),
-                    }
-                }
-                out.push_str("]}");
+                out.push_str("{\"ok\":true,\"got\":");
+                render_array(out, records, |out, record| match record {
+                    Some(record) => record.write_json_line(out),
+                    None => out.push_str("null"),
+                });
+                out.push('}');
             }
             Response::Explored {
                 records,
                 hits,
                 evaluated,
             } => {
-                out.push_str("{\"ok\":true,\"records\":[");
-                for (index, record) in records.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    record.write_json_line(out);
-                }
-                out.push_str("],\"hits\":");
-                out.push_str(&hits.to_string());
-                out.push_str(",\"evaluated\":");
-                out.push_str(&evaluated.to_string());
-                out.push('}');
+                out.push_str("{\"ok\":true,\"records\":");
+                render_array(out, records, |out, record| record.write_json_line(out));
+                render_hits_evaluated(out, *hits, *evaluated);
             }
             Response::MultiExplored {
                 outcomes,
                 hits,
                 evaluated,
             } => {
-                out.push_str("{\"ok\":true,\"outcomes\":[");
-                for (index, outcome) in outcomes.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
+                out.push_str("{\"ok\":true,\"outcomes\":");
+                render_array(out, outcomes, |out, outcome| match outcome {
+                    PointOutcome::Answered { record, hit } => {
+                        out.push_str(if *hit {
+                            "{\"hit\":true,\"record\":"
+                        } else {
+                            "{\"hit\":false,\"record\":"
+                        });
+                        record.write_json_line(out);
+                        out.push('}');
                     }
-                    match outcome {
-                        PointOutcome::Answered { record, hit } => {
-                            out.push_str(if *hit {
-                                "{\"hit\":true,\"record\":"
-                            } else {
-                                "{\"hit\":false,\"record\":"
-                            });
-                            record.write_json_line(out);
-                            out.push('}');
-                        }
-                        PointOutcome::Failed { error } => {
-                            out.push_str("{\"error\":");
-                            render_string(out, error);
-                            out.push('}');
-                        }
+                    PointOutcome::Failed { error } => {
+                        out.push_str("{\"error\":");
+                        render_string(out, error);
+                        out.push('}');
                     }
-                }
-                out.push_str("],\"hits\":");
-                out.push_str(&hits.to_string());
-                out.push_str(",\"evaluated\":");
-                out.push_str(&evaluated.to_string());
-                out.push('}');
+                });
+                render_hits_evaluated(out, *hits, *evaluated);
             }
             Response::Stored { stored } => {
                 out.push_str("{\"ok\":true,\"stored\":");
@@ -985,28 +1009,20 @@ impl Response {
                 out.push('}');
             }
             Response::Traced { spans } => {
-                out.push_str("{\"ok\":true,\"spans\":[");
-                for (index, span) in spans.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    render_span(out, span);
-                }
-                out.push_str("]}");
+                out.push_str("{\"ok\":true,\"spans\":");
+                render_array(out, spans, render_span);
+                out.push('}');
             }
             Response::Series { samples } => {
-                out.push_str("{\"ok\":true,\"series\":[");
-                for (index, sample) in samples.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
+                out.push_str("{\"ok\":true,\"series\":");
+                render_array(out, samples, |out, sample| {
                     out.push_str("{\"at_us\":");
                     out.push_str(&sample.at_us.to_string());
                     out.push_str(",\"metrics\":");
                     sample.metrics.render_json_into(out);
                     out.push('}');
-                }
-                out.push_str("]}");
+                });
+                out.push('}');
             }
             Response::SeriesDelta { delta } => {
                 out.push_str("{\"ok\":true,\"delta\":{\"from_us\":");
@@ -1018,31 +1034,25 @@ impl Response {
                 out.push_str("}}");
             }
             Response::Digests { digests } => {
-                out.push_str("{\"ok\":true,\"digests\":[");
-                for (index, digest) in digests.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
+                out.push_str("{\"ok\":true,\"digests\":");
+                render_array(out, digests, |out, digest| {
                     out.push_str("{\"records\":");
                     out.push_str(&digest.records.to_string());
                     out.push_str(",\"fold\":");
                     out.push_str(&digest.fold.to_string());
                     out.push('}');
-                }
-                out.push_str("]}");
+                });
+                out.push('}');
             }
             Response::Scanned { canonicals, done } => {
-                out.push_str("{\"ok\":true,\"canonicals\":[");
-                for (index, canonical) in canonicals.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    render_string(out, canonical);
-                }
+                out.push_str("{\"ok\":true,\"canonicals\":");
+                render_array(out, canonicals, |out, canonical| {
+                    render_string(out, canonical)
+                });
                 out.push_str(if *done {
-                    "],\"done\":true}"
+                    ",\"done\":true}"
                 } else {
-                    "],\"done\":false}"
+                    ",\"done\":false}"
                 });
             }
             Response::ShuttingDown => out.push_str(r#"{"ok":true,"shutting_down":true}"#),
@@ -1089,7 +1099,7 @@ impl Response {
         if let Some(found) = value.get("found").and_then(JsonValue::as_bool) {
             return if found {
                 Ok(Response::Found {
-                    record: record_from_value(
+                    record: PointRecord::from_json_value(
                         value
                             .get("record")
                             .ok_or("`found` response lacks `record`")?,
@@ -1104,7 +1114,7 @@ impl Response {
                 .iter()
                 .map(|item| match item {
                     JsonValue::Null => Ok(None),
-                    other => record_from_value(other).map(Some),
+                    other => PointRecord::from_json_value(other).map(Some),
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             return Ok(Response::MultiGot { records });
@@ -1122,7 +1132,7 @@ impl Response {
                         .get("hit")
                         .and_then(JsonValue::as_bool)
                         .ok_or("outcome needs a boolean `hit` field")?;
-                    let record = record_from_value(
+                    let record = PointRecord::from_json_value(
                         item.get("record").ok_or("outcome lacks a `record` field")?,
                     )?;
                     Ok(PointOutcome::Answered { record, hit })
@@ -1138,7 +1148,7 @@ impl Response {
         if let Some(items) = value.get("records").and_then(JsonValue::as_array) {
             let records = items
                 .iter()
-                .map(record_from_value)
+                .map(PointRecord::from_json_value)
                 .collect::<Result<Vec<_>, _>>()?;
             let (hits, evaluated) = parse_hits_evaluated(&value, "explore")?;
             return Ok(Response::Explored {
@@ -1391,6 +1401,16 @@ fn snapshot_from_value(value: &JsonValue) -> Result<MetricsSnapshot, String> {
     Ok(snapshot)
 }
 
+/// Renders the `,"hits":N,"evaluated":M}` tail shared by the explore-shaped
+/// replies.
+fn render_hits_evaluated(out: &mut String, hits: u64, evaluated: u64) {
+    out.push_str(",\"hits\":");
+    out.push_str(&hits.to_string());
+    out.push_str(",\"evaluated\":");
+    out.push_str(&evaluated.to_string());
+    out.push('}');
+}
+
 /// Parses the `hits`/`evaluated` totals shared by the explore-shaped replies.
 fn parse_hits_evaluated(value: &JsonValue, op: &str) -> Result<(u64, u64), String> {
     let hits = value
@@ -1534,6 +1554,15 @@ mod tests {
             let mut buffer = String::from("prefix");
             request.render_into(&mut buffer);
             assert_eq!(buffer, format!("prefix{line}"));
+        }
+    }
+
+    #[test]
+    fn op_table_rows_sit_at_their_stats_position_with_unique_names_and_tags() {
+        for (index, (op, name, tag)) in Op::TABLE.iter().enumerate() {
+            assert_eq!(*op as usize, index, "{name}");
+            assert_eq!(Op::from_name(name), Some(*op));
+            assert_eq!(Op::from_tag(*tag), Some(*op));
         }
     }
 

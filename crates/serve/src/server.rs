@@ -50,7 +50,7 @@ use crate::binary::{
     BINARY_MAGIC,
 };
 use crate::protocol::{
-    stamp_trace, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    stamp_trace, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
 };
 use crate::shard::{ShardError, ShardedStore};
 
@@ -202,32 +202,6 @@ impl Inflight {
     }
 }
 
-/// The protocol ops the server accounts for, in the fixed `stats` reporting
-/// order.  `Invalid` covers request lines that failed to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Get,
-    MultiGet,
-    Explore,
-    MultiExplore,
-    Put,
-    Ping,
-    Stats,
-    Metrics,
-    Trace,
-    Series,
-    Digest,
-    Scan,
-    Shutdown,
-    Invalid,
-}
-
-/// Wire names of the ops, indexed by `Op as usize`.
-const OP_NAMES: [&str; 14] = [
-    "get", "mget", "explore", "mexplore", "put", "ping", "stats", "metrics", "trace", "series",
-    "digest", "scan", "shutdown", "invalid",
-];
-
 /// Count + latency histogram of one op (handles into the server registry).
 #[derive(Debug)]
 struct OpCounter {
@@ -269,7 +243,7 @@ struct Counters {
     /// Idle keep-alive connections reaped by the idle-connection deadline.
     idle_reaped: Arc<Counter>,
     /// Per-op accounting, indexed by `Op as usize`.
-    ops: [OpCounter; OP_NAMES.len()],
+    ops: [OpCounter; Op::TABLE.len()],
 }
 
 impl Counters {
@@ -292,9 +266,9 @@ impl Counters {
             codec_binary: registry.counter("serve_codec_binary_total"),
             codec_json: registry.counter("serve_codec_json_total"),
             idle_reaped: registry.counter("serve_idle_reaped_total"),
-            ops: std::array::from_fn(|index| OpCounter {
-                count: registry.counter(&format!("serve_op_{}_total", OP_NAMES[index])),
-                latency: registry.histogram(&format!("serve_op_{}_latency_us", OP_NAMES[index])),
+            ops: Op::TABLE.map(|(_, name, _)| OpCounter {
+                count: registry.counter(&format!("serve_op_{name}_total")),
+                latency: registry.histogram(&format!("serve_op_{name}_latency_us")),
             }),
         }
     }
@@ -313,10 +287,10 @@ impl Counters {
 
     /// The per-op stats in fixed reporting order.
     fn op_stats(&self) -> Vec<OpStats> {
-        OP_NAMES
+        Op::TABLE
             .iter()
             .zip(&self.ops)
-            .map(|(name, counter)| OpStats {
+            .map(|((_, name, _), counter)| OpStats {
                 op: (*name).to_owned(),
                 count: counter.count.get(),
                 p50_us: counter.latency.quantile(0.50),
@@ -564,7 +538,7 @@ impl Server {
         } else {
             Some(SloEvaluator::new(rules, &registry))
         };
-        Ok(Self {
+        let server = Self {
             listener,
             local_addr,
             state: ServerState {
@@ -585,7 +559,13 @@ impl Server {
             workers: config.workers.max(1),
             report_interval: Duration::from_secs(config.report_interval_secs),
             sample_interval: Duration::from_millis(config.sample_interval_ms),
-        })
+        };
+        if !server.sample_interval.is_zero() {
+            // The t0 baseline: without it, traffic served before the
+            // sampler's first tick would fall into no window delta.
+            server.state.series.record(merged_snapshot(&server.state));
+        }
+        Ok(server)
     }
 
     /// The bound address (with the real port when the config asked for `:0`).
@@ -915,57 +895,12 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                     if binary { "binary" } else { "json" }.to_owned(),
                 ));
         }
-        let (response, op, shutdown) = match parsed {
-            Err(message) => (Response::Error { message }, Op::Invalid, false),
-            Ok((Request::Get { canonical }, _)) => (
-                handle_get(state, &canonical, collector.as_mut()),
-                Op::Get,
-                false,
+        let (response, op) = match parsed {
+            Err(message) => (Response::Error { message }, Op::Invalid),
+            Ok((request, _)) => (
+                handle(state, &request, trace_ref, collector.as_mut()),
+                request.op(),
             ),
-            Ok((Request::MultiGet { canonicals }, _)) => (
-                handle_mget(state, &canonicals, collector.as_mut()),
-                Op::MultiGet,
-                false,
-            ),
-            Ok((Request::Explore { points }, _)) => (
-                handle_explore(state, &points, trace_ref, collector.as_mut()),
-                Op::Explore,
-                false,
-            ),
-            Ok((Request::MultiExplore { points }, _)) => (
-                handle_mexplore(state, &points, trace_ref, collector.as_mut()),
-                Op::MultiExplore,
-                false,
-            ),
-            Ok((Request::Put { records }, _)) => (handle_put(state, &records), Op::Put, false),
-            Ok((Request::Ping, _)) => (Response::Pong, Op::Ping, false),
-            Ok((Request::Stats, _)) => (
-                match snapshot_stats(state) {
-                    Ok(stats) => Response::Stats(stats),
-                    Err(err) => Response::Error {
-                        message: err.to_string(),
-                    },
-                },
-                Op::Stats,
-                false,
-            ),
-            Ok((Request::Metrics { prometheus }, _)) => {
-                (handle_metrics(state, prometheus), Op::Metrics, false)
-            }
-            Ok((Request::Trace { id }, _)) => (handle_trace(state, &id), Op::Trace, false),
-            Ok((Request::Series { last, window_us }, _)) => {
-                (handle_series(state, last, window_us), Op::Series, false)
-            }
-            Ok((Request::Digest, _)) => (handle_digest(state), Op::Digest, false),
-            Ok((
-                Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                },
-                _,
-            )) => (handle_scan(state, shard, offset, limit), Op::Scan, false),
-            Ok((Request::Shutdown, _)) => (Response::ShuttingDown, Op::Shutdown, true),
         };
         let render_started = Instant::now();
         let reply_bytes: &[u8] = if binary {
@@ -1012,11 +947,10 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                 span_note = spans.slow_note(2);
             }
             let trace_id = spans.trace_id.clone();
-            state.registry.traces().record_all(spans.finish(
-                OP_NAMES[op as usize],
-                started,
-                elapsed,
-            ));
+            state
+                .registry
+                .traces()
+                .record_all(spans.finish(op.name(), started, elapsed));
             if slow {
                 // Pin after recording: the pin copies this trace's spans out
                 // of the ring into the retained set.
@@ -1029,14 +963,14 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
             if span_note.is_empty() {
                 eprintln!(
                     "srra-serve slow-query: op={} elapsed_us={} trace={}",
-                    OP_NAMES[op as usize],
+                    op.name(),
                     elapsed.as_micros(),
                     trace_ref.unwrap_or("-"),
                 );
             } else {
                 eprintln!(
                     "srra-serve slow-query: op={} elapsed_us={} trace={} spans={span_note}",
-                    OP_NAMES[op as usize],
+                    op.name(),
                     elapsed.as_micros(),
                     trace_ref.unwrap_or("-"),
                 );
@@ -1052,7 +986,7 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
         if sent.is_ok() && !holds_complete_request(reader.buffer()) {
             sent = writer.flush();
         }
-        if shutdown {
+        if op == Op::Shutdown {
             let _ = writer.flush();
             state.shutdown.store(true, Ordering::SeqCst);
             // Poke the accept loop awake; it re-checks the flag and exits.
@@ -1069,12 +1003,60 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
     }
 }
 
+/// Answers one decoded request; `trace` and `collector` are the request's
+/// trace id and span accumulator, when it carried a trace id.
+fn handle(
+    state: &ServerState,
+    request: &Request,
+    trace: Option<&str>,
+    mut collector: Option<&mut SpanCollector>,
+) -> Response {
+    let failed = |message: String| Response::Error { message };
+    match request {
+        Request::Get { canonical } => match lookup(state, canonical, collector) {
+            Ok(Some(record)) => Response::Found { record },
+            Ok(None) => Response::NotFound,
+            Err(err) => failed(err.to_string()),
+        },
+        Request::MultiGet { canonicals } => canonicals
+            .iter()
+            .map(|canonical| lookup(state, canonical, collector.as_deref_mut()))
+            .collect::<Result<_, _>>()
+            .map_or_else(
+                |err| failed(err.to_string()),
+                |records| Response::MultiGot { records },
+            ),
+        Request::Explore { points } => handle_explore(state, points, trace, collector),
+        Request::MultiExplore { points } => handle_mexplore(state, points, trace, collector),
+        Request::Put { records } => handle_put(state, records),
+        Request::Ping => Response::Pong,
+        Request::Stats => {
+            snapshot_stats(state).map_or_else(|err| failed(err.to_string()), Response::Stats)
+        }
+        Request::Metrics { prometheus } => handle_metrics(state, *prometheus),
+        // An unknown or churned-out trace answers an empty list, not an
+        // error: the flight recorder is best-effort by design.
+        Request::Trace { id } => Response::Traced {
+            spans: state.registry.traces().snapshot(id),
+        },
+        Request::Series { last, window_us } => handle_series(state, *last, *window_us),
+        Request::Digest => Response::Digests {
+            digests: state.store.digests(),
+        },
+        Request::Scan {
+            shard,
+            offset,
+            limit,
+        } => handle_scan(state, *shard, *offset, *limit),
+        Request::Shutdown => Response::ShuttingDown,
+    }
+}
+
 /// Answers a `metrics` scrape: this server's registry merged with the
 /// process-global one (explore engine, sharded store, wire clients), as JSON
 /// or as a Prometheus-style text exposition.
 fn handle_metrics(state: &ServerState, prometheus: bool) -> Response {
-    let mut snapshot = state.registry.snapshot();
-    snapshot.merge(&Registry::global().snapshot());
+    let snapshot = merged_snapshot(state);
     if prometheus {
         Response::MetricsText {
             text: snapshot.render_prometheus(),
@@ -1103,23 +1085,6 @@ fn handle_series(state: &ServerState, last: u64, window_us: u64) -> Response {
                       (`--sample-interval-ms`)?"
                 .to_owned(),
         },
-    }
-}
-
-/// Answers a `trace`: everything the flight recorder retains for the id.
-/// An unknown or churned-out trace answers an empty list, not an error — the
-/// recorder is best-effort by design.
-fn handle_trace(state: &ServerState, id: &str) -> Response {
-    Response::Traced {
-        spans: state.registry.traces().snapshot(id),
-    }
-}
-
-/// Answers a `digest`: one per-shard anti-entropy digest, in shard order
-/// (see [`ShardedStore::digests`]).
-fn handle_digest(state: &ServerState) -> Response {
-    Response::Digests {
-        digests: state.store.digests(),
     }
 }
 
@@ -1159,55 +1124,21 @@ fn shard_lookup(
     }
 }
 
-/// Answers a `get`: pure lookup, never evaluates.
-fn handle_get(
+/// The pure lookup behind `get` and each `mget` entry: never evaluates, and
+/// counts a hit or a miss.
+fn lookup(
     state: &ServerState,
     canonical: &str,
     collector: Option<&mut SpanCollector>,
-) -> Response {
+) -> Result<Option<PointRecord>, ShardError> {
     let key = srra_explore::fnv1a_64(canonical.as_bytes());
-    match shard_lookup(state, key, canonical, collector) {
-        Ok(Some(record)) => {
-            state.counters.hits.inc();
-            Response::Found { record }
-        }
-        Ok(None) => {
-            state.counters.misses.inc();
-            Response::NotFound
-        }
-        Err(err) => Response::Error {
-            message: err.to_string(),
-        },
+    let record = shard_lookup(state, key, canonical, collector)?;
+    if record.is_some() {
+        state.counters.hits.inc();
+    } else {
+        state.counters.misses.inc();
     }
-}
-
-/// Answers an `mget` batch: one pure lookup per canonical, misses answered
-/// as nulls, all in one reply line.
-fn handle_mget(
-    state: &ServerState,
-    canonicals: &[String],
-    mut collector: Option<&mut SpanCollector>,
-) -> Response {
-    let mut records = Vec::with_capacity(canonicals.len());
-    for canonical in canonicals {
-        let key = srra_explore::fnv1a_64(canonical.as_bytes());
-        match shard_lookup(state, key, canonical, collector.as_deref_mut()) {
-            Ok(Some(record)) => {
-                state.counters.hits.inc();
-                records.push(Some(record));
-            }
-            Ok(None) => {
-                state.counters.misses.inc();
-                records.push(None);
-            }
-            Err(err) => {
-                return Response::Error {
-                    message: err.to_string(),
-                }
-            }
-        }
-    }
-    Response::MultiGot { records }
+    Ok(record)
 }
 
 /// Answers a `put`: stores pre-evaluated records verbatim, skipping records

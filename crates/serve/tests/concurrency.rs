@@ -7,12 +7,23 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use srra_core::AllocatorRegistry;
 use srra_explore::{evaluate_point, DesignPoint, PointRecord};
 use srra_fpga::DeviceModel;
 use srra_kernels::paper_suite;
-use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, QueryPoint, Server, ServerConfig};
+
+/// Every test here starts a server that analyses kernels, and the mixed
+/// workload test counts analyses through the process-wide counter: the
+/// tests take this lock so none runs while another is counting.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srra-serve-conc-{tag}-{}", std::process::id()));
@@ -65,6 +76,7 @@ fn ground_truth(points: &[QueryPoint]) -> HashMap<String, PointRecord> {
 fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
     const CLIENTS: usize = 6;
 
+    let _serial = serial();
     let dir = scratch_dir("mixed");
     let points = workload();
     let truth = ground_truth(&points);
@@ -88,15 +100,15 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
             let addr = addr.clone();
             let points = points.clone();
             handles.push(scope.spawn(move || {
-                let client = Client::new(addr);
+                let connect = || Connection::connect(&addr).expect("connects");
                 if client_index % 2 == 0 {
-                    let reply = client.explore(&points).expect("batch explore");
+                    let reply = connect().explore(&points).expect("batch explore");
                     reply.records
                 } else {
                     points
                         .iter()
                         .map(|point| {
-                            client
+                            connect()
                                 .explore(std::slice::from_ref(point))
                                 .expect("single-point explore")
                                 .records
@@ -137,7 +149,7 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
         analyses_by_server, 2,
         "the server must analyse each of the two kernels exactly once"
     );
-    let client = Client::new(addr.clone());
+    let mut client = Connection::connect(&addr).expect("connects");
     let stats = client.stats().expect("stats");
     assert_eq!(
         stats.evaluated, distinct as u64,
@@ -175,7 +187,7 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
     .expect("warm server binds");
     let warm_addr = warm.local_addr().to_string();
     let warm_handle = std::thread::spawn(move || warm.run().expect("warm server runs"));
-    let warm_client = Client::new(warm_addr);
+    let mut warm_client = Connection::connect(&warm_addr).expect("connects");
     let reply = warm_client.explore(&points).expect("warm explore");
     assert_eq!(reply.evaluated, 0, "warm shards answer everything");
     assert_eq!(reply.hits, points.len() as u64);
@@ -193,11 +205,12 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
 
 #[test]
 fn get_round_trip_and_error_paths_over_the_wire() {
+    let _serial = serial();
     let dir = scratch_dir("get");
     let server = Server::bind(&ServerConfig::ephemeral(&dir)).expect("server binds");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server runs"));
-    let client = Client::new(addr);
+    let mut client = Connection::connect(&addr).expect("connects");
 
     let point = QueryPoint::new("fir", "cpa", 32);
     let canonical = srra_serve::canonical_for(&point).unwrap();

@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use srra_serve::{
-    decode_payload, read_frame, Client, Connection, FrameError, QueryPoint, Request, Response,
-    Server, ServerConfig, BINARY_MAGIC, MAX_FRAME_LEN,
+    decode_payload, read_frame, Connection, FrameError, QueryPoint, Request, Response, Server,
+    ServerConfig, BINARY_MAGIC, MAX_FRAME_LEN,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -207,7 +207,7 @@ fn malformed_binary_frames_error_without_desyncing_the_stream() {
         writer.flush().unwrap();
         drop(stream);
     }
-    let client = Client::new_binary(addr);
+    let mut client = Connection::connect_binary(&addr).expect("connects");
     client.ping().expect("server survived the truncated frame");
 
     client.shutdown().expect("shutdown");

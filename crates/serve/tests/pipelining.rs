@@ -9,8 +9,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use srra_serve::{
-    canonical_for, Client, Connection, PointOutcome, QueryPoint, Request, Response, Server,
-    ServerConfig,
+    canonical_for, Connection, PointOutcome, QueryPoint, Request, Response, Server, ServerConfig,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -46,7 +45,7 @@ fn pipelined_replies_preserve_order_and_match_one_shot_bytes() {
 
     // Warm the shards through one-shot requests and capture the ground-truth
     // reply line of every request we are about to pipeline.
-    let one_shot = Client::new(addr.clone());
+    let mut one_shot = Connection::connect(&addr).expect("connects");
     one_shot.explore(&points()).expect("warm-up explore");
 
     // An interleaved request schedule: get / single-point explore / stats

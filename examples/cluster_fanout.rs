@@ -16,7 +16,7 @@
 //! `srra cluster --nodes a:p,b:p,c:p --replicas 2 ...`.
 
 use srra_cluster::{ClusterClient, ClusterConfig};
-use srra_serve::{Client, PointOutcome, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, PointOutcome, QueryPoint, Server, ServerConfig};
 
 fn workload() -> Vec<QueryPoint> {
     let mut points = Vec::new();
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Kill one node mid-run.
     let victim = addrs[0].clone();
-    Client::new(victim.clone()).shutdown()?;
+    Connection::connect(&victim)?.shutdown()?;
     handles.remove(0).join().expect("server thread")?;
     println!("killed node {victim}");
 

@@ -14,7 +14,7 @@
 //! server side of this example is `srra serve --cache-dir <dir>` and the
 //! client side is `srra query --addr <host:port> ...`.
 
-use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+use srra_serve::{Connection, QueryPoint, Server, ServerConfig};
 
 fn workload() -> Vec<QueryPoint> {
     let mut points = Vec::new();
@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let addr = addr.clone();
                     let points = points.clone();
                     scope.spawn(move || {
-                        let reply = Client::new(addr)
+                        let reply = Connection::connect(&addr)
+                            .expect("connects")
                             .explore(&points)
                             .expect("explore succeeds");
                         (reply.hits, reply.evaluated)
@@ -71,21 +72,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Third pass, the hot-path shape: ONE keep-alive connection, the whole
     // workload batched into a single `mget` line — no per-request connection
     // setup, one syscall each way.
-    let client = Client::new(addr);
     let canonicals: Vec<String> = points
         .iter()
         .map(|point| srra_serve::canonical_for(point).expect("workload resolves"))
         .collect();
-    let mut connection = client.connect()?;
+    let mut connection = Connection::connect(&addr)?;
     let got = connection.mget(&canonicals)?;
     println!(
         "keep-alive pass: one mget line answered {}/{} points from the shards",
         got.iter().filter(|record| record.is_some()).count(),
         points.len()
     );
-    drop(connection); // Close the keep-alive socket before asking for shutdown.
 
-    let stats = client.stats()?;
+    let stats = connection.stats()?;
     println!(
         "\nserver stats: {} requests, {} hits, {} evaluated; shard records {:?}",
         stats.requests, stats.hits, stats.evaluated, stats.shard_records
@@ -103,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "each distinct point is evaluated exactly once across all clients and passes"
     );
 
-    client.shutdown()?;
+    connection.shutdown()?;
     handle.join().expect("server thread")?;
     println!("server shut down cleanly");
     Ok(())

@@ -83,5 +83,5 @@ pub mod prelude {
     pub use srra_ir::{ArrayRef, Kernel, LoopNest};
     pub use srra_obs::{MetricsSnapshot, Registry};
     pub use srra_reuse::ReuseAnalysis;
-    pub use srra_serve::{Client, Connection, QueryPoint, Server, ServerConfig, ShardedStore};
+    pub use srra_serve::{Connection, QueryPoint, Server, ServerConfig, ShardedStore};
 }
