@@ -4,24 +4,27 @@
 #   2. lints as errors     (cargo clippy --workspace -- -D warnings)
 #   3. doc warnings as errors (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps)
 #   4. tier-1 verification (cargo build --release && cargo test -q)
-#   5. serve smoke test    (srra serve + srra query against a live socket,
+#   5. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
+#                           run, which exits 1 unless Table 1 and the sweep
+#                           checksums match perfbench/golden/ bit for bit)
+#   6. serve smoke test    (srra serve + srra query against a live socket,
 #                           incl. one pipelined keep-alive connection and
 #                           the same ops over the binary wire codec)
-#   6. cluster smoke test  (two srra serve nodes + consistent-hash routed
+#   7. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary; both nodes must receive traffic)
-#   7. metrics smoke test  (traffic-driven telemetry scrape: JSON snapshot
+#   8. metrics smoke test  (traffic-driven telemetry scrape: JSON snapshot
 #                           with non-zero counters + well-formed Prometheus
 #                           exposition, folded into the steps above)
-#   8. trace smoke test    (traced workloads against both steps: span
+#   9. trace smoke test    (traced workloads against both steps: span
 #                           waterfalls fetched after the fact via the trace
 #                           op, slow-query pinning, histogram exemplars and
 #                           the merged cluster-wide waterfall)
-#   9. time-series smoke   (sampled nodes: the series op answers stored
+#  10. time-series smoke   (sampled nodes: the series op answers stored
 #                           snapshots and windowed deltas, `cluster top
 #                           --once` renders every node plus the fleet row,
 #                           and a deliberately impossible SLO rule breaches)
-#  10. self-healing smoke  (replicated cluster survives kill -9, an empty
+#  11. self-healing smoke  (replicated cluster survives kill -9, an empty
 #                           reborn node is healed by read-repair and
 #                           converged by `cluster repair`; idle-connection
 #                           reaping under --idle-timeout-secs)
@@ -46,6 +49,14 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test --workspace -q
+
+# perfbench is a Cargo workspace of its own, so the steps above never build it.
+echo "==> perfbench unit tests"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench sweep_cold golden checks"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload sweep_cold --seconds 2
 
 echo "==> serve smoke test"
 SRRA="target/release/srra"

@@ -29,7 +29,7 @@ pub use sweep::{
 pub use table1::{render_table1, summarize, table1, table1_for, Table1Row, Table1Summary};
 
 use srra_core::{
-    memory_cost, AllocError, AllocatorKind, AllocatorRef, CompiledKernel, MemoryCostModel,
+    memory_cost_on_dfg, AllocError, AllocatorKind, AllocatorRef, CompiledKernel, MemoryCostModel,
     MemoryCostReport, RegisterAllocation,
 };
 use srra_fpga::{DeviceModel, EvaluationOptions, HardwareDesign};
@@ -49,9 +49,9 @@ pub struct KernelOutcome {
 /// Runs the allocation → cost model → hardware design estimate pipeline against
 /// a shared [`CompiledKernel`] context with default models.
 ///
-/// The context's memoized reuse analysis is computed on first use, so
-/// evaluating several (strategy, budget) pairs of one kernel — as
-/// [`table1()`] and [`figure2()`] do — analyses the kernel exactly once.
+/// The context's memoized reuse analysis and data-flow graph are computed on
+/// first use, so evaluating several (strategy, budget) pairs of one kernel —
+/// as [`table1()`] and [`figure2()`] do — derives each exactly once.
 ///
 /// # Errors
 ///
@@ -63,15 +63,17 @@ pub fn evaluate_compiled(
     budget: u64,
 ) -> Result<KernelOutcome, AllocError> {
     let allocation = allocator.allocate(kernel, budget)?;
-    let cost = memory_cost(
+    let cost = memory_cost_on_dfg(
         kernel.kernel(),
         kernel.analysis(),
+        kernel.dfg(),
         &allocation,
         &MemoryCostModel::default(),
     );
-    let design = HardwareDesign::evaluate(
+    let design = HardwareDesign::evaluate_on_dfg(
         kernel.kernel(),
         kernel.analysis(),
+        kernel.dfg(),
         &allocation,
         &DeviceModel::xcv1000(),
         &EvaluationOptions::default(),

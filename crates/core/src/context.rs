@@ -1,10 +1,12 @@
 //! The shared, lazily-memoized analysis context for one kernel.
 //!
-//! Every layer of the pipeline — the allocators, the exploration engine, the
-//! bench harness, the CLI — needs the same derived artifacts for a kernel: its
-//! [`ReuseAnalysis`], its [`DataFlowGraph`] and the baseline critical-path
-//! analysis.  Before [`CompiledKernel`] existed each call site re-derived them,
-//! so a sweep over N design points of one kernel paid for N analyses.
+//! Every layer of the pipeline — the allocators, the cost model, the
+//! exploration engine, the bench harness, the CLI — needs the same derived
+//! artifacts for a kernel: its [`ReuseAnalysis`], its [`DataFlowGraph`] and the
+//! baseline critical-path analysis.  (The reference table needs no slot: the
+//! [`Kernel`] builds it once, on construction.)  Before [`CompiledKernel`]
+//! existed each call site re-derived them, so a sweep over N design points of
+//! one kernel paid for N analyses.
 //!
 //! A [`CompiledKernel`] bundles the kernel with [`OnceLock`]-memoized slots for
 //! each artifact: the first accessor call computes, every later call (from any
@@ -35,6 +37,9 @@ use srra_reuse::ReuseAnalysis;
 /// * [`CompiledKernel::analysis`] — the data-reuse analysis (`R_i`, access
 ///   counts, benefit/cost ratios),
 /// * [`CompiledKernel::dfg`] — the data-flow graph of one loop-body iteration,
+///   shared by CPA-RA and by the cost model ([`crate::memory_cost_on_dfg`] and
+///   `srra-fpga`'s `HardwareDesign::evaluate_on_dfg`), so a sweep builds it
+///   once per kernel rather than several times per design point,
 /// * [`CompiledKernel::critical_path`] — the baseline critical-path analysis
 ///   (default latency model, every reference in RAM), the starting point of
 ///   CPA-RA and of the Graphviz dumps.

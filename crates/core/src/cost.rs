@@ -123,19 +123,36 @@ pub(crate) fn miss_fraction(
 ///
 /// See the module documentation for the model.  The report also includes the raw
 /// remaining/eliminated access counts, which the FPGA model and the Table 1 harness
-/// reuse.
+/// reuse.  This builds the kernel's data-flow graph; callers that already hold one
+/// (a [`crate::CompiledKernel`]'s memoized graph) use [`memory_cost_on_dfg`].
 pub fn memory_cost(
     kernel: &Kernel,
     analysis: &ReuseAnalysis,
     allocation: &RegisterAllocation,
     model: &MemoryCostModel,
 ) -> MemoryCostReport {
-    let dfg = DataFlowGraph::from_kernel(kernel);
+    memory_cost_on_dfg(
+        kernel,
+        analysis,
+        &DataFlowGraph::from_kernel(kernel),
+        allocation,
+        model,
+    )
+}
+
+/// [`memory_cost`] over the kernel's already-built data-flow graph `dfg`.
+pub fn memory_cost_on_dfg(
+    kernel: &Kernel,
+    analysis: &ReuseAnalysis,
+    dfg: &DataFlowGraph,
+    allocation: &RegisterAllocation,
+    model: &MemoryCostModel,
+) -> MemoryCostReport {
     // The memory stages are a structural property of the computation: they are derived
     // from the critical graph of the all-RAM configuration so that the same stages are
     // compared across allocations.
     let structural = CriticalPathAnalysis::new(
-        &dfg,
+        dfg,
         &LatencyModel::default().with_ram_latency(model.ram_latency.max(1)),
         &StorageMap::all_ram(),
     );

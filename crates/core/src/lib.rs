@@ -46,7 +46,8 @@
 //! shim that seeds a context with the caller's analysis and dispatches through
 //! the registry.
 //!
-//! The resulting [`RegisterAllocation`] can be costed with [`memory_cost`], turned into
+//! The resulting [`RegisterAllocation`] can be costed with [`memory_cost`] (or
+//! [`memory_cost_on_dfg`], given the context's memoized data-flow graph), turned into
 //! a code-generation-level [`ReplacementPlan`], or handed to `srra-fpga` for a full
 //! hardware design-point estimate.
 //!
@@ -72,8 +73,9 @@
 //! assert_eq!(cpa.by_name("a").unwrap().beta(), 16);
 //!
 //! let model = MemoryCostModel::default();
-//! let fr_cost = srra_core::memory_cost(ck.kernel(), ck.analysis(), &fr, &model);
-//! let cpa_cost = srra_core::memory_cost(ck.kernel(), ck.analysis(), &cpa, &model);
+//! let (kernel, analysis, dfg) = (ck.kernel(), ck.analysis(), ck.dfg());
+//! let fr_cost = srra_core::memory_cost_on_dfg(kernel, analysis, dfg, &fr, &model);
+//! let cpa_cost = srra_core::memory_cost_on_dfg(kernel, analysis, dfg, &cpa, &model);
 //! assert!(cpa_cost.memory_cycles < fr_cost.memory_cycles);
 //! # Ok(())
 //! # }
@@ -98,7 +100,7 @@ mod scalar_replace;
 pub use allocation::{AllocatorKind, RefAllocation, RegisterAllocation, ReplacementMode};
 pub use baseline::no_replacement;
 pub use context::CompiledKernel;
-pub use cost::{memory_cost, MemoryCostModel, MemoryCostReport, StageCost};
+pub use cost::{memory_cost, memory_cost_on_dfg, MemoryCostModel, MemoryCostReport, StageCost};
 pub use cpa_ra::{critical_path_aware, critical_path_aware_with, CpaOptions, CutSelectionPolicy};
 pub use error::AllocError;
 pub use fr_ra::full_reuse;

@@ -1,6 +1,7 @@
 //! Construction of a [`DataFlowGraph`] from an `srra-ir` kernel.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use srra_ir::{AccessKind, Expr, Kernel, RefId, StoreTarget};
 
@@ -128,6 +129,19 @@ impl<'k> Builder<'k> {
     }
 }
 
+/// Process-wide count of data-flow graph builds, see [`dfg_builds`].
+static DFG_BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+/// The number of [`DataFlowGraph::from_kernel`] calls made by this process so far.
+///
+/// Instrumentation for the memoization regression tests: a sweep that shares one
+/// memoized graph per kernel bumps this counter once per kernel, not once per design
+/// point.  The counter is monotonic, so tests must compare deltas, not absolute values.
+#[doc(hidden)]
+pub fn dfg_builds() -> usize {
+    DFG_BUILDS.load(Ordering::Relaxed)
+}
+
 impl DataFlowGraph {
     /// Builds the data-flow graph of one iteration of the kernel's loop body.
     ///
@@ -137,6 +151,7 @@ impl DataFlowGraph {
     /// paper's example is a single node between the two multiplications), and repeated
     /// reads of the same reference share one fetch node.
     pub fn from_kernel(kernel: &Kernel) -> Self {
+        DFG_BUILDS.fetch_add(1, Ordering::Relaxed);
         Builder::new(kernel).build()
     }
 }

@@ -48,6 +48,8 @@ mod dot;
 mod graph;
 mod latency;
 
+#[doc(hidden)]
+pub use build::dfg_builds;
 pub use critical::{CriticalGraph, CriticalPathAnalysis};
 pub use cuts::{find_cuts, level_cuts, Cut};
 pub use dot::to_dot;

@@ -74,9 +74,9 @@ fn elapsed_us(started: Instant) -> u64 {
 /// Evaluates one design point from scratch (no cache involved).
 ///
 /// The kernel's [`CompiledKernel`] context supplies the (memoized) reuse
-/// analysis, so evaluating many points of one kernel performs the analysis
-/// once, on first use.  The point's RAM latency parameterises both the
-/// steady-state memory-cycle metric and the hardware evaluation, so
+/// analysis and data-flow graph, so evaluating many points of one kernel
+/// derives each once, on first use.  The point's RAM latency parameterises
+/// both the steady-state memory-cycle metric and the hardware evaluation, so
 /// `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s numbers and
 /// `ram_latency = 1` reproduces the abstract `T_mem` metric of the Figure 2
 /// reproduction.
@@ -142,9 +142,10 @@ pub fn evaluate_point_timed(
         ..EvaluationOptions::default()
     };
     let started = Instant::now();
-    let design = HardwareDesign::evaluate(
+    let design = HardwareDesign::evaluate_on_dfg(
         kernel.kernel(),
         kernel.analysis(),
+        kernel.dfg(),
         &allocation,
         &point.device,
         &options,

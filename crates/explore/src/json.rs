@@ -28,13 +28,27 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// The deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+    ///
+    /// The parser recurses once per level, so the cap bounds its stack use.
+    /// The deepest message the workspace writes (a `series` or `metrics`
+    /// reply) nests about 6 levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses one complete JSON document; trailing garbage is an error.
+    ///
+    /// Arrays and objects may nest at most [`JsonValue::MAX_DEPTH`] deep, so
+    /// a hostile line of `[[[[…` is a parse error, not a stack overflow.
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntax problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parser = Parser { text, pos: 0 };
+        let mut parser = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -163,10 +177,12 @@ pub fn render_string(out: &mut String, text: &str) {
 
 /// The parse cursor.  `pos` is a byte offset that only ever stops on a
 /// char boundary: every token it steps over is ASCII, and strings are left
-/// just past their closing `"`.
+/// just past their closing `"`.  `depth` counts the arrays and objects open
+/// at the cursor.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +220,23 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == JsonValue::MAX_DEPTH {
+                    return Err(format!(
+                        "nested deeper than {} levels at byte {}",
+                        JsonValue::MAX_DEPTH,
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Text(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -398,6 +429,20 @@ mod tests {
             "\"bad \\q escape\"",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let limit = JsonValue::MAX_DEPTH;
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "[]" + &"}".repeat(depth - 1);
+        let deepest = JsonValue::parse(&arrays(limit)).expect("the limit parses");
+        assert_eq!(deepest.render(), arrays(limit));
+        assert!(JsonValue::parse(&objects(limit)).is_ok());
+        for too_deep in [arrays(limit + 1), objects(limit + 1), "[".repeat(100_000)] {
+            let err = JsonValue::parse(&too_deep).expect_err("past the limit");
+            assert!(err.contains("nested deeper than 128"), "{err}");
         }
     }
 

@@ -1,15 +1,19 @@
 //! Regression test for the `CompiledKernel` memoization contract: an explore
 //! sweep over N design points of one kernel performs exactly one reuse
-//! analysis.
+//! analysis and builds exactly one data-flow graph, which the allocators and
+//! the cost model share.
 //!
-//! The test instruments `srra_reuse::analysis_runs()`, a process-wide counter
-//! bumped by every `ReuseAnalysis::of` call.  It lives in its own integration
-//! test binary (one `#[test]`) so no concurrently running test can touch the
-//! counter between the deltas.
+//! The test instruments `srra_reuse::analysis_runs()` and
+//! `srra_dfg::dfg_builds()`, process-wide counters bumped by every
+//! `ReuseAnalysis::of` and `DataFlowGraph::from_kernel` call.  It lives in its
+//! own integration test binary (one `#[test]`) so no concurrently running test
+//! can touch the counters between the deltas.
 
+use srra_dfg::dfg_builds;
 use srra_explore::{DesignSpace, Explorer, MemoryStore};
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
+use srra_reuse::analysis_runs;
 
 #[test]
 fn one_reuse_analysis_per_kernel_per_sweep() {
@@ -21,15 +25,20 @@ fn one_reuse_analysis_per_kernel_per_sweep() {
         .with_ram_latencies(&[1, 2]);
     assert_eq!(space.len(), 24);
 
-    let before = srra_reuse::analysis_runs();
+    let (before, dfgs_before) = (analysis_runs(), dfg_builds());
     let mut store = MemoryStore::new();
     let cold = Explorer::new(4).explore(&space, &mut store).unwrap();
-    let after_cold = srra_reuse::analysis_runs();
+    let (after_cold, dfgs_after_cold) = (analysis_runs(), dfg_builds());
     assert_eq!(cold.evaluated, 24);
     assert_eq!(
         after_cold - before,
         1,
         "a cold sweep over 24 points of one kernel must analyse it exactly once"
+    );
+    assert_eq!(
+        dfgs_after_cold - dfgs_before,
+        1,
+        "a cold sweep over 24 points of one kernel must build its DFG exactly once"
     );
 
     // A warm re-run of the same space answers everything from the store and
@@ -37,20 +46,27 @@ fn one_reuse_analysis_per_kernel_per_sweep() {
     let warm = Explorer::new(4).explore(&space, &mut store).unwrap();
     assert_eq!(warm.cache_hits, 24);
     assert_eq!(
-        srra_reuse::analysis_runs(),
+        analysis_runs(),
         after_cold,
         "a fully cached re-run must not analyse at all"
     );
+    assert_eq!(
+        dfg_builds(),
+        dfgs_after_cold,
+        "a fully cached re-run must not build a DFG at all"
+    );
 
-    // Multi-kernel spaces scale the bound linearly: one analysis per kernel,
-    // regardless of how many points each kernel contributes.
+    // Multi-kernel spaces scale the bound linearly: one analysis and one DFG
+    // per kernel, regardless of how many points each kernel contributes.
     let suite_space = DesignSpace::new()
         .with_kernels(paper_suite().into_iter().map(|spec| spec.kernel))
         .with_budgets(&[16, 32]);
     let kernels = suite_space.kernels().len();
-    let before_suite = srra_reuse::analysis_runs();
+    assert_eq!(kernels, 6);
+    let (before_suite, dfgs_before_suite) = (analysis_runs(), dfg_builds());
     Explorer::new(4)
         .explore(&suite_space, &mut MemoryStore::new())
         .unwrap();
-    assert_eq!(srra_reuse::analysis_runs() - before_suite, kernels);
+    assert_eq!(analysis_runs() - before_suite, kernels);
+    assert_eq!(dfg_builds() - dfgs_before_suite, kernels);
 }

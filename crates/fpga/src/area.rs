@@ -70,14 +70,26 @@ impl Default for AreaModel {
 
 impl AreaModel {
     /// Estimates the area of a design implementing `plan` for `kernel`.
+    ///
+    /// This builds the kernel's data-flow graph; callers that already hold one use
+    /// [`AreaModel::estimate_on_dfg`].
     pub fn estimate(
         &self,
         kernel: &Kernel,
         plan: &ReplacementPlan,
         device: &DeviceModel,
     ) -> AreaEstimate {
-        let dfg = DataFlowGraph::from_kernel(kernel);
+        self.estimate_on_dfg(kernel, &DataFlowGraph::from_kernel(kernel), plan, device)
+    }
 
+    /// [`AreaModel::estimate`] over the kernel's already-built data-flow graph `dfg`.
+    pub fn estimate_on_dfg(
+        &self,
+        kernel: &Kernel,
+        dfg: &DataFlowGraph,
+        plan: &ReplacementPlan,
+        device: &DeviceModel,
+    ) -> AreaEstimate {
         // Datapath operators: one instance per DFG operation (spatial implementation).
         let mut operator_slices = 0.0f64;
         for node in dfg.nodes() {

@@ -1,7 +1,7 @@
 //! Whole-design evaluation: cycles, clock, wall-clock time and area for one allocation.
 
 use serde::{Deserialize, Serialize};
-use srra_core::{memory_cost, MemoryCostModel, RegisterAllocation, ReplacementPlan};
+use srra_core::{memory_cost_on_dfg, MemoryCostModel, RegisterAllocation, ReplacementPlan};
 use srra_dfg::{DataFlowGraph, LatencyModel, Storage, StorageMap};
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
@@ -90,6 +90,10 @@ impl HardwareDesign {
     /// resource-constrained list scheduler with every reference register-resident, and
     /// the memory cycles come from the `srra-core` cost model (which accounts for
     /// partial replacement and concurrent access to distinct RAM blocks).
+    ///
+    /// This builds the kernel's data-flow graph; callers that already hold one (a
+    /// [`srra_core::CompiledKernel`]'s memoized graph) use
+    /// [`HardwareDesign::evaluate_on_dfg`].
     pub fn evaluate(
         kernel: &Kernel,
         analysis: &ReuseAnalysis,
@@ -97,8 +101,27 @@ impl HardwareDesign {
         device: &DeviceModel,
         options: &EvaluationOptions,
     ) -> Self {
+        Self::evaluate_on_dfg(
+            kernel,
+            analysis,
+            &DataFlowGraph::from_kernel(kernel),
+            allocation,
+            device,
+            options,
+        )
+    }
+
+    /// [`HardwareDesign::evaluate`] over the kernel's already-built data-flow graph
+    /// `dfg`, which the schedule, the memory cost and the area estimate all share.
+    pub fn evaluate_on_dfg(
+        kernel: &Kernel,
+        analysis: &ReuseAnalysis,
+        dfg: &DataFlowGraph,
+        allocation: &RegisterAllocation,
+        device: &DeviceModel,
+        options: &EvaluationOptions,
+    ) -> Self {
         let plan = ReplacementPlan::new(kernel, analysis, allocation);
-        let dfg = DataFlowGraph::from_kernel(kernel);
 
         // Datapath skeleton: the schedule of one iteration when every operand is
         // already register-resident.
@@ -107,13 +130,13 @@ impl HardwareDesign {
             all_registers.set(summary.ref_id(), Storage::Register);
         }
         let scheduler = ListScheduler::new(options.limits.clone());
-        let datapath = scheduler.schedule(&dfg, &options.latency, &all_registers);
+        let datapath = scheduler.schedule(dfg, &options.latency, &all_registers);
 
         let iterations = kernel.nest().total_iterations();
         let compute_cycles =
             iterations.saturating_mul(datapath.cycles() + options.loop_overhead_cycles);
 
-        let memory = memory_cost(kernel, analysis, allocation, &options.memory);
+        let memory = memory_cost_on_dfg(kernel, analysis, dfg, allocation, &options.memory);
         let transfer_cycles = (plan.total_prologue_loads() + plan.total_epilogue_stores())
             .saturating_mul(options.memory.ram_latency);
 
@@ -122,7 +145,7 @@ impl HardwareDesign {
         let clock_period_ns = options.clock.period_ns(&plan);
         let execution_time_us = total_cycles as f64 * clock_period_ns / 1_000.0;
 
-        let area: AreaEstimate = options.area.estimate(kernel, &plan, device);
+        let area: AreaEstimate = options.area.estimate_on_dfg(kernel, dfg, &plan, device);
 
         Self {
             kernel: kernel.name().to_owned(),

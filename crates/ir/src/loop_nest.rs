@@ -172,16 +172,18 @@ impl LoopNest {
 ///
 /// A `Kernel` is the unit consumed by the analyses (`srra-reuse`, `srra-dfg`) and by the
 /// allocation algorithms in `srra-core`.  Construct one with [`Kernel::new`] or, more
-/// conveniently, with [`crate::KernelBuilder`].
+/// conveniently, with [`crate::KernelBuilder`].  A kernel never changes after
+/// construction, so it carries its [`ReferenceTable`] along.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     name: String,
     arrays: Vec<ArrayDecl>,
     nest: LoopNest,
+    references: ReferenceTable,
 }
 
 impl Kernel {
-    /// Creates and validates a kernel.
+    /// Creates and validates a kernel, then builds its reference table.
     ///
     /// # Errors
     ///
@@ -192,12 +194,14 @@ impl Kernel {
         arrays: Vec<ArrayDecl>,
         nest: LoopNest,
     ) -> Result<Self, IrError> {
-        let kernel = Self {
+        let mut kernel = Self {
             name: name.into(),
             arrays,
             nest,
+            references: ReferenceTable::default(),
         };
         validate_kernel(&kernel)?;
+        kernel.references = ReferenceTable::build(&kernel);
         Ok(kernel)
     }
 
@@ -221,10 +225,12 @@ impl Kernel {
         &self.nest
     }
 
-    /// Enumerates every textual array reference in the body, assigning stable
+    /// Every textual array reference in the body, grouped under stable
     /// [`crate::RefId`]s.
-    pub fn reference_table(&self) -> ReferenceTable {
-        ReferenceTable::build(self)
+    ///
+    /// The table is built once, in [`Kernel::new`]; this returns the stored copy.
+    pub fn reference_table(&self) -> &ReferenceTable {
+        &self.references
     }
 }
 
@@ -302,6 +308,21 @@ mod tests {
         assert_eq!(ok.arrays().len(), 1);
         // the read and the write of a[i] share one reference group
         assert_eq!(ok.reference_table().len(), 1);
+    }
+
+    #[test]
+    fn reference_table_is_built_once_at_construction() {
+        for kernel in [
+            crate::examples::paper_example(),
+            crate::examples::stencil3(16),
+            crate::examples::dot_product(16),
+        ] {
+            assert!(std::ptr::eq(
+                kernel.reference_table(),
+                kernel.reference_table()
+            ));
+            assert_eq!(*kernel.reference_table(), ReferenceTable::build(&kernel));
+        }
     }
 
     #[test]

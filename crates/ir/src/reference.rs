@@ -111,9 +111,9 @@ impl RefInfo {
 
 /// The table of all reference groups of a kernel, in first-occurrence order.
 ///
-/// Build one with [`Kernel::reference_table`].  The table preserves insertion order, so
-/// [`RefId`]s are stable for a given kernel and the analyses downstream are
-/// deterministic.
+/// [`Kernel::new`] builds a kernel's table once; read it with [`Kernel::reference_table`].
+/// The table preserves insertion order, so [`RefId`]s are stable for a given kernel and
+/// the analyses downstream are deterministic.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ReferenceTable {
     refs: Vec<RefInfo>,

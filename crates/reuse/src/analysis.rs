@@ -1,7 +1,7 @@
 //! Whole-kernel reuse analysis: one [`ReuseSummary`] per reference group.
 
 use serde::{Deserialize, Serialize};
-use srra_ir::{ArrayId, Kernel, LoopId, RefId, ReferenceTable};
+use srra_ir::{ArrayId, Kernel, LoopId, RefId};
 
 use crate::registers::{invariant_loops, registers_for_full_replacement, reuse_loop};
 use crate::savings::AccessCounts;
@@ -88,7 +88,7 @@ impl ReuseSummary {
 }
 
 /// Reuse analysis of a whole kernel: one [`ReuseSummary`] per reference group, in
-/// [`ReferenceTable`] order.
+/// [`srra_ir::ReferenceTable`] order.
 ///
 /// # Example
 ///
@@ -133,15 +133,10 @@ impl ReuseAnalysis {
     /// Analyses every reference group of the kernel.
     pub fn of(kernel: &Kernel) -> Self {
         ANALYSIS_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Self::from_table(kernel, &kernel.reference_table())
-    }
-
-    /// Analyses the reference groups of a pre-computed table (avoids rebuilding it when
-    /// the caller already has one).
-    pub fn from_table(kernel: &Kernel, table: &ReferenceTable) -> Self {
         let nest = kernel.nest();
         let loop_names = nest.loop_names();
-        let summaries = table
+        let summaries = kernel
+            .reference_table()
             .iter()
             .map(|info| {
                 let elem_bits = kernel
@@ -308,15 +303,5 @@ mod tests {
         assert_eq!(s.registers_full(), 1);
         // x and y are streamed: no reuse.
         assert!(!analysis.by_name("x").unwrap().has_reuse());
-    }
-
-    #[test]
-    fn from_table_matches_of() {
-        let kernel = paper_example();
-        let table = kernel.reference_table();
-        assert_eq!(
-            ReuseAnalysis::of(&kernel),
-            ReuseAnalysis::from_table(&kernel, &table)
-        );
     }
 }

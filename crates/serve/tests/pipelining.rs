@@ -1,8 +1,8 @@
 //! Integration coverage for the keep-alive/pipelining client and the batched
 //! `mget` / `mexplore` wire ops: a connection that writes many request lines
 //! before reading any reply gets order-preserving, byte-identical answers;
-//! batched ops round-trip; malformed batches answer with errors while the
-//! connection stays open.
+//! batched ops round-trip; malformed batches and hostile lines answer with
+//! errors while the connection stays open.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -262,6 +262,49 @@ fn malformed_batches_answer_errors_and_keep_the_connection_open() {
         stats.op("invalid").expect("invalid accounted").count,
         bad_lines.len() as u64
     );
+
+    connection.shutdown().expect("shutdown");
+    drop(connection);
+    drop(reader);
+    drop(stream);
+    handle.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_deeply_nested_line_answers_an_error_and_the_server_keeps_serving() {
+    let dir = scratch_dir("nested");
+    let (addr, handle) = start_server(&dir);
+
+    // 100 KB of `[` on one line: without a nesting cap the recursive JSON
+    // parser overflows the worker's stack and aborts the whole process.
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout set");
+    let mut hostile = "[".repeat(100_000);
+    hostile.push('\n');
+    stream.write_all(hostile.as_bytes()).expect("hostile write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    let Response::Error { message } = Response::parse(line.trim_end()).expect("parses") else {
+        panic!("expected an error reply, got {line}");
+    };
+    assert!(message.contains("nested deeper than"), "{message}");
+
+    // The same connection and a new one both still answer.
+    stream
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .expect("ping after the error");
+    line.clear();
+    reader.read_line(&mut line).expect("ping reply");
+    assert_eq!(
+        Response::parse(line.trim_end()).expect("parses"),
+        Response::Pong
+    );
+    let mut connection = Connection::connect(&addr).expect("a new connection is accepted");
+    connection.ping().expect("ping on a new connection");
 
     connection.shutdown().expect("shutdown");
     drop(connection);

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use srra_core::{memory_cost, AllocatorRegistry, CompiledKernel, MemoryCostModel};
+use srra_core::{memory_cost_on_dfg, AllocatorRegistry, CompiledKernel, MemoryCostModel};
 use srra_ir::examples::paper_example;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,12 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Allocate a 64-register budget with every registered strategy and compare
     //    the memory cycles of the resulting designs.  The registry supplies the
     //    strategies — including ones, like `greedy`, that no pipeline layer
-    //    names explicitly.
+    //    names explicitly.  The cost model shares the context's memoized
+    //    data-flow graph too.
     let model = MemoryCostModel::default();
     println!("\nalgorithm  registers  distribution                          Tmem/outer");
     for allocator in AllocatorRegistry::global().iter() {
         let allocation = allocator.allocate(&kernel, 64)?;
-        let cost = memory_cost(kernel.kernel(), kernel.analysis(), &allocation, &model);
+        let cost = memory_cost_on_dfg(
+            kernel.kernel(),
+            kernel.analysis(),
+            kernel.dfg(),
+            &allocation,
+            &model,
+        );
         println!(
             "{:<10} {:>9}  {:<36} {:>10}",
             allocator.label(),
