@@ -29,6 +29,10 @@
 #                           converged by `cluster repair`; idle-connection
 #                           reaping under --idle-timeout-secs)
 #
+# Every cargo step except fmt passes --locked: a change that would rewrite
+# Cargo.lock or perfbench/Cargo.lock fails here instead of silently updating
+# the lockfile.
+#
 # Run from the repository root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -36,26 +40,26 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps'
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps'
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --quiet
 
-echo "==> cargo build --release --workspace"
+echo "==> cargo build --locked --release --workspace"
 # The root manifest's default-members already cover every member; --workspace
 # keeps target/release/srra, which the smoke tests below drive, explicit.
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
-echo "==> cargo test -q"
-cargo test --workspace -q
+echo "==> cargo test --locked -q"
+cargo test --locked --workspace -q
 
 # perfbench is a Cargo workspace of its own, so the steps above never build it.
 echo "==> perfbench unit tests"
-cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo test --locked --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> perfbench sweep_cold golden checks"
-cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+cargo run --locked --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload sweep_cold --seconds 2
 
 echo "==> serve smoke test"

@@ -9,31 +9,24 @@
 //!   wall-clock time, slices and BlockRAMs ([`table1()`]), plus the aggregate
 //!   improvement percentages quoted in the text ([`Table1Summary`]).
 //!
-//! The binaries `table1`, `figure2` and `sweep` print these reproductions; the
-//! timed end-to-end and per-layer benchmark lives in the separate `perfbench/`
-//! package at the repository root.
+//! `srra table1` and `srra figure2` print these reproductions, and `srra explore`
+//! sweeps budgets and RAM latencies; the timed end-to-end and per-layer benchmark
+//! lives in the separate `perfbench/` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figure2;
-pub mod report;
-pub mod sweep;
 pub mod table1;
 
 pub use figure2::{figure2, render_figure2, Figure2Row};
-pub use report::{figure2_csv, sweep_csv, table1_csv};
-pub use sweep::{
-    budget_sweep, budget_sweep_cached, ram_latency_sweep, ram_latency_sweep_cached, SweepPoint,
-};
 pub use table1::{render_table1, summarize, table1, table1_for, Table1Row, Table1Summary};
 
 use srra_core::{
-    memory_cost_on_dfg, AllocError, AllocatorKind, AllocatorRef, CompiledKernel, MemoryCostModel,
+    memory_cost_on_dfg, AllocError, AllocatorRef, CompiledKernel, MemoryCostModel,
     MemoryCostReport, RegisterAllocation,
 };
 use srra_fpga::{DeviceModel, EvaluationOptions, HardwareDesign};
-use srra_ir::Kernel;
 
 /// Everything the harness derives for one (kernel, algorithm, budget) triple.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,44 +78,30 @@ pub fn evaluate_compiled(
     })
 }
 
-/// Runs the complete pipeline (reuse analysis → allocation → cost model → hardware
-/// design estimate) for one kernel with default models.
-///
-/// Compatibility shim over [`evaluate_compiled`] for one-shot callers; it
-/// builds a throwaway [`CompiledKernel`], so every call re-analyses the
-/// kernel.  Callers evaluating several strategies or budgets should build the
-/// context once and use [`evaluate_compiled`].
-///
-/// # Errors
-///
-/// Propagates [`AllocError`] from the allocation algorithm (empty kernel or a budget
-/// smaller than the number of references).
-pub fn evaluate_kernel(
-    kernel: &Kernel,
-    kind: AllocatorKind,
-    budget: u64,
-) -> Result<KernelOutcome, AllocError> {
-    evaluate_compiled(&CompiledKernel::new(kernel.clone()), kind.into(), budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srra_core::AllocatorRegistry;
     use srra_ir::examples::paper_example;
 
+    fn allocator(name: &str) -> AllocatorRef {
+        AllocatorRegistry::global()
+            .get(name)
+            .expect("built-in strategy")
+    }
+
     #[test]
-    fn evaluate_kernel_runs_the_whole_pipeline() {
-        let kernel = paper_example();
-        let outcome =
-            evaluate_kernel(&kernel, AllocatorKind::CriticalPathAware, 64).expect("pipeline runs");
+    fn evaluate_compiled_runs_the_whole_pipeline() {
+        let kernel = CompiledKernel::new(paper_example());
+        let outcome = evaluate_compiled(&kernel, allocator("cpa"), 64).expect("pipeline runs");
         assert_eq!(outcome.allocation.total_registers(), 64);
         assert_eq!(outcome.cost.memory_cycles_per_outer_iteration, 1184);
         assert!(outcome.design.total_cycles > 0);
     }
 
     #[test]
-    fn evaluate_kernel_propagates_budget_errors() {
-        let kernel = paper_example();
-        assert!(evaluate_kernel(&kernel, AllocatorKind::FullReuse, 1).is_err());
+    fn evaluate_compiled_propagates_budget_errors() {
+        let kernel = CompiledKernel::new(paper_example());
+        assert!(evaluate_compiled(&kernel, allocator("fr"), 1).is_err());
     }
 }

@@ -1526,9 +1526,8 @@ mod tests {
 
     #[test]
     fn registry_only_strategies_flow_through_explore_untouched() {
-        // `greedy` has no AllocatorKind variant and is never named by the
-        // explore/bench/cli layers; resolving it here proves a new allocator
-        // needs only its impl + registry entry.
+        // `greedy` is never named by the explore/bench/cli layers; resolving
+        // it here proves a new allocator needs only its impl + registry entry.
         let out = run(&args(&[
             "explore",
             "--kernel",

@@ -5,79 +5,6 @@ use srra_reuse::{ReuseAnalysis, ReuseSummary};
 
 use crate::registry::AllocatorRef;
 
-/// The five register-allocation strategies that predate the open registry.
-///
-/// This enum is kept as a stable, matchable handle for the built-in
-/// strategies; each variant maps to a [`crate::AllocatorRegistry`] entry via
-/// `AllocatorRef::from(kind)`.  New strategies are registry entries only and
-/// have no variant here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum AllocatorKind {
-    /// The untransformed code: every access goes to a RAM block.
-    NoReplacement,
-    /// FR-RA — greedy full-reuse allocation by benefit/cost ratio.
-    FullReuse,
-    /// PR-RA — FR-RA plus partial reuse for the next reference in the greedy order.
-    PartialReuse,
-    /// CPA-RA — the paper's critical-path-aware allocation over cuts of the Critical
-    /// Graph.
-    CriticalPathAware,
-    /// Exact 0/1-knapsack maximisation of eliminated memory accesses.
-    KnapsackOptimal,
-}
-
-impl AllocatorKind {
-    /// All algorithm kinds, in presentation order.
-    pub fn all() -> [AllocatorKind; 5] {
-        [
-            AllocatorKind::NoReplacement,
-            AllocatorKind::FullReuse,
-            AllocatorKind::PartialReuse,
-            AllocatorKind::CriticalPathAware,
-            AllocatorKind::KnapsackOptimal,
-        ]
-    }
-
-    /// The three kinds evaluated in the paper's Table 1, in `v1`, `v2`, `v3` order.
-    pub fn paper_versions() -> [AllocatorKind; 3] {
-        [
-            AllocatorKind::FullReuse,
-            AllocatorKind::PartialReuse,
-            AllocatorKind::CriticalPathAware,
-        ]
-    }
-
-    /// The short algorithm name used in the paper (e.g. `CPA-RA`).
-    pub fn label(self) -> &'static str {
-        match self {
-            AllocatorKind::NoReplacement => "BASE",
-            AllocatorKind::FullReuse => "FR-RA",
-            AllocatorKind::PartialReuse => "PR-RA",
-            AllocatorKind::CriticalPathAware => "CPA-RA",
-            AllocatorKind::KnapsackOptimal => "KS-OPT",
-        }
-    }
-
-    /// The design-version name used in the paper's Table 1 (`v1`, `v2`, `v3`), or a
-    /// descriptive name for the extra baselines.
-    pub fn version_name(self) -> &'static str {
-        match self {
-            AllocatorKind::NoReplacement => "v0",
-            AllocatorKind::FullReuse => "v1",
-            AllocatorKind::PartialReuse => "v2",
-            AllocatorKind::CriticalPathAware => "v3",
-            AllocatorKind::KnapsackOptimal => "vk",
-        }
-    }
-}
-
-impl std::fmt::Display for AllocatorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// How a reference's accesses are implemented after allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReplacementMode {
@@ -199,10 +126,6 @@ impl RegisterAllocation {
     }
 
     /// The strategy that produced the allocation.
-    ///
-    /// Compares equal to an [`AllocatorKind`] when the strategy is one of the
-    /// five built-ins, so `allocation.algorithm() == AllocatorKind::FullReuse`
-    /// keeps working.
     pub fn algorithm(&self) -> AllocatorRef {
         self.algorithm
     }
@@ -307,28 +230,19 @@ pub(crate) fn mode_for(summary: &ReuseSummary, beta: u64) -> ReplacementMode {
 }
 
 /// Shared helper: build the final [`RegisterAllocation`] from a `β` vector, deriving
-/// modes with [`mode_for`] except for references explicitly forced to a mode.
+/// each reference's mode with [`mode_for`].
 pub(crate) fn build_allocation(
     kernel_name: &str,
     algorithm: AllocatorRef,
     budget: u64,
     analysis: &ReuseAnalysis,
     betas: &[u64],
-    forced_partial: &[RefId],
 ) -> RegisterAllocation {
     let refs = analysis
         .iter()
         .map(|summary| {
             let beta = betas[summary.ref_id().index()];
-            let mut mode = mode_for(summary, beta);
-            if forced_partial.contains(&summary.ref_id())
-                && summary.has_reuse()
-                && beta < summary.registers_full()
-                && beta > 0
-            {
-                mode = ReplacementMode::Partial;
-            }
-            RefAllocation::new(summary, beta, mode)
+            RefAllocation::new(summary, beta, mode_for(summary, beta))
         })
         .collect();
     RegisterAllocation::new(kernel_name, algorithm, budget, refs)
@@ -338,15 +252,6 @@ pub(crate) fn build_allocation(
 mod tests {
     use super::*;
     use srra_ir::examples::paper_example;
-
-    #[test]
-    fn allocator_kind_metadata() {
-        assert_eq!(AllocatorKind::CriticalPathAware.label(), "CPA-RA");
-        assert_eq!(AllocatorKind::CriticalPathAware.version_name(), "v3");
-        assert_eq!(AllocatorKind::FullReuse.to_string(), "FR-RA");
-        assert_eq!(AllocatorKind::all().len(), 5);
-        assert_eq!(AllocatorKind::paper_versions().len(), 3);
-    }
 
     #[test]
     fn mode_for_rules() {
@@ -390,11 +295,10 @@ mod tests {
             .collect();
         let allocation = build_allocation(
             kernel.name(),
-            AllocatorKind::FullReuse.into(),
+            AllocatorRef::of(&crate::registry::FULL_REUSE),
             64,
             &analysis,
             &betas,
-            &[],
         );
         assert_eq!(allocation.kernel_name(), "paper_example");
         assert_eq!(allocation.budget(), 64);

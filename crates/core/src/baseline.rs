@@ -3,7 +3,8 @@
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{AllocatorKind, RefAllocation, RegisterAllocation, ReplacementMode};
+use crate::allocation::{RefAllocation, RegisterAllocation, ReplacementMode};
+use crate::registry::{AllocatorRef, NO_REPLACEMENT};
 
 /// Produces the allocation corresponding to the untransformed code: no reference is
 /// scalar replaced and every access goes to its RAM block.
@@ -16,7 +17,7 @@ pub fn no_replacement(kernel: &Kernel, analysis: &ReuseAnalysis) -> RegisterAllo
         .iter()
         .map(|summary| RefAllocation::new(summary, 0, ReplacementMode::None))
         .collect();
-    RegisterAllocation::new(kernel.name(), AllocatorKind::NoReplacement.into(), 0, refs)
+    RegisterAllocation::new(kernel.name(), AllocatorRef::of(&NO_REPLACEMENT), 0, refs)
 }
 
 #[cfg(test)]
@@ -29,7 +30,7 @@ mod tests {
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
         let allocation = no_replacement(&kernel, &analysis);
-        assert_eq!(allocation.algorithm(), AllocatorKind::NoReplacement);
+        assert_eq!(allocation.algorithm().name(), "none");
         assert_eq!(allocation.total_registers(), 0);
         assert_eq!(allocation.fully_replaced(), 0);
         assert_eq!(allocation.partially_replaced(), 0);

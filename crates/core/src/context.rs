@@ -66,11 +66,9 @@ impl CompiledKernel {
         }
     }
 
-    /// Wraps a kernel with the reuse-analysis slot pre-seeded.
-    ///
-    /// This is the compatibility path for callers that already computed an
-    /// analysis (the old `allocate(kind, kernel, analysis, budget)` entry
-    /// point): no recomputation happens when the allocator asks for it.
+    /// Wraps a kernel with the reuse-analysis slot pre-seeded, for callers
+    /// that already computed an analysis: no recomputation happens when an
+    /// allocator asks for it.
     pub fn with_analysis(kernel: Kernel, analysis: ReuseAnalysis) -> Self {
         let ck = Self::new(kernel);
         ck.analysis

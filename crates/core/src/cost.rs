@@ -238,40 +238,36 @@ pub fn memory_cost_on_dfg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{allocate, AllocatorKind};
+    use crate::{critical_path_aware, full_reuse, AllocatorRegistry, CompiledKernel};
     use srra_ir::examples::paper_example;
 
-    fn report(kind: AllocatorKind, budget: u64) -> MemoryCostReport {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-        memory_cost(&kernel, &analysis, &allocation, &MemoryCostModel::default())
+    fn report(name: &str, budget: u64) -> MemoryCostReport {
+        let ck = CompiledKernel::new(paper_example());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
+        memory_cost(
+            ck.kernel(),
+            ck.analysis(),
+            &allocation,
+            &MemoryCostModel::default(),
+        )
     }
 
     #[test]
     fn reproduces_the_figure_2c_memory_cycles() {
         // The paper quotes the memory cycles for one iteration of the outer loop:
         // 1,800 for FR-RA, 1,560 for PR-RA and 1,184 for CPA-RA with 64 registers.
-        assert_eq!(
-            report(AllocatorKind::FullReuse, 64).memory_cycles_per_outer_iteration,
-            1800
-        );
-        assert_eq!(
-            report(AllocatorKind::PartialReuse, 64).memory_cycles_per_outer_iteration,
-            1560
-        );
-        assert_eq!(
-            report(AllocatorKind::CriticalPathAware, 64).memory_cycles_per_outer_iteration,
-            1184
-        );
+        assert_eq!(report("fr", 64).memory_cycles_per_outer_iteration, 1800);
+        assert_eq!(report("pr", 64).memory_cycles_per_outer_iteration, 1560);
+        assert_eq!(report("cpa", 64).memory_cycles_per_outer_iteration, 1184);
     }
 
     #[test]
     fn cpa_never_loses_to_the_greedy_variants() {
         for budget in [8, 16, 32, 64, 128] {
-            let fr = report(AllocatorKind::FullReuse, budget).memory_cycles;
-            let pr = report(AllocatorKind::PartialReuse, budget).memory_cycles;
-            let cpa = report(AllocatorKind::CriticalPathAware, budget).memory_cycles;
+            let fr = report("fr", budget).memory_cycles;
+            let pr = report("pr", budget).memory_cycles;
+            let cpa = report("cpa", budget).memory_cycles;
             assert!(pr <= fr, "budget {budget}: PR {pr} vs FR {fr}");
             assert!(cpa <= pr, "budget {budget}: CPA {cpa} vs PR {pr}");
         }
@@ -279,8 +275,8 @@ mod tests {
 
     #[test]
     fn baseline_has_the_highest_cost_and_no_elimination() {
-        let base = report(AllocatorKind::NoReplacement, 64);
-        let cpa = report(AllocatorKind::CriticalPathAware, 64);
+        let base = report("none", 64);
+        let cpa = report("cpa", 64);
         assert!(base.memory_cycles >= cpa.memory_cycles);
         assert_eq!(base.eliminated_accesses, 0);
         assert!(cpa.eliminated_accesses > 0);
@@ -288,7 +284,7 @@ mod tests {
 
     #[test]
     fn stage_breakdown_covers_the_critical_references() {
-        let r = report(AllocatorKind::NoReplacement, 64);
+        let r = report("none", 64);
         // Stages: {a, b}, {d}, {e}; c is off the critical path.
         assert_eq!(r.stages.len(), 3);
         let all_refs: Vec<String> = r.stages.iter().flat_map(|s| s.references.clone()).collect();
@@ -301,8 +297,7 @@ mod tests {
     fn serial_model_is_never_cheaper_than_concurrent() {
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation =
-            allocate(AllocatorKind::CriticalPathAware, &kernel, &analysis, 64).unwrap();
+        let allocation = critical_path_aware(&kernel, &analysis, 64).unwrap();
         let concurrent = memory_cost(&kernel, &analysis, &allocation, &MemoryCostModel::default());
         let serial = memory_cost(
             &kernel,
@@ -317,7 +312,7 @@ mod tests {
     fn ram_latency_scales_the_cost_linearly() {
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 64).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, 64).unwrap();
         let lat1 = memory_cost(&kernel, &analysis, &allocation, &MemoryCostModel::default());
         let lat3 = memory_cost(
             &kernel,

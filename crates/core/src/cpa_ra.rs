@@ -2,45 +2,20 @@
 
 use std::collections::BTreeSet;
 
-use srra_dfg::{
-    find_cuts, level_cuts, CriticalPathAnalysis, DataFlowGraph, LatencyModel, Storage, StorageMap,
-};
+use srra_dfg::{find_cuts, CriticalPathAnalysis, DataFlowGraph, LatencyModel, Storage, StorageMap};
 use srra_ir::{Kernel, RefId};
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{build_allocation, AllocatorKind, RegisterAllocation};
+use crate::allocation::{build_allocation, RegisterAllocation};
 use crate::error::AllocError;
 use crate::fr_ra::check_budget;
+use crate::registry::{AllocatorRef, CRITICAL_PATH_AWARE};
 
-/// How CPA-RA chooses among the cuts of the critical graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CutSelectionPolicy {
-    /// Select the cut with the minimum number of additional registers required to
-    /// fully replace all of its references — the policy described in the paper.
-    #[default]
-    MinRegisters,
-    /// Select the cut with the maximum eliminated-accesses-per-register ratio.  Used by
-    /// the ablation benchmarks to quantify the value of the paper's choice.
-    MaxBenefitPerRegister,
-}
-
-/// Tuning knobs for [`critical_path_aware_with`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CpaOptions {
-    /// Latency model used to compute the critical graph in each iteration.
-    pub latency: LatencyModel,
-    /// Cut-selection policy (the paper uses [`CutSelectionPolicy::MinRegisters`]).
-    pub policy: CutSelectionPolicy,
-    /// When `true`, use the cheaper level-based cut heuristic instead of exhaustive
-    /// minimal-cut enumeration (ablation only).
-    pub level_cuts_only: bool,
-}
-
-/// A candidate cut with its reference groups and cost/benefit figures.
+/// A candidate cut: its reference groups and the registers still needed to fully
+/// replace all of them.
 struct Candidate {
     refs: Vec<RefId>,
     additional_registers: u64,
-    benefit: u64,
 }
 
 fn storage_from_betas(analysis: &ReuseAnalysis, betas: &[u64]) -> StorageMap {
@@ -57,19 +32,13 @@ fn candidates(
     dfg: &DataFlowGraph,
     analysis: &ReuseAnalysis,
     betas: &[u64],
-    options: &CpaOptions,
+    latency: &LatencyModel,
 ) -> Vec<Candidate> {
     let storage = storage_from_betas(analysis, betas);
-    let cpa = CriticalPathAnalysis::new(dfg, &options.latency, &storage);
-    let cg = cpa.critical_graph();
-    let cuts = if options.level_cuts_only {
-        level_cuts(dfg, cg)
-    } else {
-        find_cuts(dfg, cg)
-    };
+    let cpa = CriticalPathAnalysis::new(dfg, latency, &storage);
 
     let mut result = Vec::new();
-    for cut in cuts {
+    for cut in find_cuts(dfg, cpa.critical_graph()) {
         let refs: BTreeSet<RefId> = cut
             .iter()
             .filter_map(|&node| dfg.node(node).reference())
@@ -93,95 +62,43 @@ fn candidates(
         if additional_registers == 0 {
             continue;
         }
-        let benefit: u64 = refs
-            .iter()
-            .filter_map(|r| analysis.get(*r))
-            .map(|s| s.saved_full())
-            .sum();
         result.push(Candidate {
             refs: refs.into_iter().collect(),
             additional_registers,
-            benefit,
         });
     }
     result
 }
 
-fn select(candidates: &[Candidate], policy: CutSelectionPolicy) -> Option<&Candidate> {
-    match policy {
-        CutSelectionPolicy::MinRegisters => candidates.iter().min_by(|a, b| {
-            a.additional_registers
-                .cmp(&b.additional_registers)
-                .then(a.refs.len().cmp(&b.refs.len()))
-                .then(a.refs.cmp(&b.refs))
-        }),
-        CutSelectionPolicy::MaxBenefitPerRegister => candidates.iter().max_by(|a, b| {
-            let ra = a.benefit as f64 / a.additional_registers.max(1) as f64;
-            let rb = b.benefit as f64 / b.additional_registers.max(1) as f64;
-            ra.partial_cmp(&rb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.additional_registers.cmp(&a.additional_registers))
-                .then(b.refs.cmp(&a.refs))
-        }),
-    }
+/// The paper's choice: the cut needing the fewest additional registers, ties broken
+/// by fewer references, then by reference order.
+fn select(candidates: &[Candidate]) -> Option<&Candidate> {
+    candidates.iter().min_by(|a, b| {
+        a.additional_registers
+            .cmp(&b.additional_registers)
+            .then(a.refs.len().cmp(&b.refs.len()))
+            .then(a.refs.cmp(&b.refs))
+    })
 }
 
-/// CPA-RA with explicit [`CpaOptions`].
-///
-/// See [`critical_path_aware`] for the algorithm description; this variant exposes the
-/// latency model and the cut-selection policy for the ablation studies.
-///
-/// # Errors
-///
-/// Same as [`crate::full_reuse`].
-pub fn critical_path_aware_with(
-    kernel: &Kernel,
-    analysis: &ReuseAnalysis,
-    budget: u64,
-    options: &CpaOptions,
-) -> Result<RegisterAllocation, AllocError> {
-    critical_path_aware_on_dfg(
-        kernel,
-        analysis,
-        &DataFlowGraph::from_kernel(kernel),
-        budget,
-        options,
-    )
-}
-
-/// CPA-RA over a [`crate::CompiledKernel`]: reuses the context's memoized
-/// reuse analysis *and* data-flow graph instead of re-deriving either.
-pub(crate) fn critical_path_aware_compiled(
-    compiled: &crate::CompiledKernel,
-    budget: u64,
-    options: &CpaOptions,
-) -> Result<RegisterAllocation, AllocError> {
-    critical_path_aware_on_dfg(
-        compiled.kernel(),
-        compiled.analysis(),
-        compiled.dfg(),
-        budget,
-        options,
-    )
-}
-
-fn critical_path_aware_on_dfg(
+/// CPA-RA over a prebuilt data-flow graph: the registry entry passes a
+/// [`crate::CompiledKernel`]'s memoized graph, [`critical_path_aware`] a fresh one.
+pub(crate) fn critical_path_aware_on_dfg(
     kernel: &Kernel,
     analysis: &ReuseAnalysis,
     dfg: &DataFlowGraph,
     budget: u64,
-    options: &CpaOptions,
 ) -> Result<RegisterAllocation, AllocError> {
     check_budget(analysis, budget)?;
 
     // Feasibility: one register per reference, like the greedy variants.
     let mut betas = vec![1u64; analysis.len()];
     let mut remaining = budget - analysis.len() as u64;
-    let mut forced_partial: Vec<RefId> = Vec::new();
+    let latency = LatencyModel::default();
 
     while remaining > 0 {
-        let candidates = candidates(dfg, analysis, &betas, options);
-        let Some(best) = select(&candidates, options.policy) else {
+        let candidates = candidates(dfg, analysis, &betas, &latency);
+        let Some(best) = select(&candidates) else {
             break;
         };
 
@@ -225,9 +142,6 @@ fn critical_path_aware_on_dfg(
                 let take = want.min(summary.registers_full() - betas[r.index()]);
                 betas[r.index()] += take;
                 distributed += take;
-                if betas[r.index()] < summary.registers_full() && betas[r.index()] > 1 {
-                    forced_partial.push(*r);
-                }
             }
             remaining -= distributed;
             if distributed == 0 {
@@ -238,11 +152,10 @@ fn critical_path_aware_on_dfg(
 
     Ok(build_allocation(
         kernel.name(),
-        AllocatorKind::CriticalPathAware.into(),
+        AllocatorRef::of(&CRITICAL_PATH_AWARE),
         budget,
         analysis,
         &betas,
-        &forced_partial,
     ))
 }
 
@@ -286,7 +199,12 @@ pub fn critical_path_aware(
     analysis: &ReuseAnalysis,
     budget: u64,
 ) -> Result<RegisterAllocation, AllocError> {
-    critical_path_aware_with(kernel, analysis, budget, &CpaOptions::default())
+    critical_path_aware_on_dfg(
+        kernel,
+        analysis,
+        &DataFlowGraph::from_kernel(kernel),
+        budget,
+    )
 }
 
 #[cfg(test)]
@@ -344,6 +262,18 @@ mod tests {
         assert!(allocation.total_registers() < 1000);
         // e has no reuse: registers are never wasted on it.
         assert_eq!(allocation.by_name("e").unwrap().beta(), 1);
+        // Once the budget covers every reference, FR-RA's memory cycles meet
+        // CPA-RA's: what CPA-RA leaves in RAM is off the critical path.
+        let model = crate::MemoryCostModel::default();
+        for budget in [700, 1000] {
+            let fr = crate::full_reuse(&kernel, &analysis, budget).unwrap();
+            let cpa = critical_path_aware(&kernel, &analysis, budget).unwrap();
+            assert_eq!(
+                crate::memory_cost(&kernel, &analysis, &fr, &model).memory_cycles,
+                crate::memory_cost(&kernel, &analysis, &cpa, &model).memory_cycles,
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]
@@ -367,41 +297,6 @@ mod tests {
             let allocation = critical_path_aware(&kernel, &analysis, 16).unwrap();
             assert!(allocation.total_registers() <= 16);
         }
-    }
-
-    #[test]
-    fn policies_and_cut_heuristics_are_available() {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let min_reg =
-            critical_path_aware_with(&kernel, &analysis, 64, &CpaOptions::default()).unwrap();
-        let max_benefit = critical_path_aware_with(
-            &kernel,
-            &analysis,
-            64,
-            &CpaOptions {
-                policy: CutSelectionPolicy::MaxBenefitPerRegister,
-                ..CpaOptions::default()
-            },
-        )
-        .unwrap();
-        let level_only = critical_path_aware_with(
-            &kernel,
-            &analysis,
-            64,
-            &CpaOptions {
-                level_cuts_only: true,
-                ..CpaOptions::default()
-            },
-        )
-        .unwrap();
-        for allocation in [&min_reg, &max_benefit, &level_only] {
-            assert!(allocation.total_registers() <= 64);
-        }
-        // The paper's min-register policy picks {d} first; the benefit policy also
-        // ends up covering d (it has the highest saved-access total of any cut).
-        assert_eq!(min_reg.by_name("d").unwrap().beta(), 30);
-        assert!(max_benefit.by_name("d").unwrap().beta() >= 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{build_allocation, AllocatorKind, RegisterAllocation};
+use crate::allocation::{build_allocation, RegisterAllocation};
 use crate::error::AllocError;
+use crate::registry::{AllocatorRef, FULL_REUSE};
 
 pub(crate) fn check_budget(analysis: &ReuseAnalysis, budget: u64) -> Result<(), AllocError> {
     if analysis.is_empty() {
@@ -99,11 +100,10 @@ pub fn full_reuse(
     let betas = full_reuse_betas(analysis, budget);
     Ok(build_allocation(
         kernel.name(),
-        AllocatorKind::FullReuse.into(),
+        AllocatorRef::of(&FULL_REUSE),
         budget,
         analysis,
         &betas,
-        &[],
     ))
 }
 

@@ -1,8 +1,8 @@
 //! GR-RA — greedy allocation by absolute eliminated accesses.
 //!
 //! This strategy exists to demonstrate the open [`crate::AllocatorRegistry`]:
-//! it has no [`crate::AllocatorKind`] variant, and no pipeline layer (explore,
-//! bench, CLI) names it — it is one trait impl plus one registry entry.
+//! no pipeline layer (explore, bench, CLI) names it — it is one trait impl plus
+//! one registry entry.
 //!
 //! Algorithmically it is the "simple objective function" strawman one step
 //! below FR-RA: it ranks references by the *absolute* number of accesses a full
@@ -15,6 +15,7 @@ use srra_reuse::{ReuseAnalysis, ReuseSummary};
 use crate::allocation::{build_allocation, RegisterAllocation};
 use crate::error::AllocError;
 use crate::fr_ra::{check_budget, greedy_full_betas};
+use crate::registry::{AllocatorRef, GREEDY_SAVINGS};
 
 /// Greedy full-replacement allocation ordered by absolute eliminated accesses.
 ///
@@ -43,11 +44,10 @@ pub fn greedy_savings(
 
     Ok(build_allocation(
         kernel.name(),
-        crate::registry::greedy_ref(),
+        AllocatorRef::of(&GREEDY_SAVINGS),
         budget,
         analysis,
         &betas,
-        &[],
     ))
 }
 

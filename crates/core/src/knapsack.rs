@@ -11,9 +11,10 @@
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{build_allocation, AllocatorKind, RegisterAllocation};
+use crate::allocation::{build_allocation, RegisterAllocation};
 use crate::error::AllocError;
 use crate::fr_ra::check_budget;
+use crate::registry::{AllocatorRef, KNAPSACK_OPTIMAL};
 
 /// Exact 0/1-knapsack register allocation maximising eliminated memory accesses.
 ///
@@ -106,11 +107,10 @@ pub fn knapsack_optimal(
 
     Ok(build_allocation(
         kernel.name(),
-        AllocatorKind::KnapsackOptimal.into(),
+        AllocatorRef::of(&KNAPSACK_OPTIMAL),
         budget,
         analysis,
         &betas,
-        &[],
     ))
 }
 

@@ -21,16 +21,17 @@
 //!
 //! # The allocator registry
 //!
-//! Strategies are open, not a closed enum: anything implementing the
-//! [`Allocator`] trait can be registered in an [`AllocatorRegistry`] and then
-//! drives every downstream layer (the `srra-explore` sweep engine, the
-//! `srra-bench` harness, the CLI) without those layers naming it.
+//! Strategies are open: anything implementing the [`Allocator`] trait can be
+//! registered in an [`AllocatorRegistry`] and then drives every downstream
+//! layer (the `srra-explore` sweep engine and the serve and cluster layers on
+//! top of it, the CLI) without those layers naming it.
 //! [`AllocatorRegistry::global`] holds the built-ins in deterministic order
 //! (`none`, `fr`, `pr`, `cpa`, `ks`, `greedy`); [`AllocatorRegistry::get`]
 //! resolves names, labels (`CPA-RA`), version names (`v3`) and aliases,
 //! case-insensitively.  [`AllocatorRef`] is the copyable handle the pipeline
-//! carries around; [`AllocatorKind`] remains as a stable, matchable handle for
-//! the five pre-registry strategies and converts via `AllocatorRef::from`.
+//! carries around, and every allocation names the registry entry that
+//! produced it ([`RegisterAllocation::algorithm`]), whether it came through
+//! the registry or from a direct call such as [`full_reuse`].
 //!
 //! # The `CompiledKernel` lifecycle
 //!
@@ -41,10 +42,7 @@
 //! across as many strategies, budgets and threads as needed — each artifact is
 //! computed at most once per context, on first use — and drop it when the
 //! kernel leaves scope.  A sweep over N design points of one kernel therefore
-//! performs exactly one reuse analysis.  The legacy
-//! [`allocate`]`(kind, kernel, analysis, budget)` entry point remains as a thin
-//! shim that seeds a context with the caller's analysis and dispatches through
-//! the registry.
+//! performs exactly one reuse analysis.
 //!
 //! The resulting [`RegisterAllocation`] can be costed with [`memory_cost`] (or
 //! [`memory_cost_on_dfg`], given the context's memoized data-flow graph), turned into
@@ -97,11 +95,11 @@ mod pr_ra;
 mod registry;
 mod scalar_replace;
 
-pub use allocation::{AllocatorKind, RefAllocation, RegisterAllocation, ReplacementMode};
+pub use allocation::{RefAllocation, RegisterAllocation, ReplacementMode};
 pub use baseline::no_replacement;
 pub use context::CompiledKernel;
 pub use cost::{memory_cost, memory_cost_on_dfg, MemoryCostModel, MemoryCostReport, StageCost};
-pub use cpa_ra::{critical_path_aware, critical_path_aware_with, CpaOptions, CutSelectionPolicy};
+pub use cpa_ra::critical_path_aware;
 pub use error::AllocError;
 pub use fr_ra::full_reuse;
 pub use greedy::greedy_savings;
@@ -109,62 +107,3 @@ pub use knapsack::knapsack_optimal;
 pub use pr_ra::partial_reuse;
 pub use registry::{Allocator, AllocatorRef, AllocatorRegistry};
 pub use scalar_replace::{RefPlan, ReplacementPlan};
-
-use srra_ir::Kernel;
-use srra_reuse::ReuseAnalysis;
-
-/// Runs the built-in strategy selected by `kind` with its default options.
-///
-/// This is the pre-registry entry point, kept as a thin compatibility shim: it
-/// seeds a [`CompiledKernel`] with the caller's analysis (no recomputation) and
-/// dispatches through the corresponding [`AllocatorRegistry`] entry.  New code
-/// and anything evaluating more than one (strategy, budget) pair per kernel
-/// should hold a [`CompiledKernel`] and call [`AllocatorRef::allocate`]
-/// directly.
-///
-/// # Errors
-///
-/// Returns [`AllocError::EmptyKernel`] when the kernel has no array references and
-/// [`AllocError::BudgetTooSmall`] when `budget` cannot even give one register to every
-/// reference (except for [`AllocatorKind::NoReplacement`], which ignores the budget).
-pub fn allocate(
-    kind: AllocatorKind,
-    kernel: &Kernel,
-    analysis: &ReuseAnalysis,
-    budget: u64,
-) -> Result<RegisterAllocation, AllocError> {
-    let compiled = CompiledKernel::with_analysis(kernel.clone(), analysis.clone());
-    AllocatorRef::from(kind).allocate(&compiled, budget)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use srra_ir::examples::paper_example;
-
-    #[test]
-    fn allocate_dispatches_every_kind() {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        for kind in AllocatorKind::all() {
-            let allocation = allocate(kind, &kernel, &analysis, 64).expect("allocation succeeds");
-            assert_eq!(allocation.algorithm(), kind);
-            assert_eq!(allocation.len(), analysis.len());
-            if kind != AllocatorKind::NoReplacement {
-                assert!(allocation.total_registers() <= 64);
-            }
-        }
-    }
-
-    #[test]
-    fn registry_and_kind_dispatch_agree() {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let ck = CompiledKernel::with_analysis(kernel.clone(), analysis.clone());
-        for kind in AllocatorKind::all() {
-            let via_kind = allocate(kind, &kernel, &analysis, 64).unwrap();
-            let via_registry = AllocatorRef::from(kind).allocate(&ck, 64).unwrap();
-            assert_eq!(via_kind, via_registry, "kind {kind:?}");
-        }
-    }
-}

@@ -1,11 +1,12 @@
 //! PR-RA — Partial Reuse Register Allocation (the paper's second greedy variant).
 
-use srra_ir::{Kernel, RefId};
+use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{build_allocation, AllocatorKind, RegisterAllocation};
+use crate::allocation::{build_allocation, RegisterAllocation};
 use crate::error::AllocError;
 use crate::fr_ra::{check_budget, full_reuse_betas};
+use crate::registry::{AllocatorRef, PARTIAL_REUSE};
 
 /// PR-RA: Partial Reuse Register Allocation.
 ///
@@ -47,7 +48,6 @@ pub fn partial_reuse(
     let mut betas = full_reuse_betas(analysis, budget);
     let used: u64 = betas.iter().sum();
     let mut leftover = budget.saturating_sub(used);
-    let mut forced_partial: Vec<RefId> = Vec::new();
 
     if leftover > 0 {
         // Give the leftover to the next references in the greedy order that still have
@@ -68,19 +68,15 @@ pub fn partial_reuse(
             let take = leftover.min(summary.registers_full() - betas[idx]);
             betas[idx] += take;
             leftover -= take;
-            if betas[idx] < summary.registers_full() {
-                forced_partial.push(summary.ref_id());
-            }
         }
     }
 
     Ok(build_allocation(
         kernel.name(),
-        AllocatorKind::PartialReuse.into(),
+        AllocatorRef::of(&PARTIAL_REUSE),
         budget,
         analysis,
         &betas,
-        &forced_partial,
     ))
 }
 

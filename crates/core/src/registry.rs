@@ -4,8 +4,8 @@
 //! analysis.  The registry makes that comparison extensible: an allocation
 //! strategy is anything implementing [`Allocator`], and the pipeline layers
 //! (exploration engine, bench harness, CLI) resolve strategies through an
-//! [`AllocatorRegistry`] instead of matching on [`AllocatorKind`].  Adding a
-//! strategy is one trait impl plus one registry entry — no cross-crate edits.
+//! [`AllocatorRegistry`] instead of naming them.  Adding a strategy is one
+//! trait impl plus one registry entry — no cross-crate edits.
 //!
 //! ```
 //! use srra_core::{AllocatorRegistry, CompiledKernel};
@@ -22,7 +22,7 @@
 
 use std::sync::OnceLock;
 
-use crate::allocation::{AllocatorKind, RegisterAllocation};
+use crate::allocation::RegisterAllocation;
 use crate::context::CompiledKernel;
 use crate::error::AllocError;
 
@@ -46,14 +46,6 @@ pub trait Allocator: Send + Sync {
     /// canonical name, label and version name always match).
     fn aliases(&self) -> &'static [&'static str] {
         &[]
-    }
-
-    /// The legacy [`AllocatorKind`] this strategy corresponds to, if any.
-    ///
-    /// Only the five strategies predating the registry have one; new
-    /// strategies return `None` and exist purely as registry entries.
-    fn kind(&self) -> Option<AllocatorKind> {
-        None
     }
 
     /// Computes the register allocation for `kernel` under `budget` registers.
@@ -98,11 +90,6 @@ impl AllocatorRef {
     /// The design-version label, e.g. `v3`.
     pub fn version_name(self) -> &'static str {
         self.inner.version_name()
-    }
-
-    /// The legacy [`AllocatorKind`], if this is one of the five built-ins.
-    pub fn kind(self) -> Option<AllocatorKind> {
-        self.inner.kind()
     }
 
     /// Runs the strategy; see [`Allocator::allocate`].
@@ -155,25 +142,6 @@ impl Eq for AllocatorRef {}
 impl std::hash::Hash for AllocatorRef {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.name().hash(state);
-    }
-}
-
-impl PartialEq<AllocatorKind> for AllocatorRef {
-    fn eq(&self, other: &AllocatorKind) -> bool {
-        self.kind() == Some(*other)
-    }
-}
-
-impl PartialEq<AllocatorRef> for AllocatorKind {
-    fn eq(&self, other: &AllocatorRef) -> bool {
-        other.kind() == Some(*self)
-    }
-}
-
-impl From<AllocatorKind> for AllocatorRef {
-    /// The registry entry backing a legacy enum variant.
-    fn from(kind: AllocatorKind) -> Self {
-        builtin(kind)
     }
 }
 
@@ -264,9 +232,9 @@ impl AllocatorRegistry {
     /// `v3` order.
     pub fn paper_versions() -> [AllocatorRef; 3] {
         [
-            builtin(AllocatorKind::FullReuse),
-            builtin(AllocatorKind::PartialReuse),
-            builtin(AllocatorKind::CriticalPathAware),
+            AllocatorRef::of(&FULL_REUSE),
+            AllocatorRef::of(&PARTIAL_REUSE),
+            AllocatorRef::of(&CRITICAL_PATH_AWARE),
         ]
     }
 }
@@ -280,30 +248,16 @@ impl<'a> IntoIterator for &'a AllocatorRegistry {
     }
 }
 
-/// The static registry entry backing a legacy [`AllocatorKind`].
-pub(crate) fn builtin(kind: AllocatorKind) -> AllocatorRef {
-    match kind {
-        AllocatorKind::NoReplacement => AllocatorRef::of(&NO_REPLACEMENT),
-        AllocatorKind::FullReuse => AllocatorRef::of(&FULL_REUSE),
-        AllocatorKind::PartialReuse => AllocatorRef::of(&PARTIAL_REUSE),
-        AllocatorKind::CriticalPathAware => AllocatorRef::of(&CRITICAL_PATH_AWARE),
-        AllocatorKind::KnapsackOptimal => AllocatorRef::of(&KNAPSACK_OPTIMAL),
-    }
-}
-
-/// The handle of the `greedy` demonstration strategy (no [`AllocatorKind`]).
-pub(crate) fn greedy_ref() -> AllocatorRef {
-    AllocatorRef::of(&GREEDY_SAVINGS)
-}
-
+/// Defines a built-in strategy and its `pub(crate)` static instance, which the
+/// algorithm functions name as the `algorithm` of the allocations they build.
 macro_rules! builtin_allocator {
     ($static_name:ident, $ty:ident, $name:literal, $label:literal, $version:literal,
-     aliases: $aliases:expr, kind: $kind:expr, $doc:literal,
+     aliases: $aliases:expr, $doc:literal,
      |$kernel:ident, $budget:ident| $body:expr) => {
         #[doc = $doc]
-        struct $ty;
+        pub(crate) struct $ty;
 
-        static $static_name: $ty = $ty;
+        pub(crate) static $static_name: $ty = $ty;
 
         impl Allocator for $ty {
             fn name(&self) -> &'static str {
@@ -320,10 +274,6 @@ macro_rules! builtin_allocator {
 
             fn aliases(&self) -> &'static [&'static str] {
                 $aliases
-            }
-
-            fn kind(&self) -> Option<AllocatorKind> {
-                $kind
             }
 
             fn allocate(
@@ -344,7 +294,6 @@ builtin_allocator!(
     "BASE",
     "v0",
     aliases: &["base", "no-replacement"],
-    kind: Some(AllocatorKind::NoReplacement),
     "The untransformed code: every access goes to RAM (budget ignored).",
     |kernel, _budget| Ok(crate::baseline::no_replacement(
         kernel.kernel(),
@@ -359,7 +308,6 @@ builtin_allocator!(
     "FR-RA",
     "v1",
     aliases: &["full-reuse"],
-    kind: Some(AllocatorKind::FullReuse),
     "FR-RA: greedy full-reuse allocation by benefit/cost ratio.",
     |kernel, budget| crate::fr_ra::full_reuse(kernel.kernel(), kernel.analysis(), budget)
 );
@@ -371,7 +319,6 @@ builtin_allocator!(
     "PR-RA",
     "v2",
     aliases: &["partial-reuse"],
-    kind: Some(AllocatorKind::PartialReuse),
     "PR-RA: FR-RA plus partial reuse for the next reference in greedy order.",
     |kernel, budget| crate::pr_ra::partial_reuse(kernel.kernel(), kernel.analysis(), budget)
 );
@@ -383,12 +330,12 @@ builtin_allocator!(
     "CPA-RA",
     "v3",
     aliases: &["critical-path-aware"],
-    kind: Some(AllocatorKind::CriticalPathAware),
     "CPA-RA: the paper's allocation over cuts of the Critical Graph.",
-    |kernel, budget| crate::cpa_ra::critical_path_aware_compiled(
-        kernel,
+    |kernel, budget| crate::cpa_ra::critical_path_aware_on_dfg(
+        kernel.kernel(),
+        kernel.analysis(),
+        kernel.dfg(),
         budget,
-        &crate::cpa_ra::CpaOptions::default(),
     )
 );
 
@@ -399,7 +346,6 @@ builtin_allocator!(
     "KS-OPT",
     "vk",
     aliases: &["knapsack"],
-    kind: Some(AllocatorKind::KnapsackOptimal),
     "Exact 0/1-knapsack maximisation of eliminated memory accesses.",
     |kernel, budget| crate::knapsack::knapsack_optimal(kernel.kernel(), kernel.analysis(), budget)
 );
@@ -411,10 +357,8 @@ builtin_allocator!(
     "GR-RA",
     "vg",
     aliases: &["gr", "greedy-savings"],
-    kind: None,
     "Greedy by absolute eliminated accesses (ignoring register cost) — the \
-     registry's extensibility demonstration: it has no `AllocatorKind` variant \
-     and no pipeline layer names it.",
+     registry's extensibility demonstration: no pipeline layer names it.",
     |kernel, budget| crate::greedy::greedy_savings(kernel.kernel(), kernel.analysis(), budget)
 );
 
@@ -425,17 +369,28 @@ mod tests {
 
     #[test]
     fn global_registry_is_deterministic_and_complete() {
-        let names: Vec<&str> = AllocatorRegistry::global().names().collect();
-        assert_eq!(names, ["none", "fr", "pr", "cpa", "ks", "greedy"]);
-        // Every legacy kind resolves to a registry entry and agrees on labels.
-        for kind in AllocatorKind::all() {
-            let entry = AllocatorRef::from(kind);
-            assert_eq!(entry.label(), kind.label());
-            assert_eq!(entry.version_name(), kind.version_name());
-            assert_eq!(entry.kind(), Some(kind));
-            assert_eq!(entry, kind);
-            assert_eq!(kind, entry);
+        // The labels key the explore result cache, so they are pinned here.
+        let expected = [
+            ("none", "BASE", "v0"),
+            ("fr", "FR-RA", "v1"),
+            ("pr", "PR-RA", "v2"),
+            ("cpa", "CPA-RA", "v3"),
+            ("ks", "KS-OPT", "vk"),
+            ("greedy", "GR-RA", "vg"),
+        ];
+        let actual: Vec<_> = AllocatorRegistry::global()
+            .iter()
+            .map(|entry| (entry.name(), entry.label(), entry.version_name()))
+            .collect();
+        assert_eq!(actual, expected);
+        for entry in AllocatorRegistry::global() {
+            assert_eq!(entry.to_string(), entry.label());
         }
+        let paper: Vec<&str> = AllocatorRegistry::paper_versions()
+            .iter()
+            .map(|entry| entry.name())
+            .collect();
+        assert_eq!(paper, ["fr", "pr", "cpa"]);
     }
 
     #[test]
@@ -468,10 +423,10 @@ mod tests {
     #[test]
     fn greedy_demo_is_only_reachable_through_the_registry() {
         let entry = AllocatorRegistry::global().get("greedy").unwrap();
-        assert_eq!(entry.kind(), None);
         let ck = CompiledKernel::new(paper_example());
         let allocation = entry.allocate(&ck, 64).unwrap();
         assert!(allocation.total_registers() <= 64);
+        assert_eq!(allocation.algorithm(), entry);
         assert_eq!(allocation.algorithm().label(), "GR-RA");
     }
 

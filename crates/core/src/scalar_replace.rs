@@ -160,19 +160,19 @@ impl ReplacementPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{allocate, AllocatorKind};
+    use crate::{AllocatorRegistry, CompiledKernel};
     use srra_ir::examples::paper_example;
 
-    fn plan(kind: AllocatorKind, budget: u64) -> ReplacementPlan {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-        ReplacementPlan::new(&kernel, &analysis, &allocation)
+    fn plan(name: &str, budget: u64) -> ReplacementPlan {
+        let ck = CompiledKernel::new(paper_example());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
+        ReplacementPlan::new(ck.kernel(), ck.analysis(), &allocation)
     }
 
     #[test]
     fn plan_totals_match_the_allocation() {
-        let p = plan(AllocatorKind::CriticalPathAware, 64);
+        let p = plan("cpa", 64);
         assert_eq!(p.kernel_name(), "paper_example");
         assert_eq!(p.total_registers(), 64);
         assert_eq!(p.total_register_bits(), 64 * 16);
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn read_only_references_warm_up_and_written_references_drain() {
-        let p = plan(AllocatorKind::FullReuse, 64);
+        let p = plan("fr", 64);
         // a is read-only and fully replaced: 30 essential loads, no stores.
         let a = p.refs().iter().find(|r| r.array_name == "a").unwrap();
         assert_eq!(a.prologue_loads, 30);
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn partial_replacement_scales_the_prologue() {
-        let p = plan(AllocatorKind::PartialReuse, 64);
+        let p = plan("pr", 64);
         let d = p.refs().iter().find(|r| r.array_name == "d").unwrap();
         assert_eq!(d.beta, 12);
         assert!(d.epilogue_stores > 0);
@@ -205,9 +205,9 @@ mod tests {
 
     #[test]
     fn ram_resident_count_reflects_steady_misses() {
-        let base = plan(AllocatorKind::NoReplacement, 0);
+        let base = plan("none", 0);
         assert_eq!(base.ram_resident_refs(), 5);
-        let cpa = plan(AllocatorKind::CriticalPathAware, 64);
+        let cpa = plan("cpa", 64);
         // d is fully register resident; a, b partial; c, e still RAM resident.
         assert_eq!(cpa.ram_resident_refs(), 4);
         assert!(cpa.get(cpa.refs()[0].ref_id).is_some());

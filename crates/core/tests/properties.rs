@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use srra_core::{
-    allocate, critical_path_aware_with, memory_cost, AllocatorKind, CpaOptions, CutSelectionPolicy,
-    MemoryCostModel, ReplacementMode, ReplacementPlan,
+    critical_path_aware, memory_cost, AllocatorRegistry, CompiledKernel, MemoryCostModel,
+    ReplacementMode, ReplacementPlan,
 };
 use srra_ir::{Kernel, KernelBuilder};
 use srra_reuse::ReuseAnalysis;
@@ -44,10 +44,10 @@ proptest! {
         chain in any::<bool>(),
         budget in 5u64..150,
     ) {
-        let kernel = generated_kernel(ni, nj, nk, chain);
-        let analysis = ReuseAnalysis::of(&kernel);
-        for kind in AllocatorKind::all() {
-            let Ok(allocation) = allocate(kind, &kernel, &analysis, budget) else {
+        let compiled = CompiledKernel::new(generated_kernel(ni, nj, nk, chain));
+        let analysis = compiled.analysis();
+        for allocator in AllocatorRegistry::global() {
+            let Ok(allocation) = allocator.allocate(&compiled, budget) else {
                 prop_assert!(budget < analysis.len() as u64);
                 continue;
             };
@@ -83,9 +83,7 @@ proptest! {
     ) {
         let kernel = generated_kernel(ni, nj, nk, true);
         let analysis = ReuseAnalysis::of(&kernel);
-        let Ok(allocation) =
-            allocate(AllocatorKind::CriticalPathAware, &kernel, &analysis, budget)
-        else {
+        let Ok(allocation) = critical_path_aware(&kernel, &analysis, budget) else {
             return Ok(());
         };
         let storage = allocation.storage_map();
@@ -105,19 +103,20 @@ proptest! {
         budget in 6u64..120,
         extra in 1u64..80,
     ) {
-        let kernel = generated_kernel(ni, nj, nk, chain);
-        let analysis = ReuseAnalysis::of(&kernel);
+        let compiled = CompiledKernel::new(generated_kernel(ni, nj, nk, chain));
+        let (kernel, analysis) = (compiled.kernel(), compiled.analysis());
         let model = MemoryCostModel::default();
-        for kind in [AllocatorKind::PartialReuse, AllocatorKind::CriticalPathAware] {
-            let Ok(small) = allocate(kind, &kernel, &analysis, budget) else {
+        for name in ["pr", "cpa"] {
+            let allocator = AllocatorRegistry::global().get(name).unwrap();
+            let Ok(small) = allocator.allocate(&compiled, budget) else {
                 return Ok(());
             };
-            let large = allocate(kind, &kernel, &analysis, budget + extra).unwrap();
-            let small_cost = memory_cost(&kernel, &analysis, &small, &model);
-            let large_cost = memory_cost(&kernel, &analysis, &large, &model);
+            let large = allocator.allocate(&compiled, budget + extra).unwrap();
+            let small_cost = memory_cost(kernel, analysis, &small, &model);
+            let large_cost = memory_cost(kernel, analysis, &large, &model);
             prop_assert!(
                 large_cost.memory_cycles <= small_cost.memory_cycles,
-                "{kind:?}: more registers must not cost more memory cycles"
+                "{name}: more registers must not cost more memory cycles"
             );
         }
     }
@@ -129,13 +128,13 @@ proptest! {
         nk in 2u64..14,
         budget in 5u64..150,
     ) {
-        let kernel = generated_kernel(ni, nj, nk, true);
-        let analysis = ReuseAnalysis::of(&kernel);
-        for kind in AllocatorKind::all() {
-            let Ok(allocation) = allocate(kind, &kernel, &analysis, budget) else {
+        let compiled = CompiledKernel::new(generated_kernel(ni, nj, nk, true));
+        let (kernel, analysis) = (compiled.kernel(), compiled.analysis());
+        for allocator in AllocatorRegistry::global() {
+            let Ok(allocation) = allocator.allocate(&compiled, budget) else {
                 continue;
             };
-            let plan = ReplacementPlan::new(&kernel, &analysis, &allocation);
+            let plan = ReplacementPlan::new(kernel, analysis, &allocation);
             prop_assert_eq!(plan.total_registers(), allocation.total_registers());
             for ref_plan in plan.refs() {
                 prop_assert!(ref_plan.steady_miss >= 0.0 && ref_plan.steady_miss <= 1.0);
@@ -144,30 +143,6 @@ proptest! {
                         <= analysis.get(ref_plan.ref_id).unwrap().access_counts().total
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cut_selection_policies_stay_within_budget_and_cover_the_min_policy_cut(
-        ni in 1u64..5,
-        nj in 2u64..14,
-        nk in 2u64..14,
-        budget in 6u64..120,
-    ) {
-        let kernel = generated_kernel(ni, nj, nk, true);
-        let analysis = ReuseAnalysis::of(&kernel);
-        for policy in [CutSelectionPolicy::MinRegisters, CutSelectionPolicy::MaxBenefitPerRegister] {
-            let options = CpaOptions { policy, ..CpaOptions::default() };
-            let Ok(allocation) =
-                critical_path_aware_with(&kernel, &analysis, budget, &options)
-            else {
-                return Ok(());
-            };
-            prop_assert!(allocation.total_registers() <= budget);
-        }
-        let level = CpaOptions { level_cuts_only: true, ..CpaOptions::default() };
-        if let Ok(allocation) = critical_path_aware_with(&kernel, &analysis, budget, &level) {
-            prop_assert!(allocation.total_registers() <= budget);
         }
     }
 }

@@ -139,58 +139,6 @@ pub fn find_cuts(dfg: &DataFlowGraph, cg: &CriticalGraph) -> Vec<Cut> {
     cuts
 }
 
-/// A cheaper, non-exhaustive alternative to [`find_cuts`] that groups the critical
-/// reference nodes by their depth (longest-path level) and keeps the groups that
-/// actually block every critical path.
-///
-/// This is used by the `cut-policy` ablation benchmark to quantify how much the
-/// exhaustive enumeration buys over a simple structural heuristic.
-pub fn level_cuts(dfg: &DataFlowGraph, cg: &CriticalGraph) -> Vec<Cut> {
-    // Level = number of critical-graph edges on the longest CG path ending at the node.
-    let mut level: Vec<Option<u64>> = vec![None; dfg.node_count()];
-    // Process nodes in ascending id order repeatedly until fixpoint (CG is tiny).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &node in cg.nodes() {
-            let incoming = cg
-                .edges()
-                .iter()
-                .filter(|(_, to)| *to == node)
-                .map(|(from, _)| level[from.index()].unwrap_or(0) + 1)
-                .max()
-                .unwrap_or(0);
-            if level[node.index()] != Some(incoming) {
-                level[node.index()] = Some(incoming);
-                changed = true;
-            }
-        }
-    }
-
-    let mut by_level: std::collections::BTreeMap<u64, BTreeSet<NodeId>> = Default::default();
-    for &node in cg.nodes() {
-        if dfg.node(node).reference().is_some() {
-            by_level
-                .entry(level[node.index()].unwrap_or(0))
-                .or_default()
-                .insert(node);
-        }
-    }
-
-    let mut cuts = Vec::new();
-    for group in by_level.values() {
-        if is_blocking(cg, group) {
-            let minimal = minimise(cg, group);
-            let cut: Cut = minimal.into_iter().collect();
-            if !cuts.contains(&cut) {
-                cuts.push(cut);
-            }
-        }
-    }
-    cuts.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    cuts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,23 +226,5 @@ mod tests {
         let (_, names) = labelled_cuts(&kernel);
         // The accumulator write s[0] is the unique sink and forms a singleton cut.
         assert!(names.iter().any(|cut| cut == &vec!["s[0]".to_owned()]));
-    }
-
-    #[test]
-    fn level_cuts_are_valid_cuts() {
-        let kernel = paper_example();
-        let dfg = DataFlowGraph::from_kernel(&kernel);
-        let analysis =
-            CriticalPathAnalysis::new(&dfg, &LatencyModel::default(), &StorageMap::all_ram());
-        let cg = analysis.critical_graph();
-        let level = level_cuts(&dfg, cg);
-        assert!(!level.is_empty());
-        let exhaustive = find_cuts(&dfg, cg);
-        for cut in &level {
-            let blocked: BTreeSet<NodeId> = cut.iter().copied().collect();
-            assert!(is_blocking(cg, &blocked));
-            assert!(exhaustive.contains(cut), "level cut should also be minimal");
-        }
-        assert!(level.len() <= exhaustive.len());
     }
 }

@@ -51,7 +51,7 @@ mod latency;
 #[doc(hidden)]
 pub use build::dfg_builds;
 pub use critical::{CriticalGraph, CriticalPathAnalysis};
-pub use cuts::{find_cuts, level_cuts, Cut};
+pub use cuts::{find_cuts, Cut};
 pub use dot::to_dot;
 pub use graph::{DataFlowGraph, Node, NodeId, NodeKind};
 pub use latency::{LatencyModel, Storage, StorageMap};

@@ -77,7 +77,7 @@ fn elapsed_us(started: Instant) -> u64 {
 /// analysis and data-flow graph, so evaluating many points of one kernel
 /// derives each once, on first use.  The point's RAM latency parameterises
 /// both the steady-state memory-cycle metric and the hardware evaluation, so
-/// `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s numbers and
+/// `ram_latency = 2` reproduces `srra_bench::evaluate_compiled`'s numbers and
 /// `ram_latency = 1` reproduces the abstract `T_mem` metric of the Figure 2
 /// reproduction.
 pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointRecord {
@@ -358,7 +358,7 @@ impl Default for Explorer {
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
-    use srra_core::{allocate, AllocatorKind};
+    use srra_core::critical_path_aware;
     use srra_ir::examples::paper_example;
     use srra_kernels::paper_suite;
     use srra_reuse::ReuseAnalysis;
@@ -384,11 +384,10 @@ mod tests {
             .iter()
             .find(|r| r.algorithm == "CPA-RA")
             .unwrap();
-        // Same numbers as srra_bench::evaluate_kernel (RAM latency 2 default).
+        // Same numbers as srra_bench::evaluate_compiled (RAM latency 2 default).
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation =
-            allocate(AllocatorKind::CriticalPathAware, &kernel, &analysis, 64).unwrap();
+        let allocation = critical_path_aware(&kernel, &analysis, 64).unwrap();
         let design = HardwareDesign::evaluate(
             &kernel,
             &analysis,

@@ -165,6 +165,13 @@ mod tests {
     }
 
     #[test]
+    fn fields_with_commas_are_quoted() {
+        assert_eq!(escape_csv("a,b"), "\"a,b\"");
+        assert_eq!(escape_csv("plain"), "plain");
+        assert_eq!(escape_csv("qu\"ote"), "\"qu\"\"ote\"");
+    }
+
+    #[test]
     fn renders_are_deterministic() {
         assert_eq!(render_exploration(&run()), render_exploration(&run()));
         assert_eq!(exploration_csv(&run()), exploration_csv(&run()));

@@ -79,14 +79,10 @@ impl DesignSpace {
         self
     }
 
-    /// Replaces the allocator axis.  Accepts registry handles
-    /// ([`AllocatorRef`]) or legacy [`srra_core::AllocatorKind`] values.
+    /// Replaces the allocator axis with registry handles ([`AllocatorRef`]).
     #[must_use]
-    pub fn with_allocators<A>(mut self, allocators: &[A]) -> Self
-    where
-        A: Into<AllocatorRef> + Copy,
-    {
-        self.allocators = allocators.iter().map(|&a| a.into()).collect();
+    pub fn with_allocators(mut self, allocators: &[AllocatorRef]) -> Self {
+        self.allocators = allocators.to_vec();
         self
     }
 
@@ -202,14 +198,15 @@ impl DesignPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_core::AllocatorKind;
+    use srra_core::AllocatorRegistry;
     use srra_ir::examples::paper_example;
 
     #[test]
     fn cross_product_is_exhaustive_and_ordered() {
+        let registry = AllocatorRegistry::global();
         let space = DesignSpace::new()
             .with_kernel(paper_example())
-            .with_allocators(&[AllocatorKind::FullReuse, AllocatorKind::CriticalPathAware])
+            .with_allocators(&[registry.get("fr").unwrap(), registry.get("cpa").unwrap()])
             .with_budgets(&[16, 32])
             .with_ram_latencies(&[1, 2])
             .with_devices(vec![DeviceModel::xcv1000(), DeviceModel::xcv300()]);

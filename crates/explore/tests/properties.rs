@@ -3,7 +3,7 @@
 //! re-runs, and parallel/serial agreement.
 
 use proptest::prelude::*;
-use srra_core::AllocatorKind;
+use srra_core::AllocatorRegistry;
 use srra_explore::{
     dominates, exploration_csv, pareto_frontier, render_exploration, DesignSpace, Explorer,
     JsonlStore, MemoryStore, PointRecord,
@@ -50,11 +50,7 @@ fn generated_space(
     };
     DesignSpace::new()
         .with_kernel(generated_kernel(ni, nj, nk, chain))
-        .with_allocators(&[
-            AllocatorKind::FullReuse,
-            AllocatorKind::PartialReuse,
-            AllocatorKind::CriticalPathAware,
-        ])
+        .with_allocators(&AllocatorRegistry::paper_versions())
         .with_budgets(budgets)
         .with_ram_latencies(latencies)
         .with_devices(devices)

@@ -149,23 +149,22 @@ impl AreaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_core::{allocate, AllocatorKind, ReplacementPlan};
+    use srra_core::{AllocatorRegistry, CompiledKernel, ReplacementPlan};
     use srra_ir::examples::paper_example;
-    use srra_reuse::ReuseAnalysis;
 
-    fn estimate(kind: AllocatorKind, budget: u64) -> AreaEstimate {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-        let plan = ReplacementPlan::new(&kernel, &analysis, &allocation);
-        AreaModel::default().estimate(&kernel, &plan, &DeviceModel::xcv1000())
+    fn estimate(name: &str, budget: u64) -> AreaEstimate {
+        let ck = CompiledKernel::new(paper_example());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
+        let plan = ReplacementPlan::new(ck.kernel(), ck.analysis(), &allocation);
+        AreaModel::default().estimate(ck.kernel(), &plan, &DeviceModel::xcv1000())
     }
 
     #[test]
     fn more_registers_cost_more_slices() {
-        let base = estimate(AllocatorKind::NoReplacement, 0);
-        let fr = estimate(AllocatorKind::FullReuse, 64);
-        let cpa = estimate(AllocatorKind::CriticalPathAware, 64);
+        let base = estimate("none", 0);
+        let fr = estimate("fr", 64);
+        let cpa = estimate("cpa", 64);
         assert!(fr.slices > base.slices);
         assert!(cpa.slices > base.slices);
         assert_eq!(base.data_flip_flops, 0);
@@ -177,22 +176,17 @@ mod tests {
     fn fully_replaced_read_only_arrays_still_occupy_their_block_ram() {
         // Even a fully replaced reference needs its array in RAM for the prologue
         // loads, so the BlockRAM count does not drop below the number of live arrays.
-        let base = estimate(AllocatorKind::NoReplacement, 0);
-        let fr = estimate(AllocatorKind::FullReuse, 64);
+        let base = estimate("none", 0);
+        let fr = estimate("fr", 64);
         assert_eq!(base.block_rams, fr.block_rams);
     }
 
     #[test]
     fn estimates_fit_the_paper_device() {
         let device = DeviceModel::xcv1000();
-        for kind in [
-            AllocatorKind::NoReplacement,
-            AllocatorKind::FullReuse,
-            AllocatorKind::PartialReuse,
-            AllocatorKind::CriticalPathAware,
-        ] {
-            let est = estimate(kind, 64);
-            assert!(est.fits(&device), "{kind:?} should fit: {est:?}");
+        for name in ["none", "fr", "pr", "cpa"] {
+            let est = estimate(name, 64);
+            assert!(est.fits(&device), "{name} should fit: {est:?}");
             assert!(est.occupancy(&device) < 0.5);
         }
     }

@@ -71,23 +71,22 @@ impl ClockModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_core::{allocate, AllocatorKind};
+    use srra_core::{AllocatorRegistry, CompiledKernel};
     use srra_ir::examples::paper_example;
-    use srra_reuse::ReuseAnalysis;
 
-    fn plan(kind: AllocatorKind, budget: u64) -> ReplacementPlan {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-        ReplacementPlan::new(&kernel, &analysis, &allocation)
+    fn plan(name: &str, budget: u64) -> ReplacementPlan {
+        let ck = CompiledKernel::new(paper_example());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
+        ReplacementPlan::new(ck.kernel(), ck.analysis(), &allocation)
     }
 
     #[test]
     fn more_registers_and_partial_control_degrade_the_clock() {
         let model = ClockModel::default();
-        let base = model.period_ns(&plan(AllocatorKind::NoReplacement, 0));
-        let fr = model.period_ns(&plan(AllocatorKind::FullReuse, 64));
-        let cpa = model.period_ns(&plan(AllocatorKind::CriticalPathAware, 64));
+        let base = model.period_ns(&plan("none", 0));
+        let fr = model.period_ns(&plan("fr", 64));
+        let cpa = model.period_ns(&plan("cpa", 64));
         assert!(fr > base);
         // CPA-RA uses more registers and two partially replaced references here, so its
         // clock is the slowest of the three.
@@ -99,7 +98,7 @@ mod tests {
     #[test]
     fn frequency_is_the_inverse_of_the_period() {
         let model = ClockModel::default();
-        let p = plan(AllocatorKind::FullReuse, 64);
+        let p = plan("fr", 64);
         let period = model.period_ns(&p);
         let freq = model.frequency_mhz(&p);
         assert!((freq - 1_000.0 / period).abs() < 1e-9);
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn coefficients_are_configurable() {
-        let p = plan(AllocatorKind::FullReuse, 64);
+        let p = plan("fr", 64);
         let flat = ClockModel {
             per_register_ns: 0.0,
             per_partial_ref_ns: 0.0,

@@ -198,16 +198,16 @@ impl HardwareDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_core::{allocate, AllocatorKind};
+    use srra_core::{AllocatorRegistry, CompiledKernel};
     use srra_ir::examples::paper_example;
 
-    fn design(kind: AllocatorKind, budget: u64) -> HardwareDesign {
-        let kernel = paper_example();
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
+    fn design(name: &str, budget: u64) -> HardwareDesign {
+        let ck = CompiledKernel::new(paper_example());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
         HardwareDesign::evaluate(
-            &kernel,
-            &analysis,
+            ck.kernel(),
+            ck.analysis(),
             &allocation,
             &DeviceModel::xcv1000(),
             &EvaluationOptions::default(),
@@ -216,10 +216,10 @@ mod tests {
 
     #[test]
     fn cycle_ordering_matches_the_paper() {
-        let base = design(AllocatorKind::NoReplacement, 0);
-        let fr = design(AllocatorKind::FullReuse, 64);
-        let pr = design(AllocatorKind::PartialReuse, 64);
-        let cpa = design(AllocatorKind::CriticalPathAware, 64);
+        let base = design("none", 0);
+        let fr = design("fr", 64);
+        let pr = design("pr", 64);
+        let cpa = design("cpa", 64);
         // FR-RA promotes a and c, but b shares their memory stage and keeps missing, so
         // under concurrent RAM access the steady-state cycles do not improve over the
         // untransformed code — exactly the ineffective-allocation effect the paper's
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn cycle_decomposition_adds_up() {
-        let d = design(AllocatorKind::CriticalPathAware, 64);
+        let d = design("cpa", 64);
         assert_eq!(
             d.total_cycles,
             d.compute_cycles + d.memory_cycles + d.transfer_cycles
@@ -244,8 +244,8 @@ mod tests {
 
     #[test]
     fn clock_degradation_is_small_but_present() {
-        let fr = design(AllocatorKind::FullReuse, 64);
-        let cpa = design(AllocatorKind::CriticalPathAware, 64);
+        let fr = design("fr", 64);
+        let cpa = design("cpa", 64);
         let degradation = cpa.clock_degradation_vs(&fr);
         assert!(degradation > 0.0);
         assert!(degradation < 15.0);
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn metadata_is_filled_in() {
-        let d = design(AllocatorKind::PartialReuse, 64);
+        let d = design("pr", 64);
         assert_eq!(d.kernel, "paper_example");
         assert_eq!(d.version, "v2");
         assert_eq!(d.algorithm, "PR-RA");

@@ -323,15 +323,18 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_core::{allocate, memory_cost, AllocatorKind, MemoryCostModel};
+    use srra_core::{
+        full_reuse, memory_cost, no_replacement, AllocatorRegistry, CompiledKernel, MemoryCostModel,
+    };
     use srra_ir::examples::{dot_product, paper_example_with};
 
-    fn run(kind: AllocatorKind, budget: u64) -> (SimulationResult, u64, u64) {
-        let kernel = paper_example_with(2, 10, 15);
-        let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-        let cost = memory_cost(&kernel, &analysis, &allocation, &MemoryCostModel::default());
-        let sim = simulate(&kernel, &analysis, &allocation, 1_000_000);
+    fn run(name: &str, budget: u64) -> (SimulationResult, u64, u64) {
+        let ck = CompiledKernel::new(paper_example_with(2, 10, 15));
+        let (kernel, analysis) = (ck.kernel(), ck.analysis());
+        let allocator = AllocatorRegistry::global().get(name).unwrap();
+        let allocation = allocator.allocate(&ck, budget).unwrap();
+        let cost = memory_cost(kernel, analysis, &allocation, &MemoryCostModel::default());
+        let sim = simulate(kernel, analysis, &allocation, 1_000_000);
         (sim, cost.remaining_accesses, cost.eliminated_accesses)
     }
 
@@ -339,7 +342,7 @@ mod tests {
     fn no_replacement_sends_every_access_to_ram() {
         let kernel = paper_example_with(2, 10, 15);
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::NoReplacement, &kernel, &analysis, 0).unwrap();
+        let allocation = no_replacement(&kernel, &analysis);
         let sim = simulate(&kernel, &analysis, &allocation, 1_000_000);
         // 2 * 10 * 15 iterations, 6 occurrences each, of which d's read is forwarded
         // from the write earlier in the same iteration and never reaches the storage.
@@ -355,7 +358,7 @@ mod tests {
         // Budget large enough to fully replace everything with reuse.
         let kernel = paper_example_with(2, 10, 15);
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 1000).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, 1000).unwrap();
         let sim = simulate(&kernel, &analysis, &allocation, 1_000_000);
         for summary in &analysis {
             let observed = sim.of(summary.ref_id());
@@ -374,12 +377,12 @@ mod tests {
     fn simulated_ordering_matches_the_analytic_ordering() {
         let kernel = paper_example_with(2, 10, 15);
         let analysis = ReuseAnalysis::of(&kernel);
-        let base_alloc = allocate(AllocatorKind::NoReplacement, &kernel, &analysis, 0).unwrap();
+        let base_alloc = no_replacement(&kernel, &analysis);
         let base = simulate(&kernel, &analysis, &base_alloc, 1_000_000);
 
-        let (fr, fr_remaining, _) = run(AllocatorKind::FullReuse, 40);
-        let (pr, pr_remaining, _) = run(AllocatorKind::PartialReuse, 40);
-        let (cpa, _, cpa_eliminated) = run(AllocatorKind::CriticalPathAware, 40);
+        let (fr, fr_remaining, _) = run("fr", 40);
+        let (pr, pr_remaining, _) = run("pr", 40);
+        let (cpa, _, cpa_eliminated) = run("cpa", 40);
         // Analytic ordering: PR-RA eliminates at least as much as FR-RA.
         assert!(pr_remaining <= fr_remaining);
         assert!(cpa_eliminated > 0);
@@ -396,7 +399,7 @@ mod tests {
     fn analytic_and_simulated_traffic_agree_for_full_and_none_modes() {
         let kernel = paper_example_with(2, 10, 15);
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 40).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, 40).unwrap();
         let sim = simulate(&kernel, &analysis, &allocation, 1_000_000);
         for decision in &allocation {
             let summary = analysis.get(decision.ref_id()).unwrap();
@@ -417,7 +420,7 @@ mod tests {
     fn accumulator_reuse_is_captured_by_a_single_register() {
         let kernel = dot_product(64);
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 8).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, 8).unwrap();
         let sim = simulate(&kernel, &analysis, &allocation, 1_000_000);
         let s = analysis.by_name("s").unwrap();
         // One initial fetch plus the final write-back.
@@ -430,7 +433,7 @@ mod tests {
     fn oversized_kernels_are_rejected() {
         let kernel = paper_example_with(100, 100, 100);
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 64).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, 64).unwrap();
         let _ = simulate(&kernel, &analysis, &allocation, 1_000);
     }
 }

@@ -26,19 +26,19 @@
 //!
 //! ```
 //! use srra_ir::examples::paper_example;
-//! use srra_reuse::ReuseAnalysis;
-//! use srra_core::{allocate, AllocatorKind};
+//! use srra_core::{AllocatorRegistry, CompiledKernel};
 //! use srra_fpga::{DeviceModel, EvaluationOptions, HardwareDesign};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let kernel = paper_example();
-//! let analysis = ReuseAnalysis::of(&kernel);
-//! let fr = allocate(AllocatorKind::FullReuse, &kernel, &analysis, 64)?;
-//! let cpa = allocate(AllocatorKind::CriticalPathAware, &kernel, &analysis, 64)?;
+//! let ck = CompiledKernel::new(paper_example());
+//! let registry = AllocatorRegistry::global();
+//! let fr = registry.get("fr").unwrap().allocate(&ck, 64)?;
+//! let cpa = registry.get("cpa").unwrap().allocate(&ck, 64)?;
+//! let (kernel, analysis, dfg) = (ck.kernel(), ck.analysis(), ck.dfg());
 //! let options = EvaluationOptions::default();
 //! let device = DeviceModel::xcv1000();
-//! let fr_design = HardwareDesign::evaluate(&kernel, &analysis, &fr, &device, &options);
-//! let cpa_design = HardwareDesign::evaluate(&kernel, &analysis, &cpa, &device, &options);
+//! let fr_design = HardwareDesign::evaluate_on_dfg(kernel, analysis, dfg, &fr, &device, &options);
+//! let cpa_design = HardwareDesign::evaluate_on_dfg(kernel, analysis, dfg, &cpa, &device, &options);
 //! assert!(cpa_design.total_cycles < fr_design.total_cycles);
 //! # Ok(())
 //! # }

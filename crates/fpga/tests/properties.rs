@@ -2,7 +2,7 @@
 //! monotonicity, and design-point consistency.
 
 use proptest::prelude::*;
-use srra_core::{allocate, AllocatorKind, ReplacementPlan};
+use srra_core::{partial_reuse, AllocatorRegistry, CompiledKernel, ReplacementPlan};
 use srra_dfg::{DataFlowGraph, LatencyModel, Storage, StorageMap};
 use srra_fpga::{
     AreaModel, ClockModel, DeviceModel, EvaluationOptions, HardwareDesign, ListScheduler,
@@ -104,8 +104,8 @@ proptest! {
         let kernel = generated_kernel(ni, nj, nk);
         let analysis = ReuseAnalysis::of(&kernel);
         let device = DeviceModel::xcv1000();
-        let small = allocate(AllocatorKind::PartialReuse, &kernel, &analysis, budget).unwrap();
-        let large = allocate(AllocatorKind::PartialReuse, &kernel, &analysis, budget + extra).unwrap();
+        let small = partial_reuse(&kernel, &analysis, budget).unwrap();
+        let large = partial_reuse(&kernel, &analysis, budget + extra).unwrap();
         let small_plan = ReplacementPlan::new(&kernel, &analysis, &small);
         let large_plan = ReplacementPlan::new(&kernel, &analysis, &large);
         prop_assert!(large_plan.total_registers() >= small_plan.total_registers());
@@ -129,15 +129,15 @@ proptest! {
         nk in 2u64..12,
         budget in 6u64..100,
     ) {
-        let kernel = generated_kernel(ni, nj, nk);
-        let analysis = ReuseAnalysis::of(&kernel);
+        let compiled = CompiledKernel::new(generated_kernel(ni, nj, nk));
+        let (kernel, analysis) = (compiled.kernel(), compiled.analysis());
         let device = DeviceModel::xcv1000();
         let options = EvaluationOptions::default();
-        for kind in AllocatorKind::all() {
-            let Ok(allocation) = allocate(kind, &kernel, &analysis, budget) else {
+        for allocator in AllocatorRegistry::global() {
+            let Ok(allocation) = allocator.allocate(&compiled, budget) else {
                 continue;
             };
-            let design = HardwareDesign::evaluate(&kernel, &analysis, &allocation, &device, &options);
+            let design = HardwareDesign::evaluate(kernel, analysis, &allocation, &device, &options);
             prop_assert_eq!(
                 design.total_cycles,
                 design.compute_cycles + design.memory_cycles + design.transfer_cycles

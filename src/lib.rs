@@ -74,8 +74,7 @@ pub use srra_serve;
 pub mod prelude {
     pub use srra_cluster::{ClusterClient, ClusterConfig, Ring};
     pub use srra_core::{
-        Allocator, AllocatorKind, AllocatorRef, AllocatorRegistry, CompiledKernel,
-        RegisterAllocation,
+        Allocator, AllocatorRef, AllocatorRegistry, CompiledKernel, RegisterAllocation,
     };
     pub use srra_dfg::DataFlowGraph;
     pub use srra_explore::{DesignSpace, Exploration, Explorer, JsonlStore, MemoryStore};

@@ -6,7 +6,10 @@
 //! individual crates never wrote by hand.
 
 use proptest::prelude::*;
-use srra_core::{allocate, memory_cost, AllocatorKind, MemoryCostModel};
+use srra_core::{
+    critical_path_aware, full_reuse, knapsack_optimal, memory_cost, partial_reuse,
+    AllocatorRegistry, CompiledKernel, MemoryCostModel,
+};
 use srra_ir::{Kernel, KernelBuilder};
 use srra_reuse::ReuseAnalysis;
 
@@ -56,15 +59,11 @@ proptest! {
         use_i_in_c in any::<bool>(),
         budget in 5u64..200,
     ) {
-        let kernel = build_kernel(ni, nj, nk, use_j_in_a, use_i_in_c);
-        let analysis = ReuseAnalysis::of(&kernel);
-        for kind in [
-            AllocatorKind::FullReuse,
-            AllocatorKind::PartialReuse,
-            AllocatorKind::CriticalPathAware,
-            AllocatorKind::KnapsackOptimal,
-        ] {
-            let Ok(allocation) = allocate(kind, &kernel, &analysis, budget) else {
+        let compiled = CompiledKernel::new(build_kernel(ni, nj, nk, use_j_in_a, use_i_in_c));
+        let analysis = compiled.analysis();
+        // Every strategy that spends the budget (`none` ignores it).
+        for allocator in AllocatorRegistry::global().iter().filter(|a| a.name() != "none") {
+            let Ok(allocation) = allocator.allocate(&compiled, budget) else {
                 // Only acceptable failure: the budget cannot cover one register per
                 // reference.
                 prop_assert!(budget < analysis.len() as u64);
@@ -89,10 +88,10 @@ proptest! {
         let kernel = build_kernel(ni, nj, nk, false, false);
         let analysis = ReuseAnalysis::of(&kernel);
         let model = MemoryCostModel::default();
-        let Ok(fr) = allocate(AllocatorKind::FullReuse, &kernel, &analysis, budget) else {
+        let Ok(fr) = full_reuse(&kernel, &analysis, budget) else {
             return Ok(());
         };
-        let pr = allocate(AllocatorKind::PartialReuse, &kernel, &analysis, budget).unwrap();
+        let pr = partial_reuse(&kernel, &analysis, budget).unwrap();
         let fr_cost = memory_cost(&kernel, &analysis, &fr, &model);
         let pr_cost = memory_cost(&kernel, &analysis, &pr, &model);
         prop_assert!(pr_cost.remaining_accesses <= fr_cost.remaining_accesses);
@@ -110,11 +109,11 @@ proptest! {
         let kernel = build_kernel(ni, nj, nk, use_j_in_a, false);
         let analysis = ReuseAnalysis::of(&kernel);
         let model = MemoryCostModel::default();
-        let Ok(fr) = allocate(AllocatorKind::FullReuse, &kernel, &analysis, budget) else {
+        let Ok(fr) = full_reuse(&kernel, &analysis, budget) else {
             return Ok(());
         };
-        let pr = allocate(AllocatorKind::PartialReuse, &kernel, &analysis, budget).unwrap();
-        let cpa = allocate(AllocatorKind::CriticalPathAware, &kernel, &analysis, budget).unwrap();
+        let pr = partial_reuse(&kernel, &analysis, budget).unwrap();
+        let cpa = critical_path_aware(&kernel, &analysis, budget).unwrap();
         let fr_cycles = memory_cost(&kernel, &analysis, &fr, &model).memory_cycles;
         let pr_cycles = memory_cost(&kernel, &analysis, &pr, &model).memory_cycles;
         let cpa_cycles = memory_cost(&kernel, &analysis, &cpa, &model).memory_cycles;
@@ -132,10 +131,10 @@ proptest! {
         let kernel = build_kernel(ni, nj, nk, false, false);
         let analysis = ReuseAnalysis::of(&kernel);
         let model = MemoryCostModel::default();
-        let Ok(fr) = allocate(AllocatorKind::FullReuse, &kernel, &analysis, budget) else {
+        let Ok(fr) = full_reuse(&kernel, &analysis, budget) else {
             return Ok(());
         };
-        let ks = allocate(AllocatorKind::KnapsackOptimal, &kernel, &analysis, budget).unwrap();
+        let ks = knapsack_optimal(&kernel, &analysis, budget).unwrap();
         let fr_eliminated = memory_cost(&kernel, &analysis, &fr, &model).eliminated_accesses;
         let ks_eliminated = memory_cost(&kernel, &analysis, &ks, &model).eliminated_accesses;
         prop_assert!(ks_eliminated >= fr_eliminated);

@@ -5,7 +5,10 @@
 //! produced by the three algorithms and the resulting memory-cycle counts.
 
 use srra_bench::figure2::{figure2, FIGURE2_BUDGET};
-use srra_core::{allocate, AllocatorKind};
+use srra_core::{
+    critical_path_aware, full_reuse, partial_reuse, AllocatorRegistry, CompiledKernel,
+    RegisterAllocation,
+};
 use srra_dfg::{find_cuts, CriticalPathAnalysis, DataFlowGraph, LatencyModel, StorageMap};
 use srra_ir::examples::paper_example;
 use srra_reuse::ReuseAnalysis;
@@ -55,30 +58,28 @@ fn critical_graph_cuts_match_figure_2b() {
 fn register_distributions_match_figure_2c() {
     let kernel = paper_example();
     let analysis = ReuseAnalysis::of(&kernel);
-    let beta = |kind: AllocatorKind, name: &str| {
-        allocate(kind, &kernel, &analysis, FIGURE2_BUDGET)
-            .unwrap()
-            .by_name(name)
-            .unwrap()
-            .beta()
-    };
+    let fr = full_reuse(&kernel, &analysis, FIGURE2_BUDGET).unwrap();
+    let pr = partial_reuse(&kernel, &analysis, FIGURE2_BUDGET).unwrap();
+    let cpa = critical_path_aware(&kernel, &analysis, FIGURE2_BUDGET).unwrap();
+    let beta =
+        |allocation: &RegisterAllocation, name: &str| allocation.by_name(name).unwrap().beta();
 
     // FR-RA: a and c fully replaced, everything else holds a single register.
-    assert_eq!(beta(AllocatorKind::FullReuse, "a"), 30);
-    assert_eq!(beta(AllocatorKind::FullReuse, "c"), 20);
-    assert_eq!(beta(AllocatorKind::FullReuse, "b"), 1);
-    assert_eq!(beta(AllocatorKind::FullReuse, "d"), 1);
-    assert_eq!(beta(AllocatorKind::FullReuse, "e"), 1);
+    assert_eq!(beta(&fr, "a"), 30);
+    assert_eq!(beta(&fr, "c"), 20);
+    assert_eq!(beta(&fr, "b"), 1);
+    assert_eq!(beta(&fr, "d"), 1);
+    assert_eq!(beta(&fr, "e"), 1);
 
     // PR-RA: the 11 leftover registers flow into d.
-    assert_eq!(beta(AllocatorKind::PartialReuse, "d"), 12);
+    assert_eq!(beta(&pr, "d"), 12);
 
     // CPA-RA: cut {d} first, then the remainder split equally across cut {a, b}.
-    assert_eq!(beta(AllocatorKind::CriticalPathAware, "d"), 30);
-    assert_eq!(beta(AllocatorKind::CriticalPathAware, "a"), 16);
-    assert_eq!(beta(AllocatorKind::CriticalPathAware, "b"), 16);
-    assert_eq!(beta(AllocatorKind::CriticalPathAware, "c"), 1);
-    assert_eq!(beta(AllocatorKind::CriticalPathAware, "e"), 1);
+    assert_eq!(beta(&cpa, "d"), 30);
+    assert_eq!(beta(&cpa, "a"), 16);
+    assert_eq!(beta(&cpa, "b"), 16);
+    assert_eq!(beta(&cpa, "c"), 1);
+    assert_eq!(beta(&cpa, "e"), 1);
 }
 
 #[test]
@@ -97,13 +98,16 @@ fn memory_cycles_match_figure_2c() {
 
 #[test]
 fn every_algorithm_respects_the_budget_and_is_deterministic() {
-    let kernel = paper_example();
-    let analysis = ReuseAnalysis::of(&kernel);
-    for kind in AllocatorKind::all() {
-        let first = allocate(kind, &kernel, &analysis, FIGURE2_BUDGET).unwrap();
-        let second = allocate(kind, &kernel, &analysis, FIGURE2_BUDGET).unwrap();
-        assert_eq!(first, second, "{kind:?} must be deterministic");
-        if kind != AllocatorKind::NoReplacement {
+    // Two independent contexts, so nothing memoized is shared between the runs.
+    let (one, two) = (
+        CompiledKernel::new(paper_example()),
+        CompiledKernel::new(paper_example()),
+    );
+    for allocator in AllocatorRegistry::global() {
+        let first = allocator.allocate(&one, FIGURE2_BUDGET).unwrap();
+        let second = allocator.allocate(&two, FIGURE2_BUDGET).unwrap();
+        assert_eq!(first, second, "{allocator:?} must be deterministic");
+        if allocator.name() != "none" {
             assert!(first.total_registers() <= FIGURE2_BUDGET);
         }
     }

@@ -1,21 +1,41 @@
 //! Cross-allocator registry invariants over the built-in kernel suite.
 //!
-//! These tests guard the trait-registry refactor: every registered strategy,
-//! on every built-in kernel, must respect the register budget, and the five
-//! strategies predating the registry must produce bit-identical allocations
-//! through the legacy `allocate(AllocatorKind, …)` dispatch and through their
-//! registry entries.
+//! Every registered strategy, on every built-in kernel, must respect the
+//! register budget, and each built-in entry must produce bit-identical
+//! allocations through the registry (over a memoized [`CompiledKernel`]) and
+//! through a direct call of its algorithm function (which derives its own
+//! analysis and data-flow graph).
 
 use proptest::prelude::*;
-use srra_core::{allocate, AllocatorKind, AllocatorRegistry, CompiledKernel};
+use srra_core::{
+    critical_path_aware, full_reuse, greedy_savings, knapsack_optimal, no_replacement,
+    partial_reuse, AllocError, AllocatorRegistry, CompiledKernel, RegisterAllocation,
+};
 use srra_ir::examples::paper_example;
+use srra_ir::Kernel;
 use srra_kernels::paper_suite;
+use srra_reuse::ReuseAnalysis;
 
 /// The paper's six kernels plus the running example, as shared contexts.
 fn builtin_kernels() -> Vec<CompiledKernel> {
     let mut kernels = vec![CompiledKernel::new(paper_example())];
     kernels.extend(paper_suite().iter().map(|spec| spec.compiled()));
     kernels
+}
+
+/// Calls the algorithm function behind built-in registry entry `name`
+/// directly, with a freshly computed analysis.
+fn direct(name: &str, kernel: &Kernel, budget: u64) -> Result<RegisterAllocation, AllocError> {
+    let analysis = ReuseAnalysis::of(kernel);
+    match name {
+        "none" => Ok(no_replacement(kernel, &analysis)),
+        "fr" => full_reuse(kernel, &analysis, budget),
+        "pr" => partial_reuse(kernel, &analysis, budget),
+        "cpa" => critical_path_aware(kernel, &analysis, budget),
+        "ks" => knapsack_optimal(kernel, &analysis, budget),
+        "greedy" => greedy_savings(kernel, &analysis, budget),
+        other => panic!("no algorithm function for `{other}`"),
+    }
 }
 
 #[test]
@@ -33,7 +53,10 @@ fn every_registry_allocator_respects_the_budget_on_every_builtin_kernel() {
                     );
                     continue;
                 };
-                if allocator.kind() != Some(AllocatorKind::NoReplacement) {
+                // Every allocation names the entry that produced it.
+                assert_eq!(allocation.algorithm(), allocator);
+                assert_eq!(allocation.len(), kernel.analysis().len());
+                if allocator.name() != "none" {
                     assert!(
                         allocation.total_registers() <= budget,
                         "{} on {} exceeds budget {budget}: {}",
@@ -52,15 +75,13 @@ fn every_registry_allocator_respects_the_budget_on_every_builtin_kernel() {
 }
 
 #[test]
-fn registry_entries_agree_with_the_legacy_kind_dispatch() {
+fn registry_entries_agree_with_the_direct_algorithm_calls() {
     for kernel in builtin_kernels() {
-        let analysis = kernel.analysis();
-        for kind in AllocatorKind::all() {
-            let entry = srra_core::AllocatorRef::from(kind);
+        for entry in AllocatorRegistry::global() {
             for budget in [8u64, 32, 64, 700] {
-                let legacy = allocate(kind, kernel.kernel(), analysis, budget);
+                let called = direct(entry.name(), kernel.kernel(), budget);
                 let registry = entry.allocate(&kernel, budget);
-                match (legacy, registry) {
+                match (called, registry) {
                     (Ok(a), Ok(b)) => assert_eq!(
                         a,
                         b,
@@ -70,7 +91,7 @@ fn registry_entries_agree_with_the_legacy_kind_dispatch() {
                     ),
                     (Err(a), Err(b)) => assert_eq!(a, b),
                     (a, b) => panic!(
-                        "{} on {} at budget {budget}: legacy {a:?} vs registry {b:?}",
+                        "{} on {} at budget {budget}: direct {a:?} vs registry {b:?}",
                         entry.name(),
                         kernel.name()
                     ),
@@ -84,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomised budgets over the generalised paper example: the registry
-    /// dispatch and the legacy dispatch stay in lockstep even off the paper's
+    /// dispatch and the direct calls stay in lockstep even off the paper's
     /// fixed evaluation points.
     #[test]
     fn dispatch_agreement_holds_for_random_budgets(
@@ -93,15 +114,13 @@ proptest! {
         nk in 2u64..24,
         budget in 5u64..300,
     ) {
-        let kernel = srra_ir::examples::paper_example_with(ni, nj, nk);
-        let compiled = CompiledKernel::new(kernel.clone());
-        let analysis = srra_reuse::ReuseAnalysis::of(&kernel);
-        for kind in AllocatorKind::all() {
-            let legacy = allocate(kind, &kernel, &analysis, budget);
-            let registry = srra_core::AllocatorRef::from(kind).allocate(&compiled, budget);
-            prop_assert_eq!(legacy.is_ok(), registry.is_ok(), "kind {:?}", kind);
-            if let (Ok(a), Ok(b)) = (legacy, registry) {
-                prop_assert_eq!(a, b, "kind {:?}", kind);
+        let compiled = CompiledKernel::new(srra_ir::examples::paper_example_with(ni, nj, nk));
+        for entry in AllocatorRegistry::global() {
+            let called = direct(entry.name(), compiled.kernel(), budget);
+            let registry = entry.allocate(&compiled, budget);
+            prop_assert_eq!(called.is_ok(), registry.is_ok(), "{:?}", entry);
+            if let (Ok(a), Ok(b)) = (called, registry) {
+                prop_assert_eq!(a, b, "{:?}", entry);
             }
         }
     }

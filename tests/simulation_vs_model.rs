@@ -1,7 +1,10 @@
 //! Cross-validation: the element-accurate execution simulator (`srra-fpga::simulate`)
 //! against the analytic access model (`srra-core::memory_cost`) on scaled-down kernels.
 
-use srra_core::{allocate, memory_cost, AllocatorKind, MemoryCostModel, ReplacementMode};
+use srra_core::{
+    full_reuse, memory_cost, no_replacement, AllocatorRegistry, CompiledKernel, MemoryCostModel,
+    ReplacementMode,
+};
 use srra_fpga::simulate;
 use srra_ir::Kernel;
 use srra_kernels::{dec_fir, fir, mat, pat};
@@ -25,7 +28,7 @@ fn fully_replaced_references_only_perform_their_essential_transfers() {
         let analysis = ReuseAnalysis::of(&kernel);
         // A budget large enough to fully replace everything with reuse.
         let budget = analysis.total_registers_full() + analysis.len() as u64;
-        let allocation = allocate(AllocatorKind::FullReuse, &kernel, &analysis, budget).unwrap();
+        let allocation = full_reuse(&kernel, &analysis, budget).unwrap();
         let sim = simulate(&kernel, &analysis, &allocation, SIM_LIMIT);
         for decision in &allocation {
             let summary = analysis.get(decision.ref_id()).unwrap();
@@ -46,7 +49,7 @@ fn fully_replaced_references_only_perform_their_essential_transfers() {
 fn unreplaced_references_match_their_total_access_counts() {
     for kernel in scaled_kernels() {
         let analysis = ReuseAnalysis::of(&kernel);
-        let allocation = allocate(AllocatorKind::NoReplacement, &kernel, &analysis, 0).unwrap();
+        let allocation = no_replacement(&kernel, &analysis);
         let sim = simulate(&kernel, &analysis, &allocation, SIM_LIMIT);
         for summary in &analysis {
             assert_eq!(
@@ -68,24 +71,24 @@ fn analytic_remaining_accesses_track_the_simulation_for_the_paper_versions() {
     // window smaller than its reuse distance captures almost nothing), so there the
     // simulation is only required to stay within the [essential, total] bounds.
     let model = MemoryCostModel::default();
-    for kernel in scaled_kernels() {
-        let analysis = ReuseAnalysis::of(&kernel);
+    for compiled in scaled_kernels().into_iter().map(CompiledKernel::new) {
+        let (kernel, analysis) = (compiled.kernel(), compiled.analysis());
         let budget = 24u64.max(analysis.len() as u64 + 1);
         let mut simulated = Vec::new();
-        for kind in AllocatorKind::paper_versions() {
-            let allocation = allocate(kind, &kernel, &analysis, budget).unwrap();
-            let predicted = memory_cost(&kernel, &analysis, &allocation, &model).remaining_accesses;
-            let sim = simulate(&kernel, &analysis, &allocation, SIM_LIMIT);
+        for allocator in AllocatorRegistry::paper_versions() {
+            let allocation = allocator.allocate(&compiled, budget).unwrap();
+            let predicted = memory_cost(kernel, analysis, &allocation, &model).remaining_accesses;
+            let sim = simulate(kernel, analysis, &allocation, SIM_LIMIT);
             let observed = sim.total_ram_accesses();
             // Global sanity: never below the prediction by more than 15%, never above
             // the untransformed total.
             let total: u64 = analysis.iter().map(|s| s.access_counts().total).sum();
-            assert!(observed <= total, "{} {:?}", kernel.name(), kind);
+            assert!(observed <= total, "{} {:?}", kernel.name(), allocator);
             assert!(
                 observed as f64 >= predicted as f64 * 0.85 - 8.0,
                 "{} {:?}: predicted {predicted}, simulated {observed}",
                 kernel.name(),
-                kind
+                allocator
             );
             // Per-reference: every count stays within [essential, total], and pinned
             // partial working sets agree with the proportional prediction within 15%.
@@ -107,7 +110,7 @@ fn analytic_remaining_accesses_track_the_simulation_for_the_paper_versions() {
                             <= (predicted_ref * 0.15).max(analysis.len() as f64 + 8.0),
                         "{} {:?} {}: predicted {predicted_ref}, simulated {per_ref}",
                         kernel.name(),
-                        kind,
+                        allocator,
                         summary.rendered()
                     );
                 }
