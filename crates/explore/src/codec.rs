@@ -1,33 +1,40 @@
-//! Length-prefixed binary serialization for hot-path wire and storage records.
+//! The one field encoding of every wire and storage value, shared by the
+//! binary and the JSON codec.
 //!
-//! The workspace's `serde` is an offline no-op shim, so — like the JSONL
-//! encoding behind [`crate::JsonlStore`] — the binary codec is hand-rolled behind a
-//! minimal `StorageSerde`-style trait pair: [`WireSerde::serialize_into`]
-//! writes a value to any [`Write`] sink, [`WireSerde::deserialize_from`]
-//! reads it back from any [`Read`] source.  The encoding is fixed-order and
-//! fixed-width where possible:
+//! The workspace's `serde` is an offline no-op shim, so the codecs are
+//! hand-rolled behind a small trait triple.  A value implements [`Wire`]:
+//! one `encode` that lists its fields through an [`Encoder`], one `decode`
+//! that reads them back through a [`Decoder`].  Two codecs implement the
+//! pair, and both are generic and monomorphised, never `dyn`:
 //!
-//! * integers are little-endian (`u8` raw, `u32`/`u64`/`i64` via
-//!   `to_le_bytes`),
-//! * `f64` travels as its IEEE-754 bit pattern (`to_bits`), so every value —
-//!   including NaN payloads, infinities and signed zero — round-trips
-//!   bit-exactly,
-//! * `bool` is one byte (`0`/`1`; anything else is corruption),
-//! * strings are a `u32` byte length followed by UTF-8 bytes,
-//! * sequences are a `u32` element count followed by the elements,
-//! * options are a one-byte discriminant (`0` absent, `1` present).
+//! * **binary** (segment files, wire frames): fields in declaration order,
+//!   names ignored; integers little-endian, `f64` as its IEEE-754 bit
+//!   pattern (NaN payloads, infinities and signed zero round-trip
+//!   bit-exactly), `bool` one byte (`0`/`1`), strings a `u32` byte length
+//!   plus UTF-8, sequences and maps a `u32` count plus their elements,
+//!   options and variants a one-byte discriminant;
+//! * **JSON** (JSONL cache files, wire lines): every value an object whose
+//!   members are the field names, sequences arrays, maps objects keyed by
+//!   entry, `f64` through `{:?}` (the shortest text that parses back to the
+//!   same bits).  Decoding goes through [`JsonValue::parse`], so it keeps
+//!   that parser's depth cap, and looks members up by name.
 //!
-//! Length headers are validated against hard caps ([`MAX_TEXT_LEN`],
+//! Where the two encodings differ beyond that (derived JSON fields, omitted
+//! defaults, the [`PointRecord`] key as hex text), the field list branches
+//! on [`Encoder::JSON`] / [`Decoder::JSON`] in exactly one place.
+//!
+//! Binary length headers are checked against hard caps ([`MAX_TEXT_LEN`],
 //! [`MAX_SEQ_LEN`]) before any allocation, so a corrupt or hostile header
 //! cannot ask the decoder to reserve gigabytes.
-//!
-//! [`PointRecord`] implements the trait by writing its fields in declaration
-//! order; the serving layer builds its request/reply framing on the same
-//! primitives (see `crates/serve`), and the segment shard files
-//! ([`crate::SegmentStore`]) persist records in exactly this payload encoding.
 
-use std::io::{Read, Write};
+use std::fmt::Write as _;
 
+use srra_obs::{
+    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
+    LATENCY_BUCKETS,
+};
+
+use crate::json::{render_string, JsonValue};
 use crate::store::PointRecord;
 
 /// Longest string the decoder will allocate for (16 MiB).
@@ -43,15 +50,26 @@ pub const MAX_TEXT_LEN: usize = 16 << 20;
 /// is corruption, not data.
 pub const MAX_SEQ_LEN: usize = 1 << 20;
 
-/// Errors of the binary codec.
+/// Errors of both codecs.
 #[derive(Debug)]
 pub enum WireError {
-    /// The underlying reader/writer failed (includes truncation: a reader
-    /// that ends mid-value surfaces as an `UnexpectedEof` I/O error).
+    /// The input ended mid-value (an `UnexpectedEof` I/O error).
     Io(std::io::Error),
     /// The bytes were read but do not decode: a bad discriminant, an
-    /// over-cap length header, invalid UTF-8, or trailing garbage.
+    /// over-cap length header, invalid UTF-8, a missing or mistyped JSON
+    /// member, or trailing garbage.
     Corrupt(String),
+}
+
+impl WireError {
+    /// The bare description, without the binary codec's prefix — the form
+    /// JSON decode errors reach users in.
+    pub fn into_message(self) -> String {
+        match self {
+            WireError::Io(err) => err.to_string(),
+            WireError::Corrupt(message) => message,
+        }
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -71,270 +89,725 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Binary serialization seam: a value that can write itself to any [`Write`]
-/// sink and read itself back from any [`Read`] source.
-///
-/// The pair mirrors papyrus's `StorageSerde` — one trait, two directions, no
-/// intermediate tree — so the same impl serves the wire protocol (writing
-/// into a connection's reused scratch buffer) and the segment store files.
-pub trait WireSerde: Sized {
-    /// Appends the value's binary encoding to `out`.
+fn corrupt(message: impl Into<String>) -> WireError {
+    WireError::Corrupt(message.into())
+}
+
+/// A value with one field list for both codecs.
+pub trait Wire: Sized {
+    /// Writes the value's fields through `e`.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Io`] when the sink fails; encoding itself cannot
-    /// fail.
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError>;
+    /// [`WireError::Corrupt`] when a string or sequence exceeds what the
+    /// binary headers can carry; the JSON codec never fails.
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError>;
 
-    /// Reads one value's binary encoding from `reader`.
+    /// Reads the value's fields back through `d`.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Io`] when the source fails or ends mid-value,
-    /// and [`WireError::Corrupt`] when the bytes do not decode.
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError>;
+    /// [`WireError::Io`] on truncated binary input, [`WireError::Corrupt`]
+    /// on bytes or members that do not decode.
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError>;
 }
 
-impl WireSerde for u8 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&[*self])?;
-        Ok(())
+/// The writing half of a codec.  `name` is the field's JSON member name;
+/// the empty name writes a bare value (a sequence element or map entry).
+pub trait Encoder: Sized {
+    /// Whether this is the JSON codec: the switch for the few JSON-only
+    /// rules of a field list.
+    const JSON: bool;
+
+    /// A small integer.
+    fn u8(&mut self, name: &str, value: u8) -> Result<(), WireError>;
+    /// An unsigned integer.
+    fn u64(&mut self, name: &str, value: u64) -> Result<(), WireError>;
+    /// A signed integer.
+    fn i64(&mut self, name: &str, value: i64) -> Result<(), WireError>;
+    /// A float, bit-exact in both codecs.
+    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError>;
+    /// A boolean.
+    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError>;
+    /// A string.
+    fn str(&mut self, name: &str, value: &str) -> Result<(), WireError>;
+    /// A 64-bit key: `"0x%016x"` text in JSON, a plain integer in binary.
+    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError>;
+    /// An enum's discriminant: `tag` in binary; in JSON `json` writes
+    /// whatever members name the variant.
+    fn variant(
+        &mut self,
+        tag: u8,
+        json: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+    /// A nested value whose fields `body` writes.
+    fn object(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+    /// A sequence of `len` bare values that `body` writes.
+    fn seq(
+        &mut self,
+        name: &str,
+        len: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+    /// A map of `len` entries that `body` writes, each a [`key`](Self::key)
+    /// then a bare value: a JSON object keyed by entry, a counted sequence in
+    /// binary.
+    fn map(
+        &mut self,
+        name: &str,
+        len: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+    /// The key of the next map entry: a member name in JSON, a string in
+    /// binary.
+    fn key(&mut self, key: &str) -> Result<(), WireError>;
+    /// An option's discriminant; a present value follows under the same
+    /// name.  JSON writes `null` for an absent one.
+    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError>;
+
+    /// A nested [`Wire`] value.
+    fn value<T: Wire>(&mut self, name: &str, value: &T) -> Result<(), WireError> {
+        self.object(name, |e| value.encode(e))
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 1];
-        reader.read_exact(&mut buf)?;
-        Ok(buf[0])
-    }
-}
-
-impl WireSerde for u32 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
-        Ok(())
+    /// A sequence of [`Wire`] values.
+    fn values<T: Wire>(&mut self, name: &str, items: &[T]) -> Result<(), WireError> {
+        self.seq(name, items.len(), |e| {
+            items.iter().try_for_each(|item| e.value("", item))
+        })
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 4];
-        reader.read_exact(&mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-}
-
-impl WireSerde for u64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
-        Ok(())
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-}
-
-impl WireSerde for i64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
-        Ok(())
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        Ok(i64::from_le_bytes(buf))
-    }
-}
-
-impl WireSerde for f64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        // The bit pattern, not a decimal rendering: round-trips NaN payloads,
-        // infinities and signed zero exactly, with no parse on the way back.
-        self.to_bits().serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::deserialize_from(reader)?))
-    }
-}
-
-impl WireSerde for bool {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        u8::from(*self).serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Corrupt(format!("bad bool byte {other:#04x}"))),
-        }
-    }
-}
-
-impl WireSerde for String {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        write_str(out, self)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let len = read_len(reader, MAX_TEXT_LEN, "string")?;
-        let mut bytes = vec![0u8; len];
-        reader.read_exact(&mut bytes)?;
-        String::from_utf8(bytes).map_err(|err| WireError::Corrupt(format!("bad UTF-8: {err}")))
-    }
-}
-
-impl<T: WireSerde> WireSerde for Option<T> {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        match self {
-            None => 0u8.serialize_into(out),
-            Some(value) => {
-                1u8.serialize_into(out)?;
-                value.serialize_into(out)
-            }
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::deserialize_from(reader)?)),
-            other => Err(WireError::Corrupt(format!("bad option byte {other:#04x}"))),
-        }
-    }
-}
-
-impl<T: WireSerde> WireSerde for Vec<T> {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        write_seq_len(out, self.len())?;
-        for item in self {
-            item.serialize_into(out)?;
-        }
-        Ok(())
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let count = read_len(reader, MAX_SEQ_LEN, "sequence")?;
-        // Conservative reservation: elements are at least one byte each, so a
-        // corrupt-but-under-cap count cannot reserve more than the cap.
-        let mut items = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            items.push(T::deserialize_from(reader)?);
-        }
-        Ok(items)
-    }
-}
-
-/// Writes a borrowed string — the allocation-free twin of the `String` impl,
-/// for callers encoding `&str` fields without cloning.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] when the sink fails and [`WireError::Corrupt`]
-/// when the string exceeds [`MAX_TEXT_LEN`] (it could never be decoded).
-pub fn write_str(out: &mut impl Write, text: &str) -> Result<(), WireError> {
-    if text.len() > MAX_TEXT_LEN {
-        return Err(WireError::Corrupt(format!(
-            "string of {} bytes exceeds the {} byte cap",
-            text.len(),
-            MAX_TEXT_LEN
-        )));
-    }
-    write_seq_len(out, text.len())?;
-    out.write_all(text.as_bytes())?;
-    Ok(())
-}
-
-/// Writes a `usize` length/count header as `u32` little-endian.
-///
-/// # Errors
-///
-/// Returns [`WireError::Corrupt`] when the value does not fit in `u32` and
-/// [`WireError::Io`] when the sink fails.
-pub fn write_seq_len(out: &mut impl Write, len: usize) -> Result<(), WireError> {
-    let len = u32::try_from(len)
-        .map_err(|_| WireError::Corrupt(format!("length {len} does not fit the u32 header")))?;
-    len.serialize_into(out)
-}
-
-/// Reads a `u32` length/count header, enforcing `cap` before any allocation.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] when the source fails and [`WireError::Corrupt`]
-/// when the header exceeds `cap`.
-pub fn read_len(reader: &mut impl Read, cap: usize, what: &str) -> Result<usize, WireError> {
-    let len = u32::deserialize_from(reader)? as usize;
-    if len > cap {
-        return Err(WireError::Corrupt(format!(
-            "{what} length {len} exceeds the {cap} cap"
-        )));
-    }
-    Ok(len)
-}
-
-impl WireSerde for PointRecord {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        self.key.serialize_into(out)?;
-        write_str(out, &self.canonical)?;
-        write_str(out, &self.kernel)?;
-        write_str(out, &self.algorithm)?;
-        write_str(out, &self.version)?;
-        self.budget.serialize_into(out)?;
-        self.ram_latency.serialize_into(out)?;
-        write_str(out, &self.device)?;
-        self.feasible.serialize_into(out)?;
-        self.fits.serialize_into(out)?;
-        self.registers_used.serialize_into(out)?;
-        self.total_cycles.serialize_into(out)?;
-        self.compute_cycles.serialize_into(out)?;
-        self.memory_cycles.serialize_into(out)?;
-        self.transfer_cycles.serialize_into(out)?;
-        self.clock_period_ns.serialize_into(out)?;
-        self.execution_time_us.serialize_into(out)?;
-        self.slices.serialize_into(out)?;
-        self.block_rams.serialize_into(out)?;
-        write_str(out, &self.distribution)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            key: u64::deserialize_from(reader)?,
-            canonical: String::deserialize_from(reader)?,
-            kernel: String::deserialize_from(reader)?,
-            algorithm: String::deserialize_from(reader)?,
-            version: String::deserialize_from(reader)?,
-            budget: u64::deserialize_from(reader)?,
-            ram_latency: u64::deserialize_from(reader)?,
-            device: String::deserialize_from(reader)?,
-            feasible: bool::deserialize_from(reader)?,
-            fits: bool::deserialize_from(reader)?,
-            registers_used: u64::deserialize_from(reader)?,
-            total_cycles: u64::deserialize_from(reader)?,
-            compute_cycles: u64::deserialize_from(reader)?,
-            memory_cycles: u64::deserialize_from(reader)?,
-            transfer_cycles: u64::deserialize_from(reader)?,
-            clock_period_ns: f64::deserialize_from(reader)?,
-            execution_time_us: f64::deserialize_from(reader)?,
-            slices: u64::deserialize_from(reader)?,
-            block_rams: u64::deserialize_from(reader)?,
-            distribution: String::deserialize_from(reader)?,
+    /// A sequence of strings.
+    fn strs(&mut self, name: &str, items: &[String]) -> Result<(), WireError> {
+        self.seq(name, items.len(), |e| {
+            items.iter().try_for_each(|item| e.str("", item))
         })
     }
 }
 
-/// Encodes one value to a fresh byte vector — convenience for tests and
-/// one-shot callers; hot paths serialize into a reused buffer instead.
+/// The reading half of a codec, the mirror of [`Encoder`].
+pub trait Decoder: Sized {
+    /// Whether this is the JSON codec.
+    const JSON: bool;
+
+    /// Whether the field is present: a JSON member may be absent, a binary
+    /// field never is.
+    fn has(&self, name: &str) -> bool;
+    /// See [`Encoder::u8`].
+    fn u8(&mut self, name: &str) -> Result<u8, WireError>;
+    /// See [`Encoder::u64`].
+    fn u64(&mut self, name: &str) -> Result<u64, WireError>;
+    /// See [`Encoder::i64`].
+    fn i64(&mut self, name: &str) -> Result<i64, WireError>;
+    /// See [`Encoder::f64`].
+    fn f64(&mut self, name: &str) -> Result<f64, WireError>;
+    /// See [`Encoder::bool`].
+    fn bool(&mut self, name: &str) -> Result<bool, WireError>;
+    /// See [`Encoder::str`].
+    fn str(&mut self, name: &str) -> Result<String, WireError>;
+    /// See [`Encoder::hex`].
+    fn hex(&mut self, name: &str) -> Result<u64, WireError>;
+    /// See [`Encoder::variant`]: binary reads the tag, JSON asks `json`.
+    fn variant(
+        &mut self,
+        json: impl FnOnce(&mut Self) -> Result<u8, WireError>,
+    ) -> Result<u8, WireError>;
+    /// See [`Encoder::object`].
+    fn object<T>(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError>;
+    /// See [`Encoder::seq`]; `body` reads one element.
+    fn seq<T>(
+        &mut self,
+        name: &str,
+        body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError>;
+    /// See [`Encoder::map`]; `body` reads one entry.
+    fn map<T>(
+        &mut self,
+        name: &str,
+        body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError>;
+    /// See [`Encoder::key`].
+    fn key(&mut self) -> Result<String, WireError>;
+    /// See [`Encoder::option`].
+    fn option(&mut self, name: &str) -> Result<bool, WireError>;
+
+    /// An unsigned integer that JSON may omit for `default`.
+    fn u64_or(&mut self, name: &str, default: u64) -> Result<u64, WireError> {
+        if self.has(name) {
+            self.u64(name)
+        } else {
+            Ok(default)
+        }
+    }
+
+    /// A nested [`Wire`] value.
+    fn value<T: Wire>(&mut self, name: &str) -> Result<T, WireError> {
+        self.object(name, T::decode)
+    }
+
+    /// A sequence of [`Wire`] values.
+    fn values<T: Wire>(&mut self, name: &str) -> Result<Vec<T>, WireError> {
+        self.seq(name, |d| d.value(""))
+    }
+
+    /// A sequence of strings.
+    fn strs(&mut self, name: &str) -> Result<Vec<String>, WireError> {
+        self.seq(name, |d| d.str(""))
+    }
+}
+
+/// The binary codec's writer.
+struct BinaryEncoder<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl BinaryEncoder<'_> {
+    fn len(&mut self, len: usize) -> Result<(), WireError> {
+        let len = u32::try_from(len)
+            .map_err(|_| corrupt(format!("length {len} does not fit the u32 header")))?;
+        self.out.extend_from_slice(&len.to_le_bytes());
+        Ok(())
+    }
+}
+
+impl Encoder for BinaryEncoder<'_> {
+    const JSON: bool = false;
+
+    fn u8(&mut self, _: &str, value: u8) -> Result<(), WireError> {
+        self.out.push(value);
+        Ok(())
+    }
+
+    fn u64(&mut self, _: &str, value: u64) -> Result<(), WireError> {
+        self.out.extend_from_slice(&value.to_le_bytes());
+        Ok(())
+    }
+
+    fn i64(&mut self, _: &str, value: i64) -> Result<(), WireError> {
+        self.out.extend_from_slice(&value.to_le_bytes());
+        Ok(())
+    }
+
+    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError> {
+        self.u64(name, value.to_bits())
+    }
+
+    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError> {
+        self.u8(name, u8::from(value))
+    }
+
+    fn str(&mut self, _: &str, value: &str) -> Result<(), WireError> {
+        if value.len() > MAX_TEXT_LEN {
+            return Err(corrupt(format!(
+                "string of {} bytes exceeds the {MAX_TEXT_LEN} byte cap",
+                value.len()
+            )));
+        }
+        self.len(value.len())?;
+        self.out.extend_from_slice(value.as_bytes());
+        Ok(())
+    }
+
+    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+        self.u64(name, value)
+    }
+
+    fn variant(
+        &mut self,
+        tag: u8,
+        _: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.u8("", tag)
+    }
+
+    fn object(
+        &mut self,
+        _: &str,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        body(self)
+    }
+
+    fn seq(
+        &mut self,
+        _: &str,
+        len: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.len(len)?;
+        body(self)
+    }
+
+    fn map(
+        &mut self,
+        name: &str,
+        len: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.seq(name, len, body)
+    }
+
+    fn key(&mut self, key: &str) -> Result<(), WireError> {
+        self.str("", key)
+    }
+
+    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError> {
+        self.u8(name, u8::from(present))
+    }
+}
+
+/// The binary codec's reader over one byte slice.
+struct BinaryDecoder<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> BinaryDecoder<'a> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
+        if self.bytes.len() < len {
+            return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+        }
+        let (head, tail) = self.bytes.split_at(len);
+        self.bytes = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returns exactly N bytes"))
+    }
+
+    /// Reads a `u32` length or count header, enforcing `cap` before any
+    /// allocation.
+    fn len(&mut self, cap: usize, what: &str) -> Result<usize, WireError> {
+        let len = u32::from_le_bytes(self.array()?) as usize;
+        if len > cap {
+            return Err(corrupt(format!("{what} length {len} exceeds the {cap} cap")));
+        }
+        Ok(len)
+    }
+}
+
+impl Decoder for BinaryDecoder<'_> {
+    const JSON: bool = false;
+
+    fn has(&self, _: &str) -> bool {
+        true
+    }
+
+    fn u8(&mut self, _: &str) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u64(&mut self, _: &str) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn i64(&mut self, _: &str) -> Result<i64, WireError> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    fn f64(&mut self, name: &str) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.u64(name)?))
+    }
+
+    fn bool(&mut self, name: &str) -> Result<bool, WireError> {
+        match self.u8(name)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(corrupt(format!("bad bool byte {other:#04x}"))),
+        }
+    }
+
+    fn str(&mut self, _: &str) -> Result<String, WireError> {
+        let len = self.len(MAX_TEXT_LEN, "string")?;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|err| corrupt(format!("bad UTF-8: {err}")))
+    }
+
+    fn hex(&mut self, name: &str) -> Result<u64, WireError> {
+        self.u64(name)
+    }
+
+    fn variant(
+        &mut self,
+        _: impl FnOnce(&mut Self) -> Result<u8, WireError>,
+    ) -> Result<u8, WireError> {
+        self.u8("")
+    }
+
+    fn object<T>(
+        &mut self,
+        _: &str,
+        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        body(self)
+    }
+
+    fn seq<T>(
+        &mut self,
+        _: &str,
+        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.len(MAX_SEQ_LEN, "sequence")?;
+        // Every element takes at least one byte, so the reservation never
+        // exceeds what the input could hold.
+        let mut items = Vec::with_capacity(count.min(self.bytes.len()));
+        for _ in 0..count {
+            items.push(body(self)?);
+        }
+        Ok(items)
+    }
+
+    fn map<T>(
+        &mut self,
+        name: &str,
+        body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        self.seq(name, body)
+    }
+
+    fn key(&mut self) -> Result<String, WireError> {
+        self.str("")
+    }
+
+    fn option(&mut self, name: &str) -> Result<bool, WireError> {
+        match self.u8(name)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(corrupt(format!("bad option byte {other:#04x}"))),
+        }
+    }
+}
+
+/// The JSON codec's writer, appending compact JSON to a string.
+struct JsonEncoder<'a> {
+    out: &'a mut String,
+    /// No member written yet at the current nesting level.
+    first: bool,
+    /// A map key was just written; the next value follows it directly.
+    keyed: bool,
+}
+
+impl JsonEncoder<'_> {
+    /// Starts the next member or element: a separating comma, then the
+    /// quoted name unless it is empty.  Field names are plain identifiers
+    /// and need no escaping.
+    fn member(&mut self, name: &str) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        if !name.is_empty() {
+            self.out.push('"');
+            self.out.push_str(name);
+            self.out.push_str("\":");
+        }
+    }
+
+    fn nest(
+        &mut self,
+        name: &str,
+        [open, close]: [char; 2],
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.member(name);
+        self.out.push(open);
+        let first = std::mem::replace(&mut self.first, true);
+        let result = body(self);
+        self.first = first;
+        self.out.push(close);
+        result
+    }
+}
+
+impl Encoder for JsonEncoder<'_> {
+    const JSON: bool = true;
+
+    fn u8(&mut self, name: &str, value: u8) -> Result<(), WireError> {
+        self.u64(name, value.into())
+    }
+
+    fn u64(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+        self.member(name);
+        let _ = write!(self.out, "{value}");
+        Ok(())
+    }
+
+    fn i64(&mut self, name: &str, value: i64) -> Result<(), WireError> {
+        self.member(name);
+        let _ = write!(self.out, "{value}");
+        Ok(())
+    }
+
+    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError> {
+        self.member(name);
+        let _ = write!(self.out, "{value:?}");
+        Ok(())
+    }
+
+    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError> {
+        self.member(name);
+        self.out.push_str(if value { "true" } else { "false" });
+        Ok(())
+    }
+
+    fn str(&mut self, name: &str, value: &str) -> Result<(), WireError> {
+        self.member(name);
+        render_string(self.out, value);
+        Ok(())
+    }
+
+    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+        self.member(name);
+        let _ = write!(self.out, "\"{value:#018x}\"");
+        Ok(())
+    }
+
+    fn variant(
+        &mut self,
+        _: u8,
+        json: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        json(self)
+    }
+
+    fn object(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.nest(name, ['{', '}'], body)
+    }
+
+    fn seq(
+        &mut self,
+        name: &str,
+        _: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.nest(name, ['[', ']'], body)
+    }
+
+    fn map(
+        &mut self,
+        name: &str,
+        _: usize,
+        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.nest(name, ['{', '}'], body)
+    }
+
+    fn key(&mut self, key: &str) -> Result<(), WireError> {
+        self.member("");
+        render_string(self.out, key);
+        self.out.push(':');
+        self.keyed = true;
+        Ok(())
+    }
+
+    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError> {
+        if !present {
+            self.member(name);
+            self.out.push_str("null");
+        }
+        Ok(())
+    }
+}
+
+/// The JSON codec's reader over a parsed [`JsonValue`] tree.
+struct JsonDecoder<'a> {
+    /// The object (or, for an empty name, the bare value) being read.
+    current: &'a JsonValue,
+    /// The key of the map entry being read.
+    key: &'a str,
+}
+
+impl<'a> JsonDecoder<'a> {
+    fn member(&self, name: &str) -> Option<&'a JsonValue> {
+        if name.is_empty() {
+            Some(self.current)
+        } else {
+            self.current.get(name)
+        }
+    }
+
+    fn field(&self, name: &str) -> Result<&'a JsonValue, WireError> {
+        self.member(name)
+            .ok_or_else(|| corrupt(format!("missing field `{name}`")))
+    }
+
+    /// Reads `name` through `read`, naming the expected type on failure.
+    fn typed<T>(
+        &self,
+        name: &str,
+        what: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, WireError> {
+        read(self.field(name)?).ok_or_else(|| {
+            if name.is_empty() {
+                corrupt(format!("element is not {what}"))
+            } else {
+                corrupt(format!("field `{name}` is not {what}"))
+            }
+        })
+    }
+
+    fn raw_number(value: &JsonValue) -> Option<&str> {
+        match value {
+            JsonValue::Number(raw) => Some(raw),
+            _ => None,
+        }
+    }
+
+    fn entries(&self, name: &str) -> Result<&'a [(String, JsonValue)], WireError> {
+        self.typed(name, "an object", |value| match value {
+            JsonValue::Object(entries) => Some(entries.as_slice()),
+            _ => None,
+        })
+    }
+
+    fn enter<T>(
+        &mut self,
+        value: &'a JsonValue,
+        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let outer = std::mem::replace(&mut self.current, value);
+        let result = body(self);
+        self.current = outer;
+        result
+    }
+}
+
+impl Decoder for JsonDecoder<'_> {
+    const JSON: bool = true;
+
+    fn has(&self, name: &str) -> bool {
+        self.member(name).is_some()
+    }
+
+    fn u8(&mut self, name: &str) -> Result<u8, WireError> {
+        self.typed(name, "a byte", |value| {
+            value.as_u64().and_then(|n| u8::try_from(n).ok())
+        })
+    }
+
+    fn u64(&mut self, name: &str) -> Result<u64, WireError> {
+        self.typed(name, "a non-negative integer", JsonValue::as_u64)
+    }
+
+    fn i64(&mut self, name: &str) -> Result<i64, WireError> {
+        self.typed(name, "an integer", |value| {
+            Self::raw_number(value)?.parse().ok()
+        })
+    }
+
+    fn f64(&mut self, name: &str) -> Result<f64, WireError> {
+        self.typed(name, "a number", |value| {
+            Self::raw_number(value)?.parse().ok()
+        })
+    }
+
+    fn bool(&mut self, name: &str) -> Result<bool, WireError> {
+        self.typed(name, "a boolean", JsonValue::as_bool)
+    }
+
+    fn str(&mut self, name: &str) -> Result<String, WireError> {
+        self.typed(name, "a string", |value| value.as_str().map(str::to_owned))
+    }
+
+    fn hex(&mut self, name: &str) -> Result<u64, WireError> {
+        let text = self.str(name)?;
+        let digits = text
+            .strip_prefix("0x")
+            .ok_or_else(|| corrupt(format!("field `{name}`: expected 0x prefix, got `{text}`")))?;
+        u64::from_str_radix(digits, 16).map_err(|err| corrupt(format!("field `{name}`: {err}")))
+    }
+
+    fn variant(
+        &mut self,
+        json: impl FnOnce(&mut Self) -> Result<u8, WireError>,
+    ) -> Result<u8, WireError> {
+        json(self)
+    }
+
+    fn object<T>(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let value = self.typed(name, "an object", |value| {
+            matches!(value, JsonValue::Object(_)).then_some(value)
+        })?;
+        self.enter(value, body)
+    }
+
+    fn seq<T>(
+        &mut self,
+        name: &str,
+        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let items = self.typed(name, "an array", JsonValue::as_array)?;
+        items
+            .iter()
+            .map(|item| self.enter(item, &mut body))
+            .collect()
+    }
+
+    fn map<T>(
+        &mut self,
+        name: &str,
+        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let outer = self.key;
+        let entries = self.entries(name)?;
+        let result = entries
+            .iter()
+            .map(|(key, value)| {
+                self.key = key;
+                self.enter(value, &mut body)
+            })
+            .collect();
+        self.key = outer;
+        result
+    }
+
+    fn key(&mut self) -> Result<String, WireError> {
+        Ok(self.key.to_owned())
+    }
+
+    fn option(&mut self, name: &str) -> Result<bool, WireError> {
+        Ok(!matches!(self.field(name)?, JsonValue::Null))
+    }
+}
+
+/// Appends `value`'s binary encoding to `out`.
 ///
 /// # Errors
 ///
-/// Propagates [`WireError::Corrupt`] from over-cap strings; writing to a
-/// `Vec` cannot fail.
-pub fn to_bytes<T: WireSerde>(value: &T) -> Result<Vec<u8>, WireError> {
+/// [`WireError::Corrupt`] when a string or sequence exceeds the binary
+/// headers' caps.
+pub fn write_bytes<T: Wire>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
+    value.encode(&mut BinaryEncoder { out })
+}
+
+/// Encodes one value to a fresh byte vector — convenience for tests and
+/// one-shot callers; hot paths use [`write_bytes`] into a reused buffer.
+///
+/// # Errors
+///
+/// As [`write_bytes`].
+pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(128);
-    value.serialize_into(&mut out)?;
+    write_bytes(&mut out, value)?;
     Ok(out)
 }
 
@@ -344,15 +817,280 @@ pub fn to_bytes<T: WireSerde>(value: &T) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns [`WireError::Io`] on truncation, [`WireError::Corrupt`] on bad
 /// bytes or trailing garbage.
-pub fn from_bytes<T: WireSerde>(mut bytes: &[u8]) -> Result<T, WireError> {
-    let value = T::deserialize_from(&mut bytes)?;
-    if !bytes.is_empty() {
-        return Err(WireError::Corrupt(format!(
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut decoder = BinaryDecoder { bytes };
+    let value = T::decode(&mut decoder)?;
+    if !decoder.bytes.is_empty() {
+        return Err(corrupt(format!(
             "{} trailing bytes after the value",
-            bytes.len()
+            decoder.bytes.len()
         )));
     }
     Ok(value)
+}
+
+/// Appends `value` to `out` as one JSON object.
+pub fn write_json<T: Wire>(out: &mut String, value: &T) {
+    let mut encoder = JsonEncoder {
+        out,
+        first: true,
+        keyed: false,
+    };
+    encoder
+        .value("", value)
+        .expect("the JSON encoder never fails");
+}
+
+/// Decodes one value from a parsed JSON object.
+///
+/// # Errors
+///
+/// [`WireError::Corrupt`] naming the first missing or mistyped member.
+pub fn from_json<T: Wire>(value: &JsonValue) -> Result<T, WireError> {
+    JsonDecoder {
+        current: value,
+        key: "",
+    }
+    .value("")
+}
+
+impl Wire for PointRecord {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.hex("key", self.key)?;
+        e.str("canonical", &self.canonical)?;
+        e.str("kernel", &self.kernel)?;
+        e.str("algorithm", &self.algorithm)?;
+        e.str("version", &self.version)?;
+        e.u64("budget", self.budget)?;
+        e.u64("ram_latency", self.ram_latency)?;
+        e.str("device", &self.device)?;
+        e.bool("feasible", self.feasible)?;
+        e.bool("fits", self.fits)?;
+        e.u64("registers_used", self.registers_used)?;
+        e.u64("total_cycles", self.total_cycles)?;
+        e.u64("compute_cycles", self.compute_cycles)?;
+        e.u64("memory_cycles", self.memory_cycles)?;
+        e.u64("transfer_cycles", self.transfer_cycles)?;
+        e.f64("clock_period_ns", self.clock_period_ns)?;
+        e.f64("execution_time_us", self.execution_time_us)?;
+        e.u64("slices", self.slices)?;
+        e.u64("block_rams", self.block_rams)?;
+        e.str("distribution", &self.distribution)
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        Ok(Self {
+            key: d.hex("key")?,
+            canonical: d.str("canonical")?,
+            kernel: d.str("kernel")?,
+            algorithm: d.str("algorithm")?,
+            version: d.str("version")?,
+            budget: d.u64("budget")?,
+            ram_latency: d.u64("ram_latency")?,
+            device: d.str("device")?,
+            feasible: d.bool("feasible")?,
+            fits: d.bool("fits")?,
+            registers_used: d.u64("registers_used")?,
+            total_cycles: d.u64("total_cycles")?,
+            compute_cycles: d.u64("compute_cycles")?,
+            memory_cycles: d.u64("memory_cycles")?,
+            transfer_cycles: d.u64("transfer_cycles")?,
+            clock_period_ns: d.f64("clock_period_ns")?,
+            execution_time_us: d.f64("execution_time_us")?,
+            slices: d.u64("slices")?,
+            block_rams: d.u64("block_rams")?,
+            distribution: d.str("distribution")?,
+        })
+    }
+}
+
+impl Wire for Span {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.str("trace", &self.trace_id)?;
+        e.u64("span", self.span_id)?;
+        e.u64("parent", self.parent_id)?;
+        e.str("name", &self.name)?;
+        e.u64("start_us", self.start_us)?;
+        e.u64("dur_us", self.dur_us)?;
+        // JSON omits an empty annotation map.
+        if E::JSON && self.annotations.is_empty() {
+            return Ok(());
+        }
+        e.map("annotations", self.annotations.len(), |e| {
+            self.annotations.iter().try_for_each(|(key, value)| {
+                e.key(key)?;
+                e.str("", value)
+            })
+        })
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        Ok(Self {
+            trace_id: d.str("trace")?,
+            span_id: d.u64("span")?,
+            parent_id: d.u64("parent")?,
+            name: d.str("name")?,
+            start_us: d.u64("start_us")?,
+            dur_us: d.u64("dur_us")?,
+            annotations: if d.has("annotations") {
+                d.map("annotations", |d| Ok((d.key()?, d.str("")?)))?
+            } else {
+                Vec::new()
+            },
+        })
+    }
+}
+
+impl Wire for SeriesSample {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.u64("at_us", self.at_us)?;
+        e.value("metrics", &self.metrics)
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        Ok(Self {
+            at_us: d.u64("at_us")?,
+            metrics: d.value("metrics")?,
+        })
+    }
+}
+
+impl Wire for SnapshotDelta {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.u64("from_us", self.from_us)?;
+        e.u64("to_us", self.to_us)?;
+        e.value("metrics", &self.diff)
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        Ok(Self {
+            from_us: d.u64("from_us")?,
+            to_us: d.u64("to_us")?,
+            diff: d.value("metrics")?,
+        })
+    }
+}
+
+/// The upper bound, in µs, of histogram bucket `index`: the key JSON files
+/// an exemplar under, as the Prometheus `le` label does.
+fn bucket_bound(index: usize) -> u64 {
+    (1u64 << index).wrapping_sub(1)
+}
+
+/// Reads a map key as a metric name.  Names render unescaped, so they are
+/// re-validated on the way in.
+fn metric_name<D: Decoder>(d: &mut D) -> Result<String, WireError> {
+    let name = d.key()?;
+    if !valid_metric_name(&name) {
+        return Err(corrupt(format!("illegal metric name {name:?}")));
+    }
+    Ok(name)
+}
+
+fn encode_histogram<E: Encoder>(e: &mut E, histogram: &HistogramSnapshot) -> Result<(), WireError> {
+    let mut buckets = histogram.buckets();
+    if E::JSON {
+        // Derived for scripts and never decoded; the trimmed buckets are
+        // the payload.
+        e.u64("count", histogram.count())?;
+        e.u64("p50_us", histogram.quantile(0.5))?;
+        e.u64("p99_us", histogram.quantile(0.99))?;
+        let used = buckets.iter().rposition(|&count| count > 0);
+        buckets = &buckets[..used.map_or(0, |last| last + 1)];
+    }
+    e.seq("buckets", buckets.len(), |e| {
+        buckets.iter().try_for_each(|&count| e.u64("", count))
+    })?;
+    let exemplars: Vec<(usize, &str)> = histogram
+        .exemplars()
+        .iter()
+        .enumerate()
+        .filter_map(|(index, id)| id.as_deref().map(|id| (index, id)))
+        .collect();
+    if E::JSON && exemplars.is_empty() {
+        return Ok(());
+    }
+    e.map("exemplars", exemplars.len(), |e| {
+        exemplars.iter().try_for_each(|&(index, id)| {
+            // JSON keys an exemplar by its bucket's bound, binary by index.
+            if E::JSON {
+                e.key(&bucket_bound(index).to_string())?;
+            } else {
+                e.u8("", index as u8)?;
+            }
+            e.str("", id)
+        })
+    })
+}
+
+fn decode_histogram<D: Decoder>(d: &mut D, name: &str) -> Result<HistogramSnapshot, WireError> {
+    // A short array (trimmed, or from a peer with fewer buckets) zero-pads.
+    let buckets = d.seq("buckets", |d| d.u64(""))?;
+    let mut histogram = HistogramSnapshot::from_buckets(&buckets)
+        .ok_or_else(|| corrupt(format!("histogram `{name}` carries too many buckets")))?;
+    if d.has("exemplars") {
+        let exemplars = d.map("exemplars", |d| {
+            let index = if D::JSON {
+                let key = d.key()?;
+                let bound = key.parse::<u64>().map_err(|_| {
+                    corrupt(format!("histogram `{name}` exemplar key `{key}` is not a bound"))
+                })?;
+                (0..LATENCY_BUCKETS).find(|&index| bucket_bound(index) == bound)
+            } else {
+                Some(usize::from(d.u8("")?))
+            };
+            Ok((index, d.str("")?))
+        })?;
+        // Unknown bounds and out-of-range indices are skipped, so a peer
+        // with more buckets still decodes.
+        for (index, id) in exemplars {
+            if let Some(index) = index {
+                histogram.set_exemplar(index, id);
+            }
+        }
+    }
+    Ok(histogram)
+}
+
+impl Wire for MetricsSnapshot {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.map("counters", self.counters.len(), |e| {
+            self.counters.iter().try_for_each(|(name, count)| {
+                e.key(name)?;
+                e.u64("", *count)
+            })
+        })?;
+        e.map("gauges", self.gauges.len(), |e| {
+            self.gauges.iter().try_for_each(|(name, level)| {
+                e.key(name)?;
+                e.i64("", *level)
+            })
+        })?;
+        e.map("histograms", self.histograms.len(), |e| {
+            self.histograms.iter().try_for_each(|(name, histogram)| {
+                e.key(name)?;
+                e.object("", |e| encode_histogram(e, histogram))
+            })
+        })
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        let mut snapshot = MetricsSnapshot::default();
+        if d.has("counters") {
+            snapshot.counters = d.map("counters", |d| Ok((metric_name(d)?, d.u64("")?)))?;
+        }
+        if d.has("gauges") {
+            snapshot.gauges = d.map("gauges", |d| Ok((metric_name(d)?, d.i64("")?)))?;
+        }
+        if d.has("histograms") {
+            snapshot.histograms = d.map("histograms", |d| {
+                let name = metric_name(d)?;
+                let histogram = d.object("", |d| decode_histogram(d, &name))?;
+                Ok((name, histogram))
+            })?;
+        }
+        Ok(snapshot)
+    }
 }
 
 #[cfg(test)]
@@ -384,32 +1122,85 @@ mod tests {
         }
     }
 
-    fn round_trip<T: WireSerde + PartialEq + std::fmt::Debug>(value: &T) {
+    /// The binary encoding of whatever `write` writes.
+    fn binary(write: impl FnOnce(&mut BinaryEncoder<'_>) -> Result<(), WireError>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write(&mut BinaryEncoder { out: &mut out }).expect("encodes");
+        out
+    }
+
+    fn reader(bytes: &[u8]) -> BinaryDecoder<'_> {
+        BinaryDecoder { bytes }
+    }
+
+    /// A record batch, to round-trip sequences of values and of options.
+    #[derive(Debug, PartialEq)]
+    struct Batch {
+        records: Vec<PointRecord>,
+        maybe: Vec<Option<PointRecord>>,
+    }
+
+    impl Wire for Batch {
+        fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+            e.values("records", &self.records)?;
+            e.seq("maybe", self.maybe.len(), |e| {
+                self.maybe.iter().try_for_each(|record| {
+                    e.option("", record.is_some())?;
+                    record.as_ref().map_or(Ok(()), |record| e.value("", record))
+                })
+            })
+        }
+
+        fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+            Ok(Self {
+                records: d.values("records")?,
+                maybe: d.seq("maybe", |d| {
+                    if d.option("")? {
+                        d.value("").map(Some)
+                    } else {
+                        Ok(None)
+                    }
+                })?,
+            })
+        }
+    }
+
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
         let bytes = to_bytes(value).expect("encodes");
         let back: T = from_bytes(&bytes).expect("decodes");
         assert_eq!(&back, value);
+        let mut line = String::new();
+        write_json(&mut line, value);
+        let back: T = from_json(&JsonValue::parse(&line).expect("parses")).expect("decodes");
+        assert_eq!(&back, value, "{line}");
     }
 
     #[test]
     fn primitives_round_trip() {
         for value in [0u8, 1, 0x7f, 0xff] {
-            round_trip(&value);
-        }
-        for value in [0u32, 1, u32::MAX] {
-            round_trip(&value);
+            assert_eq!(reader(&binary(|e| e.u8("", value))).u8("").unwrap(), value);
         }
         for value in [0u64, 1, u64::MAX] {
-            round_trip(&value);
+            assert_eq!(reader(&binary(|e| e.u64("", value))).u64("").unwrap(), value);
         }
         for value in [i64::MIN, -1, 0, i64::MAX] {
-            round_trip(&value);
+            assert_eq!(reader(&binary(|e| e.i64("", value))).i64("").unwrap(), value);
         }
-        round_trip(&true);
-        round_trip(&false);
-        round_trip(&Some(42u64));
-        round_trip(&Option::<u64>::None);
-        round_trip(&vec![1u64, 2, 3]);
-        round_trip(&Vec::<u64>::new());
+        for value in [true, false] {
+            assert_eq!(reader(&binary(|e| e.bool("", value))).bool("").unwrap(), value);
+        }
+        let mut some = reader(&[1, 42, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(some.option("").unwrap());
+        assert_eq!(some.u64("").unwrap(), 42);
+        assert_eq!(binary(|e| e.option("", false)), [0]);
+        for items in [vec![1u64, 2, 3], Vec::new()] {
+            let bytes = binary(|e| {
+                e.seq("", items.len(), |e| {
+                    items.iter().try_for_each(|&item| e.u64("", item))
+                })
+            });
+            assert_eq!(reader(&bytes).seq("", |d| d.u64("")).unwrap(), items);
+        }
     }
 
     #[test]
@@ -430,8 +1221,8 @@ mod tests {
             1e-308,
             1e308,
         ] {
-            let bytes = to_bytes(&value).unwrap();
-            let back: f64 = from_bytes(&bytes).unwrap();
+            let bytes = binary(|e| e.f64("", value));
+            let back = reader(&bytes).f64("").unwrap();
             assert_eq!(back.to_bits(), value.to_bits(), "{value}");
         }
     }
@@ -447,10 +1238,14 @@ mod tests {
             "\u{1}\u{2}\u{3}control soup\u{1f}",
             "a:16 \"b\":1",
         ] {
-            round_trip(&text.to_owned());
+            let mut record = sample_record();
+            record.distribution = text.to_owned();
+            round_trip(&record);
         }
         // A long string well past any inline buffer.
-        round_trip(&"x".repeat(100_000));
+        let mut record = sample_record();
+        record.distribution = "x".repeat(100_000);
+        round_trip(&record);
     }
 
     #[test]
@@ -480,9 +1275,14 @@ mod tests {
 
     #[test]
     fn vectors_of_records_round_trip() {
-        let records = vec![sample_record(), sample_record()];
-        round_trip(&records);
-        round_trip(&vec![Some(sample_record()), None]);
+        round_trip(&Batch {
+            records: vec![sample_record(), sample_record()],
+            maybe: vec![Some(sample_record()), None],
+        });
+        round_trip(&Batch {
+            records: Vec::new(),
+            maybe: Vec::new(),
+        });
     }
 
     #[test]
@@ -501,49 +1301,31 @@ mod tests {
     #[test]
     fn corrupt_headers_are_rejected_before_allocation() {
         // A string length header claiming 4 GiB.
-        let mut bytes = Vec::new();
-        u32::MAX.serialize_into(&mut bytes).unwrap();
-        assert!(matches!(
-            from_bytes::<String>(&bytes),
-            Err(WireError::Corrupt(_))
-        ));
+        let bytes = u32::MAX.to_le_bytes();
+        assert!(matches!(reader(&bytes).str(""), Err(WireError::Corrupt(_))));
 
         // A sequence count over the cap.
-        let mut bytes = Vec::new();
-        ((MAX_SEQ_LEN + 1) as u32)
-            .serialize_into(&mut bytes)
-            .unwrap();
+        let bytes = ((MAX_SEQ_LEN + 1) as u32).to_le_bytes();
         assert!(matches!(
-            from_bytes::<Vec<u64>>(&bytes),
+            reader(&bytes).seq("", |d| d.u64("")),
             Err(WireError::Corrupt(_))
         ));
 
         // Invalid UTF-8 payload.
-        let mut bytes = Vec::new();
-        2u32.serialize_into(&mut bytes).unwrap();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert!(matches!(
-            from_bytes::<String>(&bytes),
-            Err(WireError::Corrupt(_))
-        ));
+        let bytes = [2, 0, 0, 0, 0xff, 0xfe];
+        assert!(matches!(reader(&bytes).str(""), Err(WireError::Corrupt(_))));
 
         // Bad bool and option discriminants.
-        assert!(matches!(
-            from_bytes::<bool>(&[7]),
-            Err(WireError::Corrupt(_))
-        ));
-        assert!(matches!(
-            from_bytes::<Option<u8>>(&[9]),
-            Err(WireError::Corrupt(_))
-        ));
+        assert!(matches!(reader(&[7]).bool(""), Err(WireError::Corrupt(_))));
+        assert!(matches!(reader(&[9]).option(""), Err(WireError::Corrupt(_))));
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = to_bytes(&42u64).unwrap();
+        let mut bytes = to_bytes(&sample_record()).unwrap();
         bytes.push(0);
         assert!(matches!(
-            from_bytes::<u64>(&bytes),
+            from_bytes::<PointRecord>(&bytes),
             Err(WireError::Corrupt(_))
         ));
     }

@@ -18,9 +18,9 @@
 //! evaluated in parallel by a work-stealing thread pool and deduplicated
 //! through a content-addressed [`ResultStore`] (FNV-hashed design-point keys)
 //! with in-memory ([`MemoryStore`]), persistent JSON-lines ([`JsonlStore`])
-//! and fixed-header binary segment ([`SegmentStore`]) backends — the latter
-//! encoding records through the [`WireSerde`] trait ([`codec`]), the same
-//! length-prefixed serialisation the serve layer's binary wire codec uses.
+//! and fixed-header binary segment ([`SegmentStore`]) backends.  Records
+//! carry one field list ([`Wire`], in [`codec`]) for both the JSON lines and
+//! the binary segments, the same one the serve layer's two wire codecs use.
 //! On top of the raw records it extracts multi-objective Pareto
 //! frontiers (total cycles × slices × registers) and per-kernel best-allocator
 //! summaries.
@@ -55,7 +55,7 @@ mod segment;
 mod space;
 mod store;
 
-pub use codec::{WireError, WireSerde};
+pub use codec::{Decoder, Encoder, Wire, WireError};
 pub use engine::{evaluate_point, evaluate_point_timed, Exploration, Explorer, StageTimings};
 pub use json::{render_string, JsonValue};
 pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};

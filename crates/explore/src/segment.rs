@@ -12,8 +12,8 @@
 //!
 //! `len` is the payload byte count, `key` duplicates the record's FNV-1a
 //! key so the startup scan can build the key index without decoding a
-//! record it only needs to route, and `payload` is the record's
-//! [`WireSerde`](crate::codec::WireSerde) encoding (whose own first field is
+//! record it only needs to route, and `payload` is the record's binary
+//! [`Wire`](crate::codec::Wire) encoding (whose own first field is
 //! the key — the scan verifies the two agree, so a misaligned or corrupt
 //! record cannot be silently indexed under the wrong key).
 //!
@@ -30,7 +30,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{from_bytes, WireSerde};
+use crate::codec::{from_bytes, write_bytes};
 use crate::store::{index_get, index_insert, JsonlError, JsonlStore, KeyIndex, PointRecord};
 use crate::store::{ResultStore, StoreBase};
 
@@ -234,9 +234,7 @@ fn append_record(
     record: &PointRecord,
 ) -> Result<(), JsonlError> {
     scratch.clear();
-    record
-        .serialize_into(scratch)
-        .map_err(|err| JsonlError::Parse {
+    write_bytes(scratch, record).map_err(|err| JsonlError::Parse {
             line: 0,
             message: format!("record does not encode: {err}"),
         })?;

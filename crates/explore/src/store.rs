@@ -11,12 +11,12 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::json::{render_string, JsonValue};
+use crate::codec::{from_json, write_json, WireError};
+use crate::json::JsonValue;
 
 /// The persisted outcome of evaluating one design point.
 ///
@@ -71,8 +71,8 @@ pub struct PointRecord {
 impl PointRecord {
     /// Encodes the record as one line of JSON (no trailing newline).
     ///
-    /// The encoding is hand-rolled (the workspace's `serde` is an offline no-op
-    /// shim) and fixed-order, so identical records encode to identical bytes.
+    /// The field list is the record's [`Wire`](crate::codec::Wire) impl, fixed-order, so
+    /// identical records encode to identical bytes.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         self.write_json_line(&mut out);
@@ -83,37 +83,7 @@ impl PointRecord {
     /// the allocation-free twin of [`PointRecord::to_json_line`] for callers
     /// embedding records into a reused buffer.
     pub fn write_json_line(&self, out: &mut String) {
-        out.push('{');
-        let _ = write!(out, "\"key\":\"{:#018x}\"", self.key);
-        for (name, value) in [
-            ("canonical", &self.canonical),
-            ("kernel", &self.kernel),
-            ("algorithm", &self.algorithm),
-            ("version", &self.version),
-        ] {
-            let _ = write!(out, ",\"{name}\":");
-            render_string(out, value);
-        }
-        let _ = write!(out, ",\"budget\":{}", self.budget);
-        let _ = write!(out, ",\"ram_latency\":{}", self.ram_latency);
-        out.push_str(",\"device\":");
-        render_string(out, &self.device);
-        let _ = write!(out, ",\"feasible\":{}", self.feasible);
-        let _ = write!(out, ",\"fits\":{}", self.fits);
-        let _ = write!(out, ",\"registers_used\":{}", self.registers_used);
-        let _ = write!(out, ",\"total_cycles\":{}", self.total_cycles);
-        let _ = write!(out, ",\"compute_cycles\":{}", self.compute_cycles);
-        let _ = write!(out, ",\"memory_cycles\":{}", self.memory_cycles);
-        let _ = write!(out, ",\"transfer_cycles\":{}", self.transfer_cycles);
-        // `{:?}` prints the shortest representation that round-trips exactly,
-        // so parse(encode(x)) == x bit-for-bit.
-        let _ = write!(out, ",\"clock_period_ns\":{:?}", self.clock_period_ns);
-        let _ = write!(out, ",\"execution_time_us\":{:?}", self.execution_time_us);
-        let _ = write!(out, ",\"slices\":{}", self.slices);
-        let _ = write!(out, ",\"block_rams\":{}", self.block_rams);
-        out.push_str(",\"distribution\":");
-        render_string(out, &self.distribution);
-        out.push('}');
+        write_json(out, self);
     }
 
     /// Decodes a record from one JSON line produced by
@@ -135,65 +105,7 @@ impl PointRecord {
     ///
     /// Returns a description of the first missing or mistyped field.
     pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| format!("missing field `{name}`"))
-        };
-        let text = |name: &str| -> Result<String, String> {
-            field(name)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("field `{name}` is not a string"))
-        };
-        let raw_number = |name: &str| -> Result<&str, String> {
-            match field(name)? {
-                JsonValue::Number(raw) => Ok(raw),
-                _ => Err(format!("field `{name}` is not a number")),
-            }
-        };
-        let num = |name: &str| -> Result<u64, String> {
-            raw_number(name)?
-                .parse::<u64>()
-                .map_err(|e| format!("field `{name}`: {e}"))
-        };
-        let float = |name: &str| -> Result<f64, String> {
-            raw_number(name)?
-                .parse::<f64>()
-                .map_err(|e| format!("field `{name}`: {e}"))
-        };
-        let boolean = |name: &str| -> Result<bool, String> {
-            field(name)?
-                .as_bool()
-                .ok_or_else(|| format!("field `{name}` is not a boolean"))
-        };
-        let key_text = text("key")?;
-        let key_digits = key_text
-            .strip_prefix("0x")
-            .ok_or_else(|| format!("field `key`: expected 0x prefix, got `{key_text}`"))?;
-        let key = u64::from_str_radix(key_digits, 16).map_err(|e| format!("field `key`: {e}"))?;
-        Ok(Self {
-            key,
-            canonical: text("canonical")?,
-            kernel: text("kernel")?,
-            algorithm: text("algorithm")?,
-            version: text("version")?,
-            budget: num("budget")?,
-            ram_latency: num("ram_latency")?,
-            device: text("device")?,
-            feasible: boolean("feasible")?,
-            fits: boolean("fits")?,
-            registers_used: num("registers_used")?,
-            total_cycles: num("total_cycles")?,
-            compute_cycles: num("compute_cycles")?,
-            memory_cycles: num("memory_cycles")?,
-            transfer_cycles: num("transfer_cycles")?,
-            clock_period_ns: float("clock_period_ns")?,
-            execution_time_us: float("execution_time_us")?,
-            slices: num("slices")?,
-            block_rams: num("block_rams")?,
-            distribution: text("distribution")?,
-        })
+        from_json(value).map_err(WireError::into_message)
     }
 }
 

@@ -22,9 +22,9 @@
 //! * `trace` is the optional trace id (see [`crate::valid_trace_id`]),
 //!   echoed verbatim on the reply frame — the binary twin of the JSON
 //!   `"trace"` member; `trace_len` 0 means untraced.
-//! * `body` is the [`WireSerde`] encoding of the request or response: a
-//!   one-byte variant tag followed by the variant's fields in declaration
-//!   order, built from the primitives in [`srra_explore::codec`].
+//! * `body` is the binary [`Wire`] encoding of the request or response: a
+//!   one-byte variant tag followed by the variant's fields, in the field
+//!   order the `protocol` module lists once for both codecs.
 //!
 //! A payload that fails to decode is answered with a [`Response::Error`]
 //! frame and the connection *stays open* — the frame boundary was already
@@ -33,16 +33,9 @@
 
 use std::io::Read;
 
-use srra_explore::codec::{read_len, write_seq_len, write_str, WireError, WireSerde};
-use srra_explore::PointRecord;
-use srra_obs::{
-    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
-};
+use srra_explore::codec::{from_bytes, write_bytes, Wire, WireError};
 
-use crate::protocol::{
-    valid_trace_id, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
-    ShardDigest,
-};
+use crate::protocol::{checked_trace, valid_trace_id, Request, Response};
 
 /// First byte of every binary frame.  `0xB1` can never open a JSON request
 /// (those start with `{`, whitespace or nothing), so one peeked byte decides
@@ -115,13 +108,8 @@ pub fn read_frame(reader: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), F
     Ok(())
 }
 
-/// Appends one complete frame (magic + length + trace + body) to `out`,
-/// encoding the body through `body`.
-fn frame_into(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
-) -> Result<(), WireError> {
+/// Appends one complete frame (magic + length + trace + body) to `out`.
+fn frame_into<T: Wire>(out: &mut Vec<u8>, trace: Option<&str>, body: &T) -> Result<(), WireError> {
     out.push(BINARY_MAGIC);
     let len_at = out.len();
     out.extend_from_slice(&[0u8; 4]);
@@ -136,7 +124,7 @@ fn frame_into(
             out.extend_from_slice(id.as_bytes());
         }
     }
-    body(out)?;
+    write_bytes(out, body)?;
     let len = out.len() - start;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Corrupt(format!(
@@ -159,7 +147,7 @@ pub fn encode_request_frame(
     trace: Option<&str>,
     request: &Request,
 ) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| request.serialize_into(buf))
+    frame_into(out, trace, request)
 }
 
 /// Appends one response frame to `out` (not cleared).
@@ -172,7 +160,7 @@ pub fn encode_response_frame(
     trace: Option<&str>,
     response: &Response,
 ) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| response.serialize_into(buf))
+    frame_into(out, trace, response)
 }
 
 /// Decodes a frame payload (trace prefix + tagged body), requiring every
@@ -182,567 +170,24 @@ pub fn encode_response_frame(
 ///
 /// [`WireError::Io`] on truncation inside the payload, [`WireError::Corrupt`]
 /// on bad bytes, an illegal trace id, or trailing garbage.
-pub fn decode_payload<T: WireSerde>(payload: &[u8]) -> Result<(T, Option<String>), WireError> {
-    let mut reader = payload;
-    let trace_len = u8::deserialize_from(&mut reader)? as usize;
-    let trace = if trace_len == 0 {
-        None
-    } else {
-        let bytes = reader
-            .get(..trace_len)
-            .ok_or_else(|| WireError::Corrupt("trace id truncated".to_owned()))?;
-        let id = std::str::from_utf8(bytes)
-            .map_err(|_| WireError::Corrupt("trace id is not UTF-8".to_owned()))?;
-        if !valid_trace_id(id) {
-            return Err(WireError::Corrupt(format!("illegal trace id {id:?}")));
-        }
-        reader = &reader[trace_len..];
-        Some(id.to_owned())
+pub fn decode_payload<T: Wire>(payload: &[u8]) -> Result<(T, Option<String>), WireError> {
+    let Some((&trace_len, rest)) = payload.split_first() else {
+        return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
     };
-    let value = T::deserialize_from(&mut reader)?;
-    if !reader.is_empty() {
-        return Err(WireError::Corrupt(format!(
-            "{} trailing bytes after the frame body",
-            reader.len()
-        )));
-    }
-    Ok((value, trace))
-}
-
-impl WireSerde for QueryPoint {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        write_str(out, &self.kernel)?;
-        write_str(out, &self.algorithm)?;
-        self.budget.serialize_into(out)?;
-        self.ram_latency.serialize_into(out)?;
-        write_str(out, &self.device)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            kernel: String::deserialize_from(reader)?,
-            algorithm: String::deserialize_from(reader)?,
-            budget: u64::deserialize_from(reader)?,
-            ram_latency: u64::deserialize_from(reader)?,
-            device: String::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for Request {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        self.op().tag().serialize_into(out)?;
-        match self {
-            Request::Get { canonical } => write_str(out, canonical),
-            Request::MultiGet { canonicals } => canonicals.serialize_into(out),
-            Request::Explore { points } | Request::MultiExplore { points } => {
-                points.serialize_into(out)
-            }
-            Request::Put { records } => records.serialize_into(out),
-            Request::Metrics { prometheus } => prometheus.serialize_into(out),
-            Request::Trace { id } => write_str(out, id),
-            Request::Series { last, window_us } => {
-                last.serialize_into(out)?;
-                window_us.serialize_into(out)
-            }
-            Request::Scan {
-                shard,
-                offset,
-                limit,
-            } => {
-                shard.serialize_into(out)?;
-                offset.serialize_into(out)?;
-                limit.serialize_into(out)
-            }
-            Request::Ping | Request::Stats | Request::Digest | Request::Shutdown => Ok(()),
+    let trace_len = usize::from(trace_len);
+    let (trace, body) = match rest.get(..trace_len) {
+        Some(trace) => (trace, &rest[trace_len..]),
+        None => return Err(WireError::Corrupt("trace id truncated".to_owned())),
+    };
+    let trace = match trace_len {
+        0 => None,
+        _ => {
+            let id = std::str::from_utf8(trace)
+                .map_err(|_| WireError::Corrupt("trace id is not UTF-8".to_owned()))?;
+            Some(checked_trace(id).map_err(WireError::Corrupt)?)
         }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        /// Reads a batch, rejecting an empty one as the JSON codec does.
-        fn batch<T: WireSerde>(
-            reader: &mut impl Read,
-            op: Op,
-            item: &str,
-        ) -> Result<Vec<T>, WireError> {
-            let items = Vec::<T>::deserialize_from(reader)?;
-            if items.is_empty() {
-                return Err(WireError::Corrupt(format!(
-                    "`{}` needs at least one {item}",
-                    op.name()
-                )));
-            }
-            Ok(items)
-        }
-        let tag = u8::deserialize_from(reader)?;
-        match Op::from_tag(tag) {
-            Some(Op::Get) => Ok(Request::Get {
-                canonical: String::deserialize_from(reader)?,
-            }),
-            Some(Op::MultiGet) => Ok(Request::MultiGet {
-                canonicals: batch(reader, Op::MultiGet, "canonical")?,
-            }),
-            Some(Op::Explore) => Ok(Request::Explore {
-                points: batch(reader, Op::Explore, "point")?,
-            }),
-            Some(Op::MultiExplore) => Ok(Request::MultiExplore {
-                points: batch(reader, Op::MultiExplore, "point")?,
-            }),
-            Some(Op::Put) => Ok(Request::Put {
-                records: batch(reader, Op::Put, "record")?,
-            }),
-            Some(Op::Ping) => Ok(Request::Ping),
-            Some(Op::Stats) => Ok(Request::Stats),
-            Some(Op::Metrics) => Ok(Request::Metrics {
-                prometheus: bool::deserialize_from(reader)?,
-            }),
-            Some(Op::Trace) => {
-                let id = String::deserialize_from(reader)?;
-                if !valid_trace_id(&id) {
-                    return Err(WireError::Corrupt(format!("illegal trace id {id:?}")));
-                }
-                Ok(Request::Trace { id })
-            }
-            Some(Op::Series) => {
-                let last = u64::deserialize_from(reader)?;
-                let window_us = u64::deserialize_from(reader)?;
-                if (last == 0) == (window_us == 0) {
-                    return Err(WireError::Corrupt(
-                        "`series` needs exactly one of `last` or `window_us`, non-zero".to_owned(),
-                    ));
-                }
-                Ok(Request::Series { last, window_us })
-            }
-            Some(Op::Digest) => Ok(Request::Digest),
-            Some(Op::Scan) => {
-                let shard = u64::deserialize_from(reader)?;
-                let offset = u64::deserialize_from(reader)?;
-                let limit = u64::deserialize_from(reader)?;
-                if limit == 0 {
-                    return Err(WireError::Corrupt(
-                        "`scan` limit must be at least 1".to_owned(),
-                    ));
-                }
-                Ok(Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                })
-            }
-            Some(Op::Shutdown) => Ok(Request::Shutdown),
-            Some(Op::Invalid) | None => Err(WireError::Corrupt(format!(
-                "unknown request tag {tag:#04x}"
-            ))),
-        }
-    }
-}
-
-impl WireSerde for PointOutcome {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        match self {
-            PointOutcome::Answered { record, hit } => {
-                0u8.serialize_into(out)?;
-                hit.serialize_into(out)?;
-                record.serialize_into(out)
-            }
-            PointOutcome::Failed { error } => {
-                1u8.serialize_into(out)?;
-                write_str(out, error)
-            }
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            0 => Ok(PointOutcome::Answered {
-                hit: bool::deserialize_from(reader)?,
-                record: PointRecord::deserialize_from(reader)?,
-            }),
-            1 => Ok(PointOutcome::Failed {
-                error: String::deserialize_from(reader)?,
-            }),
-            other => Err(WireError::Corrupt(format!(
-                "unknown outcome tag {other:#04x}"
-            ))),
-        }
-    }
-}
-
-impl WireSerde for OpStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        write_str(out, &self.op)?;
-        self.count.serialize_into(out)?;
-        self.p50_us.serialize_into(out)?;
-        self.p99_us.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            op: String::deserialize_from(reader)?,
-            count: u64::deserialize_from(reader)?,
-            p50_us: u64::deserialize_from(reader)?,
-            p99_us: u64::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for ServerStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        self.uptime_ms.serialize_into(out)?;
-        self.uptime_secs.serialize_into(out)?;
-        write_str(out, &self.version)?;
-        self.connections.serialize_into(out)?;
-        self.requests.serialize_into(out)?;
-        self.hits.serialize_into(out)?;
-        self.misses.serialize_into(out)?;
-        self.evaluated.serialize_into(out)?;
-        write_seq_len(out, self.shard_records.len())?;
-        for &count in &self.shard_records {
-            (count as u64).serialize_into(out)?;
-        }
-        self.ops.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let uptime_ms = u64::deserialize_from(reader)?;
-        let uptime_secs = u64::deserialize_from(reader)?;
-        let version = String::deserialize_from(reader)?;
-        let connections = u64::deserialize_from(reader)?;
-        let requests = u64::deserialize_from(reader)?;
-        let hits = u64::deserialize_from(reader)?;
-        let misses = u64::deserialize_from(reader)?;
-        let evaluated = u64::deserialize_from(reader)?;
-        let shard_records = Vec::<u64>::deserialize_from(reader)?
-            .into_iter()
-            .map(|count| count as usize)
-            .collect();
-        Ok(Self {
-            uptime_ms,
-            uptime_secs,
-            version,
-            connections,
-            requests,
-            hits,
-            misses,
-            evaluated,
-            shard_records,
-            ops: Vec::<OpStats>::deserialize_from(reader)?,
-        })
-    }
-}
-
-// `WireSerde` (from `srra_explore`) cannot be implemented for the foreign
-// `MetricsSnapshot` (from `srra_obs`) — orphan rule — so the snapshot
-// encoding lives in a pair of free functions.
-fn write_snapshot(
-    out: &mut impl std::io::Write,
-    snapshot: &MetricsSnapshot,
-) -> Result<(), WireError> {
-    write_seq_len(out, snapshot.counters.len())?;
-    for (name, count) in &snapshot.counters {
-        write_str(out, name)?;
-        count.serialize_into(out)?;
-    }
-    write_seq_len(out, snapshot.gauges.len())?;
-    for (name, level) in &snapshot.gauges {
-        write_str(out, name)?;
-        level.serialize_into(out)?;
-    }
-    write_seq_len(out, snapshot.histograms.len())?;
-    for (name, histogram) in &snapshot.histograms {
-        write_str(out, name)?;
-        histogram.buckets().to_vec().serialize_into(out)?;
-        // Exemplars ride as a sparse (bucket index, trace id) list.
-        let exemplars: Vec<(usize, &str)> = histogram
-            .exemplars()
-            .iter()
-            .enumerate()
-            .filter_map(|(index, id)| id.as_deref().map(|id| (index, id)))
-            .collect();
-        write_seq_len(out, exemplars.len())?;
-        for (index, id) in exemplars {
-            (index as u8).serialize_into(out)?;
-            write_str(out, id)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_metric_name(reader: &mut impl Read) -> Result<String, WireError> {
-    let name = String::deserialize_from(reader)?;
-    if !valid_metric_name(&name) {
-        return Err(WireError::Corrupt(format!("illegal metric name {name:?}")));
-    }
-    Ok(name)
-}
-
-fn read_snapshot(reader: &mut impl Read) -> Result<MetricsSnapshot, WireError> {
-    let mut snapshot = MetricsSnapshot::default();
-    let counters = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "counters")?;
-    for _ in 0..counters {
-        let name = read_metric_name(reader)?;
-        snapshot
-            .counters
-            .push((name, u64::deserialize_from(reader)?));
-    }
-    let gauges = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "gauges")?;
-    for _ in 0..gauges {
-        let name = read_metric_name(reader)?;
-        snapshot.gauges.push((name, i64::deserialize_from(reader)?));
-    }
-    let histograms = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "histograms")?;
-    for _ in 0..histograms {
-        let name = read_metric_name(reader)?;
-        let buckets = Vec::<u64>::deserialize_from(reader)?;
-        let mut histogram = HistogramSnapshot::from_buckets(&buckets).ok_or_else(|| {
-            WireError::Corrupt(format!("histogram `{name}` carries too many buckets"))
-        })?;
-        let exemplars = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "exemplars")?;
-        for _ in 0..exemplars {
-            let index = u8::deserialize_from(reader)? as usize;
-            let id = String::deserialize_from(reader)?;
-            // Out-of-range indices are ignored, as in the JSON decoding.
-            histogram.set_exemplar(index, id);
-        }
-        snapshot.histograms.push((name, histogram));
-    }
-    Ok(snapshot)
-}
-
-/// Encodes one [`Span`] (a foreign `srra_obs` type — orphan rule, same
-/// pattern as the snapshot pair above).
-fn write_span(out: &mut impl std::io::Write, span: &Span) -> Result<(), WireError> {
-    write_str(out, &span.trace_id)?;
-    span.span_id.serialize_into(out)?;
-    span.parent_id.serialize_into(out)?;
-    write_str(out, &span.name)?;
-    span.start_us.serialize_into(out)?;
-    span.dur_us.serialize_into(out)?;
-    write_seq_len(out, span.annotations.len())?;
-    for (key, value) in &span.annotations {
-        write_str(out, key)?;
-        write_str(out, value)?;
-    }
-    Ok(())
-}
-
-fn read_span(reader: &mut impl Read) -> Result<Span, WireError> {
-    let trace_id = String::deserialize_from(reader)?;
-    let span_id = u64::deserialize_from(reader)?;
-    let parent_id = u64::deserialize_from(reader)?;
-    let name = String::deserialize_from(reader)?;
-    let start_us = u64::deserialize_from(reader)?;
-    let dur_us = u64::deserialize_from(reader)?;
-    let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "annotations")?;
-    let mut annotations = Vec::with_capacity(count.min(64));
-    for _ in 0..count {
-        annotations.push((
-            String::deserialize_from(reader)?,
-            String::deserialize_from(reader)?,
-        ));
-    }
-    Ok(Span {
-        trace_id,
-        span_id,
-        parent_id,
-        name,
-        start_us,
-        dur_us,
-        annotations,
-    })
-}
-
-const RESP_FOUND: u8 = 1;
-const RESP_NOT_FOUND: u8 = 2;
-const RESP_MGOT: u8 = 3;
-const RESP_EXPLORED: u8 = 4;
-const RESP_MEXPLORED: u8 = 5;
-const RESP_STORED: u8 = 6;
-const RESP_PONG: u8 = 7;
-const RESP_STATS: u8 = 8;
-const RESP_METRICS: u8 = 9;
-const RESP_METRICS_TEXT: u8 = 10;
-const RESP_SHUTTING_DOWN: u8 = 11;
-const RESP_ERROR: u8 = 12;
-const RESP_TRACED: u8 = 13;
-const RESP_DIGESTS: u8 = 14;
-const RESP_SCANNED: u8 = 15;
-const RESP_SERIES: u8 = 16;
-const RESP_DELTA: u8 = 17;
-
-impl WireSerde for ShardDigest {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        self.records.serialize_into(out)?;
-        self.fold.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            records: u64::deserialize_from(reader)?,
-            fold: u64::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for Response {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        match self {
-            Response::Found { record } => {
-                RESP_FOUND.serialize_into(out)?;
-                record.serialize_into(out)
-            }
-            Response::NotFound => RESP_NOT_FOUND.serialize_into(out),
-            Response::MultiGot { records } => {
-                RESP_MGOT.serialize_into(out)?;
-                records.serialize_into(out)
-            }
-            Response::Explored {
-                records,
-                hits,
-                evaluated,
-            } => {
-                RESP_EXPLORED.serialize_into(out)?;
-                records.serialize_into(out)?;
-                hits.serialize_into(out)?;
-                evaluated.serialize_into(out)
-            }
-            Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            } => {
-                RESP_MEXPLORED.serialize_into(out)?;
-                outcomes.serialize_into(out)?;
-                hits.serialize_into(out)?;
-                evaluated.serialize_into(out)
-            }
-            Response::Stored { stored } => {
-                RESP_STORED.serialize_into(out)?;
-                stored.serialize_into(out)
-            }
-            Response::Pong => RESP_PONG.serialize_into(out),
-            Response::Stats(stats) => {
-                RESP_STATS.serialize_into(out)?;
-                stats.serialize_into(out)
-            }
-            Response::Metrics(snapshot) => {
-                RESP_METRICS.serialize_into(out)?;
-                write_snapshot(out, snapshot)
-            }
-            Response::MetricsText { text } => {
-                RESP_METRICS_TEXT.serialize_into(out)?;
-                write_str(out, text)
-            }
-            Response::Traced { spans } => {
-                RESP_TRACED.serialize_into(out)?;
-                write_seq_len(out, spans.len())?;
-                for span in spans {
-                    write_span(out, span)?;
-                }
-                Ok(())
-            }
-            Response::Series { samples } => {
-                RESP_SERIES.serialize_into(out)?;
-                write_seq_len(out, samples.len())?;
-                for sample in samples {
-                    sample.at_us.serialize_into(out)?;
-                    write_snapshot(out, &sample.metrics)?;
-                }
-                Ok(())
-            }
-            Response::SeriesDelta { delta } => {
-                RESP_DELTA.serialize_into(out)?;
-                delta.from_us.serialize_into(out)?;
-                delta.to_us.serialize_into(out)?;
-                write_snapshot(out, &delta.diff)
-            }
-            Response::Digests { digests } => {
-                RESP_DIGESTS.serialize_into(out)?;
-                digests.serialize_into(out)
-            }
-            Response::Scanned { canonicals, done } => {
-                RESP_SCANNED.serialize_into(out)?;
-                canonicals.serialize_into(out)?;
-                done.serialize_into(out)
-            }
-            Response::ShuttingDown => RESP_SHUTTING_DOWN.serialize_into(out),
-            Response::Error { message } => {
-                RESP_ERROR.serialize_into(out)?;
-                write_str(out, message)
-            }
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            RESP_FOUND => Ok(Response::Found {
-                record: PointRecord::deserialize_from(reader)?,
-            }),
-            RESP_NOT_FOUND => Ok(Response::NotFound),
-            RESP_MGOT => Ok(Response::MultiGot {
-                records: Vec::<Option<PointRecord>>::deserialize_from(reader)?,
-            }),
-            RESP_EXPLORED => Ok(Response::Explored {
-                records: Vec::<PointRecord>::deserialize_from(reader)?,
-                hits: u64::deserialize_from(reader)?,
-                evaluated: u64::deserialize_from(reader)?,
-            }),
-            RESP_MEXPLORED => Ok(Response::MultiExplored {
-                outcomes: Vec::<PointOutcome>::deserialize_from(reader)?,
-                hits: u64::deserialize_from(reader)?,
-                evaluated: u64::deserialize_from(reader)?,
-            }),
-            RESP_STORED => Ok(Response::Stored {
-                stored: u64::deserialize_from(reader)?,
-            }),
-            RESP_PONG => Ok(Response::Pong),
-            RESP_STATS => Ok(Response::Stats(ServerStats::deserialize_from(reader)?)),
-            RESP_METRICS => Ok(Response::Metrics(read_snapshot(reader)?)),
-            RESP_METRICS_TEXT => Ok(Response::MetricsText {
-                text: String::deserialize_from(reader)?,
-            }),
-            RESP_TRACED => {
-                let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "spans")?;
-                let mut spans = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    spans.push(read_span(reader)?);
-                }
-                Ok(Response::Traced { spans })
-            }
-            RESP_SERIES => {
-                let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "series")?;
-                let mut samples = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    samples.push(SeriesSample {
-                        at_us: u64::deserialize_from(reader)?,
-                        metrics: read_snapshot(reader)?,
-                    });
-                }
-                Ok(Response::Series { samples })
-            }
-            RESP_DELTA => Ok(Response::SeriesDelta {
-                delta: SnapshotDelta {
-                    from_us: u64::deserialize_from(reader)?,
-                    to_us: u64::deserialize_from(reader)?,
-                    diff: read_snapshot(reader)?,
-                },
-            }),
-            RESP_DIGESTS => Ok(Response::Digests {
-                digests: Vec::<ShardDigest>::deserialize_from(reader)?,
-            }),
-            RESP_SCANNED => Ok(Response::Scanned {
-                canonicals: Vec::<String>::deserialize_from(reader)?,
-                done: bool::deserialize_from(reader)?,
-            }),
-            RESP_SHUTTING_DOWN => Ok(Response::ShuttingDown),
-            RESP_ERROR => Ok(Response::Error {
-                message: String::deserialize_from(reader)?,
-            }),
-            other => Err(WireError::Corrupt(format!(
-                "unknown response tag {other:#04x}"
-            ))),
-        }
-    }
+    };
+    Ok((from_bytes(body)?, trace))
 }
 
 /// Whether `buffer` (a read buffer already known to start a request) holds at
@@ -777,7 +222,8 @@ pub(crate) fn holds_complete_request(buffer: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_obs::Registry;
+    use crate::protocol::Op;
+    use srra_explore::PointRecord;
 
     fn sample_record() -> PointRecord {
         PointRecord {
@@ -801,247 +247,6 @@ mod tests {
             slices: 471,
             block_rams: 3,
             distribution: "a:16 \"b\":1".to_owned(),
-        }
-    }
-
-    fn sample_stats() -> ServerStats {
-        ServerStats {
-            uptime_ms: 1234,
-            uptime_secs: 1,
-            version: "0.1.0".to_owned(),
-            connections: 5,
-            requests: 17,
-            hits: 10,
-            misses: 7,
-            evaluated: 7,
-            shard_records: vec![3, 0, 4, 1],
-            ops: vec![OpStats {
-                op: "get".to_owned(),
-                count: 9,
-                p50_us: 63,
-                p99_us: 255,
-            }],
-        }
-    }
-
-    fn sample_snapshot() -> MetricsSnapshot {
-        let registry = Registry::new();
-        registry.counter("serve_requests_total").add(7);
-        registry.gauge("serve_open_connections").set(-1);
-        let latency = registry.histogram("serve_op_get_latency_us");
-        latency.record_micros(40);
-        latency.record_micros(5_000);
-        latency.record_traced(std::time::Duration::from_micros(90), "sweep-7.a");
-        registry.snapshot()
-    }
-
-    fn every_request() -> Vec<Request> {
-        vec![
-            Request::Get {
-                canonical: "kernel=fir;algo=CPA-RA;budget=32;latency=2;device=XCV1000-BG560"
-                    .to_owned(),
-            },
-            Request::Get {
-                canonical: "nasty \"quoted\" \\ \n canonical — ünïcødé".to_owned(),
-            },
-            Request::MultiGet {
-                canonicals: vec!["a".to_owned(), String::new(), "c".to_owned()],
-            },
-            Request::Explore {
-                points: vec![
-                    QueryPoint::new("fir", "cpa", 32),
-                    QueryPoint {
-                        kernel: "mat".to_owned(),
-                        algorithm: "FR-RA".to_owned(),
-                        budget: u64::MAX,
-                        ram_latency: 0,
-                        device: "xcv300".to_owned(),
-                    },
-                ],
-            },
-            Request::MultiExplore {
-                points: vec![QueryPoint::new("mat", "fr", 16)],
-            },
-            Request::Put {
-                records: vec![sample_record(), sample_record()],
-            },
-            Request::Ping,
-            Request::Stats,
-            Request::Metrics { prometheus: false },
-            Request::Metrics { prometheus: true },
-            Request::Trace {
-                id: "sweep-7.a".to_owned(),
-            },
-            Request::Series {
-                last: 16,
-                window_us: 0,
-            },
-            Request::Series {
-                last: 0,
-                window_us: 60_000_000,
-            },
-            Request::Digest,
-            Request::Scan {
-                shard: 3,
-                offset: 128,
-                limit: 64,
-            },
-            Request::Shutdown,
-        ]
-    }
-
-    fn every_response() -> Vec<Response> {
-        let record = sample_record();
-        let mut extreme = sample_record();
-        extreme.clock_period_ns = f64::NAN;
-        extreme.execution_time_us = f64::INFINITY;
-        vec![
-            Response::Found {
-                record: record.clone(),
-            },
-            Response::Found { record: extreme },
-            Response::NotFound,
-            Response::MultiGot {
-                records: vec![Some(record.clone()), None, Some(record.clone())],
-            },
-            Response::MultiGot {
-                records: vec![None],
-            },
-            Response::Explored {
-                records: vec![record.clone(), record.clone()],
-                hits: 1,
-                evaluated: 1,
-            },
-            Response::MultiExplored {
-                outcomes: vec![
-                    PointOutcome::Answered {
-                        record: record.clone(),
-                        hit: true,
-                    },
-                    PointOutcome::Failed {
-                        error: "unknown kernel `nope`".to_owned(),
-                    },
-                    PointOutcome::Answered { record, hit: false },
-                ],
-                hits: 1,
-                evaluated: 1,
-            },
-            Response::Stored { stored: 2 },
-            Response::Pong,
-            Response::Stats(sample_stats()),
-            Response::Metrics(sample_snapshot()),
-            Response::MetricsText {
-                text: "# TYPE serve_requests_total counter\nserve_requests_total 7\n".to_owned(),
-            },
-            Response::Traced {
-                spans: vec![
-                    Span {
-                        trace_id: "sweep-7.a".to_owned(),
-                        span_id: 11,
-                        parent_id: 0,
-                        name: "explore".to_owned(),
-                        start_us: 100,
-                        dur_us: 900,
-                        annotations: vec![("points".to_owned(), "4".to_owned())],
-                    },
-                    Span {
-                        trace_id: "sweep-7.a".to_owned(),
-                        span_id: 12,
-                        parent_id: 11,
-                        name: "engine.cost_model".to_owned(),
-                        start_us: 400,
-                        dur_us: 300,
-                        annotations: Vec::new(),
-                    },
-                ],
-            },
-            Response::Traced { spans: Vec::new() },
-            Response::Series {
-                samples: vec![
-                    SeriesSample {
-                        at_us: 1_000_000,
-                        metrics: sample_snapshot(),
-                    },
-                    SeriesSample {
-                        at_us: 2_000_000,
-                        metrics: sample_snapshot(),
-                    },
-                ],
-            },
-            Response::Series {
-                samples: Vec::new(),
-            },
-            Response::SeriesDelta {
-                delta: SnapshotDelta {
-                    from_us: 1_000_000,
-                    to_us: 2_000_000,
-                    diff: sample_snapshot(),
-                },
-            },
-            Response::Digests {
-                digests: vec![
-                    ShardDigest {
-                        records: 3,
-                        fold: 0x1234_5678_9abc_def0,
-                    },
-                    ShardDigest {
-                        records: 0,
-                        fold: 0,
-                    },
-                ],
-            },
-            Response::Scanned {
-                canonicals: vec!["kernel=fir;algo=CPA-RA;budget=32".to_owned()],
-                done: false,
-            },
-            Response::Scanned {
-                canonicals: Vec::new(),
-                done: true,
-            },
-            Response::ShuttingDown,
-            Response::Error {
-                message: "unknown kernel `nope`".to_owned(),
-            },
-        ]
-    }
-
-    fn frame_round_trip<T>(
-        value: &T,
-        trace: Option<&str>,
-        encode: impl Fn(&mut Vec<u8>, Option<&str>, &T) -> Result<(), WireError>,
-    ) -> (T, Option<String>)
-    where
-        T: WireSerde,
-    {
-        let mut wire = Vec::new();
-        encode(&mut wire, trace, value).expect("encodes");
-        let mut reader = wire.as_slice();
-        let mut payload = Vec::new();
-        read_frame(&mut reader, &mut payload).expect("frame reads");
-        assert!(reader.is_empty(), "frame consumed exactly");
-        decode_payload(&payload).expect("payload decodes")
-    }
-
-    #[test]
-    fn every_request_variant_round_trips() {
-        for request in every_request() {
-            let (back, trace) = frame_round_trip(&request, None, encode_request_frame);
-            assert_eq!(back, request);
-            assert_eq!(trace, None);
-            let (back, trace) = frame_round_trip(&request, Some("t-1.a"), encode_request_frame);
-            assert_eq!(back, request);
-            assert_eq!(trace.as_deref(), Some("t-1.a"));
-        }
-    }
-
-    #[test]
-    fn every_response_variant_round_trips() {
-        for response in every_response() {
-            let (back, trace) = frame_round_trip(&response, Some("x"), encode_response_frame);
-            assert_eq!(trace.as_deref(), Some("x"));
-            // NaN != NaN under PartialEq: compare via the JSON rendering,
-            // which is bit-faithful for floats.
-            assert_eq!(back.render(), response.render());
         }
     }
 
@@ -1132,16 +337,6 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(back.to_json_line(), record.to_json_line());
-    }
-
-    #[test]
-    fn magic_byte_can_never_open_a_json_request() {
-        assert_ne!(BINARY_MAGIC, b'{');
-        assert!(!BINARY_MAGIC.is_ascii_whitespace());
-        for request in every_request() {
-            let line = request.render();
-            assert_ne!(line.as_bytes()[0], BINARY_MAGIC, "{line}");
-        }
     }
 
     #[test]

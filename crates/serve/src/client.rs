@@ -30,8 +30,8 @@ use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, 
 
 use crate::binary::{decode_payload, encode_request_frame, read_frame, FrameError};
 use crate::protocol::{
-    stamp_trace, trace_suffix, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response,
-    ServerStats, ShardDigest,
+    stamp_trace, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    ShardDigest,
 };
 
 /// Lifts a codec failure into the client error space.
@@ -322,17 +322,10 @@ impl Connection {
                 "server closed the connection without answering",
             )));
         }
-        self.line.truncate(self.line.trim_end().len());
-        // Peel an echoed trace id off the reply before parsing, so traced
-        // replies still hit the codec's exact-shape fast paths.
-        self.last_trace = None;
-        let echoed = trace_suffix(&self.line).map(|(start, id)| (start, id.to_owned()));
-        if let Some((start, id)) = echoed {
-            self.last_trace = Some(id);
-            self.line.truncate(start);
-            self.line.push('}');
-        }
-        Response::parse(&self.line).map_err(ClientError::Protocol)
+        let (response, trace) =
+            Response::parse_with_trace(self.line.trim_end()).map_err(ClientError::Protocol)?;
+        self.last_trace = trace;
+        Ok(response)
     }
 
     /// Sends one request and reads its response, transparently reconnecting

@@ -47,9 +47,10 @@
 //!    request lands in as an exemplar.
 //!
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
-//! [`Response`] are its single shape definition, with the JSON encoding in
-//! the `protocol` module (over [`JsonValue`]) and the binary encoding in
-//! `binary` (over the [`srra_explore::WireSerde`] trait).  [`Connection`]
+//! [`Response`] are its single shape definition, and the `protocol` module
+//! lists each type's fields once for both codecs (the
+//! [`srra_explore::Wire`] trait); `binary` adds only the frame envelope.
+//! [`Connection`]
 //! is the keep-alive, pipelining client ([`Connection::connect`] for JSON
 //! lines, [`Connection::connect_binary`] for the binary codec, and
 //! [`Connection::connect_with_codec`] to pick the codec and an I/O
@@ -93,8 +94,8 @@ pub use binary::{
 };
 pub use client::{ClientError, Connection, ExploreReply, MultiExploreReply};
 pub use protocol::{
-    stamp_trace, trace_suffix, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request,
-    Response, ServerStats, ShardDigest, TRACE_MAX_LEN,
+    stamp_trace, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request, Response,
+    ServerStats, ShardDigest, TRACE_MAX_LEN,
 };
 pub use server::{canonical_for, device_by_name, ServeError, Server, ServerConfig, ServerReport};
 pub use shard::{CompactOutcome, MergeOutcome, ShardError, ShardedStore};

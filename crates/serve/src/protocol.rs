@@ -1,30 +1,24 @@
-//! The line-delimited JSON wire protocol spoken between `srra serve` and
-//! `srra query`.
+//! The wire protocol spoken between `srra serve` and its clients: the
+//! request and reply types and their one field list.
 //!
-//! Every request and every response is exactly one JSON object on one line
-//! (`\n`-terminated).  A connection may carry any number of request/response
-//! pairs in order, and clients may *pipeline*: write several request lines
-//! before reading any replies — the server answers strictly in request order.
-//! The batched `mget` / `mexplore` ops amortise framing and syscalls further
-//! by answering many lookups or points with a single line in each direction.
-//! The full specification lives in `docs/serving.md`; this module is the
-//! single encode/decode implementation used by both the server and the
-//! client, so the two cannot drift apart.
+//! Every request and reply travels in either of two codecs, picked per
+//! frame by its first byte: one JSON object on one `\n`-terminated line, or
+//! one binary frame (see the `binary` module).  Both encode the fields this
+//! module lists once, in the [`Wire`] impls below (see [`srra_explore::codec`]
+//! for the two codecs).  A connection may carry any number of
+//! request/response pairs in order, and clients may *pipeline*: write
+//! several requests before reading any replies — the server answers strictly
+//! in request order.  The batched `mget` / `mexplore` ops amortise framing
+//! and syscalls further by answering many lookups or points in one reply.
+//! The full specification lives in `docs/serving.md`.
 //!
 //! All render methods come in a pair: `render` (fresh `String`) and
 //! `render_into` (append to a caller-owned buffer), so the server and the
 //! keep-alive client can reuse one scratch allocation across requests.
-//! Embedded [`PointRecord`]s are written straight into the output buffer as
-//! their raw JSONL lines (via [`PointRecord::write_json_line`]) — no
-//! intermediate [`JsonValue`] tree and no per-record temporaries — so the
-//! hot `get`/`explore` reply path allocates nothing beyond the record
-//! lookup itself and the buffer's own growth.
 
-use srra_explore::{render_string, JsonValue, PointRecord};
-use srra_obs::{
-    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
-    LATENCY_BUCKETS,
-};
+use srra_explore::codec::{from_json, write_json, Decoder, Encoder, Wire, WireError};
+use srra_explore::{JsonValue, PointRecord};
+use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
 /// Longest accepted `trace` id, in bytes.
 pub const TRACE_MAX_LEN: usize = 64;
@@ -32,16 +26,27 @@ pub const TRACE_MAX_LEN: usize = 64;
 /// Whether `id` is a legal wire trace id: 1 ..= [`TRACE_MAX_LEN`] bytes of
 /// `[A-Za-z0-9._-]`.
 ///
-/// The restricted alphabet is what makes trace propagation free on the hot
-/// path: a valid id never needs JSON escaping, so both sides can stamp and
-/// strip the field with plain byte pushes (see [`stamp_trace`] /
-/// [`trace_suffix`]).
+/// The restricted alphabet is what makes trace propagation cheap: a valid id
+/// never needs JSON escaping, so [`stamp_trace`] appends it with plain byte
+/// pushes.
 pub fn valid_trace_id(id: &str) -> bool {
     !id.is_empty()
         && id.len() <= TRACE_MAX_LEN
         && id
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
+}
+
+/// The envelope trace rule of both codecs: a request or reply may carry a
+/// trace id, and a present one must be valid.
+pub(crate) fn checked_trace(id: &str) -> Result<String, String> {
+    if valid_trace_id(id) {
+        Ok(id.to_owned())
+    } else {
+        Err(format!(
+            "illegal trace id {id:?}: want 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
+        ))
+    }
 }
 
 /// Appends `,"trace":"<id>"` inside the closing brace of the one-object JSON
@@ -62,19 +67,29 @@ pub fn stamp_trace(out: &mut String, id: &str) {
     out.push_str("\"}");
 }
 
-/// Recognises a trailing `,"trace":"<id>"}` suffix on a one-object JSON
-/// line, returning the byte offset where the suffix starts and the id.
-///
-/// Sound for any valid JSON line: an unescaped `"` cannot occur inside a
-/// JSON string, so a raw `,"trace":"` directly before the final `"}` can
-/// only be a top-level `trace` member.  Lines where the candidate id fails
-/// [`valid_trace_id`] are left alone and fall through to the full parser.
-pub fn trace_suffix(line: &str) -> Option<(usize, &str)> {
-    let rest = line.strip_suffix("\"}")?;
-    let start = rest.rfind(",\"trace\":\"")?;
-    let id = &rest[start + ",\"trace\":\"".len()..];
-    valid_trace_id(id).then_some((start, id))
+/// Decodes one JSON line into `T` plus its optional top-level `trace`
+/// member, which may sit at any position.
+fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
+    let value = JsonValue::parse(line)?;
+    let decoded = from_json(&value).map_err(WireError::into_message)?;
+    let trace = match value.get("trace") {
+        None => None,
+        Some(id) => Some(checked_trace(id.as_str().ok_or("`trace` must be a string")?)?),
+    };
+    Ok((decoded, trace))
 }
+
+/// Appends `value` as one JSON line (no trailing newline) to `out`.
+fn render_line<T: Wire>(value: &T, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    write_json(&mut out, value);
+    out
+}
+
+/// The `latency` a point names when it names none.
+const DEFAULT_LATENCY: u64 = 2;
+/// The `device` a point names when it names none.
+const DEFAULT_DEVICE: &str = "xcv1000";
 
 /// One design point named by a query (the request-side mirror of
 /// [`srra_explore::DesignPoint`], with everything by name).
@@ -102,81 +117,34 @@ impl QueryPoint {
             kernel: kernel.into(),
             algorithm: algorithm.into(),
             budget,
-            ram_latency: 2,
-            device: "xcv1000".to_owned(),
+            ram_latency: DEFAULT_LATENCY,
+            device: DEFAULT_DEVICE.to_owned(),
         }
     }
+}
 
-    fn render_into(&self, out: &mut String) {
-        out.push_str("{\"kernel\":");
-        render_string(out, &self.kernel);
-        out.push_str(",\"algo\":");
-        render_string(out, &self.algorithm);
-        out.push_str(",\"budget\":");
-        out.push_str(&self.budget.to_string());
-        out.push_str(",\"latency\":");
-        out.push_str(&self.ram_latency.to_string());
-        out.push_str(",\"device\":");
-        render_string(out, &self.device);
-        out.push('}');
+impl Wire for QueryPoint {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.str("kernel", &self.kernel)?;
+        e.str("algo", &self.algorithm)?;
+        e.u64("budget", self.budget)?;
+        e.u64("latency", self.ram_latency)?;
+        e.str("device", &self.device)
     }
 
-    fn from_value(value: &JsonValue) -> Result<Self, String> {
-        let text = |name: &str| -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("point needs a string `{name}` field"))
-        };
-        let budget = value
-            .get("budget")
-            .and_then(JsonValue::as_u64)
-            .ok_or("point needs a numeric `budget` field")?;
-        let ram_latency = match value.get("latency") {
-            None => 2,
-            Some(v) => v.as_u64().ok_or("`latency` must be a number")?,
-        };
-        let device = match value.get("device") {
-            None => "xcv1000".to_owned(),
-            Some(v) => v
-                .as_str()
-                .map(str::to_owned)
-                .ok_or("`device` must be a string")?,
-        };
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
         Ok(Self {
-            kernel: text("kernel")?,
-            algorithm: text("algo")?,
-            budget,
-            ram_latency,
-            device,
+            kernel: d.str("kernel")?,
+            algorithm: d.str("algo")?,
+            budget: d.u64("budget")?,
+            ram_latency: d.u64_or("latency", DEFAULT_LATENCY)?,
+            device: if d.has("device") {
+                d.str("device")?
+            } else {
+                DEFAULT_DEVICE.to_owned()
+            },
         })
     }
-}
-
-/// Renders `[item,item,...]`, each element through `render`.
-fn render_array<T>(out: &mut String, items: &[T], mut render: impl FnMut(&mut String, &T)) {
-    out.push('[');
-    for (index, item) in items.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        render(out, item);
-    }
-    out.push(']');
-}
-
-/// Parses the non-empty `points` array shared by `explore` and `mexplore`.
-fn parse_points(value: &JsonValue, op: Op) -> Result<Vec<QueryPoint>, String> {
-    let op = op.name();
-    let items = value
-        .get("points")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("`{op}` needs a `points` array"))?;
-    if items.is_empty() {
-        return Err(format!("`{op}` needs at least one point"));
-    }
-    items.iter().map(QueryPoint::from_value).collect()
 }
 
 /// One request line.
@@ -357,69 +325,13 @@ impl Request {
 
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(64);
-        self.render_into(&mut out);
-        out
+        render_line(self, 64)
     }
 
     /// Encodes the request into `out` (no trailing newline), reusing the
     /// buffer's allocation.
     pub fn render_into(&self, out: &mut String) {
-        out.push_str("{\"op\":\"");
-        out.push_str(self.op().name());
-        out.push('"');
-        match self {
-            Request::Get { canonical } => {
-                out.push_str(",\"canonical\":");
-                render_string(out, canonical);
-            }
-            Request::MultiGet { canonicals } => {
-                out.push_str(",\"canonicals\":");
-                render_array(out, canonicals, |out, canonical| {
-                    render_string(out, canonical)
-                });
-            }
-            Request::Explore { points } | Request::MultiExplore { points } => {
-                out.push_str(",\"points\":");
-                render_array(out, points, |out, point| point.render_into(out));
-            }
-            Request::Put { records } => {
-                out.push_str(",\"records\":");
-                render_array(out, records, |out, record| record.write_json_line(out));
-            }
-            Request::Metrics { prometheus: true } => out.push_str(",\"format\":\"prometheus\""),
-            Request::Trace { id } => {
-                out.push_str(",\"id\":");
-                render_string(out, id);
-            }
-            Request::Series { last, window_us } => {
-                if *window_us > 0 {
-                    out.push_str(",\"window_us\":");
-                    out.push_str(&window_us.to_string());
-                } else {
-                    out.push_str(",\"last\":");
-                    out.push_str(&last.to_string());
-                }
-            }
-            Request::Scan {
-                shard,
-                offset,
-                limit,
-            } => {
-                out.push_str(",\"shard\":");
-                out.push_str(&shard.to_string());
-                out.push_str(",\"offset\":");
-                out.push_str(&offset.to_string());
-                out.push_str(",\"limit\":");
-                out.push_str(&limit.to_string());
-            }
-            Request::Ping
-            | Request::Stats
-            | Request::Metrics { prometheus: false }
-            | Request::Digest
-            | Request::Shutdown => {}
-        }
-        out.push('}');
+        write_json(out, self);
     }
 
     /// Decodes one request line.
@@ -427,172 +339,153 @@ impl Request {
     /// # Errors
     ///
     /// Returns a user-facing description of the first problem (malformed JSON,
-    /// unknown op, missing fields).
+    /// unknown op, missing fields, a failed request check).
     pub fn parse(line: &str) -> Result<Self, String> {
-        // Fast path for the hot `get` line exactly as [`Request::render`]
-        // frames it.  A canonical containing quotes or escapes falls back to
-        // the general parser below.
-        if let Some(rest) = line.strip_prefix("{\"op\":\"get\",\"canonical\":\"") {
-            if let Some(text) = rest.strip_suffix("\"}") {
-                if !text.contains('\\') && !text.contains('"') {
-                    return Ok(Request::Get {
-                        canonical: text.to_owned(),
-                    });
-                }
-            }
-        }
-        let value = JsonValue::parse(line)?;
-        let name = value
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or("request needs a string `op` field")?;
-        match Op::from_name(name) {
-            Some(Op::Get) => Ok(Request::Get {
-                canonical: value
-                    .get("canonical")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("`get` needs a string `canonical` field")?
-                    .to_owned(),
-            }),
-            Some(Op::MultiGet) => {
-                let items = value
-                    .get("canonicals")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("`mget` needs a `canonicals` array")?;
-                if items.is_empty() {
-                    return Err("`mget` needs at least one canonical".to_owned());
-                }
-                let canonicals = items
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_owned)
-                            .ok_or("`canonicals` entries must be strings".to_owned())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::MultiGet { canonicals })
-            }
-            Some(Op::Explore) => Ok(Request::Explore {
-                points: parse_points(&value, Op::Explore)?,
-            }),
-            Some(Op::MultiExplore) => Ok(Request::MultiExplore {
-                points: parse_points(&value, Op::MultiExplore)?,
-            }),
-            Some(Op::Put) => {
-                let items = value
-                    .get("records")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("`put` needs a `records` array")?;
-                if items.is_empty() {
-                    return Err("`put` needs at least one record".to_owned());
-                }
-                let records = items
-                    .iter()
-                    .map(PointRecord::from_json_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Put { records })
-            }
-            Some(Op::Ping) => Ok(Request::Ping),
-            Some(Op::Stats) => Ok(Request::Stats),
-            Some(Op::Metrics) => match value.get("format").map(JsonValue::as_str) {
-                None => Ok(Request::Metrics { prometheus: false }),
-                Some(Some("json")) => Ok(Request::Metrics { prometheus: false }),
-                Some(Some("prometheus" | "prom")) => Ok(Request::Metrics { prometheus: true }),
-                Some(other) => Err(format!(
-                    "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
-                )),
-            },
-            Some(Op::Trace) => {
-                let id = value
-                    .get("id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("`trace` needs a string `id` field")?;
-                if !valid_trace_id(id) {
-                    return Err(format!(
-                        "`trace` id must be 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
-                    ));
-                }
-                Ok(Request::Trace { id: id.to_owned() })
-            }
-            Some(Op::Series) => {
-                let field = |name: &str| -> Result<u64, String> {
-                    match value.get(name) {
-                        None => Ok(0),
-                        Some(v) => v
-                            .as_u64()
-                            .ok_or_else(|| format!("`{name}` must be a number")),
-                    }
-                };
-                let last = field("last")?;
-                let window_us = field("window_us")?;
-                if (last == 0) == (window_us == 0) {
-                    return Err(
-                        "`series` needs exactly one of `last` or `window_us`, non-zero".to_owned(),
-                    );
-                }
-                Ok(Request::Series { last, window_us })
-            }
-            Some(Op::Digest) => Ok(Request::Digest),
-            Some(Op::Scan) => {
-                let shard = value
-                    .get("shard")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("`scan` needs a numeric `shard` field")?;
-                let offset = match value.get("offset") {
-                    None => 0,
-                    Some(v) => v.as_u64().ok_or("`offset` must be a number")?,
-                };
-                let limit = match value.get("limit") {
-                    None => 1024,
-                    Some(v) => v.as_u64().ok_or("`limit` must be a number")?,
-                };
-                if limit == 0 {
-                    return Err("`scan` limit must be at least 1".to_owned());
-                }
-                Ok(Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                })
-            }
-            Some(Op::Shutdown) => Ok(Request::Shutdown),
-            Some(Op::Invalid) | None => Err(format!("unknown op `{name}`")),
-        }
+        Ok(parse_line(line)?.0)
     }
 
-    /// Decodes one request line together with its optional `trace` id.
-    ///
-    /// Clients render the `trace` member last (see [`stamp_trace`]), so the
-    /// common cases — no trace at all, or a traced hot-path `get` — are
-    /// answered without re-framing the line; only traced non-`get` requests
-    /// pay one small copy to strip the suffix before the general parser.
+    /// Decodes one request line together with its optional `trace` id, a
+    /// top-level member at any position.
     ///
     /// # Errors
     ///
-    /// As [`Request::parse`].
+    /// As [`Request::parse`], and an invalid trace id.
     pub fn parse_with_trace(line: &str) -> Result<(Self, Option<String>), String> {
-        let Some((start, id)) = trace_suffix(line) else {
-            return Ok((Self::parse(line)?, None));
-        };
-        let trace = Some(id.to_owned());
-        let body = &line[..start];
-        // Traced twin of the hot `get` fast path in [`Request::parse`].
-        if let Some(text) = body.strip_prefix("{\"op\":\"get\",\"canonical\":\"") {
-            if let Some(text) = text.strip_suffix('"') {
-                if !text.contains('\\') && !text.contains('"') {
-                    return Ok((
-                        Request::Get {
-                            canonical: text.to_owned(),
-                        },
-                        trace,
-                    ));
-                }
+        parse_line(line)
+    }
+
+    /// The request checks, run once after either decoder.
+    fn check(&self) -> Result<(), String> {
+        let empty = match self {
+            Request::MultiGet { canonicals } => canonicals.is_empty().then_some("canonical"),
+            Request::Explore { points } | Request::MultiExplore { points } => {
+                points.is_empty().then_some("point")
             }
+            Request::Put { records } => records.is_empty().then_some("record"),
+            Request::Trace { id } if !valid_trace_id(id) => {
+                return Err(format!(
+                    "`trace` id must be 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
+                ))
+            }
+            Request::Series { last, window_us } if (*last == 0) == (*window_us == 0) => {
+                return Err(
+                    "`series` needs exactly one of `last` or `window_us`, non-zero".to_owned(),
+                )
+            }
+            Request::Scan { limit: 0, .. } => {
+                return Err("`scan` limit must be at least 1".to_owned())
+            }
+            _ => None,
+        };
+        match empty {
+            Some(item) => Err(format!("`{}` needs at least one {item}", self.op().name())),
+            None => Ok(()),
         }
-        let mut stripped = String::with_capacity(body.len() + 1);
-        stripped.push_str(body);
-        stripped.push('}');
-        Ok((Self::parse(&stripped)?, trace))
+    }
+}
+
+impl Wire for Request {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        let op = self.op();
+        e.variant(op.tag(), |e| e.str("op", op.name()))?;
+        match self {
+            Request::Get { canonical } => e.str("canonical", canonical),
+            Request::MultiGet { canonicals } => e.strs("canonicals", canonicals),
+            Request::Explore { points } | Request::MultiExplore { points } => {
+                e.values("points", points)
+            }
+            Request::Put { records } => e.values("records", records),
+            // JSON names the format only when it is not the default.
+            Request::Metrics { prometheus } if E::JSON => match prometheus {
+                true => e.str("format", "prometheus"),
+                false => Ok(()),
+            },
+            Request::Metrics { prometheus } => e.bool("format", *prometheus),
+            Request::Trace { id } => e.str("id", id),
+            Request::Series { last, window_us } => {
+                // JSON writes only the non-zero one of the two.
+                if !E::JSON || *window_us == 0 {
+                    e.u64("last", *last)?;
+                }
+                if !E::JSON || *window_us > 0 {
+                    e.u64("window_us", *window_us)?;
+                }
+                Ok(())
+            }
+            Request::Scan {
+                shard,
+                offset,
+                limit,
+            } => {
+                e.u64("shard", *shard)?;
+                e.u64("offset", *offset)?;
+                e.u64("limit", *limit)
+            }
+            Request::Ping | Request::Stats | Request::Digest | Request::Shutdown => Ok(()),
+        }
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        let tag = d.variant(|d| {
+            let name = d.str("op")?;
+            Op::from_name(&name)
+                .filter(|op| *op != Op::Invalid)
+                .map(Op::tag)
+                .ok_or_else(|| WireError::Corrupt(format!("unknown op `{name}`")))
+        })?;
+        let unknown = || WireError::Corrupt(format!("unknown request tag {tag:#04x}"));
+        let op = Op::from_tag(tag).ok_or_else(unknown)?;
+        let request = match op {
+            Op::Get => Request::Get {
+                canonical: d.str("canonical")?,
+            },
+            Op::MultiGet => Request::MultiGet {
+                canonicals: d.strs("canonicals")?,
+            },
+            Op::Explore => Request::Explore {
+                points: d.values("points")?,
+            },
+            Op::MultiExplore => Request::MultiExplore {
+                points: d.values("points")?,
+            },
+            Op::Put => Request::Put {
+                records: d.values("records")?,
+            },
+            Op::Ping => Request::Ping,
+            Op::Stats => Request::Stats,
+            Op::Metrics if D::JSON => Request::Metrics {
+                prometheus: match d.has("format").then(|| d.str("format")).transpose()? {
+                    None => false,
+                    Some(format) => match format.as_str() {
+                        "json" => false,
+                        "prometheus" | "prom" => true,
+                        other => {
+                            return Err(WireError::Corrupt(format!(
+                                "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
+                            )))
+                        }
+                    },
+                },
+            },
+            Op::Metrics => Request::Metrics {
+                prometheus: d.bool("format")?,
+            },
+            Op::Trace => Request::Trace { id: d.str("id")? },
+            Op::Series => Request::Series {
+                last: d.u64_or("last", 0)?,
+                window_us: d.u64_or("window_us", 0)?,
+            },
+            Op::Digest => Request::Digest,
+            Op::Scan => Request::Scan {
+                shard: d.u64("shard")?,
+                offset: d.u64_or("offset", 0)?,
+                limit: d.u64_or("limit", 1024)?,
+            },
+            Op::Shutdown => Request::Shutdown,
+            Op::Invalid => return Err(unknown()),
+        };
+        request.check().map_err(WireError::Corrupt)?;
+        Ok(request)
     }
 }
 
@@ -665,139 +558,87 @@ impl ServerStats {
     pub fn op(&self, op: &str) -> Option<&OpStats> {
         self.ops.iter().find(|entry| entry.op == op)
     }
+}
 
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "uptime_ms".to_owned(),
-                JsonValue::Number(self.uptime_ms.to_string()),
-            ),
-            (
-                "uptime_secs".to_owned(),
-                JsonValue::Number(self.uptime_secs.to_string()),
-            ),
-            ("version".to_owned(), JsonValue::Text(self.version.clone())),
-            (
-                "connections".to_owned(),
-                JsonValue::Number(self.connections.to_string()),
-            ),
-            (
-                "requests".to_owned(),
-                JsonValue::Number(self.requests.to_string()),
-            ),
-            ("hits".to_owned(), JsonValue::Number(self.hits.to_string())),
-            (
-                "misses".to_owned(),
-                JsonValue::Number(self.misses.to_string()),
-            ),
-            (
-                "evaluated".to_owned(),
-                JsonValue::Number(self.evaluated.to_string()),
-            ),
-            (
-                "records".to_owned(),
-                JsonValue::Number(self.records().to_string()),
-            ),
-            (
-                "shard_count".to_owned(),
-                JsonValue::Number(self.shard_records.len().to_string()),
-            ),
-            (
-                "shards".to_owned(),
-                JsonValue::Array(
-                    self.shard_records
-                        .iter()
-                        .map(|n| JsonValue::Number(n.to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "ops".to_owned(),
-                JsonValue::Object(
-                    self.ops
-                        .iter()
-                        .map(|entry| {
-                            (
-                                entry.op.clone(),
-                                JsonValue::Object(vec![
-                                    (
-                                        "count".to_owned(),
-                                        JsonValue::Number(entry.count.to_string()),
-                                    ),
-                                    (
-                                        "p50_us".to_owned(),
-                                        JsonValue::Number(entry.p50_us.to_string()),
-                                    ),
-                                    (
-                                        "p99_us".to_owned(),
-                                        JsonValue::Number(entry.p99_us.to_string()),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+impl Wire for ShardDigest {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.u64("records", self.records)?;
+        e.u64("fold", self.fold)
     }
 
-    fn from_value(value: &JsonValue) -> Result<Self, String> {
-        let num = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("stats need a numeric `{name}` field"))
-        };
-        let shard_records = value
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("stats need a `shards` array")?
-            .iter()
-            .map(|v| v.as_u64().map(|n| n as usize))
-            .collect::<Option<Vec<_>>>()
-            .ok_or("`shards` entries must be numbers")?;
-        // Absent on pre-batching servers: default to empty rather than erroring,
-        // so a new client can still read an old server's stats.
-        let mut ops = Vec::new();
-        if let Some(JsonValue::Object(entries)) = value.get("ops") {
-            for (op, entry) in entries {
-                let field = |name: &str| -> Result<u64, String> {
-                    entry
-                        .get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("op stats need a numeric `{name}` field"))
-                };
-                ops.push(OpStats {
-                    op: op.clone(),
-                    count: field("count")?,
-                    p50_us: field("p50_us")?,
-                    p99_us: field("p99_us")?,
-                });
-            }
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        Ok(Self {
+            records: d.u64("records")?,
+            fold: d.u64("fold")?,
+        })
+    }
+}
+
+impl Wire for ServerStats {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        e.u64("uptime_ms", self.uptime_ms)?;
+        e.u64("uptime_secs", self.uptime_secs)?;
+        e.str("version", &self.version)?;
+        e.u64("connections", self.connections)?;
+        e.u64("requests", self.requests)?;
+        e.u64("hits", self.hits)?;
+        e.u64("misses", self.misses)?;
+        e.u64("evaluated", self.evaluated)?;
+        if E::JSON {
+            // Derived totals for scripts; decoders ignore them.
+            e.u64("records", self.records() as u64)?;
+            e.u64("shard_count", self.shard_records.len() as u64)?;
         }
-        let uptime_ms = num("uptime_ms")?;
-        // Absent on servers that predate the field (as are `version` and the
-        // redundant `shard_count`): tolerate, deriving what we can.
-        let uptime_secs = value
-            .get("uptime_secs")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(uptime_ms / 1000);
-        let version = value
-            .get("version")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-            .to_owned();
+        e.seq("shards", self.shard_records.len(), |e| {
+            self.shard_records
+                .iter()
+                .try_for_each(|&count| e.u64("", count as u64))
+        })?;
+        e.map("ops", self.ops.len(), |e| {
+            self.ops.iter().try_for_each(|entry| {
+                e.key(&entry.op)?;
+                e.object("", |e| {
+                    e.u64("count", entry.count)?;
+                    e.u64("p50_us", entry.p50_us)?;
+                    e.u64("p99_us", entry.p99_us)
+                })
+            })
+        })
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        // `uptime_secs`, `version` and `ops` are absent from older servers'
+        // JSON: derive or default them.
+        let uptime_ms = d.u64("uptime_ms")?;
         Ok(Self {
             uptime_ms,
-            uptime_secs,
-            version,
-            connections: num("connections")?,
-            requests: num("requests")?,
-            hits: num("hits")?,
-            misses: num("misses")?,
-            evaluated: num("evaluated")?,
-            shard_records,
-            ops,
+            uptime_secs: d.u64_or("uptime_secs", uptime_ms / 1000)?,
+            version: if d.has("version") {
+                d.str("version")?
+            } else {
+                String::new()
+            },
+            connections: d.u64("connections")?,
+            requests: d.u64("requests")?,
+            hits: d.u64("hits")?,
+            misses: d.u64("misses")?,
+            evaluated: d.u64("evaluated")?,
+            shard_records: d.seq("shards", |d| Ok(d.u64("")? as usize))?,
+            ops: if d.has("ops") {
+                d.map("ops", |d| {
+                    let op = d.key()?;
+                    d.object("", |d| {
+                        Ok(OpStats {
+                            op,
+                            count: d.u64("count")?,
+                            p50_us: d.u64("p50_us")?,
+                            p99_us: d.u64("p99_us")?,
+                        })
+                    })
+                })?
+            } else {
+                Vec::new()
+            },
         })
     }
 }
@@ -828,6 +669,38 @@ pub enum PointOutcome {
         /// A user-facing description of the problem.
         error: String,
     },
+}
+
+impl Wire for PointOutcome {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        match self {
+            PointOutcome::Answered { record, hit } => {
+                e.variant(0, |_| Ok(()))?;
+                e.bool("hit", *hit)?;
+                e.value("record", record)
+            }
+            PointOutcome::Failed { error } => {
+                e.variant(1, |_| Ok(()))?;
+                e.str("error", error)
+            }
+        }
+    }
+
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        // JSON names a failed point by its `error` member.
+        match d.variant(|d| Ok(u8::from(d.has("error"))))? {
+            0 => Ok(PointOutcome::Answered {
+                hit: d.bool("hit")?,
+                record: d.value("record")?,
+            }),
+            1 => Ok(PointOutcome::Failed {
+                error: d.str("error")?,
+            }),
+            other => Err(WireError::Corrupt(format!(
+                "unknown outcome tag {other:#04x}"
+            ))),
+        }
+    }
 }
 
 /// One response line.
@@ -926,142 +799,99 @@ pub enum Response {
     },
 }
 
+/// One reply variant, in [`Reply::TABLE`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reply {
+    Error,
+    Found,
+    NotFound,
+    MultiGot,
+    MultiExplored,
+    Explored,
+    Stored,
+    Pong,
+    Stats,
+    Metrics,
+    MetricsText,
+    Traced,
+    Series,
+    SeriesDelta,
+    Digests,
+    Scanned,
+    ShuttingDown,
+}
+
+impl Reply {
+    /// Every reply variant with its binary tag and the JSON member that
+    /// names it, in JSON decode order.  Replies are `{"ok":true,…}`, errors
+    /// `{"ok":false,"error":…}`; `found` names both `Found` and `NotFound`
+    /// by its value, and `pong` and `shutting_down` are constant `true`
+    /// flags.
+    const TABLE: [(Reply, u8, &'static str); 17] = [
+        (Reply::Error, 12, "error"),
+        (Reply::Found, 1, "found"),
+        (Reply::NotFound, 2, "found"),
+        (Reply::MultiGot, 3, "got"),
+        (Reply::MultiExplored, 5, "outcomes"),
+        (Reply::Explored, 4, "records"),
+        (Reply::Stored, 6, "stored"),
+        (Reply::Pong, 7, "pong"),
+        (Reply::Stats, 8, "stats"),
+        (Reply::Metrics, 9, "metrics"),
+        (Reply::MetricsText, 10, "exposition"),
+        (Reply::Traced, 13, "spans"),
+        (Reply::Series, 16, "series"),
+        (Reply::SeriesDelta, 17, "delta"),
+        (Reply::Digests, 14, "digests"),
+        (Reply::Scanned, 15, "canonicals"),
+        (Reply::ShuttingDown, 11, "shutting_down"),
+    ];
+
+    fn tag(self) -> u8 {
+        Self::TABLE[self as usize].1
+    }
+
+    fn from_tag(tag: u8) -> Option<Reply> {
+        Self::TABLE
+            .iter()
+            .find(|entry| entry.1 == tag)
+            .map(|entry| entry.0)
+    }
+}
+
 impl Response {
+    fn reply(&self) -> Reply {
+        match self {
+            Response::Found { .. } => Reply::Found,
+            Response::NotFound => Reply::NotFound,
+            Response::MultiGot { .. } => Reply::MultiGot,
+            Response::Explored { .. } => Reply::Explored,
+            Response::MultiExplored { .. } => Reply::MultiExplored,
+            Response::Stored { .. } => Reply::Stored,
+            Response::Pong => Reply::Pong,
+            Response::Stats(_) => Reply::Stats,
+            Response::Metrics(_) => Reply::Metrics,
+            Response::MetricsText { .. } => Reply::MetricsText,
+            Response::Traced { .. } => Reply::Traced,
+            Response::Series { .. } => Reply::Series,
+            Response::SeriesDelta { .. } => Reply::SeriesDelta,
+            Response::Digests { .. } => Reply::Digests,
+            Response::Scanned { .. } => Reply::Scanned,
+            Response::ShuttingDown => Reply::ShuttingDown,
+            Response::Error { .. } => Reply::Error,
+        }
+    }
+
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(128);
-        self.render_into(&mut out);
-        out
+        render_line(self, 128)
     }
 
     /// Encodes the response into `out` (no trailing newline), reusing the
-    /// buffer's allocation.  Embedded records are appended as their raw JSONL
-    /// lines (byte-identical to the shard files), so the hot reply paths do
-    /// not build an intermediate JSON tree.
+    /// buffer's allocation.  Embedded records are the same bytes as their
+    /// JSONL cache lines.
     pub fn render_into(&self, out: &mut String) {
-        match self {
-            Response::Found { record } => {
-                out.push_str("{\"ok\":true,\"found\":true,\"record\":");
-                record.write_json_line(out);
-                out.push('}');
-            }
-            Response::NotFound => out.push_str(r#"{"ok":true,"found":false}"#),
-            Response::MultiGot { records } => {
-                out.push_str("{\"ok\":true,\"got\":");
-                render_array(out, records, |out, record| match record {
-                    Some(record) => record.write_json_line(out),
-                    None => out.push_str("null"),
-                });
-                out.push('}');
-            }
-            Response::Explored {
-                records,
-                hits,
-                evaluated,
-            } => {
-                out.push_str("{\"ok\":true,\"records\":");
-                render_array(out, records, |out, record| record.write_json_line(out));
-                render_hits_evaluated(out, *hits, *evaluated);
-            }
-            Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            } => {
-                out.push_str("{\"ok\":true,\"outcomes\":");
-                render_array(out, outcomes, |out, outcome| match outcome {
-                    PointOutcome::Answered { record, hit } => {
-                        out.push_str(if *hit {
-                            "{\"hit\":true,\"record\":"
-                        } else {
-                            "{\"hit\":false,\"record\":"
-                        });
-                        record.write_json_line(out);
-                        out.push('}');
-                    }
-                    PointOutcome::Failed { error } => {
-                        out.push_str("{\"error\":");
-                        render_string(out, error);
-                        out.push('}');
-                    }
-                });
-                render_hits_evaluated(out, *hits, *evaluated);
-            }
-            Response::Stored { stored } => {
-                out.push_str("{\"ok\":true,\"stored\":");
-                out.push_str(&stored.to_string());
-                out.push('}');
-            }
-            Response::Pong => out.push_str(r#"{"ok":true,"pong":true}"#),
-            Response::Stats(stats) => {
-                out.push_str("{\"ok\":true,\"stats\":");
-                stats.to_value().render_into(out);
-                out.push('}');
-            }
-            Response::Metrics(snapshot) => {
-                out.push_str("{\"ok\":true,\"metrics\":");
-                snapshot.render_json_into(out);
-                out.push('}');
-            }
-            Response::MetricsText { text } => {
-                out.push_str("{\"ok\":true,\"exposition\":");
-                render_string(out, text);
-                out.push('}');
-            }
-            Response::Traced { spans } => {
-                out.push_str("{\"ok\":true,\"spans\":");
-                render_array(out, spans, render_span);
-                out.push('}');
-            }
-            Response::Series { samples } => {
-                out.push_str("{\"ok\":true,\"series\":");
-                render_array(out, samples, |out, sample| {
-                    out.push_str("{\"at_us\":");
-                    out.push_str(&sample.at_us.to_string());
-                    out.push_str(",\"metrics\":");
-                    sample.metrics.render_json_into(out);
-                    out.push('}');
-                });
-                out.push('}');
-            }
-            Response::SeriesDelta { delta } => {
-                out.push_str("{\"ok\":true,\"delta\":{\"from_us\":");
-                out.push_str(&delta.from_us.to_string());
-                out.push_str(",\"to_us\":");
-                out.push_str(&delta.to_us.to_string());
-                out.push_str(",\"metrics\":");
-                delta.diff.render_json_into(out);
-                out.push_str("}}");
-            }
-            Response::Digests { digests } => {
-                out.push_str("{\"ok\":true,\"digests\":");
-                render_array(out, digests, |out, digest| {
-                    out.push_str("{\"records\":");
-                    out.push_str(&digest.records.to_string());
-                    out.push_str(",\"fold\":");
-                    out.push_str(&digest.fold.to_string());
-                    out.push('}');
-                });
-                out.push('}');
-            }
-            Response::Scanned { canonicals, done } => {
-                out.push_str("{\"ok\":true,\"canonicals\":");
-                render_array(out, canonicals, |out, canonical| {
-                    render_string(out, canonical)
-                });
-                out.push_str(if *done {
-                    ",\"done\":true}"
-                } else {
-                    ",\"done\":false}"
-                });
-            }
-            Response::ShuttingDown => out.push_str(r#"{"ok":true,"shutting_down":true}"#),
-            Response::Error { message } => {
-                out.push_str("{\"ok\":false,\"error\":");
-                render_string(out, message);
-                out.push('}');
-            }
-        }
+        write_json(out, self);
     }
 
     /// Decodes one response line.
@@ -1071,357 +901,156 @@ impl Response {
     /// Returns a description of the first problem (malformed JSON or an
     /// unrecognised shape).
     pub fn parse(line: &str) -> Result<Self, String> {
-        // Fast path for the hot `get` hit reply exactly as
-        // [`Response::render`] frames it: one flat parse of the embedded
-        // record instead of a JSON tree plus a re-render plus a second
-        // parse.  Any other framing falls back to the general parser below.
-        if let Some(rest) = line.strip_prefix("{\"ok\":true,\"found\":true,\"record\":") {
-            if let Some(record_text) = rest.strip_suffix('}') {
-                if let Ok(record) = PointRecord::from_json_line(record_text) {
-                    return Ok(Response::Found { record });
-                }
+        Ok(parse_line(line)?.0)
+    }
+
+    /// Decodes one response line together with the `trace` id it echoes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::parse`], and an invalid trace id.
+    pub fn parse_with_trace(line: &str) -> Result<(Self, Option<String>), String> {
+        parse_line(line)
+    }
+}
+
+impl Wire for Response {
+    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        let reply = self.reply();
+        e.variant(reply.tag(), |e| {
+            e.bool("ok", reply != Reply::Error)?;
+            match reply {
+                Reply::Found | Reply::NotFound => e.bool("found", reply == Reply::Found),
+                Reply::Pong => e.bool("pong", true),
+                Reply::ShuttingDown => e.bool("shutting_down", true),
+                _ => Ok(()),
             }
-        }
-        let value = JsonValue::parse(line)?;
-        let ok = value
-            .get("ok")
-            .and_then(JsonValue::as_bool)
-            .ok_or("response needs a boolean `ok` field")?;
-        if !ok {
-            return Ok(Response::Error {
-                message: value
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unspecified server error")
-                    .to_owned(),
-            });
-        }
-        if let Some(found) = value.get("found").and_then(JsonValue::as_bool) {
-            return if found {
-                Ok(Response::Found {
-                    record: PointRecord::from_json_value(
-                        value
-                            .get("record")
-                            .ok_or("`found` response lacks `record`")?,
-                    )?,
+        })?;
+        match self {
+            Response::Found { record } => e.value("record", record),
+            Response::NotFound | Response::Pong | Response::ShuttingDown => Ok(()),
+            Response::MultiGot { records } => e.seq("got", records.len(), |e| {
+                records.iter().try_for_each(|record| {
+                    e.option("", record.is_some())?;
+                    record.as_ref().map_or(Ok(()), |record| e.value("", record))
                 })
-            } else {
-                Ok(Response::NotFound)
-            };
-        }
-        if let Some(items) = value.get("got").and_then(JsonValue::as_array) {
-            let records = items
-                .iter()
-                .map(|item| match item {
-                    JsonValue::Null => Ok(None),
-                    other => PointRecord::from_json_value(other).map(Some),
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::MultiGot { records });
-        }
-        if let Some(items) = value.get("outcomes").and_then(JsonValue::as_array) {
-            let outcomes = items
-                .iter()
-                .map(|item| {
-                    if let Some(error) = item.get("error").and_then(JsonValue::as_str) {
-                        return Ok(PointOutcome::Failed {
-                            error: error.to_owned(),
-                        });
-                    }
-                    let hit = item
-                        .get("hit")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or("outcome needs a boolean `hit` field")?;
-                    let record = PointRecord::from_json_value(
-                        item.get("record").ok_or("outcome lacks a `record` field")?,
-                    )?;
-                    Ok(PointOutcome::Answered { record, hit })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let (hits, evaluated) = parse_hits_evaluated(&value, "mexplore")?;
-            return Ok(Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            });
-        }
-        if let Some(items) = value.get("records").and_then(JsonValue::as_array) {
-            let records = items
-                .iter()
-                .map(PointRecord::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            let (hits, evaluated) = parse_hits_evaluated(&value, "explore")?;
-            return Ok(Response::Explored {
+            }),
+            Response::Explored {
                 records,
                 hits,
                 evaluated,
-            });
-        }
-        if let Some(stored) = value.get("stored").and_then(JsonValue::as_u64) {
-            return Ok(Response::Stored { stored });
-        }
-        if value.get("pong").and_then(JsonValue::as_bool) == Some(true) {
-            return Ok(Response::Pong);
-        }
-        if let Some(stats) = value.get("stats") {
-            return Ok(Response::Stats(ServerStats::from_value(stats)?));
-        }
-        if let Some(metrics) = value.get("metrics") {
-            return Ok(Response::Metrics(snapshot_from_value(metrics)?));
-        }
-        if let Some(text) = value.get("exposition").and_then(JsonValue::as_str) {
-            return Ok(Response::MetricsText {
-                text: text.to_owned(),
-            });
-        }
-        if let Some(items) = value.get("spans").and_then(JsonValue::as_array) {
-            let spans = items
-                .iter()
-                .map(span_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Response::Traced { spans });
-        }
-        if let Some(items) = value.get("series").and_then(JsonValue::as_array) {
-            let samples = items
-                .iter()
-                .map(|item| {
-                    let at_us = item
-                        .get("at_us")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("series sample needs a numeric `at_us` field")?;
-                    let metrics = snapshot_from_value(
-                        item.get("metrics")
-                            .ok_or("series sample lacks a `metrics` field")?,
-                    )?;
-                    Ok(SeriesSample { at_us, metrics })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::Series { samples });
-        }
-        if let Some(item) = value.get("delta") {
-            let field = |name: &str| -> Result<u64, String> {
-                item.get(name)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("series delta needs a numeric `{name}` field"))
-            };
-            let diff = snapshot_from_value(
-                item.get("metrics")
-                    .ok_or("series delta lacks a `metrics` field")?,
-            )?;
-            return Ok(Response::SeriesDelta {
-                delta: SnapshotDelta {
-                    from_us: field("from_us")?,
-                    to_us: field("to_us")?,
-                    diff,
-                },
-            });
-        }
-        if let Some(items) = value.get("digests").and_then(JsonValue::as_array) {
-            let digests = items
-                .iter()
-                .map(|item| {
-                    let field = |name: &str| -> Result<u64, String> {
-                        item.get(name)
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("digest needs a numeric `{name}` field"))
-                    };
-                    Ok(ShardDigest {
-                        records: field("records")?,
-                        fold: field("fold")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::Digests { digests });
-        }
-        if let Some(items) = value.get("canonicals").and_then(JsonValue::as_array) {
-            let canonicals = items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or("`canonicals` entries must be strings".to_owned())
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let done = value
-                .get("done")
-                .and_then(JsonValue::as_bool)
-                .ok_or("`scan` response needs a boolean `done` field")?;
-            return Ok(Response::Scanned { canonicals, done });
-        }
-        if value.get("shutting_down").and_then(JsonValue::as_bool) == Some(true) {
-            return Ok(Response::ShuttingDown);
-        }
-        Err("unrecognised response shape".to_owned())
-    }
-}
-
-/// Renders one span as a JSON object (the `trace` reply's element shape —
-/// see `docs/observability.md`).  Empty annotation lists are omitted.
-fn render_span(out: &mut String, span: &Span) {
-    out.push_str("{\"trace\":");
-    render_string(out, &span.trace_id);
-    out.push_str(",\"span\":");
-    out.push_str(&span.span_id.to_string());
-    out.push_str(",\"parent\":");
-    out.push_str(&span.parent_id.to_string());
-    out.push_str(",\"name\":");
-    render_string(out, &span.name);
-    out.push_str(",\"start_us\":");
-    out.push_str(&span.start_us.to_string());
-    out.push_str(",\"dur_us\":");
-    out.push_str(&span.dur_us.to_string());
-    if !span.annotations.is_empty() {
-        out.push_str(",\"annotations\":{");
-        for (index, (key, value)) in span.annotations.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
+            } => {
+                e.values("records", records)?;
+                e.u64("hits", *hits)?;
+                e.u64("evaluated", *evaluated)
             }
-            render_string(out, key);
-            out.push(':');
-            render_string(out, value);
+            Response::MultiExplored {
+                outcomes,
+                hits,
+                evaluated,
+            } => {
+                e.values("outcomes", outcomes)?;
+                e.u64("hits", *hits)?;
+                e.u64("evaluated", *evaluated)
+            }
+            Response::Stored { stored } => e.u64("stored", *stored),
+            Response::Stats(stats) => e.value("stats", stats),
+            Response::Metrics(snapshot) => e.value("metrics", snapshot),
+            Response::MetricsText { text } => e.str("exposition", text),
+            Response::Traced { spans } => e.values("spans", spans),
+            Response::Series { samples } => e.values("series", samples),
+            Response::SeriesDelta { delta } => e.value("delta", delta),
+            Response::Digests { digests } => e.values("digests", digests),
+            Response::Scanned { canonicals, done } => {
+                e.strs("canonicals", canonicals)?;
+                e.bool("done", *done)
+            }
+            Response::Error { message } => e.str("error", message),
         }
-        out.push('}');
     }
-    out.push('}');
-}
 
-/// Decodes one span of a `trace` reply.
-fn span_from_value(value: &JsonValue) -> Result<Span, String> {
-    let text = |name: &str| -> Result<String, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("span needs a string `{name}` field"))
-    };
-    let number = |name: &str| -> Result<u64, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("span needs a numeric `{name}` field"))
-    };
-    let annotations = match value.get("annotations") {
-        None => Vec::new(),
-        Some(JsonValue::Object(entries)) => entries
-            .iter()
-            .map(|(key, entry)| {
-                entry
-                    .as_str()
-                    .map(|text| (key.clone(), text.to_owned()))
-                    .ok_or_else(|| format!("span annotation `{key}` must be a string"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("span `annotations` must be an object".to_owned()),
-    };
-    Ok(Span {
-        trace_id: text("trace")?,
-        span_id: number("span")?,
-        parent_id: number("parent")?,
-        name: text("name")?,
-        start_us: number("start_us")?,
-        dur_us: number("dur_us")?,
-        annotations,
-    })
-}
-
-/// Decodes the `metrics` reply body back into a [`MetricsSnapshot`].
-///
-/// Metric names are re-validated on the way in (they render unescaped on
-/// the way out), and histogram bucket arrays may be shorter than the local
-/// bucket count — a trailing-zero-trimmed or older peer's array zero-pads.
-fn snapshot_from_value(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-    let mut snapshot = MetricsSnapshot::default();
-    let entries = |name: &str| -> Result<&[(String, JsonValue)], String> {
-        match value.get(name) {
-            None => Ok(&[]),
-            Some(JsonValue::Object(entries)) => Ok(entries),
-            Some(_) => Err(format!("metrics `{name}` must be an object")),
-        }
-    };
-    for (name, entry) in entries("counters")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let count = entry
-            .as_u64()
-            .ok_or_else(|| format!("counter `{name}` must be a non-negative number"))?;
-        snapshot.counters.push((name.clone(), count));
-    }
-    for (name, entry) in entries("gauges")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let JsonValue::Number(raw) = entry else {
-            return Err(format!("gauge `{name}` must be a number"));
-        };
-        let level = raw
-            .parse::<i64>()
-            .map_err(|_| format!("gauge `{name}` must be an integer"))?;
-        snapshot.gauges.push((name.clone(), level));
-    }
-    for (name, entry) in entries("histograms")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let buckets = entry
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("histogram `{name}` needs a `buckets` array"))?
-            .iter()
-            .map(JsonValue::as_u64)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("histogram `{name}` buckets must be numbers"))?;
-        let mut buckets = HistogramSnapshot::from_buckets(&buckets)
-            .ok_or_else(|| format!("histogram `{name}` carries too many buckets"))?;
-        match entry.get("exemplars") {
-            None => {}
-            Some(JsonValue::Object(exemplars)) => {
-                // Keys are the bucket upper bounds `(1 << index) - 1` the
-                // JSON rendering emits; unknown bounds are ignored so newer
-                // peers with more buckets still parse.
-                for (le, id) in exemplars {
-                    let (Ok(bound), Some(id)) = (le.parse::<u64>(), id.as_str()) else {
-                        return Err(format!(
-                            "histogram `{name}` exemplars must map bucket bounds to trace ids"
-                        ));
-                    };
-                    if let Some(index) =
-                        (0..LATENCY_BUCKETS).find(|i| (1u64 << i).wrapping_sub(1) == bound)
-                    {
-                        buckets.set_exemplar(index, id.to_owned());
+    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        let tag = d.variant(|d| {
+            if !d.bool("ok")? {
+                return Ok(Reply::Error.tag());
+            }
+            Reply::TABLE[1..]
+                .iter()
+                .find(|entry| d.has(entry.2))
+                .map(|entry| entry.1)
+                .ok_or_else(|| WireError::Corrupt("unrecognised response shape".to_owned()))
+        })?;
+        let reply = Reply::from_tag(tag)
+            .ok_or_else(|| WireError::Corrupt(format!("unknown response tag {tag:#04x}")))?;
+        Ok(match reply {
+            Reply::Found | Reply::NotFound => {
+                let found = if D::JSON {
+                    d.bool("found")?
+                } else {
+                    reply == Reply::Found
+                };
+                if found {
+                    Response::Found {
+                        record: d.value("record")?,
                     }
+                } else {
+                    Response::NotFound
                 }
             }
-            Some(_) => {
-                return Err(format!("histogram `{name}` exemplars must be an object"));
-            }
-        }
-        snapshot.histograms.push((name.clone(), buckets));
+            Reply::MultiGot => Response::MultiGot {
+                records: d.seq("got", |d| {
+                    if d.option("")? {
+                        d.value("").map(Some)
+                    } else {
+                        Ok(None)
+                    }
+                })?,
+            },
+            Reply::Explored => Response::Explored {
+                records: d.values("records")?,
+                hits: d.u64("hits")?,
+                evaluated: d.u64("evaluated")?,
+            },
+            Reply::MultiExplored => Response::MultiExplored {
+                outcomes: d.values("outcomes")?,
+                hits: d.u64("hits")?,
+                evaluated: d.u64("evaluated")?,
+            },
+            Reply::Stored => Response::Stored {
+                stored: d.u64("stored")?,
+            },
+            Reply::Pong => Response::Pong,
+            Reply::Stats => Response::Stats(d.value("stats")?),
+            Reply::Metrics => Response::Metrics(d.value::<MetricsSnapshot>("metrics")?),
+            Reply::MetricsText => Response::MetricsText {
+                text: d.str("exposition")?,
+            },
+            Reply::Traced => Response::Traced {
+                spans: d.values::<Span>("spans")?,
+            },
+            Reply::Series => Response::Series {
+                samples: d.values::<SeriesSample>("series")?,
+            },
+            Reply::SeriesDelta => Response::SeriesDelta {
+                delta: d.value::<SnapshotDelta>("delta")?,
+            },
+            Reply::Digests => Response::Digests {
+                digests: d.values("digests")?,
+            },
+            Reply::Scanned => Response::Scanned {
+                canonicals: d.strs("canonicals")?,
+                done: d.bool("done")?,
+            },
+            Reply::ShuttingDown => Response::ShuttingDown,
+            Reply::Error => Response::Error {
+                message: if d.has("error") {
+                    d.str("error")?
+                } else {
+                    "unspecified server error".to_owned()
+                },
+            },
+        })
     }
-    Ok(snapshot)
-}
-
-/// Renders the `,"hits":N,"evaluated":M}` tail shared by the explore-shaped
-/// replies.
-fn render_hits_evaluated(out: &mut String, hits: u64, evaluated: u64) {
-    out.push_str(",\"hits\":");
-    out.push_str(&hits.to_string());
-    out.push_str(",\"evaluated\":");
-    out.push_str(&evaluated.to_string());
-    out.push('}');
-}
-
-/// Parses the `hits`/`evaluated` totals shared by the explore-shaped replies.
-fn parse_hits_evaluated(value: &JsonValue, op: &str) -> Result<(u64, u64), String> {
-    let hits = value
-        .get("hits")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("`{op}` response lacks `hits`"))?;
-    let evaluated = value
-        .get("evaluated")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("`{op}` response lacks `evaluated`"))?;
-    Ok((hits, evaluated))
 }
 
 #[cfg(test)]
@@ -1703,7 +1332,7 @@ mod tests {
     fn stats_totals_sum_the_shards_and_carry_op_latencies() {
         let stats = sample_stats();
         assert_eq!(stats.records(), 8);
-        let rendered = stats.to_value().render();
+        let rendered = Response::Stats(stats.clone()).render();
         assert!(rendered.contains("\"records\":8"));
         assert!(rendered.contains("\"ops\":{\"get\":{\"count\":9,\"p50_us\":63,\"p99_us\":255}"));
         assert_eq!(stats.op("get").unwrap().count, 9);
@@ -1725,7 +1354,7 @@ mod tests {
 
     #[test]
     fn stats_carry_uptime_version_and_shard_count() {
-        let rendered = sample_stats().to_value().render();
+        let rendered = Response::Stats(sample_stats()).render();
         assert!(rendered.contains("\"uptime_secs\":1"));
         assert!(rendered.contains("\"version\":\"0.1.0\""));
         assert!(rendered.contains("\"shard_count\":4"));
@@ -1755,12 +1384,32 @@ mod tests {
         );
         assert_eq!(trace.as_deref(), Some("t1"));
 
-        // Responses stamp the same way; `trace_suffix` locates the id.
+        // Responses stamp the same way and decode with their id.
         let mut reply = Response::Pong.render();
         stamp_trace(&mut reply, "t1");
-        let (start, id) = trace_suffix(&reply).expect("stamped reply carries the id");
-        assert_eq!(id, "t1");
-        assert!(reply[..start].starts_with(r#"{"ok":true"#));
+        assert!(reply.starts_with(r#"{"ok":true"#));
+        let (response, trace) = Response::parse_with_trace(&reply).unwrap();
+        assert_eq!(response, Response::Pong);
+        assert_eq!(trace.as_deref(), Some("t1"));
+    }
+
+    #[test]
+    fn trace_members_sit_anywhere_and_bad_ids_are_refused() {
+        for line in [
+            r#"{"trace":"abc","op":"ping"}"#,
+            r#"{"op":"ping", "trace":"abc"}"#,
+        ] {
+            let (request, trace) = Request::parse_with_trace(line).unwrap();
+            assert_eq!(request, Request::Ping, "{line}");
+            assert_eq!(trace.as_deref(), Some("abc"), "{line}");
+        }
+        let err = Request::parse_with_trace(r#"{"op":"ping","trace":"no spaces"}"#)
+            .expect_err("an invalid trace id is refused");
+        assert!(err.contains("illegal trace id"), "{err}");
+        // The binary envelope refuses the same id with the same rule.
+        let payload = [9u8, b'n', b'o', b' ', b's', b'p', b'a', b'c', b'e', b's', 6];
+        let err = crate::decode_payload::<Request>(&payload).expect_err("refused");
+        assert!(err.to_string().contains("illegal trace id"), "{err}");
     }
 
     #[test]
@@ -1770,14 +1419,13 @@ mod tests {
             (Request::Ping, None)
         );
         // A canonical that *contains* the marker text is escaped on the wire,
-        // so the suffix scanner never fires inside a string.
+        // so it is never read as a trace member.
         let tricky = Request::Get {
             canonical: "x\",\"trace\":\"oops".to_owned(),
         };
         let line = tricky.render();
-        assert_eq!(trace_suffix(&line), None);
         assert_eq!(Request::parse_with_trace(&line).unwrap(), (tricky, None));
-        // Over-long or ill-charactered ids are not trace suffixes.
+        // Over-long or ill-charactered ids are not trace ids.
         assert!(!valid_trace_id(""));
         assert!(!valid_trace_id(&"x".repeat(TRACE_MAX_LEN + 1)));
         assert!(!valid_trace_id("no spaces"));
