@@ -115,18 +115,35 @@ sed -n '4p' "$PIPE_OUT" | grep -Eq '"get":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"mget":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"mexplore":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"explore":\{"count":[1-9]'
-# Binary wire codec: the same ops over `--binary` print identical JSON
-# output (the server detects the codec per frame on the shared listener).
+# Binary wire codec: every deterministic op prints identical replies over
+# both codecs (the server detects the codec per frame on the shared
+# listener).  One JSON pass warms the cache first.  stats, metrics, series
+# and trace are left out: their replies change between calls.
 "$SRRA" query --addr "$ADDR" --binary get fir cpa 32 | grep -q '"found":true'
-BPIPE_OUT="$SMOKE_DIR/pipe-binary.out"
+FIR_RECORD=$("$SRRA" query --addr "$ADDR" get fir cpa 32 \
+  | sed -n 's/^{"ok":true,"found":true,"record":\(.*\)}$/\1/p')
+[ -n "$FIR_RECORD" ] || { echo "serve smoke: no record in the get reply"; exit 1; }
+CODEC_REQ="$SMOKE_DIR/codec.req"
 {
   echo '{"op":"get","canonical":"'"$FIR_CANON"'"}'
   echo '{"op":"mget","canonicals":["'"$FIR_CANON"'","kernel=nope"]}'
-} | "$SRRA" query --addr "$ADDR" --binary pipe > "$BPIPE_OUT"
-[ "$(wc -l < "$BPIPE_OUT")" -eq 2 ] || { echo "serve smoke: binary pipe reply count"; exit 1; }
+  echo '{"op":"explore","points":[{"kernel":"fir","algo":"cpa","budget":32}]}'
+  echo '{"op":"mexplore","points":[{"kernel":"mat","algo":"fr","budget":16},{"kernel":"nope","algo":"fr","budget":16}]}'
+  echo '{"op":"put","records":['"$FIR_RECORD"']}'
+  echo '{"op":"ping"}'
+  echo '{"op":"digest"}'
+  echo '{"op":"scan","shard":0,"limit":4}'
+} > "$CODEC_REQ"
+"$SRRA" query --addr "$ADDR" pipe < "$CODEC_REQ" > /dev/null
+JPIPE_OUT="$SMOKE_DIR/pipe-json.out"
+BPIPE_OUT="$SMOKE_DIR/pipe-binary.out"
+"$SRRA" query --addr "$ADDR" pipe < "$CODEC_REQ" > "$JPIPE_OUT"
+"$SRRA" query --addr "$ADDR" --binary pipe < "$CODEC_REQ" > "$BPIPE_OUT"
+[ "$(wc -l < "$BPIPE_OUT")" -eq 8 ] || { echo "serve smoke: binary pipe reply count"; exit 1; }
 sed -n '1p' "$BPIPE_OUT" | grep -q '"found":true'
 sed -n '2p' "$BPIPE_OUT" | grep -q '"got":\[{.*,null\]'
-cmp -s <(sed -n '1,2p' "$PIPE_OUT") "$BPIPE_OUT" \
+sed -n '5p' "$BPIPE_OUT" | grep -q '"stored":0'
+cmp -s "$JPIPE_OUT" "$BPIPE_OUT" \
   || { echo "serve smoke: binary and JSON replies differ"; exit 1; }
 # Trace smoke: stamp a trace id on a cold explore, then fetch its span
 # waterfall after the fact through the trace op.  The root spans the whole

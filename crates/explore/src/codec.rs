@@ -89,6 +89,9 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+/// The result of an encode or decode step.
+pub type WireResult<T = ()> = Result<T, WireError>;
+
 fn corrupt(message: impl Into<String>) -> WireError {
     WireError::Corrupt(message.into())
 }
@@ -101,7 +104,7 @@ pub trait Wire: Sized {
     ///
     /// [`WireError::Corrupt`] when a string or sequence exceeds what the
     /// binary headers can carry; the JSON codec never fails.
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError>;
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult;
 
     /// Reads the value's fields back through `d`.
     ///
@@ -109,7 +112,7 @@ pub trait Wire: Sized {
     ///
     /// [`WireError::Io`] on truncated binary input, [`WireError::Corrupt`]
     /// on bytes or members that do not decode.
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError>;
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self>;
 }
 
 /// The writing half of a codec.  `name` is the field's JSON member name;
@@ -120,39 +123,31 @@ pub trait Encoder: Sized {
     const JSON: bool;
 
     /// A small integer.
-    fn u8(&mut self, name: &str, value: u8) -> Result<(), WireError>;
+    fn u8(&mut self, name: &str, value: u8) -> WireResult;
     /// An unsigned integer.
-    fn u64(&mut self, name: &str, value: u64) -> Result<(), WireError>;
+    fn u64(&mut self, name: &str, value: u64) -> WireResult;
     /// A signed integer.
-    fn i64(&mut self, name: &str, value: i64) -> Result<(), WireError>;
+    fn i64(&mut self, name: &str, value: i64) -> WireResult;
     /// A float, bit-exact in both codecs.
-    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError>;
+    fn f64(&mut self, name: &str, value: f64) -> WireResult;
     /// A boolean.
-    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError>;
+    fn bool(&mut self, name: &str, value: bool) -> WireResult;
     /// A string.
-    fn str(&mut self, name: &str, value: &str) -> Result<(), WireError>;
+    fn str(&mut self, name: &str, value: &str) -> WireResult;
     /// A 64-bit key: `"0x%016x"` text in JSON, a plain integer in binary.
-    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError>;
+    fn hex(&mut self, name: &str, value: u64) -> WireResult;
     /// An enum's discriminant: `tag` in binary; in JSON `json` writes
     /// whatever members name the variant.
-    fn variant(
-        &mut self,
-        tag: u8,
-        json: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError>;
+    fn variant(&mut self, tag: u8, json: impl FnOnce(&mut Self) -> WireResult) -> WireResult;
     /// A nested value whose fields `body` writes.
-    fn object(
-        &mut self,
-        name: &str,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError>;
+    fn object(&mut self, name: &str, body: impl FnOnce(&mut Self) -> WireResult) -> WireResult;
     /// A sequence of `len` bare values that `body` writes.
     fn seq(
         &mut self,
         name: &str,
         len: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError>;
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult;
     /// A map of `len` entries that `body` writes, each a [`key`](Self::key)
     /// then a bare value: a JSON object keyed by entry, a counted sequence in
     /// binary.
@@ -160,29 +155,29 @@ pub trait Encoder: Sized {
         &mut self,
         name: &str,
         len: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError>;
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult;
     /// The key of the next map entry: a member name in JSON, a string in
     /// binary.
-    fn key(&mut self, key: &str) -> Result<(), WireError>;
+    fn key(&mut self, key: &str) -> WireResult;
     /// An option's discriminant; a present value follows under the same
     /// name.  JSON writes `null` for an absent one.
-    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError>;
+    fn option(&mut self, name: &str, present: bool) -> WireResult;
 
     /// A nested [`Wire`] value.
-    fn value<T: Wire>(&mut self, name: &str, value: &T) -> Result<(), WireError> {
+    fn value<T: Wire>(&mut self, name: &str, value: &T) -> WireResult {
         self.object(name, |e| value.encode(e))
     }
 
     /// A sequence of [`Wire`] values.
-    fn values<T: Wire>(&mut self, name: &str, items: &[T]) -> Result<(), WireError> {
+    fn values<T: Wire>(&mut self, name: &str, items: &[T]) -> WireResult {
         self.seq(name, items.len(), |e| {
             items.iter().try_for_each(|item| e.value("", item))
         })
     }
 
     /// A sequence of strings.
-    fn strs(&mut self, name: &str, items: &[String]) -> Result<(), WireError> {
+    fn strs(&mut self, name: &str, items: &[String]) -> WireResult {
         self.seq(name, items.len(), |e| {
             items.iter().try_for_each(|item| e.str("", item))
         })
@@ -198,49 +193,46 @@ pub trait Decoder: Sized {
     /// field never is.
     fn has(&self, name: &str) -> bool;
     /// See [`Encoder::u8`].
-    fn u8(&mut self, name: &str) -> Result<u8, WireError>;
+    fn u8(&mut self, name: &str) -> WireResult<u8>;
     /// See [`Encoder::u64`].
-    fn u64(&mut self, name: &str) -> Result<u64, WireError>;
+    fn u64(&mut self, name: &str) -> WireResult<u64>;
     /// See [`Encoder::i64`].
-    fn i64(&mut self, name: &str) -> Result<i64, WireError>;
+    fn i64(&mut self, name: &str) -> WireResult<i64>;
     /// See [`Encoder::f64`].
-    fn f64(&mut self, name: &str) -> Result<f64, WireError>;
+    fn f64(&mut self, name: &str) -> WireResult<f64>;
     /// See [`Encoder::bool`].
-    fn bool(&mut self, name: &str) -> Result<bool, WireError>;
+    fn bool(&mut self, name: &str) -> WireResult<bool>;
     /// See [`Encoder::str`].
-    fn str(&mut self, name: &str) -> Result<String, WireError>;
+    fn str(&mut self, name: &str) -> WireResult<String>;
     /// See [`Encoder::hex`].
-    fn hex(&mut self, name: &str) -> Result<u64, WireError>;
+    fn hex(&mut self, name: &str) -> WireResult<u64>;
     /// See [`Encoder::variant`]: binary reads the tag, JSON asks `json`.
-    fn variant(
-        &mut self,
-        json: impl FnOnce(&mut Self) -> Result<u8, WireError>,
-    ) -> Result<u8, WireError>;
+    fn variant(&mut self, json: impl FnOnce(&mut Self) -> WireResult<u8>) -> WireResult<u8>;
     /// See [`Encoder::object`].
     fn object<T>(
         &mut self,
         name: &str,
-        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<T, WireError>;
+        body: impl FnOnce(&mut Self) -> WireResult<T>,
+    ) -> WireResult<T>;
     /// See [`Encoder::seq`]; `body` reads one element.
     fn seq<T>(
         &mut self,
         name: &str,
-        body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError>;
+        body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>>;
     /// See [`Encoder::map`]; `body` reads one entry.
     fn map<T>(
         &mut self,
         name: &str,
-        body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError>;
+        body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>>;
     /// See [`Encoder::key`].
-    fn key(&mut self) -> Result<String, WireError>;
+    fn key(&mut self) -> WireResult<String>;
     /// See [`Encoder::option`].
-    fn option(&mut self, name: &str) -> Result<bool, WireError>;
+    fn option(&mut self, name: &str) -> WireResult<bool>;
 
     /// An unsigned integer that JSON may omit for `default`.
-    fn u64_or(&mut self, name: &str, default: u64) -> Result<u64, WireError> {
+    fn u64_or(&mut self, name: &str, default: u64) -> WireResult<u64> {
         if self.has(name) {
             self.u64(name)
         } else {
@@ -249,17 +241,17 @@ pub trait Decoder: Sized {
     }
 
     /// A nested [`Wire`] value.
-    fn value<T: Wire>(&mut self, name: &str) -> Result<T, WireError> {
+    fn value<T: Wire>(&mut self, name: &str) -> WireResult<T> {
         self.object(name, T::decode)
     }
 
     /// A sequence of [`Wire`] values.
-    fn values<T: Wire>(&mut self, name: &str) -> Result<Vec<T>, WireError> {
+    fn values<T: Wire>(&mut self, name: &str) -> WireResult<Vec<T>> {
         self.seq(name, |d| d.value(""))
     }
 
     /// A sequence of strings.
-    fn strs(&mut self, name: &str) -> Result<Vec<String>, WireError> {
+    fn strs(&mut self, name: &str) -> WireResult<Vec<String>> {
         self.seq(name, |d| d.str(""))
     }
 }
@@ -270,7 +262,7 @@ struct BinaryEncoder<'a> {
 }
 
 impl BinaryEncoder<'_> {
-    fn len(&mut self, len: usize) -> Result<(), WireError> {
+    fn len(&mut self, len: usize) -> WireResult {
         let len = u32::try_from(len)
             .map_err(|_| corrupt(format!("length {len} does not fit the u32 header")))?;
         self.out.extend_from_slice(&len.to_le_bytes());
@@ -281,30 +273,30 @@ impl BinaryEncoder<'_> {
 impl Encoder for BinaryEncoder<'_> {
     const JSON: bool = false;
 
-    fn u8(&mut self, _: &str, value: u8) -> Result<(), WireError> {
+    fn u8(&mut self, _: &str, value: u8) -> WireResult {
         self.out.push(value);
         Ok(())
     }
 
-    fn u64(&mut self, _: &str, value: u64) -> Result<(), WireError> {
+    fn u64(&mut self, _: &str, value: u64) -> WireResult {
         self.out.extend_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
-    fn i64(&mut self, _: &str, value: i64) -> Result<(), WireError> {
+    fn i64(&mut self, _: &str, value: i64) -> WireResult {
         self.out.extend_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
-    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError> {
+    fn f64(&mut self, name: &str, value: f64) -> WireResult {
         self.u64(name, value.to_bits())
     }
 
-    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError> {
+    fn bool(&mut self, name: &str, value: bool) -> WireResult {
         self.u8(name, u8::from(value))
     }
 
-    fn str(&mut self, _: &str, value: &str) -> Result<(), WireError> {
+    fn str(&mut self, _: &str, value: &str) -> WireResult {
         if value.len() > MAX_TEXT_LEN {
             return Err(corrupt(format!(
                 "string of {} bytes exceeds the {MAX_TEXT_LEN} byte cap",
@@ -316,23 +308,15 @@ impl Encoder for BinaryEncoder<'_> {
         Ok(())
     }
 
-    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+    fn hex(&mut self, name: &str, value: u64) -> WireResult {
         self.u64(name, value)
     }
 
-    fn variant(
-        &mut self,
-        tag: u8,
-        _: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+    fn variant(&mut self, tag: u8, _: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
         self.u8("", tag)
     }
 
-    fn object(
-        &mut self,
-        _: &str,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+    fn object(&mut self, _: &str, body: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
         body(self)
     }
 
@@ -340,8 +324,8 @@ impl Encoder for BinaryEncoder<'_> {
         &mut self,
         _: &str,
         len: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult {
         self.len(len)?;
         body(self)
     }
@@ -350,16 +334,16 @@ impl Encoder for BinaryEncoder<'_> {
         &mut self,
         name: &str,
         len: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult {
         self.seq(name, len, body)
     }
 
-    fn key(&mut self, key: &str) -> Result<(), WireError> {
+    fn key(&mut self, key: &str) -> WireResult {
         self.str("", key)
     }
 
-    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError> {
+    fn option(&mut self, name: &str, present: bool) -> WireResult {
         self.u8(name, u8::from(present))
     }
 }
@@ -380,15 +364,20 @@ impl<'a> BinaryDecoder<'a> {
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returns exactly N bytes"))
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returns exactly N bytes"))
     }
 
     /// Reads a `u32` length or count header, enforcing `cap` before any
     /// allocation.
-    fn len(&mut self, cap: usize, what: &str) -> Result<usize, WireError> {
+    fn len(&mut self, cap: usize, what: &str) -> WireResult<usize> {
         let len = u32::from_le_bytes(self.array()?) as usize;
         if len > cap {
-            return Err(corrupt(format!("{what} length {len} exceeds the {cap} cap")));
+            return Err(corrupt(format!(
+                "{what} length {len} exceeds the {cap} cap"
+            )));
         }
         Ok(len)
     }
@@ -401,23 +390,23 @@ impl Decoder for BinaryDecoder<'_> {
         true
     }
 
-    fn u8(&mut self, _: &str) -> Result<u8, WireError> {
+    fn u8(&mut self, _: &str) -> WireResult<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u64(&mut self, _: &str) -> Result<u64, WireError> {
+    fn u64(&mut self, _: &str) -> WireResult<u64> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn i64(&mut self, _: &str) -> Result<i64, WireError> {
+    fn i64(&mut self, _: &str) -> WireResult<i64> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
-    fn f64(&mut self, name: &str) -> Result<f64, WireError> {
+    fn f64(&mut self, name: &str) -> WireResult<f64> {
         Ok(f64::from_bits(self.u64(name)?))
     }
 
-    fn bool(&mut self, name: &str) -> Result<bool, WireError> {
+    fn bool(&mut self, name: &str) -> WireResult<bool> {
         match self.u8(name)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -425,36 +414,33 @@ impl Decoder for BinaryDecoder<'_> {
         }
     }
 
-    fn str(&mut self, _: &str) -> Result<String, WireError> {
+    fn str(&mut self, _: &str) -> WireResult<String> {
         let len = self.len(MAX_TEXT_LEN, "string")?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|err| corrupt(format!("bad UTF-8: {err}")))
     }
 
-    fn hex(&mut self, name: &str) -> Result<u64, WireError> {
+    fn hex(&mut self, name: &str) -> WireResult<u64> {
         self.u64(name)
     }
 
-    fn variant(
-        &mut self,
-        _: impl FnOnce(&mut Self) -> Result<u8, WireError>,
-    ) -> Result<u8, WireError> {
+    fn variant(&mut self, _: impl FnOnce(&mut Self) -> WireResult<u8>) -> WireResult<u8> {
         self.u8("")
     }
 
     fn object<T>(
         &mut self,
         _: &str,
-        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<T, WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult<T>,
+    ) -> WireResult<T> {
         body(self)
     }
 
     fn seq<T>(
         &mut self,
         _: &str,
-        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
+        mut body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>> {
         let count = self.len(MAX_SEQ_LEN, "sequence")?;
         // Every element takes at least one byte, so the reservation never
         // exceeds what the input could hold.
@@ -468,16 +454,16 @@ impl Decoder for BinaryDecoder<'_> {
     fn map<T>(
         &mut self,
         name: &str,
-        body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
+        body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>> {
         self.seq(name, body)
     }
 
-    fn key(&mut self) -> Result<String, WireError> {
+    fn key(&mut self) -> WireResult<String> {
         self.str("")
     }
 
-    fn option(&mut self, name: &str) -> Result<bool, WireError> {
+    fn option(&mut self, name: &str) -> WireResult<bool> {
         match self.u8(name)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -517,8 +503,8 @@ impl JsonEncoder<'_> {
         &mut self,
         name: &str,
         [open, close]: [char; 2],
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult {
         self.member(name);
         self.out.push(open);
         let first = std::mem::replace(&mut self.first, true);
@@ -532,59 +518,51 @@ impl JsonEncoder<'_> {
 impl Encoder for JsonEncoder<'_> {
     const JSON: bool = true;
 
-    fn u8(&mut self, name: &str, value: u8) -> Result<(), WireError> {
+    fn u8(&mut self, name: &str, value: u8) -> WireResult {
         self.u64(name, value.into())
     }
 
-    fn u64(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+    fn u64(&mut self, name: &str, value: u64) -> WireResult {
         self.member(name);
         let _ = write!(self.out, "{value}");
         Ok(())
     }
 
-    fn i64(&mut self, name: &str, value: i64) -> Result<(), WireError> {
+    fn i64(&mut self, name: &str, value: i64) -> WireResult {
         self.member(name);
         let _ = write!(self.out, "{value}");
         Ok(())
     }
 
-    fn f64(&mut self, name: &str, value: f64) -> Result<(), WireError> {
+    fn f64(&mut self, name: &str, value: f64) -> WireResult {
         self.member(name);
         let _ = write!(self.out, "{value:?}");
         Ok(())
     }
 
-    fn bool(&mut self, name: &str, value: bool) -> Result<(), WireError> {
+    fn bool(&mut self, name: &str, value: bool) -> WireResult {
         self.member(name);
         self.out.push_str(if value { "true" } else { "false" });
         Ok(())
     }
 
-    fn str(&mut self, name: &str, value: &str) -> Result<(), WireError> {
+    fn str(&mut self, name: &str, value: &str) -> WireResult {
         self.member(name);
         render_string(self.out, value);
         Ok(())
     }
 
-    fn hex(&mut self, name: &str, value: u64) -> Result<(), WireError> {
+    fn hex(&mut self, name: &str, value: u64) -> WireResult {
         self.member(name);
         let _ = write!(self.out, "\"{value:#018x}\"");
         Ok(())
     }
 
-    fn variant(
-        &mut self,
-        _: u8,
-        json: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+    fn variant(&mut self, _: u8, json: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
         json(self)
     }
 
-    fn object(
-        &mut self,
-        name: &str,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+    fn object(&mut self, name: &str, body: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
         self.nest(name, ['{', '}'], body)
     }
 
@@ -592,8 +570,8 @@ impl Encoder for JsonEncoder<'_> {
         &mut self,
         name: &str,
         _: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult {
         self.nest(name, ['[', ']'], body)
     }
 
@@ -601,12 +579,12 @@ impl Encoder for JsonEncoder<'_> {
         &mut self,
         name: &str,
         _: usize,
-        body: impl FnOnce(&mut Self) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult,
+    ) -> WireResult {
         self.nest(name, ['{', '}'], body)
     }
 
-    fn key(&mut self, key: &str) -> Result<(), WireError> {
+    fn key(&mut self, key: &str) -> WireResult {
         self.member("");
         render_string(self.out, key);
         self.out.push(':');
@@ -614,7 +592,7 @@ impl Encoder for JsonEncoder<'_> {
         Ok(())
     }
 
-    fn option(&mut self, name: &str, present: bool) -> Result<(), WireError> {
+    fn option(&mut self, name: &str, present: bool) -> WireResult {
         if !present {
             self.member(name);
             self.out.push_str("null");
@@ -651,7 +629,7 @@ impl<'a> JsonDecoder<'a> {
         name: &str,
         what: &str,
         read: impl FnOnce(&'a JsonValue) -> Option<T>,
-    ) -> Result<T, WireError> {
+    ) -> WireResult<T> {
         read(self.field(name)?).ok_or_else(|| {
             if name.is_empty() {
                 corrupt(format!("element is not {what}"))
@@ -678,8 +656,8 @@ impl<'a> JsonDecoder<'a> {
     fn enter<T>(
         &mut self,
         value: &'a JsonValue,
-        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<T, WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult<T>,
+    ) -> WireResult<T> {
         let outer = std::mem::replace(&mut self.current, value);
         let result = body(self);
         self.current = outer;
@@ -694,37 +672,37 @@ impl Decoder for JsonDecoder<'_> {
         self.member(name).is_some()
     }
 
-    fn u8(&mut self, name: &str) -> Result<u8, WireError> {
+    fn u8(&mut self, name: &str) -> WireResult<u8> {
         self.typed(name, "a byte", |value| {
             value.as_u64().and_then(|n| u8::try_from(n).ok())
         })
     }
 
-    fn u64(&mut self, name: &str) -> Result<u64, WireError> {
+    fn u64(&mut self, name: &str) -> WireResult<u64> {
         self.typed(name, "a non-negative integer", JsonValue::as_u64)
     }
 
-    fn i64(&mut self, name: &str) -> Result<i64, WireError> {
+    fn i64(&mut self, name: &str) -> WireResult<i64> {
         self.typed(name, "an integer", |value| {
             Self::raw_number(value)?.parse().ok()
         })
     }
 
-    fn f64(&mut self, name: &str) -> Result<f64, WireError> {
+    fn f64(&mut self, name: &str) -> WireResult<f64> {
         self.typed(name, "a number", |value| {
             Self::raw_number(value)?.parse().ok()
         })
     }
 
-    fn bool(&mut self, name: &str) -> Result<bool, WireError> {
+    fn bool(&mut self, name: &str) -> WireResult<bool> {
         self.typed(name, "a boolean", JsonValue::as_bool)
     }
 
-    fn str(&mut self, name: &str) -> Result<String, WireError> {
+    fn str(&mut self, name: &str) -> WireResult<String> {
         self.typed(name, "a string", |value| value.as_str().map(str::to_owned))
     }
 
-    fn hex(&mut self, name: &str) -> Result<u64, WireError> {
+    fn hex(&mut self, name: &str) -> WireResult<u64> {
         let text = self.str(name)?;
         let digits = text
             .strip_prefix("0x")
@@ -732,18 +710,15 @@ impl Decoder for JsonDecoder<'_> {
         u64::from_str_radix(digits, 16).map_err(|err| corrupt(format!("field `{name}`: {err}")))
     }
 
-    fn variant(
-        &mut self,
-        json: impl FnOnce(&mut Self) -> Result<u8, WireError>,
-    ) -> Result<u8, WireError> {
+    fn variant(&mut self, json: impl FnOnce(&mut Self) -> WireResult<u8>) -> WireResult<u8> {
         json(self)
     }
 
     fn object<T>(
         &mut self,
         name: &str,
-        body: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<T, WireError> {
+        body: impl FnOnce(&mut Self) -> WireResult<T>,
+    ) -> WireResult<T> {
         let value = self.typed(name, "an object", |value| {
             matches!(value, JsonValue::Object(_)).then_some(value)
         })?;
@@ -753,8 +728,8 @@ impl Decoder for JsonDecoder<'_> {
     fn seq<T>(
         &mut self,
         name: &str,
-        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
+        mut body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>> {
         let items = self.typed(name, "an array", JsonValue::as_array)?;
         items
             .iter()
@@ -765,8 +740,8 @@ impl Decoder for JsonDecoder<'_> {
     fn map<T>(
         &mut self,
         name: &str,
-        mut body: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
+        mut body: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>> {
         let outer = self.key;
         let entries = self.entries(name)?;
         let result = entries
@@ -780,11 +755,11 @@ impl Decoder for JsonDecoder<'_> {
         result
     }
 
-    fn key(&mut self) -> Result<String, WireError> {
+    fn key(&mut self) -> WireResult<String> {
         Ok(self.key.to_owned())
     }
 
-    fn option(&mut self, name: &str) -> Result<bool, WireError> {
+    fn option(&mut self, name: &str) -> WireResult<bool> {
         Ok(!matches!(self.field(name)?, JsonValue::Null))
     }
 }
@@ -795,7 +770,7 @@ impl Decoder for JsonDecoder<'_> {
 ///
 /// [`WireError::Corrupt`] when a string or sequence exceeds the binary
 /// headers' caps.
-pub fn write_bytes<T: Wire>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
+pub fn write_bytes<T: Wire>(out: &mut Vec<u8>, value: &T) -> WireResult {
     value.encode(&mut BinaryEncoder { out })
 }
 
@@ -805,7 +780,7 @@ pub fn write_bytes<T: Wire>(out: &mut Vec<u8>, value: &T) -> Result<(), WireErro
 /// # Errors
 ///
 /// As [`write_bytes`].
-pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
+pub fn to_bytes<T: Wire>(value: &T) -> WireResult<Vec<u8>> {
     let mut out = Vec::with_capacity(128);
     write_bytes(&mut out, value)?;
     Ok(out)
@@ -817,7 +792,7 @@ pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns [`WireError::Io`] on truncation, [`WireError::Corrupt`] on bad
 /// bytes or trailing garbage.
-pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> WireResult<T> {
     let mut decoder = BinaryDecoder { bytes };
     let value = T::decode(&mut decoder)?;
     if !decoder.bytes.is_empty() {
@@ -846,7 +821,7 @@ pub fn write_json<T: Wire>(out: &mut String, value: &T) {
 /// # Errors
 ///
 /// [`WireError::Corrupt`] naming the first missing or mistyped member.
-pub fn from_json<T: Wire>(value: &JsonValue) -> Result<T, WireError> {
+pub fn from_json<T: Wire>(value: &JsonValue) -> WireResult<T> {
     JsonDecoder {
         current: value,
         key: "",
@@ -855,7 +830,7 @@ pub fn from_json<T: Wire>(value: &JsonValue) -> Result<T, WireError> {
 }
 
 impl Wire for PointRecord {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.hex("key", self.key)?;
         e.str("canonical", &self.canonical)?;
         e.str("kernel", &self.kernel)?;
@@ -878,7 +853,7 @@ impl Wire for PointRecord {
         e.str("distribution", &self.distribution)
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             key: d.hex("key")?,
             canonical: d.str("canonical")?,
@@ -905,7 +880,7 @@ impl Wire for PointRecord {
 }
 
 impl Wire for Span {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.str("trace", &self.trace_id)?;
         e.u64("span", self.span_id)?;
         e.u64("parent", self.parent_id)?;
@@ -924,7 +899,7 @@ impl Wire for Span {
         })
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             trace_id: d.str("trace")?,
             span_id: d.u64("span")?,
@@ -942,12 +917,12 @@ impl Wire for Span {
 }
 
 impl Wire for SeriesSample {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.u64("at_us", self.at_us)?;
         e.value("metrics", &self.metrics)
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             at_us: d.u64("at_us")?,
             metrics: d.value("metrics")?,
@@ -956,13 +931,13 @@ impl Wire for SeriesSample {
 }
 
 impl Wire for SnapshotDelta {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.u64("from_us", self.from_us)?;
         e.u64("to_us", self.to_us)?;
         e.value("metrics", &self.diff)
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             from_us: d.u64("from_us")?,
             to_us: d.u64("to_us")?,
@@ -979,7 +954,7 @@ fn bucket_bound(index: usize) -> u64 {
 
 /// Reads a map key as a metric name.  Names render unescaped, so they are
 /// re-validated on the way in.
-fn metric_name<D: Decoder>(d: &mut D) -> Result<String, WireError> {
+fn metric_name<D: Decoder>(d: &mut D) -> WireResult<String> {
     let name = d.key()?;
     if !valid_metric_name(&name) {
         return Err(corrupt(format!("illegal metric name {name:?}")));
@@ -987,7 +962,7 @@ fn metric_name<D: Decoder>(d: &mut D) -> Result<String, WireError> {
     Ok(name)
 }
 
-fn encode_histogram<E: Encoder>(e: &mut E, histogram: &HistogramSnapshot) -> Result<(), WireError> {
+fn encode_histogram<E: Encoder>(e: &mut E, histogram: &HistogramSnapshot) -> WireResult {
     let mut buckets = histogram.buckets();
     if E::JSON {
         // Derived for scripts and never decoded; the trimmed buckets are
@@ -1023,7 +998,7 @@ fn encode_histogram<E: Encoder>(e: &mut E, histogram: &HistogramSnapshot) -> Res
     })
 }
 
-fn decode_histogram<D: Decoder>(d: &mut D, name: &str) -> Result<HistogramSnapshot, WireError> {
+fn decode_histogram<D: Decoder>(d: &mut D, name: &str) -> WireResult<HistogramSnapshot> {
     // A short array (trimmed, or from a peer with fewer buckets) zero-pads.
     let buckets = d.seq("buckets", |d| d.u64(""))?;
     let mut histogram = HistogramSnapshot::from_buckets(&buckets)
@@ -1033,7 +1008,9 @@ fn decode_histogram<D: Decoder>(d: &mut D, name: &str) -> Result<HistogramSnapsh
             let index = if D::JSON {
                 let key = d.key()?;
                 let bound = key.parse::<u64>().map_err(|_| {
-                    corrupt(format!("histogram `{name}` exemplar key `{key}` is not a bound"))
+                    corrupt(format!(
+                        "histogram `{name}` exemplar key `{key}` is not a bound"
+                    ))
                 })?;
                 (0..LATENCY_BUCKETS).find(|&index| bucket_bound(index) == bound)
             } else {
@@ -1053,7 +1030,7 @@ fn decode_histogram<D: Decoder>(d: &mut D, name: &str) -> Result<HistogramSnapsh
 }
 
 impl Wire for MetricsSnapshot {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.map("counters", self.counters.len(), |e| {
             self.counters.iter().try_for_each(|(name, count)| {
                 e.key(name)?;
@@ -1074,7 +1051,7 @@ impl Wire for MetricsSnapshot {
         })
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         let mut snapshot = MetricsSnapshot::default();
         if d.has("counters") {
             snapshot.counters = d.map("counters", |d| Ok((metric_name(d)?, d.u64("")?)))?;
@@ -1123,7 +1100,7 @@ mod tests {
     }
 
     /// The binary encoding of whatever `write` writes.
-    fn binary(write: impl FnOnce(&mut BinaryEncoder<'_>) -> Result<(), WireError>) -> Vec<u8> {
+    fn binary(write: impl FnOnce(&mut BinaryEncoder<'_>) -> WireResult) -> Vec<u8> {
         let mut out = Vec::new();
         write(&mut BinaryEncoder { out: &mut out }).expect("encodes");
         out
@@ -1141,7 +1118,7 @@ mod tests {
     }
 
     impl Wire for Batch {
-        fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+        fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
             e.values("records", &self.records)?;
             e.seq("maybe", self.maybe.len(), |e| {
                 self.maybe.iter().try_for_each(|record| {
@@ -1151,7 +1128,7 @@ mod tests {
             })
         }
 
-        fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+        fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
             Ok(Self {
                 records: d.values("records")?,
                 maybe: d.seq("maybe", |d| {
@@ -1181,13 +1158,22 @@ mod tests {
             assert_eq!(reader(&binary(|e| e.u8("", value))).u8("").unwrap(), value);
         }
         for value in [0u64, 1, u64::MAX] {
-            assert_eq!(reader(&binary(|e| e.u64("", value))).u64("").unwrap(), value);
+            assert_eq!(
+                reader(&binary(|e| e.u64("", value))).u64("").unwrap(),
+                value
+            );
         }
         for value in [i64::MIN, -1, 0, i64::MAX] {
-            assert_eq!(reader(&binary(|e| e.i64("", value))).i64("").unwrap(), value);
+            assert_eq!(
+                reader(&binary(|e| e.i64("", value))).i64("").unwrap(),
+                value
+            );
         }
         for value in [true, false] {
-            assert_eq!(reader(&binary(|e| e.bool("", value))).bool("").unwrap(), value);
+            assert_eq!(
+                reader(&binary(|e| e.bool("", value))).bool("").unwrap(),
+                value
+            );
         }
         let mut some = reader(&[1, 42, 0, 0, 0, 0, 0, 0, 0]);
         assert!(some.option("").unwrap());
@@ -1317,7 +1303,10 @@ mod tests {
 
         // Bad bool and option discriminants.
         assert!(matches!(reader(&[7]).bool(""), Err(WireError::Corrupt(_))));
-        assert!(matches!(reader(&[9]).option(""), Err(WireError::Corrupt(_))));
+        assert!(matches!(
+            reader(&[9]).option(""),
+            Err(WireError::Corrupt(_))
+        ));
     }
 
     #[test]

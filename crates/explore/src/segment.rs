@@ -111,12 +111,15 @@ impl SegmentStore {
 
         if path.exists() {
             let data = std::fs::read(&path)?;
-            if data.is_empty() {
-                // An empty file (e.g. created by a crashed run before the
-                // magic landed) is adopted: the magic is (re)written below.
-            } else if data.len() < SEGMENT_MAGIC.len()
-                || &data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC
-            {
+            if data.len() < SEGMENT_MAGIC.len() && SEGMENT_MAGIC.starts_with(&data) {
+                // An empty file or a strict prefix of the magic (a crashed
+                // run before the magic landed) is adopted: the torn magic is
+                // truncated away and (re)written below.
+                if !data.is_empty() {
+                    OpenOptions::new().write(true).open(&path)?.set_len(0)?;
+                    torn += 1;
+                }
+            } else if !data.starts_with(SEGMENT_MAGIC) {
                 return Err(JsonlError::Parse {
                     line: 0,
                     message: format!("`{}` is not a segment file (bad magic)", path.display()),
@@ -235,9 +238,9 @@ fn append_record(
 ) -> Result<(), JsonlError> {
     scratch.clear();
     write_bytes(scratch, record).map_err(|err| JsonlError::Parse {
-            line: 0,
-            message: format!("record does not encode: {err}"),
-        })?;
+        line: 0,
+        message: format!("record does not encode: {err}"),
+    })?;
     let len = u32::try_from(scratch.len()).map_err(|_| JsonlError::Parse {
         line: 0,
         message: format!(
@@ -345,37 +348,34 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_counted_not_a_panic() {
+        // A crash can stop the file at any byte: inside the magic, inside a
+        // record header or payload, or on a record boundary.
         let path = scratch_path("torn");
         let _ = std::fs::remove_file(&path);
-        {
-            let mut store = SegmentStore::open(&path).unwrap();
-            assert!(store.put(&sample_record(1)).unwrap());
-            assert!(store.put(&sample_record(2)).unwrap());
+        let records = [sample_record(1), sample_record(2), sample_record(3)];
+        SegmentStore::write_records(&path, records.iter()).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let mut boundaries = vec![SEGMENT_MAGIC.len()];
+        for record in &records {
+            let end = boundaries.last().unwrap() + 12 + to_bytes(record).unwrap().len();
+            boundaries.push(end);
         }
-        // Simulate a torn write: append half of a third record.
-        let third = sample_record(3);
-        let payload = to_bytes(&third).unwrap();
-        let mut tail = Vec::new();
-        tail.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        tail.extend_from_slice(&third.key.to_le_bytes());
-        tail.extend_from_slice(&payload[..payload.len() / 2]);
-        let clean_len = std::fs::metadata(&path).unwrap().len();
-        {
-            use std::io::Write as _;
-            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-            file.write_all(&tail).unwrap();
+        assert_eq!(*boundaries.last().unwrap(), full.len());
+        for cut in 1..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let complete = boundaries[1..].iter().filter(|&&end| end <= cut).count();
+            {
+                let mut store = SegmentStore::open(&path).expect("opens despite the cut");
+                assert_eq!(store.len().unwrap(), complete, "cut {cut}");
+                let torn = usize::from(!boundaries.contains(&cut));
+                assert_eq!(store.torn_records(), torn, "cut {cut}");
+                // The tail was truncated, so a fresh append lands cleanly.
+                assert!(store.put(&sample_record(9)).unwrap(), "cut {cut}");
+            }
+            let store = SegmentStore::open(&path).unwrap();
+            assert_eq!(store.len().unwrap(), complete + 1, "cut {cut}");
+            assert_eq!(store.torn_records(), 0, "cut {cut}");
         }
-        {
-            let mut store = SegmentStore::open(&path).expect("opens despite torn tail");
-            assert_eq!(store.len().unwrap(), 2);
-            assert_eq!(store.torn_records(), 1);
-            // The tail was truncated, so a fresh append lands cleanly.
-            assert!(store.put(&third).unwrap());
-        }
-        let store = SegmentStore::open(&path).unwrap();
-        assert_eq!(store.len().unwrap(), 3);
-        assert_eq!(store.torn_records(), 0);
-        assert!(std::fs::metadata(&path).unwrap().len() > clean_len);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -33,7 +33,7 @@
 
 use std::io::Read;
 
-use srra_explore::codec::{from_bytes, write_bytes, Wire, WireError};
+use srra_explore::codec::{from_bytes, write_bytes, Wire, WireError, WireResult};
 
 use crate::protocol::{checked_trace, valid_trace_id, Request, Response};
 
@@ -109,7 +109,7 @@ pub fn read_frame(reader: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), F
 }
 
 /// Appends one complete frame (magic + length + trace + body) to `out`.
-fn frame_into<T: Wire>(out: &mut Vec<u8>, trace: Option<&str>, body: &T) -> Result<(), WireError> {
+fn frame_into<T: Wire>(out: &mut Vec<u8>, trace: Option<&str>, body: &T) -> WireResult {
     out.push(BINARY_MAGIC);
     let len_at = out.len();
     out.extend_from_slice(&[0u8; 4]);
@@ -146,7 +146,7 @@ pub fn encode_request_frame(
     out: &mut Vec<u8>,
     trace: Option<&str>,
     request: &Request,
-) -> Result<(), WireError> {
+) -> WireResult {
     frame_into(out, trace, request)
 }
 
@@ -159,7 +159,7 @@ pub fn encode_response_frame(
     out: &mut Vec<u8>,
     trace: Option<&str>,
     response: &Response,
-) -> Result<(), WireError> {
+) -> WireResult {
     frame_into(out, trace, response)
 }
 

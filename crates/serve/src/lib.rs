@@ -94,8 +94,8 @@ pub use binary::{
 };
 pub use client::{ClientError, Connection, ExploreReply, MultiExploreReply};
 pub use protocol::{
-    stamp_trace, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request, Response,
-    ServerStats, ShardDigest, TRACE_MAX_LEN,
+    stamp_trace, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    ShardDigest, TRACE_MAX_LEN,
 };
 pub use server::{canonical_for, device_by_name, ServeError, Server, ServerConfig, ServerReport};
 pub use shard::{CompactOutcome, MergeOutcome, ShardError, ShardedStore};

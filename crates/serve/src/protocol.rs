@@ -16,7 +16,7 @@
 //! `render_into` (append to a caller-owned buffer), so the server and the
 //! keep-alive client can reuse one scratch allocation across requests.
 
-use srra_explore::codec::{from_json, write_json, Decoder, Encoder, Wire, WireError};
+use srra_explore::codec::{from_json, write_json, Decoder, Encoder, Wire, WireError, WireResult};
 use srra_explore::{JsonValue, PointRecord};
 use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
@@ -74,7 +74,9 @@ fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
     let decoded = from_json(&value).map_err(WireError::into_message)?;
     let trace = match value.get("trace") {
         None => None,
-        Some(id) => Some(checked_trace(id.as_str().ok_or("`trace` must be a string")?)?),
+        Some(id) => Some(checked_trace(
+            id.as_str().ok_or("`trace` must be a string")?,
+        )?),
     };
     Ok((decoded, trace))
 }
@@ -124,7 +126,7 @@ impl QueryPoint {
 }
 
 impl Wire for QueryPoint {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.str("kernel", &self.kernel)?;
         e.str("algo", &self.algorithm)?;
         e.u64("budget", self.budget)?;
@@ -132,7 +134,7 @@ impl Wire for QueryPoint {
         e.str("device", &self.device)
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             kernel: d.str("kernel")?,
             algorithm: d.str("algo")?,
@@ -385,7 +387,7 @@ impl Request {
 }
 
 impl Wire for Request {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         let op = self.op();
         e.variant(op.tag(), |e| e.str("op", op.name()))?;
         match self {
@@ -425,7 +427,7 @@ impl Wire for Request {
         }
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         let tag = d.variant(|d| {
             let name = d.str("op")?;
             Op::from_name(&name)
@@ -561,12 +563,12 @@ impl ServerStats {
 }
 
 impl Wire for ShardDigest {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.u64("records", self.records)?;
         e.u64("fold", self.fold)
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         Ok(Self {
             records: d.u64("records")?,
             fold: d.u64("fold")?,
@@ -575,7 +577,7 @@ impl Wire for ShardDigest {
 }
 
 impl Wire for ServerStats {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         e.u64("uptime_ms", self.uptime_ms)?;
         e.u64("uptime_secs", self.uptime_secs)?;
         e.str("version", &self.version)?;
@@ -606,7 +608,7 @@ impl Wire for ServerStats {
         })
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         // `uptime_secs`, `version` and `ops` are absent from older servers'
         // JSON: derive or default them.
         let uptime_ms = d.u64("uptime_ms")?;
@@ -672,7 +674,7 @@ pub enum PointOutcome {
 }
 
 impl Wire for PointOutcome {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         match self {
             PointOutcome::Answered { record, hit } => {
                 e.variant(0, |_| Ok(()))?;
@@ -686,7 +688,7 @@ impl Wire for PointOutcome {
         }
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         // JSON names a failed point by its `error` member.
         match d.variant(|d| Ok(u8::from(d.has("error"))))? {
             0 => Ok(PointOutcome::Answered {
@@ -915,7 +917,7 @@ impl Response {
 }
 
 impl Wire for Response {
-    fn encode<E: Encoder>(&self, e: &mut E) -> Result<(), WireError> {
+    fn encode<E: Encoder>(&self, e: &mut E) -> WireResult {
         let reply = self.reply();
         e.variant(reply.tag(), |e| {
             e.bool("ok", reply != Reply::Error)?;
@@ -969,7 +971,7 @@ impl Wire for Response {
         }
     }
 
-    fn decode<D: Decoder>(d: &mut D) -> Result<Self, WireError> {
+    fn decode<D: Decoder>(d: &mut D) -> WireResult<Self> {
         let tag = d.variant(|d| {
             if !d.bool("ok")? {
                 return Ok(Reply::Error.tag());

@@ -1161,6 +1161,16 @@ fn handle_put(state: &ServerState, records: &[PointRecord]) -> Response {
                 ),
             };
         }
+        // JSON has no form for NaN or infinity: such a record would break
+        // every JSON reply that names it.
+        if !record.clock_period_ns.is_finite() || !record.execution_time_us.is_finite() {
+            return Response::Error {
+                message: format!(
+                    "put: record `{}` carries a non-finite clock period or execution time",
+                    record.canonical
+                ),
+            };
+        }
         match state.store.put_record(record) {
             Ok(true) => stored += 1,
             Ok(false) => {}
@@ -1461,6 +1471,19 @@ mod tests {
             }
             other => panic!("expected a server error, got {other:?}"),
         }
+        // A non-finite float has no JSON form, so a record carrying one would
+        // break every JSON read of it: refused even over the binary codec.
+        record.canonical = "kernel=fir;algo=CPA-RA;budget=33".to_owned();
+        record.key = srra_explore::fnv1a_64(record.canonical.as_bytes());
+        record.clock_period_ns = f64::NAN;
+        let mut binary = crate::Connection::connect_binary(&addr).unwrap();
+        match binary.put(std::slice::from_ref(&record)) {
+            Err(crate::ClientError::Server(message)) => {
+                assert!(message.contains(&record.canonical), "{message}");
+            }
+            other => panic!("expected a server error, got {other:?}"),
+        }
+        assert_eq!(binary.get(&record.canonical).unwrap(), None);
         connection.shutdown().unwrap();
         handle.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
