@@ -27,6 +27,7 @@
 use srra_bench::{evaluate_compiled, figure2, render_figure2, render_table1, table1};
 use srra_cluster::{ClusterClient, ClusterConfig};
 use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel};
+use srra_explore::codec::to_json;
 use srra_explore::{
     exploration_csv, render_exploration, DesignSpace, Exploration, Explorer, JsonlStore,
     MemoryStore, ResultStore,
@@ -869,7 +870,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
             return if prom {
                 connection.metrics_text()
             } else {
-                connection.metrics().map(|snapshot| snapshot.render_json())
+                connection.metrics().map(|snapshot| to_json(&snapshot))
             }
             .map(|text| text.trim_end().to_owned())
             .map_err(|err| CliError(format!("query: {err}")));
@@ -1381,7 +1382,7 @@ fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
             // process's own client_*/cluster_* instruments.
             let mut combined = metrics.aggregate.clone();
             combined.merge(&metrics.client);
-            out.push_str(&combined.render_json());
+            out.push_str(&to_json(&combined));
             Ok(out)
         }
         [op, id] if op == "trace" => {

@@ -804,6 +804,13 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> WireResult<T> {
     Ok(value)
 }
 
+/// Encodes `value` as one JSON object in a fresh string.
+pub fn to_json<T: Wire>(value: &T) -> String {
+    let mut out = String::with_capacity(256);
+    write_json(&mut out, value);
+    out
+}
+
 /// Appends `value` to `out` as one JSON object.
 pub fn write_json<T: Wire>(out: &mut String, value: &T) {
     let mut encoder = JsonEncoder {
@@ -1317,6 +1324,41 @@ mod tests {
             from_bytes::<PointRecord>(&bytes),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    fn sample_snapshot() -> MetricsSnapshot {
+        let registry = srra_obs::Registry::new();
+        registry.counter("requests_total").add(7);
+        registry.gauge("open_connections").set(-2);
+        let latency = registry.histogram("get_latency_us");
+        latency.record_micros(40);
+        latency.record_micros(40);
+        latency.record_micros(5_000);
+        registry.snapshot()
+    }
+
+    #[test]
+    fn json_rendering_carries_buckets_and_derived_quantiles() {
+        let json = to_json(&sample_snapshot());
+        assert!(json.starts_with("{\"counters\":{\"requests_total\":7}"));
+        assert!(json.contains("\"gauges\":{\"open_connections\":-2}"));
+        assert!(json.contains(
+            "\"get_latency_us\":{\"count\":3,\"p50_us\":63,\"p99_us\":8191,\"buckets\":["
+        ));
+        assert!(json.ends_with("]}}}"));
+        // An exemplar-free snapshot keeps the historical JSON byte shape.
+        assert!(!json.contains("exemplars"), "{json}");
+
+        let registry = srra_obs::Registry::new();
+        let latency = registry.histogram("get_latency_us");
+        latency.record_micros(40);
+        latency.record_traced(std::time::Duration::from_micros(40), "req-warm");
+        latency.record_traced(std::time::Duration::from_micros(5_000), "req-slow");
+        let json = to_json(&registry.snapshot());
+        assert!(
+            json.contains("\"exemplars\":{\"63\":\"req-warm\",\"8191\":\"req-slow\"}"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! A minimal recursive JSON reader/writer, shared by the JSONL cache files
-//! ([`PointRecord`](crate::PointRecord)) and the serve layer's wire protocol.
+//! A minimal recursive JSON reader, shared by the JSONL cache files
+//! ([`PointRecord`](crate::PointRecord)) and the serve layer's wire protocol
+//! (both through [`crate::codec`]), plus the JSON string escaper.
 //!
 //! The workspace's `serde` is an offline no-op shim, so the workspace carries
 //! its own small JSON value type.  Numbers are kept as their raw source text:
-//! the parser never converts to `f64` and back, so re-rendering a parsed value
-//! reproduces the original digits exactly, and
+//! the parser never converts to `f64` and back, so
 //! [`PointRecord::from_json_value`](crate::PointRecord::from_json_value)
 //! decodes the f64 fields of an embedded record bit-exactly.
 
@@ -56,47 +56,6 @@ impl JsonValue {
             return Err(format!("trailing input at byte {}", parser.pos));
         }
         Ok(value)
-    }
-
-    /// Renders the value as compact JSON (no added whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Renders the value as compact JSON into an existing buffer, so hot
-    /// paths can reuse one allocation across many renders.
-    pub fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(true) => out.push_str("true"),
-            JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(raw) => out.push_str(raw),
-            JsonValue::Text(text) => render_string(out, text),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(fields) => {
-                out.push('{');
-                for (i, (name, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(out, name);
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     /// Looks a field up in an object (first occurrence); `None` for other
@@ -152,11 +111,8 @@ impl JsonValue {
     }
 }
 
-/// Writes `text` as a quoted, escaped JSON string.
-///
-/// Public so the protocol layer can render request/response lines directly
-/// into a reused buffer without building a [`JsonValue`] tree first; the
-/// escaping matches [`JsonValue::render`] byte for byte.
+/// Writes `text` as a quoted, escaped JSON string: the JSON codec's one
+/// string escaper.
 pub fn render_string(out: &mut String, text: &str) {
     out.push('"');
     for ch in text.chars() {
@@ -381,18 +337,22 @@ mod tests {
     fn parses_and_rerenders_nested_documents() {
         let text = r#"{"op":"explore","points":[{"kernel":"fir","budget":32,"deep":[1,2.5,-3e2]}],"flag":true,"none":null}"#;
         let value = JsonValue::parse(text).expect("parses");
-        assert_eq!(
-            value.render(),
-            text,
-            "raw numbers re-render byte-identically"
-        );
         assert_eq!(value.get("op").and_then(JsonValue::as_str), Some("explore"));
         let points = value.get("points").and_then(JsonValue::as_array).unwrap();
         assert_eq!(
             points[0].get("budget").and_then(JsonValue::as_u64),
             Some(32)
         );
-        assert_eq!(points[0].get("deep").unwrap().as_array().unwrap().len(), 3);
+        let deep = points[0].get("deep").unwrap().as_array().unwrap();
+        let raw: Vec<&JsonValue> = deep.iter().collect();
+        assert_eq!(
+            raw,
+            ["1", "2.5", "-3e2"]
+                .map(|n| JsonValue::Number(n.to_owned()))
+                .iter()
+                .collect::<Vec<_>>(),
+            "raw numbers keep their source text"
+        );
         assert_eq!(value.get("flag").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(value.get("none"), Some(&JsonValue::Null));
     }
@@ -437,8 +397,11 @@ mod tests {
         let limit = JsonValue::MAX_DEPTH;
         let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "[]" + &"}".repeat(depth - 1);
-        let deepest = JsonValue::parse(&arrays(limit)).expect("the limit parses");
-        assert_eq!(deepest.render(), arrays(limit));
+        let mut deepest = &JsonValue::parse(&arrays(limit)).expect("the limit parses");
+        for _ in 1..limit {
+            deepest = &deepest.as_array().expect("nested array")[0];
+        }
+        assert_eq!(deepest, &JsonValue::Array(Vec::new()));
         assert!(JsonValue::parse(&objects(limit)).is_ok());
         for too_deep in [arrays(limit + 1), objects(limit + 1), "[".repeat(100_000)] {
             let err = JsonValue::parse(&too_deep).expect_err("past the limit");
@@ -449,8 +412,8 @@ mod tests {
     #[test]
     fn numbers_preserve_source_text() {
         let value = JsonValue::parse("[10.573, 1305.312048, 1e-300]").unwrap();
-        assert_eq!(value.render(), "[10.573,1305.312048,1e-300]");
         let items = value.as_array().unwrap();
+        assert_eq!(items[2], JsonValue::Number("1e-300".to_owned()));
         assert_eq!(items[0].as_f64(), Some(10.573));
         assert_eq!(items[1].as_f64(), Some(1_305.312_048));
     }

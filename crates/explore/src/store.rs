@@ -15,7 +15,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{from_json, write_json, WireError};
+use crate::codec::{from_json, to_json, write_json, WireError};
 use crate::json::JsonValue;
 
 /// The persisted outcome of evaluating one design point.
@@ -74,9 +74,7 @@ impl PointRecord {
     /// The field list is the record's [`Wire`](crate::codec::Wire) impl, fixed-order, so
     /// identical records encode to identical bytes.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        self.write_json_line(&mut out);
-        out
+        to_json(self)
     }
 
     /// Appends the record's JSON line (no trailing newline) to `out` —

@@ -23,9 +23,9 @@
 //!
 //! A [`MetricsSnapshot`] is a point-in-time copy of a registry, mergeable
 //! across registries and across nodes (histograms merge bucket-wise), and
-//! renders to both a line of JSON and a Prometheus-style text exposition.
-//! The wire semantics of the `metrics` op that serves those renderings are
-//! documented in `docs/observability.md`.
+//! renders to a Prometheus-style text exposition (its JSON form is
+//! `srra_explore::codec`'s field list).  The wire semantics of the `metrics`
+//! op that serves both are documented in `docs/observability.md`.
 //!
 //! # Example
 //!

@@ -16,8 +16,9 @@ pub fn valid_metric_name(name: &str) -> bool {
 ///
 /// Snapshots merge — across the per-server and global registries of one
 /// process, and across nodes when the cluster client aggregates a
-/// fleet-wide scrape — and render to one JSON object (the `metrics` op's
-/// reply body) or a Prometheus-style text exposition.
+/// fleet-wide scrape — and render to a Prometheus-style text exposition.
+/// Their JSON form, the `metrics` op's reply body, is the field list in
+/// `srra_explore::codec`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values, sorted by name.
@@ -175,96 +176,6 @@ impl MetricsSnapshot {
         });
     }
 
-    /// Renders the snapshot as one JSON object.
-    ///
-    /// Shape: `{"counters":{..},"gauges":{..},"histograms":{"name":
-    /// {"count":..,"p50_us":..,"p99_us":..,"buckets":[..]}}}` — `count` and
-    /// the quantiles are derived from `buckets` for script convenience;
-    /// `buckets` (trailing zeros trimmed) is the authoritative payload that
-    /// decoders rebuild from.  Metric names satisfy
-    /// [`valid_metric_name`], so they render without escaping.
-    pub fn render_json_into(&self, out: &mut String) {
-        out.push_str("{\"counters\":{");
-        for (index, (name, value)) in self.counters.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (index, (name, value)) in self.gauges.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (index, (name, snapshot)) in self.histograms.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":{\"count\":");
-            out.push_str(&snapshot.count().to_string());
-            out.push_str(",\"p50_us\":");
-            out.push_str(&snapshot.quantile(0.5).to_string());
-            out.push_str(",\"p99_us\":");
-            out.push_str(&snapshot.quantile(0.99).to_string());
-            out.push_str(",\"buckets\":[");
-            let buckets = snapshot.buckets();
-            let used = buckets
-                .iter()
-                .rposition(|&count| count > 0)
-                .map_or(0, |last| last + 1);
-            for (bucket, &count) in buckets[..used].iter().enumerate() {
-                if bucket > 0 {
-                    out.push(',');
-                }
-                out.push_str(&count.to_string());
-            }
-            out.push(']');
-            // Exemplars render only when at least one bucket carries one, so
-            // exemplar-free snapshots keep their historical byte shape.  Keys
-            // are the buckets' inclusive upper bounds in microseconds (the
-            // same `le` values the Prometheus exposition uses); values are
-            // trace ids, which are `[A-Za-z0-9._-]` and need no escaping.
-            if snapshot.exemplars().iter().any(Option::is_some) {
-                out.push_str(",\"exemplars\":{");
-                let mut first = true;
-                for (bucket, exemplar) in snapshot.exemplars().iter().enumerate() {
-                    if let Some(trace_id) = exemplar {
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push('"');
-                        out.push_str(&((1u64 << bucket) - 1).to_string());
-                        out.push_str("\":\"");
-                        out.push_str(trace_id);
-                        out.push('"');
-                    }
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
-    }
-
-    /// [`render_json_into`](Self::render_json_into) into a fresh string.
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        self.render_json_into(&mut out);
-        out
-    }
-
     /// Renders a Prometheus-style text exposition.
     ///
     /// Every family gets a `# HELP` description and a `# TYPE` line;
@@ -350,17 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_carries_buckets_and_derived_quantiles() {
-        let json = sample().render_json();
-        assert!(json.starts_with("{\"counters\":{\"requests_total\":7}"));
-        assert!(json.contains("\"gauges\":{\"open_connections\":-2}"));
-        assert!(json.contains(
-            "\"get_latency_us\":{\"count\":3,\"p50_us\":63,\"p99_us\":8191,\"buckets\":["
-        ));
-        assert!(json.ends_with("]}}}"));
-    }
-
-    #[test]
     fn prometheus_rendering_is_cumulative() {
         let text = sample().render_prometheus();
         assert!(text.contains("# TYPE requests_total counter\nrequests_total 7\n"));
@@ -417,12 +317,6 @@ mod tests {
         latency.record_traced(std::time::Duration::from_micros(5_000), "req-slow");
         let snapshot = registry.snapshot();
 
-        let json = snapshot.render_json();
-        assert!(
-            json.contains("\"exemplars\":{\"63\":\"req-warm\",\"8191\":\"req-slow\"}"),
-            "{json}"
-        );
-
         let text = snapshot.render_prometheus();
         assert!(
             text.contains("get_latency_us_bucket{le=\"63\"} 2 # {trace_id=\"req-warm\"} 63\n"),
@@ -436,10 +330,6 @@ mod tests {
             text.contains("get_latency_us_bucket{le=\"+Inf\"} 3\n"),
             "the +Inf bucket never carries an exemplar: {text}"
         );
-
-        // An exemplar-free snapshot keeps the historical JSON byte shape.
-        let bare = sample().render_json();
-        assert!(!bare.contains("exemplars"), "{bare}");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! `render_into` (append to a caller-owned buffer), so the server and the
 //! keep-alive client can reuse one scratch allocation across requests.
 
-use srra_explore::codec::{from_json, write_json, Decoder, Encoder, Wire, WireError, WireResult};
+use srra_explore::codec::{
+    from_json, to_json, write_json, Decoder, Encoder, Wire, WireError, WireResult,
+};
 use srra_explore::{JsonValue, PointRecord};
 use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
@@ -79,13 +81,6 @@ fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
         )?),
     };
     Ok((decoded, trace))
-}
-
-/// Appends `value` as one JSON line (no trailing newline) to `out`.
-fn render_line<T: Wire>(value: &T, capacity: usize) -> String {
-    let mut out = String::with_capacity(capacity);
-    write_json(&mut out, value);
-    out
 }
 
 /// The `latency` a point names when it names none.
@@ -327,7 +322,7 @@ impl Request {
 
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        render_line(self, 64)
+        to_json(self)
     }
 
     /// Encodes the request into `out` (no trailing newline), reusing the
@@ -886,7 +881,7 @@ impl Response {
 
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        render_line(self, 128)
+        to_json(self)
     }
 
     /// Encodes the response into `out` (no trailing newline), reusing the
@@ -1023,18 +1018,18 @@ impl Wire for Response {
             },
             Reply::Pong => Response::Pong,
             Reply::Stats => Response::Stats(d.value("stats")?),
-            Reply::Metrics => Response::Metrics(d.value::<MetricsSnapshot>("metrics")?),
+            Reply::Metrics => Response::Metrics(d.value("metrics")?),
             Reply::MetricsText => Response::MetricsText {
                 text: d.str("exposition")?,
             },
             Reply::Traced => Response::Traced {
-                spans: d.values::<Span>("spans")?,
+                spans: d.values("spans")?,
             },
             Reply::Series => Response::Series {
-                samples: d.values::<SeriesSample>("series")?,
+                samples: d.values("series")?,
             },
             Reply::SeriesDelta => Response::SeriesDelta {
-                delta: d.value::<SnapshotDelta>("delta")?,
+                delta: d.value("delta")?,
             },
             Reply::Digests => Response::Digests {
                 digests: d.values("digests")?,
