@@ -262,11 +262,15 @@ struct BinaryEncoder<'a> {
 }
 
 impl BinaryEncoder<'_> {
+    fn bytes(&mut self, bytes: &[u8]) -> WireResult {
+        self.out.extend_from_slice(bytes);
+        Ok(())
+    }
+
     fn len(&mut self, len: usize) -> WireResult {
         let len = u32::try_from(len)
             .map_err(|_| corrupt(format!("length {len} does not fit the u32 header")))?;
-        self.out.extend_from_slice(&len.to_le_bytes());
-        Ok(())
+        self.bytes(&len.to_le_bytes())
     }
 }
 
@@ -274,18 +278,15 @@ impl Encoder for BinaryEncoder<'_> {
     const JSON: bool = false;
 
     fn u8(&mut self, _: &str, value: u8) -> WireResult {
-        self.out.push(value);
-        Ok(())
+        self.bytes(&[value])
     }
 
     fn u64(&mut self, _: &str, value: u64) -> WireResult {
-        self.out.extend_from_slice(&value.to_le_bytes());
-        Ok(())
+        self.bytes(&value.to_le_bytes())
     }
 
     fn i64(&mut self, _: &str, value: i64) -> WireResult {
-        self.out.extend_from_slice(&value.to_le_bytes());
-        Ok(())
+        self.bytes(&value.to_le_bytes())
     }
 
     fn f64(&mut self, name: &str, value: f64) -> WireResult {
@@ -304,8 +305,7 @@ impl Encoder for BinaryEncoder<'_> {
             )));
         }
         self.len(value.len())?;
-        self.out.extend_from_slice(value.as_bytes());
-        Ok(())
+        self.bytes(value.as_bytes())
     }
 
     fn hex(&mut self, name: &str, value: u64) -> WireResult {
@@ -499,6 +499,13 @@ impl JsonEncoder<'_> {
         }
     }
 
+    /// Writes one member whose value is `text` verbatim.
+    fn scalar(&mut self, name: &str, text: std::fmt::Arguments<'_>) -> WireResult {
+        self.member(name);
+        let _ = self.out.write_fmt(text);
+        Ok(())
+    }
+
     fn nest(
         &mut self,
         name: &str,
@@ -523,27 +530,19 @@ impl Encoder for JsonEncoder<'_> {
     }
 
     fn u64(&mut self, name: &str, value: u64) -> WireResult {
-        self.member(name);
-        let _ = write!(self.out, "{value}");
-        Ok(())
+        self.scalar(name, format_args!("{value}"))
     }
 
     fn i64(&mut self, name: &str, value: i64) -> WireResult {
-        self.member(name);
-        let _ = write!(self.out, "{value}");
-        Ok(())
+        self.scalar(name, format_args!("{value}"))
     }
 
     fn f64(&mut self, name: &str, value: f64) -> WireResult {
-        self.member(name);
-        let _ = write!(self.out, "{value:?}");
-        Ok(())
+        self.scalar(name, format_args!("{value:?}"))
     }
 
     fn bool(&mut self, name: &str, value: bool) -> WireResult {
-        self.member(name);
-        self.out.push_str(if value { "true" } else { "false" });
-        Ok(())
+        self.scalar(name, format_args!("{value}"))
     }
 
     fn str(&mut self, name: &str, value: &str) -> WireResult {
@@ -553,9 +552,7 @@ impl Encoder for JsonEncoder<'_> {
     }
 
     fn hex(&mut self, name: &str, value: u64) -> WireResult {
-        self.member(name);
-        let _ = write!(self.out, "\"{value:#018x}\"");
-        Ok(())
+        self.scalar(name, format_args!("\"{value:#018x}\""))
     }
 
     fn variant(&mut self, _: u8, json: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
