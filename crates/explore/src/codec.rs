@@ -61,17 +61,6 @@ pub enum WireError {
     Corrupt(String),
 }
 
-impl WireError {
-    /// The bare description, without the binary codec's prefix — the form
-    /// JSON decode errors reach users in.
-    pub fn into_message(self) -> String {
-        match self {
-            WireError::Io(err) => err.to_string(),
-            WireError::Corrupt(message) => message,
-        }
-    }
-}
-
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -256,17 +245,21 @@ pub trait Decoder: Sized {
     }
 }
 
-/// The binary codec's writer.
+/// The binary codec's writer.  Its small methods are `#[inline]` so the
+/// record and frame encodings instantiated in other crates compile to
+/// straight-line writes, as the generic per-type impls they replaced did.
 struct BinaryEncoder<'a> {
     out: &'a mut Vec<u8>,
 }
 
 impl BinaryEncoder<'_> {
+    #[inline]
     fn bytes(&mut self, bytes: &[u8]) -> WireResult {
         self.out.extend_from_slice(bytes);
         Ok(())
     }
 
+    #[inline]
     fn len(&mut self, len: usize) -> WireResult {
         let len = u32::try_from(len)
             .map_err(|_| corrupt(format!("length {len} does not fit the u32 header")))?;
@@ -277,26 +270,32 @@ impl BinaryEncoder<'_> {
 impl Encoder for BinaryEncoder<'_> {
     const JSON: bool = false;
 
+    #[inline]
     fn u8(&mut self, _: &str, value: u8) -> WireResult {
         self.bytes(&[value])
     }
 
+    #[inline]
     fn u64(&mut self, _: &str, value: u64) -> WireResult {
         self.bytes(&value.to_le_bytes())
     }
 
+    #[inline]
     fn i64(&mut self, _: &str, value: i64) -> WireResult {
         self.bytes(&value.to_le_bytes())
     }
 
+    #[inline]
     fn f64(&mut self, name: &str, value: f64) -> WireResult {
         self.u64(name, value.to_bits())
     }
 
+    #[inline]
     fn bool(&mut self, name: &str, value: bool) -> WireResult {
         self.u8(name, u8::from(value))
     }
 
+    #[inline]
     fn str(&mut self, _: &str, value: &str) -> WireResult {
         if value.len() > MAX_TEXT_LEN {
             return Err(corrupt(format!(
@@ -308,6 +307,7 @@ impl Encoder for BinaryEncoder<'_> {
         self.bytes(value.as_bytes())
     }
 
+    #[inline]
     fn hex(&mut self, name: &str, value: u64) -> WireResult {
         self.u64(name, value)
     }
@@ -339,21 +339,25 @@ impl Encoder for BinaryEncoder<'_> {
         self.seq(name, len, body)
     }
 
+    #[inline]
     fn key(&mut self, key: &str) -> WireResult {
         self.str("", key)
     }
 
+    #[inline]
     fn option(&mut self, name: &str, present: bool) -> WireResult {
         self.u8(name, u8::from(present))
     }
 }
 
-/// The binary codec's reader over one byte slice.
+/// The binary codec's reader over one byte slice (`#[inline]` for the same
+/// reason as [`BinaryEncoder`]).
 struct BinaryDecoder<'a> {
     bytes: &'a [u8],
 }
 
 impl<'a> BinaryDecoder<'a> {
+    #[inline]
     fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
         if self.bytes.len() < len {
             return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
@@ -363,6 +367,7 @@ impl<'a> BinaryDecoder<'a> {
         Ok(head)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         Ok(self
             .take(N)?
@@ -372,6 +377,7 @@ impl<'a> BinaryDecoder<'a> {
 
     /// Reads a `u32` length or count header, enforcing `cap` before any
     /// allocation.
+    #[inline]
     fn len(&mut self, cap: usize, what: &str) -> WireResult<usize> {
         let len = u32::from_le_bytes(self.array()?) as usize;
         if len > cap {
@@ -386,26 +392,32 @@ impl<'a> BinaryDecoder<'a> {
 impl Decoder for BinaryDecoder<'_> {
     const JSON: bool = false;
 
+    #[inline]
     fn has(&self, _: &str) -> bool {
         true
     }
 
+    #[inline]
     fn u8(&mut self, _: &str) -> WireResult<u8> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     fn u64(&mut self, _: &str) -> WireResult<u64> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     fn i64(&mut self, _: &str) -> WireResult<i64> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     fn f64(&mut self, name: &str) -> WireResult<f64> {
         Ok(f64::from_bits(self.u64(name)?))
     }
 
+    #[inline]
     fn bool(&mut self, name: &str) -> WireResult<bool> {
         match self.u8(name)? {
             0 => Ok(false),
@@ -414,12 +426,14 @@ impl Decoder for BinaryDecoder<'_> {
         }
     }
 
+    #[inline]
     fn str(&mut self, _: &str) -> WireResult<String> {
         let len = self.len(MAX_TEXT_LEN, "string")?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|err| corrupt(format!("bad UTF-8: {err}")))
     }
 
+    #[inline]
     fn hex(&mut self, name: &str) -> WireResult<u64> {
         self.u64(name)
     }
@@ -459,10 +473,12 @@ impl Decoder for BinaryDecoder<'_> {
         self.seq(name, body)
     }
 
+    #[inline]
     fn key(&mut self) -> WireResult<String> {
         self.str("")
     }
 
+    #[inline]
     fn option(&mut self, name: &str) -> WireResult<bool> {
         match self.u8(name)? {
             0 => Ok(false),
@@ -824,13 +840,17 @@ pub fn write_json<T: Wire>(out: &mut String, value: &T) {
 ///
 /// # Errors
 ///
-/// [`WireError::Corrupt`] naming the first missing or mistyped member.
-pub fn from_json<T: Wire>(value: &JsonValue) -> WireResult<T> {
-    JsonDecoder {
+/// A description of the first missing or mistyped member, without the
+/// binary codec's prefix.
+pub fn from_json<T: Wire>(value: &JsonValue) -> Result<T, String> {
+    let mut decoder = JsonDecoder {
         current: value,
         key: "",
-    }
-    .value("")
+    };
+    decoder.value("").map_err(|err| match err {
+        WireError::Corrupt(message) => message,
+        other => other.to_string(),
+    })
 }
 
 impl Wire for PointRecord {

@@ -15,7 +15,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{from_json, to_json, write_json, WireError};
+use crate::codec::{from_json, to_json, write_json};
 use crate::json::JsonValue;
 
 /// The persisted outcome of evaluating one design point.
@@ -103,7 +103,7 @@ impl PointRecord {
     ///
     /// Returns a description of the first missing or mistyped field.
     pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        from_json(value).map_err(WireError::into_message)
+        from_json(value)
     }
 }
 

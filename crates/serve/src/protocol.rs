@@ -73,7 +73,7 @@ pub fn stamp_trace(out: &mut String, id: &str) {
 /// member, which may sit at any position.
 fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
     let value = JsonValue::parse(line)?;
-    let decoded = from_json(&value).map_err(WireError::into_message)?;
+    let decoded = from_json(&value)?;
     let trace = match value.get("trace") {
         None => None,
         Some(id) => Some(checked_trace(
@@ -393,10 +393,8 @@ impl Wire for Request {
             }
             Request::Put { records } => e.values("records", records),
             // JSON names the format only when it is not the default.
-            Request::Metrics { prometheus } if E::JSON => match prometheus {
-                true => e.str("format", "prometheus"),
-                false => Ok(()),
-            },
+            Request::Metrics { prometheus: true } if E::JSON => e.str("format", "prometheus"),
+            Request::Metrics { .. } if E::JSON => Ok(()),
             Request::Metrics { prometheus } => e.bool("format", *prometheus),
             Request::Trace { id } => e.str("id", id),
             Request::Series { last, window_us } => {
@@ -450,18 +448,16 @@ impl Wire for Request {
             },
             Op::Ping => Request::Ping,
             Op::Stats => Request::Stats,
+            Op::Metrics if D::JSON && !d.has("format") => Request::Metrics { prometheus: false },
             Op::Metrics if D::JSON => Request::Metrics {
-                prometheus: match d.has("format").then(|| d.str("format")).transpose()? {
-                    None => false,
-                    Some(format) => match format.as_str() {
-                        "json" => false,
-                        "prometheus" | "prom" => true,
-                        other => {
-                            return Err(WireError::Corrupt(format!(
-                                "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
-                            )))
-                        }
-                    },
+                prometheus: match d.str("format")?.as_str() {
+                    "json" => false,
+                    "prometheus" | "prom" => true,
+                    other => {
+                        return Err(WireError::Corrupt(format!(
+                            "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
+                        )))
+                    }
                 },
             },
             Op::Metrics => Request::Metrics {

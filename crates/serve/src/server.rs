@@ -859,9 +859,7 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                 Ok(_) => {}
                 Err(_) => return, // Peer vanished mid-line.
             }
-            // Strip the line terminator (read_line keeps it): the codec's
-            // fast paths match the exact rendered framing, terminator
-            // excluded.
+            // Strip the line terminator (read_line keeps it).
             let request_line = line.trim_end_matches(['\n', '\r']);
             if request_line.trim().is_empty() {
                 continue;
