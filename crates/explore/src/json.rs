@@ -113,7 +113,7 @@ impl JsonValue {
 
 /// Writes `text` as a quoted, escaped JSON string: the JSON codec's one
 /// string escaper.
-pub fn render_string(out: &mut String, text: &str) {
+pub(crate) fn render_string(out: &mut String, text: &str) {
     out.push('"');
     for ch in text.chars() {
         match ch {

@@ -57,7 +57,7 @@ mod store;
 
 pub use codec::{Decoder, Encoder, Wire, WireError};
 pub use engine::{evaluate_point, evaluate_point_timed, Exploration, Explorer, StageTimings};
-pub use json::{render_string, JsonValue};
+pub use json::JsonValue;
 pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};
 pub use render::{exploration_csv, render_best_allocators, render_exploration, render_frontier};
 pub use segment::{SegmentStore, MAX_SEGMENT_RECORD_LEN, SEGMENT_MAGIC};
