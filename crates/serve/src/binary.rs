@@ -35,7 +35,7 @@ use std::io::Read;
 
 use srra_explore::codec::{from_bytes, write_bytes, Wire, WireError, WireResult};
 
-use crate::protocol::{checked_trace, valid_trace_id, Request, Response};
+use crate::protocol::{check_trace, Request, Response};
 
 /// First byte of every binary frame.  `0xB1` can never open a JSON request
 /// (those start with `{`, whitespace or nothing), so one peeked byte decides
@@ -117,9 +117,7 @@ fn frame_into<T: Wire>(out: &mut Vec<u8>, trace: Option<&str>, body: &T) -> Wire
     match trace {
         None => out.push(0),
         Some(id) => {
-            if !valid_trace_id(id) {
-                return Err(WireError::Corrupt(format!("illegal trace id {id:?}")));
-            }
+            check_trace(id).map_err(WireError::Corrupt)?;
             out.push(id.len() as u8);
             out.extend_from_slice(id.as_bytes());
         }
@@ -184,7 +182,8 @@ pub fn decode_payload<T: Wire>(payload: &[u8]) -> Result<(T, Option<String>), Wi
         _ => {
             let id = std::str::from_utf8(trace)
                 .map_err(|_| WireError::Corrupt("trace id is not UTF-8".to_owned()))?;
-            Some(checked_trace(id).map_err(WireError::Corrupt)?)
+            check_trace(id).map_err(WireError::Corrupt)?;
+            Some(id.to_owned())
         }
     };
     Ok((from_bytes(body)?, trace))

@@ -30,7 +30,7 @@ use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, 
 
 use crate::binary::{decode_payload, encode_request_frame, read_frame, FrameError};
 use crate::protocol::{
-    stamp_trace, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    check_trace, stamp_trace, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
     ShardDigest,
 };
 
@@ -261,10 +261,8 @@ impl Connection {
     /// [`TRACE_MAX_LEN`](crate::protocol::TRACE_MAX_LEN) bytes, or contain
     /// characters outside `[A-Za-z0-9._-]`.
     pub fn set_trace(&mut self, trace: Option<&str>) -> Result<(), ClientError> {
-        if let Some(id) = trace.filter(|id| !valid_trace_id(id)) {
-            return Err(ClientError::Protocol(format!(
-                "invalid trace id `{id}`: want 1-64 bytes of [A-Za-z0-9._-]"
-            )));
+        if let Some(id) = trace {
+            check_trace(id).map_err(ClientError::Protocol)?;
         }
         self.trace = trace.map(str::to_owned);
         Ok(())

@@ -41,9 +41,9 @@ pub fn valid_trace_id(id: &str) -> bool {
 
 /// The envelope trace rule of both codecs: a request or reply may carry a
 /// trace id, and a present one must be valid.
-pub(crate) fn checked_trace(id: &str) -> Result<String, String> {
+pub(crate) fn check_trace(id: &str) -> Result<(), String> {
     if valid_trace_id(id) {
-        Ok(id.to_owned())
+        Ok(())
     } else {
         Err(format!(
             "illegal trace id {id:?}: want 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
@@ -76,9 +76,11 @@ fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
     let decoded = from_json(&value)?;
     let trace = match value.get("trace") {
         None => None,
-        Some(id) => Some(checked_trace(
-            id.as_str().ok_or("`trace` must be a string")?,
-        )?),
+        Some(id) => {
+            let id = id.as_str().ok_or("`trace` must be a string")?;
+            check_trace(id)?;
+            Some(id.to_owned())
+        }
     };
     Ok((decoded, trace))
 }
