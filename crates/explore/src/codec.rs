@@ -72,12 +72,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<std::io::Error> for WireError {
-    fn from(err: std::io::Error) -> Self {
-        WireError::Io(err)
-    }
-}
-
 /// The result of an encode or decode step.
 pub type WireResult<T = ()> = Result<T, WireError>;
 
