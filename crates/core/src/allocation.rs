@@ -151,8 +151,13 @@ impl RegisterAllocation {
     }
 
     /// The decision for a reference group.
+    ///
+    /// Every allocation lists its references in reference-table order, so the
+    /// decision for `ref_id` sits at `ref_id.index()`.
     pub fn get(&self, ref_id: RefId) -> Option<&RefAllocation> {
-        self.refs.iter().find(|r| r.ref_id() == ref_id)
+        self.refs
+            .get(ref_id.index())
+            .filter(|r| r.ref_id() == ref_id)
     }
 
     /// The decision for the first reference of the array with the given name.
@@ -197,11 +202,15 @@ impl RegisterAllocation {
 
     /// A compact human-readable register distribution, e.g. `a:30 b:1 c:20 d:1 e:1`.
     pub fn distribution(&self) -> String {
-        self.refs
-            .iter()
-            .map(|r| format!("{}:{}", r.array_name(), r.beta()))
-            .collect::<Vec<_>>()
-            .join(" ")
+        use std::fmt::Write;
+        let mut out = String::with_capacity(self.refs.len() * 8);
+        for (index, r) in self.refs.iter().enumerate() {
+            if index > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{}:{}", r.array_name(), r.beta());
+        }
+        out
     }
 }
 

@@ -26,10 +26,11 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use srra_dfg::{CriticalPathAnalysis, DataFlowGraph, LatencyModel, StorageMap};
-use srra_ir::Kernel;
-use srra_reuse::{remaining_accesses, ReuseAnalysis};
+use srra_ir::{ArrayId, Kernel, RefId};
+use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{RegisterAllocation, ReplacementMode};
+use crate::allocation::RegisterAllocation;
+use crate::scalar_replace::RefTerms;
 
 /// Parameters of the memory cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,7 +70,8 @@ impl MemoryCostModel {
 /// Cost contribution of one memory stage of the loop body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageCost {
-    /// References participating in the stage, rendered with loop names.
+    /// References participating in the stage, rendered with loop names, grouped by
+    /// array.
     pub references: Vec<String>,
     /// Expected RAM cycles the stage contributes per innermost iteration.
     pub cycles_per_iteration: f64,
@@ -94,28 +96,120 @@ pub struct MemoryCostReport {
     pub eliminated_accesses: u64,
 }
 
-/// Miss fraction of a reference under the given allocation: the share of its dynamic
-/// accesses that still go to RAM in steady state.
-pub(crate) fn miss_fraction(
-    analysis: &ReuseAnalysis,
-    allocation: &RegisterAllocation,
-    ref_id: srra_ir::RefId,
-) -> f64 {
-    let Some(summary) = analysis.get(ref_id) else {
-        return 1.0;
-    };
-    let Some(decision) = allocation.get(ref_id) else {
-        return 1.0;
-    };
-    if !summary.has_reuse() {
-        return 1.0;
-    }
-    match decision.mode() {
-        ReplacementMode::None => 1.0,
-        ReplacementMode::Full => 0.0,
-        ReplacementMode::Partial => {
-            1.0 - (decision.beta() as f64 / summary.registers_full().max(1) as f64).clamp(0.0, 1.0)
+/// The memory stages of one loop-body iteration under a [`MemoryCostModel`]: the
+/// reference nodes of the all-RAM critical graph at the model's RAM latency,
+/// grouped by their longest-path depth (the order in which an iteration needs the
+/// data).
+///
+/// The stages are a structural property of the computation, so the same stages are
+/// compared across allocations: build them once per kernel and cost model, then fold
+/// any number of allocations' miss fractions through
+/// [`MemoryStages::cycles_per_iteration`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemoryStages {
+    model: MemoryCostModel,
+    /// Every stage's references, stage after stage in depth order.  Within a stage
+    /// they are grouped by array in `ArrayId` order, and keep critical-graph node
+    /// order within an array.
+    refs: Vec<RefId>,
+    /// End offset in `refs` of each array group.
+    group_ends: Vec<usize>,
+    /// End offset in `group_ends` of each stage.
+    stage_ends: Vec<usize>,
+    total_iterations: u64,
+}
+
+impl MemoryStages {
+    /// Derives the stages of `kernel` from its data-flow graph `dfg`.
+    pub fn new(
+        kernel: &Kernel,
+        analysis: &ReuseAnalysis,
+        dfg: &DataFlowGraph,
+        model: &MemoryCostModel,
+    ) -> Self {
+        let structural = CriticalPathAnalysis::new(
+            dfg,
+            &LatencyModel::default().with_ram_latency(model.ram_latency.max(1)),
+            &StorageMap::all_ram(),
+        );
+        let mut by_depth: BTreeMap<u64, Vec<(ArrayId, RefId)>> = BTreeMap::new();
+        for &node in structural.critical_graph().nodes() {
+            if let Some(ref_id) = dfg.node(node).reference() {
+                let stage = by_depth.entry(structural.longest_to(node)).or_default();
+                if let Some(summary) = analysis.get(ref_id) {
+                    stage.push((summary.array(), ref_id));
+                }
+            }
         }
+        let mut stages = Self {
+            model: model.clone(),
+            refs: Vec::new(),
+            group_ends: Vec::new(),
+            stage_ends: Vec::with_capacity(by_depth.len()),
+            total_iterations: kernel.nest().total_iterations(),
+        };
+        for mut stage in by_depth.into_values() {
+            // A stable sort: references of one array keep their node order.
+            stage.sort_by_key(|&(array, _)| array);
+            for (index, &(array, ref_id)) in stage.iter().enumerate() {
+                if index > 0 && stage[index - 1].0 != array {
+                    stages.group_ends.push(stages.refs.len());
+                }
+                stages.refs.push(ref_id);
+            }
+            if !stage.is_empty() {
+                stages.group_ends.push(stages.refs.len());
+            }
+            stages.stage_ends.push(stages.group_ends.len());
+        }
+        stages
+    }
+
+    /// The cost model the stages were derived for.
+    pub fn model(&self) -> &MemoryCostModel {
+        &self.model
+    }
+
+    /// Expected RAM cycles per innermost iteration of an allocation, given every
+    /// reference's terms in reference-table order ([`RefTerms::of_allocation`]).
+    /// Calls `each(references, cycles)` for every stage, in depth order.
+    pub fn cycles_per_iteration(
+        &self,
+        refs: &[RefTerms],
+        mut each: impl FnMut(&[RefId], f64),
+    ) -> f64 {
+        let mut cycles_per_iteration = 0.0f64;
+        let (mut first_group, mut first_ref) = (0, 0);
+        for &stage_end in &self.stage_ends {
+            let groups = &self.group_ends[first_group..stage_end];
+            let last_ref = groups.last().copied().unwrap_or(first_ref);
+            // Accesses to one array serialise on its RAM block port and add up;
+            // concurrency applies across different arrays.
+            let mut start = first_ref;
+            let per_array = groups.iter().map(|&end| {
+                let misses = self.refs[start..end]
+                    .iter()
+                    .fold(0.0f64, |sum, id| sum + refs[id.index()].steady_miss);
+                start = end;
+                misses
+            });
+            let stage_fraction = if self.model.concurrent_ram_access {
+                per_array.fold(0.0f64, f64::max)
+            } else {
+                per_array.sum()
+            };
+            let cycles = stage_fraction * self.model.ram_latency as f64;
+            cycles_per_iteration += cycles;
+            each(&self.refs[first_ref..last_ref], cycles);
+            (first_group, first_ref) = (stage_end, last_ref);
+        }
+        cycles_per_iteration
+    }
+
+    /// Total memory cycles over the whole loop execution (`T_mem`) for a
+    /// per-iteration cost from [`MemoryStages::cycles_per_iteration`].
+    pub fn memory_cycles(&self, cycles_per_iteration: f64) -> u64 {
+        (cycles_per_iteration * self.total_iterations as f64).round() as u64
     }
 }
 
@@ -148,47 +242,10 @@ pub fn memory_cost_on_dfg(
     allocation: &RegisterAllocation,
     model: &MemoryCostModel,
 ) -> MemoryCostReport {
-    // The memory stages are a structural property of the computation: they are derived
-    // from the critical graph of the all-RAM configuration so that the same stages are
-    // compared across allocations.
-    let structural = CriticalPathAnalysis::new(
-        dfg,
-        &LatencyModel::default().with_ram_latency(model.ram_latency.max(1)),
-        &StorageMap::all_ram(),
-    );
-    let cg = structural.critical_graph();
-
-    // Group the critical reference nodes by their longest-path position (depth), which
-    // corresponds to the order in which an iteration needs the data.
-    let mut stages: BTreeMap<u64, Vec<srra_ir::RefId>> = BTreeMap::new();
-    for &node in cg.nodes() {
-        if let Some(ref_id) = dfg.node(node).reference() {
-            stages
-                .entry(structural.longest_to(node))
-                .or_default()
-                .push(ref_id);
-        }
-    }
-
+    let stages = MemoryStages::new(kernel, analysis, dfg, model);
+    let terms = RefTerms::of_allocation(kernel, analysis, allocation);
     let mut stage_costs = Vec::new();
-    let mut cycles_per_iteration = 0.0f64;
-    for refs in stages.values() {
-        // Concurrency applies across different arrays; accesses to the same array
-        // serialise on its RAM block port.
-        let mut per_array: BTreeMap<srra_ir::ArrayId, f64> = BTreeMap::new();
-        for ref_id in refs {
-            let miss = miss_fraction(analysis, allocation, *ref_id);
-            if let Some(summary) = analysis.get(*ref_id) {
-                *per_array.entry(summary.array()).or_insert(0.0) += miss;
-            }
-        }
-        let stage_fraction = if model.concurrent_ram_access {
-            per_array.values().copied().fold(0.0f64, f64::max)
-        } else {
-            per_array.values().copied().sum()
-        };
-        let cycles = stage_fraction * model.ram_latency as f64;
-        cycles_per_iteration += cycles;
+    let cycles_per_iteration = stages.cycles_per_iteration(&terms, |refs, cycles| {
         stage_costs.push(StageCost {
             references: refs
                 .iter()
@@ -197,9 +254,8 @@ pub fn memory_cost_on_dfg(
                 .collect(),
             cycles_per_iteration: cycles,
         });
-    }
-
-    let total_iterations = kernel.nest().total_iterations();
+    });
+    let memory_cycles = stages.memory_cycles(cycles_per_iteration);
     let outer_trip = kernel
         .nest()
         .trip_counts()
@@ -207,23 +263,8 @@ pub fn memory_cost_on_dfg(
         .copied()
         .unwrap_or(1)
         .max(1);
-    let memory_cycles = (cycles_per_iteration * total_iterations as f64).round() as u64;
-
-    let mut remaining = 0u64;
-    let mut total = 0u64;
-    for summary in analysis.iter() {
-        total += summary.access_counts().total;
-        let decision_mode = allocation
-            .get(summary.ref_id())
-            .map(|d| d.mode())
-            .unwrap_or(ReplacementMode::None);
-        let beta = allocation.beta(summary.ref_id());
-        remaining += match decision_mode {
-            ReplacementMode::None => summary.access_counts().total,
-            ReplacementMode::Full => summary.access_counts().essential,
-            ReplacementMode::Partial => remaining_accesses(summary, beta),
-        };
-    }
+    let remaining: u64 = terms.iter().map(|t| t.remaining_accesses).sum();
+    let total: u64 = analysis.iter().map(|s| s.access_counts().total).sum();
 
     MemoryCostReport {
         memory_cycles,

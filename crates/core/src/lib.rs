@@ -98,7 +98,9 @@ mod scalar_replace;
 pub use allocation::{RefAllocation, RegisterAllocation, ReplacementMode};
 pub use baseline::no_replacement;
 pub use context::CompiledKernel;
-pub use cost::{memory_cost, memory_cost_on_dfg, MemoryCostModel, MemoryCostReport, StageCost};
+pub use cost::{
+    memory_cost, memory_cost_on_dfg, MemoryCostModel, MemoryCostReport, MemoryStages, StageCost,
+};
 pub use cpa_ra::critical_path_aware;
 pub use error::AllocError;
 pub use fr_ra::full_reuse;
@@ -106,4 +108,4 @@ pub use greedy::greedy_savings;
 pub use knapsack::knapsack_optimal;
 pub use pr_ra::partial_reuse;
 pub use registry::{Allocator, AllocatorRef, AllocatorRegistry};
-pub use scalar_replace::{RefPlan, ReplacementPlan};
+pub use scalar_replace::{RefPlan, RefTerms, ReplacementPlan};

@@ -15,11 +15,121 @@
 //! and RAM traffic without simulating the transformed source text.
 
 use serde::{Deserialize, Serialize};
-use srra_ir::{Kernel, RefId};
-use srra_reuse::ReuseAnalysis;
+use srra_ir::{ArrayId, Kernel, RefId, RefInfo};
+use srra_reuse::{remaining_accesses, ReuseAnalysis, ReuseSummary};
 
-use crate::allocation::{RegisterAllocation, ReplacementMode};
-use crate::cost::miss_fraction;
+use crate::allocation::{RefAllocation, RegisterAllocation, ReplacementMode};
+
+/// The allocation-dependent numbers of one reference, without its names.
+///
+/// Every per-reference formula of the cost model lives in [`RefTerms::new`]:
+/// [`ReplacementPlan::new`], the memory cost model and `srra-fpga`'s cost table
+/// all read a reference through these terms.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RefTerms {
+    /// The reference group.
+    pub ref_id: RefId,
+    /// The referenced array.
+    pub array: ArrayId,
+    /// Registers assigned (`β`).
+    pub beta: u64,
+    /// How the reference is implemented.
+    pub mode: ReplacementMode,
+    /// Width of one element in bits.
+    pub elem_bits: u32,
+    /// RAM loads required to warm the registers up before the steady state.
+    pub prologue_loads: u64,
+    /// RAM stores required to drain register-resident results after the steady state.
+    pub epilogue_stores: u64,
+    /// Fraction of steady-state accesses that still go to RAM.
+    pub steady_miss: f64,
+    /// Memory accesses remaining over the whole execution.
+    pub remaining_accesses: u64,
+}
+
+impl RefTerms {
+    /// The terms of the reference `summary` describes, given its reference-table
+    /// entry and its allocation decision (a reference without a decision keeps its
+    /// RAM block).
+    pub fn new(
+        summary: &ReuseSummary,
+        info: Option<&RefInfo>,
+        decision: Option<&RefAllocation>,
+    ) -> Self {
+        let beta = decision.map_or(0, RefAllocation::beta);
+        let mode = decision.map_or(ReplacementMode::None, RefAllocation::mode);
+        let counts = summary.access_counts();
+        let has_read = info.is_some_and(RefInfo::has_read);
+        let has_write = info.is_some_and(RefInfo::has_write);
+        // Essential transfers are charged to the prologue (loads) for read
+        // references and to the epilogue (stores) for written references; a
+        // reference that is only read never needs an epilogue and vice versa.
+        let essential = match mode {
+            ReplacementMode::None => 0,
+            ReplacementMode::Full => counts.essential,
+            ReplacementMode::Partial => {
+                // Only the register-resident share is warmed up / drained.
+                let frac = beta as f64 / summary.registers_full().max(1) as f64;
+                (counts.essential as f64 * frac.clamp(0.0, 1.0)).round() as u64
+            }
+        };
+        let (prologue_loads, epilogue_stores) = if has_write {
+            (0, essential)
+        } else if has_read {
+            (essential, 0)
+        } else {
+            (0, 0)
+        };
+        let steady_miss = if !summary.has_reuse() {
+            1.0
+        } else {
+            match mode {
+                ReplacementMode::None => 1.0,
+                ReplacementMode::Full => 0.0,
+                ReplacementMode::Partial => {
+                    1.0 - (beta as f64 / summary.registers_full().max(1) as f64).clamp(0.0, 1.0)
+                }
+            }
+        };
+        Self {
+            ref_id: summary.ref_id(),
+            array: summary.array(),
+            beta,
+            mode,
+            elem_bits: summary.elem_bits(),
+            prologue_loads,
+            epilogue_stores,
+            steady_miss,
+            remaining_accesses: match mode {
+                ReplacementMode::None => counts.total,
+                ReplacementMode::Full => counts.essential,
+                ReplacementMode::Partial => remaining_accesses(summary, beta),
+            },
+        }
+    }
+
+    /// The terms of every reference of `kernel` under `allocation`, in
+    /// reference-table order, so a reference's terms sit at its `RefId` index.
+    pub fn of_allocation(
+        kernel: &Kernel,
+        analysis: &ReuseAnalysis,
+        allocation: &RegisterAllocation,
+    ) -> Vec<Self> {
+        let table = kernel.reference_table();
+        analysis
+            .iter()
+            .map(|summary| {
+                let id = summary.ref_id();
+                Self::new(summary, table.get(id), allocation.get(id))
+            })
+            .collect()
+    }
+
+    /// Total register bits this reference occupies (`β × element width`).
+    pub fn register_bits(&self) -> u64 {
+        self.beta * u64::from(self.elem_bits)
+    }
+}
 
 /// Per-reference slice of a [`ReplacementPlan`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,60 +169,33 @@ impl RefPlan {
 pub struct ReplacementPlan {
     kernel_name: String,
     refs: Vec<RefPlan>,
+    terms: Vec<RefTerms>,
 }
 
 impl ReplacementPlan {
     /// Builds the plan for an allocation.
     pub fn new(kernel: &Kernel, analysis: &ReuseAnalysis, allocation: &RegisterAllocation) -> Self {
+        let terms = RefTerms::of_allocation(kernel, analysis, allocation);
         let refs = analysis
             .iter()
-            .map(|summary| {
-                let beta = allocation.beta(summary.ref_id());
-                let mode = allocation
-                    .get(summary.ref_id())
-                    .map(|d| d.mode())
-                    .unwrap_or(ReplacementMode::None);
-                let table = kernel.reference_table();
-                let info = table.get(summary.ref_id());
-                let has_read = info.map(|i| i.has_read()).unwrap_or(false);
-                let has_write = info.map(|i| i.has_write()).unwrap_or(false);
-                // Essential transfers are charged to the prologue (loads) for read
-                // references and to the epilogue (stores) for written references; a
-                // reference that is only read never needs an epilogue and vice versa.
-                let essential = match mode {
-                    ReplacementMode::None => 0,
-                    ReplacementMode::Full => summary.access_counts().essential,
-                    ReplacementMode::Partial => {
-                        // Only the register-resident share is warmed up / drained.
-                        let frac = beta as f64 / summary.registers_full().max(1) as f64;
-                        (summary.access_counts().essential as f64 * frac.clamp(0.0, 1.0)).round()
-                            as u64
-                    }
-                };
-                let (prologue_loads, epilogue_stores) = if has_write {
-                    (0, essential)
-                } else if has_read {
-                    (essential, 0)
-                } else {
-                    (0, 0)
-                };
-                RefPlan {
-                    ref_id: summary.ref_id(),
-                    array_name: summary.array_name().to_owned(),
-                    rendered: summary.rendered().to_owned(),
-                    beta,
-                    registers_full: summary.registers_full(),
-                    mode,
-                    elem_bits: summary.elem_bits(),
-                    prologue_loads,
-                    epilogue_stores,
-                    steady_miss: miss_fraction(analysis, allocation, summary.ref_id()),
-                }
+            .zip(&terms)
+            .map(|(summary, terms)| RefPlan {
+                ref_id: terms.ref_id,
+                array_name: summary.array_name().to_owned(),
+                rendered: summary.rendered().to_owned(),
+                beta: terms.beta,
+                registers_full: summary.registers_full(),
+                mode: terms.mode,
+                elem_bits: terms.elem_bits,
+                prologue_loads: terms.prologue_loads,
+                epilogue_stores: terms.epilogue_stores,
+                steady_miss: terms.steady_miss,
             })
             .collect();
         Self {
             kernel_name: kernel.name().to_owned(),
             refs,
+            terms,
         }
     }
 
@@ -126,9 +209,15 @@ impl ReplacementPlan {
         &self.refs
     }
 
+    /// The plan's per-reference numbers as the cost model reads them, in
+    /// reference-table order.
+    pub fn terms(&self) -> &[RefTerms] {
+        &self.terms
+    }
+
     /// The plan for one reference group.
     pub fn get(&self, ref_id: RefId) -> Option<&RefPlan> {
-        self.refs.iter().find(|r| r.ref_id == ref_id)
+        self.refs.get(ref_id.index()).filter(|r| r.ref_id == ref_id)
     }
 
     /// Total registers used by the plan.

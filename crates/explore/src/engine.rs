@@ -2,12 +2,16 @@
 //! deduplicating against a [`ResultStore`] and fanning the cache misses out
 //! over a work-stealing thread pool.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use srra_core::{CompiledKernel, MemoryCostModel};
-use srra_fpga::{EvaluationOptions, HardwareDesign};
+use srra_fpga::{AllocationCost, CostTable, EvaluationOptions};
+// The unit tests compare the engine's records with the one-shot wrapper's.
+#[cfg(test)]
+use srra_fpga::HardwareDesign;
 use srra_obs::{Counter, Histogram, Registry};
 
 use crate::space::{DesignPoint, DesignSpace};
@@ -71,6 +75,161 @@ fn elapsed_us(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
+/// The hardware evaluation options of a point: the defaults at its RAM latency.
+fn options_for(ram_latency: u64) -> EvaluationOptions {
+    EvaluationOptions {
+        memory: MemoryCostModel::default().with_ram_latency(ram_latency),
+        ..EvaluationOptions::default()
+    }
+}
+
+/// One kernel's cost tables, one per RAM latency, each built at the first
+/// feasible point that needs it and kept for one batch of evaluations.
+struct KernelTables<'k> {
+    kernel: &'k CompiledKernel,
+    tables: Vec<(u64, OnceLock<CostTable<'k>>)>,
+}
+
+impl<'k> KernelTables<'k> {
+    fn new(kernel: &'k CompiledKernel, ram_latencies: &[u64]) -> Self {
+        Self {
+            kernel,
+            tables: ram_latencies
+                .iter()
+                .map(|&latency| (latency, OnceLock::new()))
+                .collect(),
+        }
+    }
+
+    fn get(&self, ram_latency: u64) -> &CostTable<'k> {
+        let (_, table) = self
+            .tables
+            .iter()
+            .find(|(latency, _)| *latency == ram_latency)
+            .expect("a table slot for every RAM latency of the batch");
+        table.get_or_init(|| {
+            CostTable::new(
+                self.kernel.kernel(),
+                self.kernel.analysis(),
+                self.kernel.dfg(),
+                &options_for(ram_latency),
+            )
+        })
+    }
+}
+
+/// A point waiting for evaluation, with the content address the cache pass
+/// built for it.
+struct Pending<'s> {
+    point: &'s DesignPoint,
+    canonical: String,
+    key: u64,
+}
+
+impl Pending<'_> {
+    /// The point's record before evaluation: its identity, marked infeasible.
+    fn unevaluated(&self) -> PointRecord {
+        let point = self.point;
+        PointRecord {
+            key: self.key,
+            canonical: self.canonical.clone(),
+            kernel: point.kernel.clone(),
+            algorithm: point.allocator.label().to_owned(),
+            version: point.allocator.version_name().to_owned(),
+            budget: point.budget,
+            ram_latency: point.ram_latency,
+            device: point.device.name().to_owned(),
+            feasible: false,
+            fits: false,
+            registers_used: 0,
+            total_cycles: 0,
+            compute_cycles: 0,
+            memory_cycles: 0,
+            transfer_cycles: 0,
+            clock_period_ns: 0.0,
+            execution_time_us: 0.0,
+            slices: 0,
+            block_rams: 0,
+            distribution: String::new(),
+        }
+    }
+
+    /// Whether `next` continues this point's run: same kernel, allocator and
+    /// budget.
+    fn same_run(&self, next: &Pending<'_>) -> bool {
+        let (a, b) = (self.point, next.point);
+        a.kernel_index == b.kernel_index && a.allocator == b.allocator && a.budget == b.budget
+    }
+}
+
+/// Evaluates one run: consecutive points that share a kernel, an allocator
+/// and a budget, so they share one allocation.  The run allocates once and
+/// computes the allocation's cost terms once, through the table of its first
+/// point; each point then adds only its RAM-latency and device terms.  An
+/// infeasible allocation makes every point of the run infeasible.
+///
+/// `emit` receives each point's record, in run order, with the stage time it
+/// paid: the first point carries the reuse analysis (if it ran) and the
+/// allocation, and every feasible point its own cost-model time.
+fn evaluate_run(
+    tables: &KernelTables<'_>,
+    run: &[Pending<'_>],
+    mut emit: impl FnMut(PointRecord, StageTimings),
+) {
+    let metrics = engine_metrics();
+    let kernel = tables.kernel;
+    let mut timings = StageTimings::default();
+    // Force the kernel's memoized reuse analysis now, so its cost (paid only
+    // by the first run of each kernel) lands in its own histogram instead
+    // of being folded into whichever stage happens to trigger it.
+    if !kernel.analysis_is_cached() {
+        let started = Instant::now();
+        let _ = kernel.analysis();
+        metrics.reuse_analysis_us.record(started.elapsed());
+        timings.reuse_analysis_us = elapsed_us(started);
+    }
+    let first = run[0].point;
+    let started = Instant::now();
+    let allocated = first.allocator.allocate(kernel, first.budget);
+    metrics.allocation_us.record(started.elapsed());
+    timings.allocation_us = elapsed_us(started);
+    let Ok(allocation) = allocated else {
+        for pending in run {
+            metrics.evaluations.inc();
+            metrics.infeasible.inc();
+            emit(pending.unevaluated(), std::mem::take(&mut timings));
+        }
+        return;
+    };
+    let mut cost: Option<AllocationCost> = None;
+    for pending in run {
+        metrics.evaluations.inc();
+        let point = pending.point;
+        let started = Instant::now();
+        let table = tables.get(point.ram_latency);
+        let cost = cost.get_or_insert_with(|| table.allocation_cost(&allocation));
+        let terms = table.point_cost(cost, &point.device);
+        metrics.cost_model_us.record(started.elapsed());
+        timings.cost_model_us = elapsed_us(started);
+        let record = PointRecord {
+            feasible: true,
+            fits: terms.fits,
+            registers_used: cost.registers_used(),
+            total_cycles: terms.total_cycles,
+            compute_cycles: terms.compute_cycles,
+            memory_cycles: terms.memory_cycles,
+            transfer_cycles: terms.transfer_cycles,
+            clock_period_ns: cost.clock_period_ns(),
+            execution_time_us: terms.execution_time_us,
+            slices: cost.slices(),
+            block_rams: terms.block_rams,
+            distribution: cost.distribution().to_owned(),
+            ..pending.unevaluated()
+        };
+        emit(record, std::mem::take(&mut timings));
+    }
+}
+
 /// Evaluates one design point from scratch (no cache involved).
 ///
 /// The kernel's [`CompiledKernel`] context supplies the (memoized) reuse
@@ -86,88 +245,28 @@ pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointReco
 
 /// [`evaluate_point`] plus per-stage wall timings for span emission.
 ///
-/// The global stage histograms record exactly as in [`evaluate_point`]; the
-/// returned [`StageTimings`] additionally surfaces this call's own stage
-/// durations so callers can attach them to a trace.
+/// The point is a run of one with a fresh cost table, so it does the work of
+/// one whole design point.  The global stage histograms record exactly as in
+/// [`evaluate_point`]; the returned [`StageTimings`] additionally surfaces
+/// this call's own stage durations so callers can attach them to a trace.
 pub fn evaluate_point_timed(
     kernel: &CompiledKernel,
     point: &DesignPoint,
 ) -> (PointRecord, StageTimings) {
     let canonical = point.canonical();
-    let key = point.key();
-    let base = PointRecord {
-        key,
+    let key = crate::space::fnv1a_64(canonical.as_bytes());
+    let run = [Pending {
+        point,
         canonical,
-        kernel: point.kernel.clone(),
-        algorithm: point.allocator.label().to_owned(),
-        version: point.allocator.version_name().to_owned(),
-        budget: point.budget,
-        ram_latency: point.ram_latency,
-        device: point.device.name().to_owned(),
-        feasible: false,
-        fits: false,
-        registers_used: 0,
-        total_cycles: 0,
-        compute_cycles: 0,
-        memory_cycles: 0,
-        transfer_cycles: 0,
-        clock_period_ns: 0.0,
-        execution_time_us: 0.0,
-        slices: 0,
-        block_rams: 0,
-        distribution: String::new(),
-    };
-    let metrics = engine_metrics();
-    metrics.evaluations.inc();
-    let mut timings = StageTimings::default();
-    // Force the kernel's memoized reuse analysis now, so its cost (paid only
-    // by the first point of each kernel) lands in its own histogram instead
-    // of being folded into whichever stage happens to trigger it.
-    if !kernel.analysis_is_cached() {
-        let started = Instant::now();
-        let _ = kernel.analysis();
-        metrics.reuse_analysis_us.record(started.elapsed());
-        timings.reuse_analysis_us = elapsed_us(started);
-    }
-    let started = Instant::now();
-    let allocated = point.allocator.allocate(kernel, point.budget);
-    metrics.allocation_us.record(started.elapsed());
-    timings.allocation_us = elapsed_us(started);
-    let Ok(allocation) = allocated else {
-        metrics.infeasible.inc();
-        return (base, timings);
-    };
-    let options = EvaluationOptions {
-        memory: MemoryCostModel::default().with_ram_latency(point.ram_latency),
-        ..EvaluationOptions::default()
-    };
-    let started = Instant::now();
-    let design = HardwareDesign::evaluate_on_dfg(
-        kernel.kernel(),
-        kernel.analysis(),
-        kernel.dfg(),
-        &allocation,
-        &point.device,
-        &options,
+        key,
+    }];
+    let mut evaluated = None;
+    evaluate_run(
+        &KernelTables::new(kernel, &[point.ram_latency]),
+        &run,
+        |record, timings| evaluated = Some((record, timings)),
     );
-    metrics.cost_model_us.record(started.elapsed());
-    timings.cost_model_us = elapsed_us(started);
-    let record = PointRecord {
-        feasible: true,
-        fits: point.device.fits(design.slices, design.block_rams),
-        registers_used: design.registers_used,
-        total_cycles: design.total_cycles,
-        compute_cycles: design.compute_cycles,
-        memory_cycles: design.memory_cycles,
-        transfer_cycles: design.transfer_cycles,
-        clock_period_ns: design.clock_period_ns,
-        execution_time_us: design.execution_time_us,
-        slices: design.slices,
-        block_rams: design.block_rams,
-        distribution: design.register_distribution,
-        ..base
-    };
-    (record, timings)
+    evaluated.expect("a run of one point emits one record")
 }
 
 /// The outcome of one [`Explorer::explore`] run.
@@ -243,13 +342,13 @@ impl Explorer {
         // points within one run (a duplicated axis value) are collapsed onto a
         // single pending evaluation whose result fans out to every slot.  Each
         // point's canonical string is built exactly once here.
-        let canonicals: Vec<String> = points.iter().map(DesignPoint::canonical).collect();
+        let mut canonicals: Vec<String> = points.iter().map(DesignPoint::canonical).collect();
         let mut records: Vec<Option<PointRecord>> = vec![None; points.len()];
-        let mut pending: Vec<&DesignPoint> = Vec::new();
+        let mut pending_index: Vec<(usize, u64)> = Vec::new();
         let mut pending_slots: Vec<Vec<usize>> = Vec::new();
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut cache_hits = 0;
-        for (index, point) in points.iter().enumerate() {
+        for index in 0..points.len() {
             let canonical = &canonicals[index];
             let key = crate::space::fnv1a_64(canonical.as_bytes());
             if let Some(&slot) = seen.get(&key) {
@@ -268,38 +367,74 @@ impl Explorer {
                     cache_hits += 1;
                 }
                 None => {
-                    seen.insert(key, pending.len());
-                    pending.push(point);
+                    seen.insert(key, pending_index.len());
+                    pending_index.push((index, key));
                     pending_slots.push(vec![index]);
                 }
             }
         }
+        let pending: Vec<Pending<'_>> = pending_index
+            .into_iter()
+            .map(|(index, key)| Pending {
+                point: &points[index],
+                canonical: std::mem::take(&mut canonicals[index]),
+                key,
+            })
+            .collect();
 
-        // Each kernel's `CompiledKernel` context memoizes its reuse analysis:
-        // the first pending point of a kernel computes it, every other point
-        // (on any worker thread) reuses it, and a fully warm run computes none.
+        // Runs: maximal stretches of pending points that share a kernel, an
+        // allocator and a budget (point order puts the RAM latency and the
+        // device innermost), so each run allocates once.
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for end in 1..=pending.len() {
+            if end == pending.len() || !pending[end - 1].same_run(&pending[end]) {
+                let start = runs.last().map_or(0, |run| run.end);
+                runs.push(start..end);
+            }
+        }
+
+        // Each kernel's `CompiledKernel` context memoizes its reuse analysis
+        // and DFG, and its cost tables live for this call: the first feasible
+        // point of a kernel at a RAM latency builds the table, every other
+        // point (on any worker thread) reuses it, and a fully warm run builds
+        // none of them.
+        let mut ram_latencies: Vec<u64> = Vec::new();
+        for pending in &pending {
+            if !ram_latencies.contains(&pending.point.ram_latency) {
+                ram_latencies.push(pending.point.ram_latency);
+            }
+        }
+        let tables: Vec<KernelTables<'_>> = space
+            .kernels()
+            .iter()
+            .map(|kernel| KernelTables::new(kernel, &ram_latencies))
+            .collect();
         let evaluated = pending.len();
-        let fresh: Vec<(usize, PointRecord)> = if self.jobs == 1 || pending.len() <= 1 {
-            pending
-                .iter()
-                .enumerate()
-                .map(|(slot, point)| {
-                    (
-                        slot,
-                        evaluate_point(&space.kernels()[point.kernel_index], point),
-                    )
-                })
-                .collect()
+        let fresh: Vec<PointRecord> = if self.jobs == 1 || runs.len() <= 1 {
+            let mut fresh = Vec::with_capacity(pending.len());
+            for run in &runs {
+                let run = &pending[run.clone()];
+                evaluate_run(&tables[run[0].point.kernel_index], run, |record, _| {
+                    fresh.push(record);
+                });
+            }
+            fresh
         } else {
-            self.evaluate_parallel(space, &pending)
+            self.evaluate_parallel(&tables, &pending, &runs)
         };
 
-        for (slot, record) in fresh {
+        // Fresh records reach the store in point order, so a persistent
+        // store's bytes never depend on the worker count or thread timing.
+        for (record, slots) in fresh.into_iter().zip(&pending_slots) {
             engine_metrics().store_writes.inc();
             store.put(&record)?;
-            for &index in &pending_slots[slot] {
+            let (&last, rest) = slots
+                .split_last()
+                .expect("every pending point fills at least one slot");
+            for &index in rest {
                 records[index] = Some(record.clone());
             }
+            records[last] = Some(record);
         }
 
         Ok(Exploration {
@@ -312,35 +447,45 @@ impl Explorer {
         })
     }
 
-    /// Fans `pending` out over scoped worker threads.  Work distribution is a
-    /// shared atomic cursor: each worker claims the next unclaimed point, so
+    /// Fans the runs out over scoped worker threads.  Work distribution is a
+    /// shared atomic cursor: each worker claims the next unclaimed run, so
     /// fast workers steal the load of slow ones without any queue structure.
-    /// Returned pairs are `(pending slot, record)`.
+    /// Returns the fresh records in pending order.
     fn evaluate_parallel(
         &self,
-        space: &DesignSpace,
-        pending: &[&DesignPoint],
-    ) -> Vec<(usize, PointRecord)> {
+        tables: &[KernelTables<'_>],
+        pending: &[Pending<'_>],
+        runs: &[Range<usize>],
+    ) -> Vec<PointRecord> {
         let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, PointRecord)>> =
-            Mutex::new(Vec::with_capacity(pending.len()));
-        let workers = self.jobs.min(pending.len());
+        let results: Mutex<Vec<(usize, Vec<PointRecord>)>> =
+            Mutex::new(Vec::with_capacity(runs.len()));
+        let workers = self.jobs.min(runs.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&point) = pending.get(slot) else {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(run) = runs.get(index) else {
                         break;
                     };
-                    let record = evaluate_point(&space.kernels()[point.kernel_index], point);
+                    let run = &pending[run.clone()];
+                    let mut records = Vec::with_capacity(run.len());
+                    evaluate_run(&tables[run[0].point.kernel_index], run, |record, _| {
+                        records.push(record);
+                    });
                     results
                         .lock()
                         .expect("no worker panics while holding the result lock")
-                        .push((slot, record));
+                        .push((index, records));
                 });
             }
         });
-        results.into_inner().expect("workers have finished")
+        let mut results = results.into_inner().expect("workers have finished");
+        results.sort_unstable_by_key(|(index, _)| *index);
+        results
+            .into_iter()
+            .flat_map(|(_, records)| records)
+            .collect()
     }
 }
 

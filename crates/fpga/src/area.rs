@@ -1,11 +1,9 @@
 //! Analytic area model: logic slices and BlockRAM usage.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
-use srra_core::ReplacementPlan;
+use srra_core::{RefTerms, ReplacementMode, ReplacementPlan};
 use srra_dfg::{DataFlowGraph, NodeKind};
-use srra_ir::{BinOp, Kernel};
+use srra_ir::{ArrayId, BinOp, Kernel};
 
 use crate::device::DeviceModel;
 
@@ -90,7 +88,13 @@ impl AreaModel {
         plan: &ReplacementPlan,
         device: &DeviceModel,
     ) -> AreaEstimate {
-        // Datapath operators: one instance per DFG operation (spatial implementation).
+        self.allocation_area(kernel, self.operator_slices(dfg), plan.terms())
+            .on(device)
+    }
+
+    /// Slices of the datapath operators: one instance per DFG operation (spatial
+    /// implementation), summed in node order.
+    pub(crate) fn operator_slices(&self, dfg: &DataFlowGraph) -> f64 {
         let mut operator_slices = 0.0f64;
         for node in dfg.nodes() {
             let bits = 16.0;
@@ -105,45 +109,90 @@ impl AreaModel {
                 _ => {}
             }
         }
+        operator_slices
+    }
 
+    /// The area terms no device changes, for the references' terms in
+    /// reference-table order on top of `operator_slices`.
+    pub(crate) fn allocation_area(
+        &self,
+        kernel: &Kernel,
+        operator_slices: f64,
+        refs: &[RefTerms],
+    ) -> AllocationArea {
         // Scalar-replacement registers and their steering logic.
-        let data_flip_flops = plan.total_register_bits();
+        let data_flip_flops: u64 = refs.iter().map(RefTerms::register_bits).sum();
         let mut register_slices = data_flip_flops as f64 * self.slices_per_flip_flop;
-        for r in plan.refs() {
-            if r.mode == srra_core::ReplacementMode::Partial {
+        for r in refs {
+            if r.mode == ReplacementMode::Partial {
                 register_slices += r.beta as f64 * self.mux_slices_per_partial_register;
             }
         }
 
         // RAM-resident arrays: BlockRAMs by capacity, plus address generators.
-        let mut ram_bits: BTreeMap<&str, u64> = BTreeMap::new();
-        for r in plan.refs() {
-            if r.steady_miss > 0.0 || r.prologue_loads > 0 || r.epilogue_stores > 0 {
-                let decl = kernel
-                    .arrays()
-                    .iter()
-                    .find(|a| a.name() == r.array_name)
-                    .expect("array exists");
-                ram_bits.insert(decl.name(), decl.total_bits());
-            }
-        }
-        let block_rams: u64 = ram_bits
-            .values()
-            .map(|bits| device.block_rams_for(*bits))
-            .sum();
-        let address_slices = ram_bits.len() as u64 * self.address_gen_slices;
+        let ram_array_bits: Vec<u64> = arrays_where(refs, |r| {
+            r.steady_miss > 0.0 || r.prologue_loads > 0 || r.epilogue_stores > 0
+        })
+        .map(|id| kernel.array(id).expect("array exists").total_bits())
+        .collect();
+        let address_slices = ram_array_bits.len() as u64 * self.address_gen_slices;
 
         let slices = self.control_slices
             + address_slices
             + operator_slices.ceil() as u64
             + register_slices.ceil() as u64;
-
-        AreaEstimate {
+        AllocationArea {
             slices,
-            block_rams,
             data_flip_flops,
+            ram_array_bits,
         }
     }
+}
+
+/// The area of one allocation before a device is chosen: only the BlockRAM count
+/// depends on the device.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AllocationArea {
+    slices: u64,
+    data_flip_flops: u64,
+    /// Bits of every array that still needs its RAM block, in `ArrayId` order.
+    ram_array_bits: Vec<u64>,
+}
+
+impl AllocationArea {
+    /// Logic slices occupied.
+    pub(crate) fn slices(&self) -> u64 {
+        self.slices
+    }
+
+    /// The estimate on `device`.
+    pub(crate) fn on(&self, device: &DeviceModel) -> AreaEstimate {
+        AreaEstimate {
+            slices: self.slices,
+            block_rams: self
+                .ram_array_bits
+                .iter()
+                .map(|bits| device.block_rams_for(*bits))
+                .sum(),
+            data_flip_flops: self.data_flip_flops,
+        }
+    }
+}
+
+/// The distinct arrays of the references `keep` selects, in `ArrayId` order.
+pub(crate) fn arrays_where(
+    refs: &[RefTerms],
+    keep: impl Fn(&RefTerms) -> bool,
+) -> impl Iterator<Item = ArrayId> {
+    let arrays = refs.iter().map(|r| r.array.index() + 1).max().unwrap_or(0);
+    let mut kept = vec![false; arrays];
+    for r in refs.iter().filter(|r| keep(r)) {
+        kept[r.array.index()] = true;
+    }
+    kept.into_iter()
+        .enumerate()
+        .filter(|&(_, kept)| kept)
+        .map(|(index, _)| ArrayId::new(index))
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! Table 1 reproduction exercises the same trade-off.
 
 use serde::{Deserialize, Serialize};
-use srra_core::{ReplacementMode, ReplacementPlan};
+use srra_core::{RefTerms, ReplacementMode, ReplacementPlan};
+
+use crate::area::arrays_where;
 
 /// Linear clock-period estimator.
 ///
@@ -43,19 +45,17 @@ impl Default for ClockModel {
 impl ClockModel {
     /// Estimates the clock period (ns) of a design implementing the given plan.
     pub fn period_ns(&self, plan: &ReplacementPlan) -> f64 {
-        let registers = plan.total_registers() as f64;
-        let partial = plan
-            .refs()
+        self.period_of(plan.terms())
+    }
+
+    /// [`ClockModel::period_ns`] of the references' terms, in reference-table order.
+    pub(crate) fn period_of(&self, refs: &[RefTerms]) -> f64 {
+        let registers = refs.iter().map(|r| r.beta).sum::<u64>() as f64;
+        let partial = refs
             .iter()
             .filter(|r| r.mode == ReplacementMode::Partial)
             .count() as f64;
-        let ram_arrays = plan
-            .refs()
-            .iter()
-            .filter(|r| r.steady_miss > 0.0)
-            .map(|r| r.array_name.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .len() as f64;
+        let ram_arrays = arrays_where(refs, |r| r.steady_miss > 0.0).count() as f64;
         self.base_period_ns
             + self.per_register_ns * registers
             + self.per_partial_ref_ns * partial

@@ -1,15 +1,16 @@
 //! Whole-design evaluation: cycles, clock, wall-clock time and area for one allocation.
 
 use serde::{Deserialize, Serialize};
-use srra_core::{memory_cost_on_dfg, MemoryCostModel, RegisterAllocation, ReplacementPlan};
-use srra_dfg::{DataFlowGraph, LatencyModel, Storage, StorageMap};
+use srra_core::{MemoryCostModel, RegisterAllocation};
+use srra_dfg::{DataFlowGraph, LatencyModel};
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::area::{AreaEstimate, AreaModel};
+use crate::area::AreaModel;
 use crate::clock::ClockModel;
 use crate::device::DeviceModel;
-use crate::schedule::{ListScheduler, ResourceLimits};
+use crate::schedule::ResourceLimits;
+use crate::table::CostTable;
 
 /// All the knobs of the hardware evaluation, bundled so design points stay comparable.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +113,10 @@ impl HardwareDesign {
     }
 
     /// [`HardwareDesign::evaluate`] over the kernel's already-built data-flow graph
-    /// `dfg`, which the schedule, the memory cost and the area estimate all share.
+    /// `dfg`, which the schedule, the memory stages and the operator area all share.
+    ///
+    /// This is one pass through the three levels of [`CostTable`]: the kernel's
+    /// table, then the allocation's terms, then the point's.
     pub fn evaluate_on_dfg(
         kernel: &Kernel,
         analysis: &ReuseAnalysis,
@@ -121,49 +125,8 @@ impl HardwareDesign {
         device: &DeviceModel,
         options: &EvaluationOptions,
     ) -> Self {
-        let plan = ReplacementPlan::new(kernel, analysis, allocation);
-
-        // Datapath skeleton: the schedule of one iteration when every operand is
-        // already register-resident.
-        let mut all_registers = StorageMap::all_ram();
-        for summary in analysis.iter() {
-            all_registers.set(summary.ref_id(), Storage::Register);
-        }
-        let scheduler = ListScheduler::new(options.limits.clone());
-        let datapath = scheduler.schedule(dfg, &options.latency, &all_registers);
-
-        let iterations = kernel.nest().total_iterations();
-        let compute_cycles =
-            iterations.saturating_mul(datapath.cycles() + options.loop_overhead_cycles);
-
-        let memory = memory_cost_on_dfg(kernel, analysis, dfg, allocation, &options.memory);
-        let transfer_cycles = (plan.total_prologue_loads() + plan.total_epilogue_stores())
-            .saturating_mul(options.memory.ram_latency);
-
-        let total_cycles = compute_cycles + memory.memory_cycles + transfer_cycles;
-
-        let clock_period_ns = options.clock.period_ns(&plan);
-        let execution_time_us = total_cycles as f64 * clock_period_ns / 1_000.0;
-
-        let area: AreaEstimate = options.area.estimate_on_dfg(kernel, dfg, &plan, device);
-
-        Self {
-            kernel: kernel.name().to_owned(),
-            version: allocation.algorithm().version_name().to_owned(),
-            algorithm: allocation.algorithm().label().to_owned(),
-            registers_used: allocation.total_registers(),
-            register_distribution: allocation.distribution(),
-            total_cycles,
-            compute_cycles,
-            memory_cycles: memory.memory_cycles,
-            transfer_cycles,
-            clock_period_ns,
-            execution_time_us,
-            slices: area.slices,
-            slice_occupancy: area.occupancy(device),
-            block_rams: area.block_rams,
-            remaining_accesses: memory.remaining_accesses,
-        }
+        let table = CostTable::new(kernel, analysis, dfg, options);
+        table.design(&table.allocation_cost(allocation), device)
     }
 
     /// Percentage reduction of this design's cycle count relative to `baseline`

@@ -15,7 +15,11 @@
 //!   (the effect behind the paper's "clock period" column),
 //! * [`AreaModel`] — slice and BlockRAM usage estimates,
 //! * [`HardwareDesign`] — the combined design point (cycles, clock, wall-clock time,
-//!   area), produced by [`HardwareDesign::evaluate`].
+//!   area), produced by [`HardwareDesign::evaluate`],
+//! * [`CostTable`] — the same cost model split by what a register vector can change:
+//!   a kernel's allocation-independent terms, built once per kernel and options, then
+//!   each allocation's terms ([`AllocationCost`]) once, then each design point's RAM
+//!   latency and device terms ([`PointCost`]).  A sweep pays for each level once.
 //!
 //! The absolute numbers are not expected to match a 2001-era synthesis flow; the
 //! *relative* behaviour (cycle-count ordering across FR-RA/PR-RA/CPA-RA, slight clock
@@ -53,6 +57,7 @@ mod design;
 mod device;
 mod execute;
 mod schedule;
+mod table;
 
 pub use area::{AreaEstimate, AreaModel};
 pub use clock::ClockModel;
@@ -60,3 +65,4 @@ pub use design::{EvaluationOptions, HardwareDesign};
 pub use device::DeviceModel;
 pub use execute::{simulate, RefTraffic, SimulationResult};
 pub use schedule::{IterationSchedule, ListScheduler, ResourceLimits};
+pub use table::{AllocationCost, CostTable, PointCost};
