@@ -830,7 +830,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     };
     if let [op] = rest {
         if op == "pipe" {
-            return cmd_query_pipe(connect(&addr)?, std::io::stdin().lock());
+            return cmd_query_pipe(connect(&addr)?, trace.as_deref(), std::io::stdin().lock());
         }
     }
     let request = match rest {
@@ -960,11 +960,15 @@ const PIPE_WINDOW_BYTES: usize = 8 * 1024;
 /// proportional to the replies.)
 fn cmd_query_pipe(
     mut connection: Connection,
+    trace: Option<&str>,
     input: impl std::io::BufRead,
 ) -> Result<String, CliError> {
     let mut window: Vec<Request> = Vec::with_capacity(PIPE_WINDOW);
     let mut out = String::new();
-    let mut flush_window = |window: &mut Vec<Request>, out: &mut String| -> Result<(), CliError> {
+    let flush_window = |connection: &mut Connection,
+                        window: &mut Vec<Request>,
+                        out: &mut String|
+     -> Result<(), CliError> {
         if window.is_empty() {
             return Ok(());
         }
@@ -982,13 +986,16 @@ fn cmd_query_pipe(
     };
     let mut any = false;
     let mut window_bytes = 0usize;
+    // The connection stamps `--trace` (if any); a line's own `trace` member
+    // overrides it for that line.
+    let mut current = trace.map(str::to_owned);
     for (number, line) in input.lines().enumerate() {
         let line = line.map_err(|err| CliError(format!("query pipe: stdin: {err}")))?;
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Request::parse(&line) {
-            Ok(request) => request,
+        let (request, line_trace) = match Request::parse_with_trace(&line) {
+            Ok(parsed) => parsed,
             Err(err) => {
                 // Earlier windows already executed server-side: surface their
                 // replies before failing rather than discarding served work.
@@ -1007,18 +1014,28 @@ fn cmd_query_pipe(
                 )));
             }
         };
+        // One window carries one trace id: flush before the id changes.
+        let effective = line_trace.as_deref().or(trace);
+        if effective != current.as_deref() {
+            flush_window(&mut connection, &mut window, &mut out)?;
+            window_bytes = 0;
+            connection
+                .set_trace(effective)
+                .map_err(|err| CliError(format!("query: {err}")))?;
+            current = effective.map(str::to_owned);
+        }
         any = true;
         window.push(request);
         window_bytes += line.len();
         if window.len() == PIPE_WINDOW || window_bytes >= PIPE_WINDOW_BYTES {
-            flush_window(&mut window, &mut out)?;
+            flush_window(&mut connection, &mut window, &mut out)?;
             window_bytes = 0;
         }
     }
     if !any {
         return Err(CliError("query pipe: no request lines on stdin".into()));
     }
-    flush_window(&mut window, &mut out)?;
+    flush_window(&mut connection, &mut window, &mut out)?;
     Ok(out)
 }
 
@@ -1749,7 +1766,8 @@ mod tests {
             "{\"op\":\"mget\",\"canonicals\":[\"kernel=fir;algo=CPA-RA;budget=32;latency=2;device=XCV1000-BG560\",\"nope\"]}\n",
             "{\"op\":\"stats\"}\n",
         );
-        let out = cmd_query_pipe(Connection::connect(&addr).unwrap(), input.as_bytes()).unwrap();
+        let out =
+            cmd_query_pipe(Connection::connect(&addr).unwrap(), None, input.as_bytes()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3, "{out}");
         assert!(lines[0].starts_with("{\"ok\":true,\"records\":["), "{out}");
@@ -1763,8 +1781,12 @@ mod tests {
         // the wire format changes, and the data-bearing replies (not the
         // stats line, whose latency digests move between runs) come back
         // byte-identical to the JSON-codec run.
-        let binary_out =
-            cmd_query_pipe(Connection::connect_binary(&addr).unwrap(), input.as_bytes()).unwrap();
+        let binary_out = cmd_query_pipe(
+            Connection::connect_binary(&addr).unwrap(),
+            None,
+            input.as_bytes(),
+        )
+        .unwrap();
         let binary_lines: Vec<&str> = binary_out.lines().collect();
         assert_eq!(binary_lines.len(), 3, "{binary_out}");
         assert_eq!(binary_lines[..2], lines[..2], "{binary_out}");
@@ -1779,13 +1801,57 @@ mod tests {
         assert!(hit.contains("\"kernel\":\"fir\""), "{hit}");
 
         // Malformed or empty stdin fails client-side, before any bytes move.
-        assert!(
-            cmd_query_pipe(Connection::connect(&addr).unwrap(), "not json\n".as_bytes()).is_err()
-        );
-        assert!(cmd_query_pipe(Connection::connect(&addr).unwrap(), "".as_bytes()).is_err());
+        assert!(cmd_query_pipe(
+            Connection::connect(&addr).unwrap(),
+            None,
+            "not json\n".as_bytes()
+        )
+        .is_err());
+        assert!(cmd_query_pipe(Connection::connect(&addr).unwrap(), None, "".as_bytes()).is_err());
 
         let down = run(&args(&["query", "--addr", &addr, "shutdown"])).unwrap();
         assert!(down.contains("shutting_down"));
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn query_pipe_keeps_each_lines_trace() {
+        let dir =
+            std::env::temp_dir().join(format!("srra-cli-pipe-trace-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(&ServerConfig {
+            shards: 2,
+            workers: 2,
+            ..ServerConfig::ephemeral(dir.join("cache"))
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let query = |rest: &[&str]| {
+            let mut full = vec!["query", "--addr", addr.as_str()];
+            full.extend_from_slice(rest);
+            run(&args(&full))
+        };
+
+        // Two explore lines, each carrying its own trace id.
+        let input = concat!(
+            "{\"op\":\"explore\",\"points\":[{\"kernel\":\"fir\",\"algo\":\"cpa\",\"budget\":32}],\"trace\":\"pipe-a.1\"}\n",
+            "{\"op\":\"explore\",\"points\":[{\"kernel\":\"mat\",\"algo\":\"fr\",\"budget\":16}],\"trace\":\"pipe-b.1\"}\n",
+        );
+        let out =
+            cmd_query_pipe(Connection::connect(&addr).unwrap(), None, input.as_bytes()).unwrap();
+        assert_eq!(out.lines().count(), 2, "{out}");
+        for id in ["pipe-a.1", "pipe-b.1"] {
+            let waterfall = query(&["trace", id]).unwrap();
+            assert!(
+                waterfall.starts_with(&format!("trace {id}: ")) && waterfall.contains(" span(s)"),
+                "{waterfall}"
+            );
+            assert!(waterfall.contains("  engine.allocation +"), "{waterfall}");
+        }
+
+        query(&["shutdown"]).unwrap();
         handle.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
