@@ -4,27 +4,30 @@
 #   2. lints as errors     (cargo clippy --workspace -- -D warnings)
 #   3. doc warnings as errors (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps)
 #   4. tier-1 verification (cargo build --release && cargo test -q)
-#   5. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
+#   5. explore sweep bytes (a 1,512-point `srra explore` sweep with --jobs 1
+#                           and --jobs 2: identical CSVs and cache files,
+#                           and the cache matches a pinned sha256)
+#   6. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
-#   6. serve smoke test    (srra serve + srra query against a live socket,
+#   7. serve smoke test    (srra serve + srra query against a live socket,
 #                           incl. one pipelined keep-alive connection and
 #                           the same ops over the binary wire codec)
-#   7. cluster smoke test  (two srra serve nodes + consistent-hash routed
+#   8. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary; both nodes must receive traffic)
-#   8. metrics smoke test  (traffic-driven telemetry scrape: JSON snapshot
+#   9. metrics smoke test  (traffic-driven telemetry scrape: JSON snapshot
 #                           with non-zero counters + well-formed Prometheus
 #                           exposition, folded into the steps above)
-#   9. trace smoke test    (traced workloads against both steps: span
+#  10. trace smoke test    (traced workloads against both steps: span
 #                           waterfalls fetched after the fact via the trace
 #                           op, slow-query pinning, histogram exemplars and
 #                           the merged cluster-wide waterfall)
-#  10. time-series smoke   (sampled nodes: the series op answers stored
+#  11. time-series smoke   (sampled nodes: the series op answers stored
 #                           snapshots and windowed deltas, `cluster top
 #                           --once` renders every node plus the fleet row,
 #                           and a deliberately impossible SLO rule breaches)
-#  11. self-healing smoke  (replicated cluster survives kill -9, an empty
+#  12. self-healing smoke  (replicated cluster survives kill -9, an empty
 #                           reborn node is healed by read-repair and
 #                           converged by `cluster repair`; idle-connection
 #                           reaping under --idle-timeout-secs)
@@ -54,15 +57,7 @@ cargo build --locked --release --workspace
 echo "==> cargo test --locked -q"
 cargo test --locked --workspace -q
 
-# perfbench is a Cargo workspace of its own, so the steps above never build it.
-echo "==> perfbench unit tests"
-cargo test --locked --offline --manifest-path perfbench/Cargo.toml
-
-echo "==> perfbench sweep_cold golden checks"
-cargo run --locked --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload sweep_cold --seconds 2
-
-echo "==> serve smoke test"
+echo "==> explore sweep bytes"
 SRRA="target/release/srra"
 SMOKE_DIR="$(mktemp -d)"
 cleanup_smoke() {
@@ -76,6 +71,33 @@ cleanup_smoke() {
   rm -rf "$SMOKE_DIR"
 }
 trap cleanup_smoke EXIT
+# Every kernel x allocator over budgets that include infeasible ones: the CSV
+# and the cache file must not depend on --jobs, and the cache must keep the
+# bytes it had before the cost model was split into cost tables.
+SWEEP_AXES="--kernel all --algos none,fr,pr,cpa,ks,greedy --budgets 1,4,8,16,32,64,128 --latencies 1,2,4 --devices xcv1000,xcv300"
+for JOBS in 1 2; do
+  "$SRRA" explore $SWEEP_AXES --csv --jobs "$JOBS" --cache "$SMOKE_DIR/sweep-$JOBS.jsonl" \
+    > "$SMOKE_DIR/sweep-$JOBS.csv" 2> /dev/null
+done
+[ "$(wc -l < "$SMOKE_DIR/sweep-1.jsonl")" -eq 1512 ] \
+  || { echo "explore sweep: expected 1512 records"; exit 1; }
+cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-2.csv" \
+  || { echo "explore sweep: the CSV depends on --jobs"; exit 1; }
+cmp -s "$SMOKE_DIR/sweep-1.jsonl" "$SMOKE_DIR/sweep-2.jsonl" \
+  || { echo "explore sweep: the cache file depends on --jobs"; exit 1; }
+echo "f96a44436c68aea9dbaa625f2c85e7e5817a571fc451380d07caa9b01d9813ca  $SMOKE_DIR/sweep-1.jsonl" \
+  | sha256sum --check --quiet \
+  || { echo "explore sweep: cache bytes changed"; exit 1; }
+
+# perfbench is a Cargo workspace of its own, so the steps above never build it.
+echo "==> perfbench unit tests"
+cargo test --locked --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench sweep_cold golden checks"
+cargo run --locked --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload sweep_cold --seconds 2
+
+echo "==> serve smoke test"
 # --slow-query-us 1 makes every evaluating request "slow", so the traced
 # explore below must land in the flight recorder's pinned set.
 "$SRRA" serve --addr 127.0.0.1:0 --shards 4 --cache-dir "$SMOKE_DIR/cache" \
