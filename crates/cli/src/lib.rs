@@ -116,7 +116,8 @@ pub fn usage() -> &'static str {
                                  --once prints a single frame for scripts)\n\
     pipe                         read raw request lines from stdin, pipeline\n\
                                  them over ONE keep-alive connection, print\n\
-                                 the reply lines in request order\n\
+                                 the reply lines in request order; a line's\n\
+                                 own \"trace\" member overrides --trace\n\
   cluster --nodes <a:p,b:p,...> [--replicas <R>] [--vnodes <V>] [--binary] <op>\n\
                                  consistent-hash routed queries over several\n\
                                  serve nodes (see docs/cluster.md); --binary\n\
@@ -958,6 +959,10 @@ const PIPE_WINDOW_BYTES: usize = 8 * 1024;
 /// request backlog never exceeds one window.  (The reply text itself is
 /// accumulated — the CLI contract returns one string — so output stays
 /// proportional to the replies.)
+///
+/// A line's own `trace` member overrides `trace` (the `--trace` id the
+/// connection already stamps); the window in flight is flushed whenever the
+/// effective id changes, so every request goes out under its own id.
 fn cmd_query_pipe(
     mut connection: Connection,
     trace: Option<&str>,

@@ -165,11 +165,6 @@ impl MemoryStages {
         stages
     }
 
-    /// The cost model the stages were derived for.
-    pub fn model(&self) -> &MemoryCostModel {
-        &self.model
-    }
-
     /// Expected RAM cycles per innermost iteration of an allocation, given every
     /// reference's terms in reference-table order ([`RefTerms::of_allocation`]).
     /// Calls `each(references, cycles)` for every stage, in depth order.

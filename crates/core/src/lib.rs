@@ -47,7 +47,10 @@
 //! The resulting [`RegisterAllocation`] can be costed with [`memory_cost`] (or
 //! [`memory_cost_on_dfg`], given the context's memoized data-flow graph), turned into
 //! a code-generation-level [`ReplacementPlan`], or handed to `srra-fpga` for a full
-//! hardware design-point estimate.
+//! hardware design-point estimate.  All of them read a reference through
+//! [`RefTerms`], which holds every per-reference formula of the cost model, and fold
+//! the memory cycles over [`MemoryStages`], which depend only on the kernel and the
+//! cost model, so `srra-fpga`'s cost table builds them once per kernel.
 //!
 //! # Example — the paper's running example (Figure 2(c))
 //!

@@ -1,6 +1,12 @@
 //! The exploration engine: evaluates every point of a [`DesignSpace`],
 //! deduplicating against a [`ResultStore`] and fanning the cache misses out
 //! over a work-stealing thread pool.
+//!
+//! Cache misses are evaluated in runs: consecutive points that share a
+//! kernel, an allocator and a budget.  A run allocates once and computes the
+//! allocation's cost terms once ([`srra_fpga::AllocationCost`]); each point
+//! then adds only the terms of its RAM latency and device on its kernel's
+//! [`CostTable`], which is built once per RAM latency for one explore call.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -324,7 +330,9 @@ impl Explorer {
     ///
     /// Results are deterministic: the record list is in the space's point order
     /// and each record's content depends only on the design point, never on the
-    /// worker count or the store's prior contents.
+    /// worker count or the store's prior contents.  Fresh records are written
+    /// to the store in point order too, so a persistent store's bytes do not
+    /// depend on the worker count.
     ///
     /// # Errors
     ///

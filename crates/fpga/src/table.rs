@@ -70,16 +70,6 @@ impl<'k> CostTable<'k> {
         }
     }
 
-    /// The kernel the table was built for.
-    pub fn kernel(&self) -> &'k Kernel {
-        self.kernel
-    }
-
-    /// The options the table was built under.
-    pub fn options(&self) -> &EvaluationOptions {
-        &self.options
-    }
-
     /// The terms of `allocation` that no RAM latency or device changes, computed
     /// with this table's clock and area models.
     ///
@@ -144,7 +134,7 @@ impl<'k> CostTable<'k> {
 
     /// The full design point of `cost`'s allocation at this table's RAM latency on
     /// `device`.
-    pub fn design(&self, cost: &AllocationCost, device: &DeviceModel) -> HardwareDesign {
+    pub(crate) fn design(&self, cost: &AllocationCost, device: &DeviceModel) -> HardwareDesign {
         let point = self.point_cost(cost, device);
         HardwareDesign {
             kernel: self.kernel.name().to_owned(),
@@ -200,11 +190,6 @@ impl AllocationCost {
     pub fn slices(&self) -> u64 {
         self.area.slices()
     }
-
-    /// Memory accesses remaining over the whole execution.
-    pub fn remaining_accesses(&self) -> u64 {
-        self.remaining_accesses
-    }
 }
 
 /// The cost terms of one design point that depend on its RAM latency or device,
@@ -227,4 +212,79 @@ pub struct PointCost {
     pub slice_occupancy: f64,
     /// Whether the design fits the device.
     pub fits: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use srra_core::{AllocatorRegistry, CompiledKernel, MemoryCostModel};
+    use srra_ir::examples::{paper_example, stencil3};
+
+    fn options(ram_latency: u64) -> EvaluationOptions {
+        EvaluationOptions {
+            memory: MemoryCostModel::default().with_ram_latency(ram_latency),
+            ..EvaluationOptions::default()
+        }
+    }
+
+    #[test]
+    fn allocation_terms_carry_across_tables_of_one_kernel() {
+        let ck = CompiledKernel::new(paper_example());
+        let (kernel, analysis, dfg) = (ck.kernel(), ck.analysis(), ck.dfg());
+        let tables: Vec<CostTable<'_>> = [1, 2, 4]
+            .iter()
+            .map(|&latency| CostTable::new(kernel, analysis, dfg, &options(latency)))
+            .collect();
+        for allocator in AllocatorRegistry::global().iter() {
+            let allocation = allocator.allocate(&ck, 64).unwrap();
+            let carried = tables[0].allocation_cost(&allocation);
+            for table in &tables {
+                let own = table.allocation_cost(&allocation);
+                assert_eq!(own, carried, "{}", allocator.name());
+                for device in [DeviceModel::xcv1000(), DeviceModel::xcv300()] {
+                    assert_eq!(
+                        table.point_cost(&carried, &device),
+                        table.point_cost(&own, &device)
+                    );
+                    assert_eq!(
+                        table.design(&carried, &device),
+                        HardwareDesign::evaluate_on_dfg(
+                            kernel,
+                            analysis,
+                            dfg,
+                            &allocation,
+                            &device,
+                            &table.options
+                        )
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_terms_add_up() {
+        let ck = CompiledKernel::new(paper_example());
+        let table = CostTable::new(ck.kernel(), ck.analysis(), ck.dfg(), &options(2));
+        let cpa = AllocatorRegistry::global().get("cpa").unwrap();
+        let cost = table.allocation_cost(&cpa.allocate(&ck, 64).unwrap());
+        let point = table.point_cost(&cost, &DeviceModel::xcv1000());
+        assert_eq!(
+            point.total_cycles,
+            point.compute_cycles + point.memory_cycles + point.transfer_cycles
+        );
+        assert!(point.fits);
+        assert_eq!(cost.registers_used(), 64);
+        assert!(cost.distribution().contains("d:30"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be costed on the table of kernel `stencil3`")]
+    fn an_allocation_of_another_kernel_is_refused() {
+        let paper = CompiledKernel::new(paper_example());
+        let other = CompiledKernel::new(stencil3(32));
+        let table = CostTable::new(other.kernel(), other.analysis(), other.dfg(), &options(2));
+        let fr = AllocatorRegistry::global().get("fr").unwrap();
+        table.allocation_cost(&fr.allocate(&paper, 64).unwrap());
+    }
 }

@@ -65,8 +65,12 @@ fn help_for(name: &str) -> &'static str {
         "explore_store_reads_total" => return "Result-store lookups by the explore engine.",
         "explore_store_writes_total" => return "Result-store write-backs by the explore engine.",
         "explore_reuse_analysis_us" => return "Reuse-analysis stage time in microseconds.",
-        "explore_allocation_us" => return "Register-allocation stage time in microseconds.",
-        "explore_cost_model_us" => return "Cost-model stage time in microseconds.",
+        "explore_allocation_us" => {
+            return "Register-allocation time in microseconds, one sample per allocation (per run)."
+        }
+        "explore_cost_model_us" => {
+            return "Cost-model time in microseconds, one sample per feasible design point."
+        }
         "store_shard_reads_total" => return "Shard read-lock acquisitions.",
         "store_shard_writes_total" => return "Shard write-lock acquisitions.",
         "store_shard_read_wait_us" => return "Shard read-lock wait in microseconds.",
