@@ -230,16 +230,6 @@ impl ReplacementPlan {
         self.refs.iter().map(RefPlan::register_bits).sum()
     }
 
-    /// Total prologue loads across all references.
-    pub fn total_prologue_loads(&self) -> u64 {
-        self.refs.iter().map(|r| r.prologue_loads).sum()
-    }
-
-    /// Total epilogue stores across all references.
-    pub fn total_epilogue_stores(&self) -> u64 {
-        self.refs.iter().map(|r| r.epilogue_stores).sum()
-    }
-
     /// Number of references that keep using their RAM block in steady state.
     pub fn ram_resident_refs(&self) -> usize {
         self.refs.iter().filter(|r| r.steady_miss > 0.0).count()

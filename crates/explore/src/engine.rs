@@ -15,9 +15,6 @@ use std::time::Instant;
 
 use srra_core::{CompiledKernel, MemoryCostModel};
 use srra_fpga::{AllocationCost, CostTable, EvaluationOptions};
-// The unit tests compare the engine's records with the one-shot wrapper's.
-#[cfg(test)]
-use srra_fpga::HardwareDesign;
 use srra_obs::{Counter, Histogram, Registry};
 
 use crate::space::{DesignPoint, DesignSpace};
@@ -506,6 +503,10 @@ impl Default for Explorer {
         Self::new(jobs)
     }
 }
+
+// The unit tests compare the engine's records with the one-shot wrapper's.
+#[cfg(test)]
+use srra_fpga::HardwareDesign;
 
 #[cfg(test)]
 mod tests {
