@@ -108,14 +108,9 @@ pub struct MemoryCostReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryStages {
     model: MemoryCostModel,
-    /// Every stage's references, stage after stage in depth order.  Within a stage
-    /// they are grouped by array in `ArrayId` order, and keep critical-graph node
-    /// order within an array.
-    refs: Vec<RefId>,
-    /// End offset in `refs` of each array group.
-    group_ends: Vec<usize>,
-    /// End offset in `group_ends` of each stage.
-    stage_ends: Vec<usize>,
+    /// Each stage's references in depth order, grouped by array in `ArrayId`
+    /// order; a group keeps critical-graph node order.
+    stages: Vec<Vec<Vec<RefId>>>,
     total_iterations: u64,
 }
 
@@ -132,61 +127,41 @@ impl MemoryStages {
             &LatencyModel::default().with_ram_latency(model.ram_latency.max(1)),
             &StorageMap::all_ram(),
         );
-        let mut by_depth: BTreeMap<u64, Vec<(ArrayId, RefId)>> = BTreeMap::new();
+        let mut stages: BTreeMap<u64, BTreeMap<ArrayId, Vec<RefId>>> = BTreeMap::new();
         for &node in structural.critical_graph().nodes() {
             if let Some(ref_id) = dfg.node(node).reference() {
-                let stage = by_depth.entry(structural.longest_to(node)).or_default();
+                let stage = stages.entry(structural.longest_to(node)).or_default();
                 if let Some(summary) = analysis.get(ref_id) {
-                    stage.push((summary.array(), ref_id));
+                    stage.entry(summary.array()).or_default().push(ref_id);
                 }
             }
         }
-        let mut stages = Self {
+        Self {
             model: model.clone(),
-            refs: Vec::new(),
-            group_ends: Vec::new(),
-            stage_ends: Vec::with_capacity(by_depth.len()),
+            stages: stages
+                .into_values()
+                .map(|arrays| arrays.into_values().collect())
+                .collect(),
             total_iterations: kernel.nest().total_iterations(),
-        };
-        for mut stage in by_depth.into_values() {
-            // A stable sort: references of one array keep their node order.
-            stage.sort_by_key(|&(array, _)| array);
-            for (index, &(array, ref_id)) in stage.iter().enumerate() {
-                if index > 0 && stage[index - 1].0 != array {
-                    stages.group_ends.push(stages.refs.len());
-                }
-                stages.refs.push(ref_id);
-            }
-            if !stage.is_empty() {
-                stages.group_ends.push(stages.refs.len());
-            }
-            stages.stage_ends.push(stages.group_ends.len());
         }
-        stages
     }
 
     /// Expected RAM cycles per innermost iteration of an allocation, given every
     /// reference's terms in reference-table order ([`RefTerms::of_allocation`]).
-    /// Calls `each(references, cycles)` for every stage, in depth order.
+    /// Calls `each(references by array, cycles)` for every stage, in depth order.
     pub fn cycles_per_iteration(
         &self,
         refs: &[RefTerms],
-        mut each: impl FnMut(&[RefId], f64),
+        mut each: impl FnMut(&[Vec<RefId>], f64),
     ) -> f64 {
         let mut cycles_per_iteration = 0.0f64;
-        let (mut first_group, mut first_ref) = (0, 0);
-        for &stage_end in &self.stage_ends {
-            let groups = &self.group_ends[first_group..stage_end];
-            let last_ref = groups.last().copied().unwrap_or(first_ref);
-            // Accesses to one array serialise on its RAM block port and add up;
-            // concurrency applies across different arrays.
-            let mut start = first_ref;
-            let per_array = groups.iter().map(|&end| {
-                let misses = self.refs[start..end]
+        for stage in &self.stages {
+            // Concurrency applies across different arrays; accesses to the same
+            // array serialise on its RAM block port and add up.
+            let per_array = stage.iter().map(|array| {
+                array
                     .iter()
-                    .fold(0.0f64, |sum, id| sum + refs[id.index()].steady_miss);
-                start = end;
-                misses
+                    .fold(0.0f64, |sum, id| sum + refs[id.index()].steady_miss)
             });
             let stage_fraction = if self.model.concurrent_ram_access {
                 per_array.fold(0.0f64, f64::max)
@@ -195,8 +170,7 @@ impl MemoryStages {
             };
             let cycles = stage_fraction * self.model.ram_latency as f64;
             cycles_per_iteration += cycles;
-            each(&self.refs[first_ref..last_ref], cycles);
-            (first_group, first_ref) = (stage_end, last_ref);
+            each(stage, cycles);
         }
         cycles_per_iteration
     }
@@ -244,6 +218,7 @@ pub fn memory_cost_on_dfg(
         stage_costs.push(StageCost {
             references: refs
                 .iter()
+                .flatten()
                 .filter_map(|r| analysis.get(*r))
                 .map(|s| s.rendered().to_owned())
                 .collect(),

@@ -58,6 +58,7 @@ impl RefTerms {
     ) -> Self {
         let beta = decision.map_or(0, RefAllocation::beta);
         let mode = decision.map_or(ReplacementMode::None, RefAllocation::mode);
+        let coverage = decision.map_or(0.0, RefAllocation::coverage);
         let counts = summary.access_counts();
         let has_read = info.is_some_and(RefInfo::has_read);
         let has_write = info.is_some_and(RefInfo::has_write);
@@ -67,11 +68,8 @@ impl RefTerms {
         let essential = match mode {
             ReplacementMode::None => 0,
             ReplacementMode::Full => counts.essential,
-            ReplacementMode::Partial => {
-                // Only the register-resident share is warmed up / drained.
-                let frac = beta as f64 / summary.registers_full().max(1) as f64;
-                (counts.essential as f64 * frac.clamp(0.0, 1.0)).round() as u64
-            }
+            // Only the register-resident share is warmed up / drained.
+            ReplacementMode::Partial => (counts.essential as f64 * coverage).round() as u64,
         };
         let (prologue_loads, epilogue_stores) = if has_write {
             (0, essential)
@@ -80,16 +78,10 @@ impl RefTerms {
         } else {
             (0, 0)
         };
-        let steady_miss = if !summary.has_reuse() {
-            1.0
+        let steady_miss = if summary.has_reuse() {
+            1.0 - coverage
         } else {
-            match mode {
-                ReplacementMode::None => 1.0,
-                ReplacementMode::Full => 0.0,
-                ReplacementMode::Partial => {
-                    1.0 - (beta as f64 / summary.registers_full().max(1) as f64).clamp(0.0, 1.0)
-                }
-            }
+            1.0
         };
         Self {
             ref_id: summary.ref_id(),
@@ -157,13 +149,6 @@ pub struct RefPlan {
     pub steady_miss: f64,
 }
 
-impl RefPlan {
-    /// Total register bits this reference occupies (`β × element width`).
-    pub fn register_bits(&self) -> u64 {
-        self.beta * u64::from(self.elem_bits)
-    }
-}
-
 /// A complete scalar-replacement plan for one kernel and allocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplacementPlan {
@@ -227,7 +212,7 @@ impl ReplacementPlan {
 
     /// Total register bits (flip-flops) used by the plan; drives the area model.
     pub fn total_register_bits(&self) -> u64 {
-        self.refs.iter().map(RefPlan::register_bits).sum()
+        self.terms.iter().map(RefTerms::register_bits).sum()
     }
 
     /// Number of references that keep using their RAM block in steady state.

@@ -347,17 +347,16 @@ impl Explorer {
         // points within one run (a duplicated axis value) are collapsed onto a
         // single pending evaluation whose result fans out to every slot.  Each
         // point's canonical string is built exactly once here.
-        let mut canonicals: Vec<String> = points.iter().map(DesignPoint::canonical).collect();
         let mut records: Vec<Option<PointRecord>> = vec![None; points.len()];
-        let mut pending_index: Vec<(usize, u64)> = Vec::new();
+        let mut pending: Vec<Pending<'_>> = Vec::new();
         let mut pending_slots: Vec<Vec<usize>> = Vec::new();
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut cache_hits = 0;
-        for index in 0..points.len() {
-            let canonical = &canonicals[index];
+        for (index, point) in points.iter().enumerate() {
+            let canonical = point.canonical();
             let key = crate::space::fnv1a_64(canonical.as_bytes());
             if let Some(&slot) = seen.get(&key) {
-                if canonicals[pending_slots[slot][0]] == *canonical {
+                if pending[slot].canonical == canonical {
                     pending_slots[slot].push(index);
                     continue;
                 }
@@ -366,26 +365,22 @@ impl Explorer {
                 // both colliding records are cached).
             }
             engine_metrics().store_reads.inc();
-            match store.get(key, canonical)? {
+            match store.get(key, &canonical)? {
                 Some(record) => {
                     records[index] = Some(record);
                     cache_hits += 1;
                 }
                 None => {
-                    seen.insert(key, pending_index.len());
-                    pending_index.push((index, key));
+                    seen.insert(key, pending.len());
+                    pending.push(Pending {
+                        point,
+                        canonical,
+                        key,
+                    });
                     pending_slots.push(vec![index]);
                 }
             }
         }
-        let pending: Vec<Pending<'_>> = pending_index
-            .into_iter()
-            .map(|(index, key)| Pending {
-                point: &points[index],
-                canonical: std::mem::take(&mut canonicals[index]),
-                key,
-            })
-            .collect();
 
         // Runs: maximal stretches of pending points that share a kernel, an
         // allocator and a budget (point order puts the RAM latency and the
