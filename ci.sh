@@ -72,8 +72,8 @@ cleanup_smoke() {
 }
 trap cleanup_smoke EXIT
 # Every kernel x allocator over budgets that include infeasible ones: the CSV
-# and the cache file must not depend on --jobs, and the cache must keep the
-# bytes it had before the cost model was split into cost tables.
+# and the cache file must not depend on --jobs, and the cache's bytes are
+# pinned, so a change that moves any record fails here.
 SWEEP_AXES="--kernel all --algos none,fr,pr,cpa,ks,greedy --budgets 1,4,8,16,32,64,128 --latencies 1,2,4 --devices xcv1000,xcv300"
 for JOBS in 1 2; do
   "$SRRA" explore $SWEEP_AXES --csv --jobs "$JOBS" --cache "$SMOKE_DIR/sweep-$JOBS.jsonl" \

@@ -117,6 +117,11 @@ impl HardwareDesign {
     ///
     /// This is one pass through the three levels of [`CostTable`]: the kernel's
     /// table, then the allocation's terms, then the point's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `allocation` was computed for another kernel, as
+    /// [`CostTable::allocation_cost`] does.
     pub fn evaluate_on_dfg(
         kernel: &Kernel,
         analysis: &ReuseAnalysis,
