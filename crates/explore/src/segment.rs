@@ -31,8 +31,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{from_bytes, write_bytes};
-use crate::store::{index_get, index_insert, JsonlError, JsonlStore, KeyIndex, PointRecord};
-use crate::store::{ResultStore, StoreBase};
+use crate::store::{JsonlError, JsonlStore, PointRecord, RecordArena, ResultStore, StoreBase};
 
 /// The 8-byte file magic opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SRRASEG1";
@@ -53,8 +52,7 @@ pub const MAX_SEGMENT_RECORD_LEN: usize = 64 << 20;
 #[derive(Debug)]
 pub struct SegmentStore {
     path: PathBuf,
-    index: KeyIndex,
-    count: usize,
+    arena: RecordArena,
     /// Raw records sitting in the segment file, duplicates included — what
     /// the opening scan saw plus every append since.
     scanned: usize,
@@ -94,20 +92,12 @@ impl SegmentStore {
         legacy: Option<impl AsRef<Path>>,
     ) -> Result<Self, JsonlError> {
         let path = path.as_ref().to_path_buf();
-        let mut index = KeyIndex::new();
-        let mut count = 0;
+        let mut arena = match legacy {
+            Some(legacy) if legacy.as_ref().exists() => JsonlStore::open(legacy)?.into_arena(),
+            _ => RecordArena::default(),
+        };
         let mut scanned = 0;
         let mut torn = 0;
-
-        if let Some(legacy) = legacy {
-            let legacy = legacy.as_ref();
-            if legacy.exists() {
-                let store = JsonlStore::open(legacy)?;
-                for record in store.records() {
-                    count += usize::from(index_insert(&mut index, record));
-                }
-            }
-        }
 
         if path.exists() {
             let data = std::fs::read(&path)?;
@@ -141,7 +131,7 @@ impl SegmentStore {
                     torn += 1;
                     break;
                 };
-                count += usize::from(index_insert(&mut index, &record));
+                arena.insert(record);
                 scanned += 1;
                 offset += consumed;
             }
@@ -154,8 +144,7 @@ impl SegmentStore {
         }
         Ok(Self {
             path,
-            index,
-            count,
+            arena,
             scanned,
             torn,
             writer,
@@ -182,9 +171,10 @@ impl SegmentStore {
         self.torn
     }
 
-    /// Iterates over every held record (unspecified order).
+    /// Iterates over every held record, in insertion order: the legacy
+    /// JSONL records, then the segment file's, then appends.
     pub fn records(&self) -> impl Iterator<Item = &PointRecord> {
-        self.index.values().flatten()
+        self.arena.iter()
     }
 
     /// Writes `records` as a fresh segment file at `path` (truncating any
@@ -258,21 +248,21 @@ impl StoreBase for SegmentStore {
     type Error = JsonlError;
 
     fn contains(&self, key: u64) -> Result<bool, JsonlError> {
-        Ok(self.index.contains_key(&key))
+        Ok(self.arena.contains_key(key))
     }
 
     fn len(&self) -> Result<usize, JsonlError> {
-        Ok(self.count)
+        Ok(self.arena.len())
     }
 }
 
 impl ResultStore for SegmentStore {
     fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, JsonlError> {
-        Ok(index_get(&self.index, key, canonical))
+        Ok(self.arena.get(key, canonical).cloned())
     }
 
     fn put(&mut self, record: &PointRecord) -> Result<bool, JsonlError> {
-        if index_get(&self.index, record.key, &record.canonical).is_some() {
+        if self.arena.get(record.key, &record.canonical).is_some() {
             return Ok(false);
         }
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -280,8 +270,7 @@ impl ResultStore for SegmentStore {
         self.scratch = scratch;
         outcome?;
         self.writer.flush()?;
-        index_insert(&mut self.index, record);
-        self.count += 1;
+        self.arena.insert(record.clone());
         self.scanned += 1;
         Ok(true)
     }

@@ -4,10 +4,12 @@
 //! The layering follows the `StorageBase` / `Storage` split common in embedded
 //! storage APIs: [`StoreBase`] carries the error type and the cheap queries,
 //! [`ResultStore`] adds typed get/put.  Records are keyed by the FNV-1a hash of
-//! the design point's canonical string, but every store indexes a *small vector*
-//! of records per key and matches on the canonical string, so a (vanishingly
-//! unlikely) hash collision stores both colliding records instead of silently
-//! dropping — and forever re-evaluating — the second one.
+//! the design point's canonical string.  Every store keeps its records in one
+//! arena, in insertion order, with a map from each key to its first record's
+//! position and a side list for later records whose key collides with a
+//! different canonical string.  Lookups match on the canonical string, so a
+//! (vanishingly unlikely) hash collision stores both colliding records instead
+//! of silently dropping — and forever re-evaluating — the second one.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -157,36 +159,62 @@ pub trait ResultStore: StoreBase {
     fn put(&mut self, record: &PointRecord) -> Result<bool, Self::Error>;
 }
 
-/// The shared per-key index of the in-memory backends: a small vector of
-/// records per FNV key (almost always length 1; longer only under a genuine
-/// 64-bit hash collision).
-pub(crate) type KeyIndex = HashMap<u64, Vec<PointRecord>>;
-
-/// Inserts into a [`KeyIndex`], deduplicating by canonical string; returns
-/// whether the record was fresh.
-pub(crate) fn index_insert(index: &mut KeyIndex, record: &PointRecord) -> bool {
-    let bucket = index.entry(record.key).or_default();
-    if bucket.iter().any(|held| held.canonical == record.canonical) {
-        return false;
-    }
-    bucket.push(record.clone());
-    true
+/// The owned-record arena behind every store: records in insertion order,
+/// a map from each key to the position of its first record, and a side list
+/// of the positions of later records whose key collides with an earlier
+/// record's different canonical string (almost always empty).
+#[derive(Debug, Default)]
+pub(crate) struct RecordArena {
+    records: Vec<PointRecord>,
+    positions: HashMap<u64, usize>,
+    collisions: Vec<usize>,
 }
 
-/// Looks a canonical string up in a [`KeyIndex`].
-pub(crate) fn index_get(index: &KeyIndex, key: u64, canonical: &str) -> Option<PointRecord> {
-    index
-        .get(&key)?
-        .iter()
-        .find(|record| record.canonical == canonical)
-        .cloned()
+impl RecordArena {
+    /// The record stored under `key` with this canonical string: the key's
+    /// first record, else one on the side list.
+    pub(crate) fn get(&self, key: u64, canonical: &str) -> Option<&PointRecord> {
+        let first = *self.positions.get(&key)?;
+        std::iter::once(first)
+            .chain(self.collisions.iter().copied())
+            .map(|position| &self.records[position])
+            .find(|record| record.key == key && record.canonical == canonical)
+    }
+
+    /// Appends `record` unless its canonical string is already stored (the
+    /// stored record wins); returns whether it was appended.
+    pub(crate) fn insert(&mut self, record: PointRecord) -> bool {
+        if self.get(record.key, &record.canonical).is_some() {
+            return false;
+        }
+        let position = self.records.len();
+        if *self.positions.entry(record.key).or_insert(position) != position {
+            self.collisions.push(position);
+        }
+        self.records.push(record);
+        true
+    }
+
+    /// Whether any record is stored under `key`.
+    pub(crate) fn contains_key(&self, key: u64) -> bool {
+        self.positions.contains_key(&key)
+    }
+
+    /// Number of records held.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Every record, in insertion order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, PointRecord> {
+        self.records.iter()
+    }
 }
 
 /// A purely in-memory store.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    records: KeyIndex,
-    count: usize,
+    arena: RecordArena,
 }
 
 impl MemoryStore {
@@ -195,9 +223,9 @@ impl MemoryStore {
         Self::default()
     }
 
-    /// Iterates over every held record (unspecified order).
+    /// Iterates over every held record, in insertion order.
     pub fn records(&self) -> impl Iterator<Item = &PointRecord> {
-        self.records.values().flatten()
+        self.arena.iter()
     }
 }
 
@@ -205,23 +233,21 @@ impl StoreBase for MemoryStore {
     type Error = Infallible;
 
     fn contains(&self, key: u64) -> Result<bool, Infallible> {
-        Ok(self.records.contains_key(&key))
+        Ok(self.arena.contains_key(key))
     }
 
     fn len(&self) -> Result<usize, Infallible> {
-        Ok(self.count)
+        Ok(self.arena.len())
     }
 }
 
 impl ResultStore for MemoryStore {
     fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, Infallible> {
-        Ok(index_get(&self.records, key, canonical))
+        Ok(self.arena.get(key, canonical).cloned())
     }
 
     fn put(&mut self, record: &PointRecord) -> Result<bool, Infallible> {
-        let fresh = index_insert(&mut self.records, record);
-        self.count += usize::from(fresh);
-        Ok(fresh)
+        Ok(self.arena.insert(record.clone()))
     }
 }
 
@@ -266,8 +292,7 @@ impl From<std::io::Error> for JsonlError {
 #[derive(Debug)]
 pub struct JsonlStore {
     path: PathBuf,
-    index: KeyIndex,
-    count: usize,
+    arena: RecordArena,
     writer: BufWriter<File>,
 }
 
@@ -285,8 +310,7 @@ impl JsonlStore {
     /// [`JsonlError::Parse`] if a newline-terminated line is corrupt.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, JsonlError> {
         let path = path.as_ref().to_path_buf();
-        let mut index = KeyIndex::new();
-        let mut count = 0;
+        let mut arena = RecordArena::default();
         let mut terminate_valid_tail = false;
         if path.exists() {
             let data = std::fs::read_to_string(&path)?;
@@ -306,7 +330,7 @@ impl JsonlStore {
                             // Duplicate lines (e.g. a merged file) keep the
                             // first occurrence; distinct canonicals sharing a
                             // key are all kept.
-                            count += usize::from(index_insert(&mut index, &record));
+                            arena.insert(record);
                             // A parseable but unterminated tail stays; the
                             // writer adds the missing newline before appending.
                             terminate_valid_tail = !terminated;
@@ -335,8 +359,7 @@ impl JsonlStore {
         }
         Ok(Self {
             path,
-            index,
-            count,
+            arena,
             writer,
         })
     }
@@ -346,9 +369,16 @@ impl JsonlStore {
         &self.path
     }
 
-    /// Iterates over every held record (unspecified order).
+    /// Iterates over every held record, in insertion order: file order,
+    /// then appends.
     pub fn records(&self) -> impl Iterator<Item = &PointRecord> {
-        self.index.values().flatten()
+        self.arena.iter()
+    }
+
+    /// The store's records, moved out for a caller that folds them into its
+    /// own arena.
+    pub(crate) fn into_arena(self) -> RecordArena {
+        self.arena
     }
 }
 
@@ -356,29 +386,28 @@ impl StoreBase for JsonlStore {
     type Error = JsonlError;
 
     fn contains(&self, key: u64) -> Result<bool, JsonlError> {
-        Ok(self.index.contains_key(&key))
+        Ok(self.arena.contains_key(key))
     }
 
     fn len(&self) -> Result<usize, JsonlError> {
-        Ok(self.count)
+        Ok(self.arena.len())
     }
 }
 
 impl ResultStore for JsonlStore {
     fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, JsonlError> {
-        Ok(index_get(&self.index, key, canonical))
+        Ok(self.arena.get(key, canonical).cloned())
     }
 
     fn put(&mut self, record: &PointRecord) -> Result<bool, JsonlError> {
-        if index_get(&self.index, record.key, &record.canonical).is_some() {
+        if self.arena.get(record.key, &record.canonical).is_some() {
             return Ok(false);
         }
         let mut line = record.to_json_line();
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
-        index_insert(&mut self.index, record);
-        self.count += 1;
+        self.arena.insert(record.clone());
         Ok(true)
     }
 }
@@ -386,6 +415,7 @@ impl ResultStore for JsonlStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegmentStore;
 
     fn sample_record(key: u64) -> PointRecord {
         PointRecord {
@@ -454,9 +484,9 @@ mod tests {
     #[test]
     fn colliding_keys_store_both_records_instead_of_dropping_one() {
         // Two *distinct* design points whose canonical strings FNV-hash to the
-        // same 64-bit key.  Before the key→vec index, the second `put`
-        // returned Ok(false) without storing anything, so the point was
-        // re-evaluated on every run.
+        // same 64-bit key.  A store keyed only by the hash would return
+        // Ok(false) for the second `put` without storing anything, so the
+        // point would be re-evaluated on every run.
         let first = sample_record(7);
         let mut second = sample_record(7);
         second.canonical = "kernel=mat;algo=FR-RA;budget=9;latency=1;device=XCV300".to_owned();
@@ -493,9 +523,81 @@ mod tests {
         }
         let store = JsonlStore::open(&path).unwrap();
         assert_eq!(store.len().unwrap(), 2);
-        assert_eq!(store.get(7, &first.canonical).unwrap(), Some(first));
-        assert_eq!(store.get(7, &second.canonical).unwrap(), Some(second));
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(store.get(7, &first.canonical).unwrap(), Some(first.clone()));
+        assert_eq!(
+            store.get(7, &second.canonical).unwrap(),
+            Some(second.clone())
+        );
+
+        // And for the segment backend: across a reopen, and through the
+        // legacy-JSONL fallback (the file written above).
+        let segment = dir.join("shard.seg");
+        let _ = std::fs::remove_file(&segment);
+        {
+            let mut store = SegmentStore::open(&segment).unwrap();
+            assert!(store.put(&first).unwrap());
+            assert!(store.put(&second).unwrap());
+            assert!(!store.put(&second).unwrap());
+        }
+        let legacy_only = dir.join("legacy.seg");
+        let _ = std::fs::remove_file(&legacy_only);
+        for mut store in [
+            SegmentStore::open(&segment).unwrap(),
+            SegmentStore::open_with_legacy(&legacy_only, Some(&path)).unwrap(),
+        ] {
+            assert_eq!(store.len().unwrap(), 2);
+            assert_eq!(store.get(7, &first.canonical).unwrap(), Some(first.clone()));
+            assert_eq!(
+                store.get(7, &second.canonical).unwrap(),
+                Some(second.clone())
+            );
+            assert!(!store.put(&first).unwrap(), "each still dedupes");
+            assert!(!store.put(&second).unwrap(), "each still dedupes");
+        }
+        assert_eq!(SegmentStore::open(&legacy_only).unwrap().len().unwrap(), 0);
+        for file in [&path, &segment, &legacy_only] {
+            std::fs::remove_file(file).unwrap();
+        }
+    }
+
+    #[test]
+    fn records_iterate_in_insertion_order() {
+        fn canonicals<'a>(records: impl IntoIterator<Item = &'a PointRecord>) -> Vec<&'a str> {
+            records
+                .into_iter()
+                .map(|record| record.canonical.as_str())
+                .collect()
+        }
+        let records: Vec<PointRecord> = [5, 3, 9, 1].into_iter().map(sample_record).collect();
+        let expected = canonicals(&records);
+
+        let mut memory = MemoryStore::new();
+        for record in &records {
+            memory.put(record).unwrap();
+        }
+        assert!(!memory.put(&records[0]).unwrap());
+        assert_eq!(canonicals(memory.records()), expected);
+
+        // A persistent store iterates legacy JSONL records, then the segment
+        // file's, then appends.
+        let dir = std::env::temp_dir().join(format!("srra-store-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join("cache.jsonl");
+        let segment = dir.join("shard.seg");
+        let _ = std::fs::remove_file(&legacy);
+        let _ = std::fs::remove_file(&segment);
+        {
+            let mut store = JsonlStore::open(&legacy).unwrap();
+            store.put(&records[0]).unwrap();
+            store.put(&records[1]).unwrap();
+            assert_eq!(canonicals(store.records()), expected[..2]);
+        }
+        SegmentStore::write_records(&segment, &records[2..3]).unwrap();
+        let mut store = SegmentStore::open_with_legacy(&segment, Some(&legacy)).unwrap();
+        store.put(&records[3]).unwrap();
+        assert_eq!(canonicals(store.records()), expected);
+        std::fs::remove_file(&legacy).unwrap();
+        std::fs::remove_file(&segment).unwrap();
     }
 
     #[test]

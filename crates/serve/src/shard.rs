@@ -3,7 +3,7 @@
 //!
 //! Records are routed to shard `key % N`.  Each shard is an independent
 //! [`SegmentStore`] behind its own **read/write lock**: lookups hit the
-//! shard's in-memory key→records index under a shared read guard, so any
+//! shard's in-memory record arena under a shared read guard, so any
 //! number of concurrent warm `get`s proceed in parallel without touching the
 //! filesystem and without contending with each other; appends take the
 //! exclusive write guard and tee the record to the shard's segment file
@@ -27,7 +27,8 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use srra_explore::{
-    fnv1a_64, JsonlError, JsonlStore, PointRecord, ResultStore, SegmentStore, StoreBase,
+    fnv1a_64, JsonlError, JsonlStore, MemoryStore, PointRecord, ResultStore, SegmentStore,
+    StoreBase,
 };
 use srra_obs::{Counter, Histogram, Registry};
 
@@ -346,7 +347,7 @@ impl ShardedStore {
     /// Inserts a record into its shard (shared-reference twin of
     /// [`ResultStore::put`]); returns whether the record was fresh.
     ///
-    /// Takes the shard's write lock: the in-memory index and the JSONL file
+    /// Takes the shard's write lock: the in-memory arena and the segment file
     /// are updated together, so a reader sees either the old state or the new
     /// record, never a torn one.
     ///
@@ -405,9 +406,13 @@ impl ShardedStore {
     }
 
     /// One page of shard `shard`'s canonical strings: skips `offset` records,
-    /// returns at most `limit` canonicals in the shard's stable store order,
-    /// and whether the page reached the end of the shard (the `scan` wire
-    /// op's storage half).
+    /// returns at most `limit` canonicals in the shard's insertion order, and
+    /// whether the page reached the end of the shard (the `scan` wire op's
+    /// storage half).
+    ///
+    /// Records put during a paged walk land after every record that was
+    /// there when the walk began, so the walk returns each of those exactly
+    /// once and never returns a canonical twice.
     ///
     /// # Panics
     ///
@@ -417,19 +422,13 @@ impl ShardedStore {
         let guard = self.shards[shard]
             .read()
             .expect("no shard user panics while holding the lock");
-        let mut canonicals = Vec::new();
-        let mut done = true;
-        for (index, record) in guard.records().enumerate() {
-            if index < offset {
-                continue;
-            }
-            if canonicals.len() == limit {
-                done = false;
-                break;
-            }
-            canonicals.push(record.canonical.clone());
-        }
-        (canonicals, done)
+        let mut records = guard.records().skip(offset);
+        let canonicals = records
+            .by_ref()
+            .take(limit)
+            .map(|record| record.canonical.clone())
+            .collect();
+        (canonicals, records.next().is_none())
     }
 
     /// Folds a legacy single-file JSONL cache into the shards.
@@ -462,6 +461,10 @@ impl ShardedStore {
     /// retires legacy JSONL shard files (their records now live in the
     /// segments).
     ///
+    /// A compacted shard keeps the first copy of each record, in shard
+    /// order, then store order, so the same store always compacts to the
+    /// same bytes.
+    ///
     /// Takes `&mut self` — compaction is exclusive by construction, no reader
     /// or writer can observe a half-rewritten shard.  Each shard is written to
     /// a temporary file and atomically renamed into place.
@@ -476,7 +479,7 @@ impl ShardedStore {
         // Drain: collect every record, remembering which shard held it, and
         // count raw disk records (segment records plus legacy JSONL lines)
         // to report dropped duplicates.
-        let mut routed: Vec<Vec<PointRecord>> = vec![Vec::new(); shard_count];
+        let mut routed: Vec<MemoryStore> = (0..shard_count).map(|_| MemoryStore::new()).collect();
         let mut disk_records = 0;
         let mut kept = 0;
         let mut rerouted = 0;
@@ -490,26 +493,22 @@ impl ShardedStore {
             }
             for record in shard.records() {
                 let target = (record.key % shard_count as u64) as usize;
-                let bucket = &mut routed[target];
-                if bucket
-                    .iter()
-                    .any(|held| held.key == record.key && held.canonical == record.canonical)
-                {
+                let Ok(fresh) = routed[target].put(record);
+                if !fresh {
                     continue; // Cross-shard duplicate: keep the first copy.
                 }
                 if target != index {
                     rerouted += 1;
                 }
                 kept += 1;
-                bucket.push(record.clone());
             }
         }
         // Rewrite: temp file + atomic rename, retire the legacy JSONL, then
         // reopen the shard handles.
-        for (index, records) in routed.iter().enumerate() {
+        for (index, compacted) in routed.iter().enumerate() {
             let path = self.dir.join(shard_file_name(index));
             let tmp = self.dir.join(format!("{}.tmp", shard_file_name(index)));
-            SegmentStore::write_records(&tmp, records.iter())?;
+            SegmentStore::write_records(&tmp, compacted.records())?;
             std::fs::rename(&tmp, &path)?;
             let legacy = self.dir.join(legacy_file_name(index));
             if legacy.exists() {
@@ -793,6 +792,62 @@ mod tests {
         for dir in [dir_a, dir_b, dir_c] {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_paged_scan_walk_is_stable_under_puts() {
+        // A repair or rebalance walk pages a live node while traffic keeps
+        // putting records: every record present when the walk starts must
+        // come back exactly once, and no canonical may come back twice.
+        let dir = scratch_dir("scan-walk");
+        let store = ShardedStore::open(&dir, 1).unwrap();
+        let canonical = |i: usize| format!("kernel=fir;algo=CPA-RA;budget={i}");
+        for i in 0..100 {
+            store.put_record(&record_for(&canonical(i))).unwrap();
+        }
+        let (mut walked, done) = store.scan(0, 0, 50);
+        assert!(!done);
+        for i in 100..400 {
+            store.put_record(&record_for(&canonical(i))).unwrap();
+        }
+        loop {
+            let (page, done) = store.scan(0, walked.len(), 50);
+            walked.extend(page);
+            if done {
+                break;
+            }
+        }
+        let distinct: std::collections::HashSet<&String> = walked.iter().collect();
+        assert_eq!(distinct.len(), walked.len(), "no canonical twice");
+        for i in 0..100 {
+            assert!(distinct.contains(&canonical(i)), "record {i} skipped");
+        }
+        assert_eq!(walked.len(), 400);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_writes_the_same_bytes_for_the_same_store() {
+        let records: Vec<PointRecord> = (0..64)
+            .map(|i| record_for(&format!("kernel=mat;algo=PR-RA;budget={i}")))
+            .collect();
+        let mut shard_bytes = Vec::new();
+        for tag in ["compact-same-a", "compact-same-b"] {
+            let dir = scratch_dir(tag);
+            let mut store = ShardedStore::open(&dir, 2).unwrap();
+            for record in &records {
+                store.put_record(record).unwrap();
+            }
+            store.compact().unwrap();
+            drop(store);
+            let bytes: Vec<Vec<u8>> = (0..2)
+                .map(|index| std::fs::read(dir.join(shard_file_name(index))).unwrap())
+                .collect();
+            shard_bytes.push(bytes);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(shard_bytes[0], shard_bytes[1]);
     }
 
     #[test]
