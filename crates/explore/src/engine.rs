@@ -8,6 +8,7 @@
 //! then adds only the terms of its RAM latency and device on its kernel's
 //! [`CostTable`], which is built once per RAM latency for one explore call.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -74,8 +75,13 @@ impl StageTimings {
     }
 }
 
-fn elapsed_us(started: Instant) -> u64 {
-    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+/// Ends a stage that began at `started` with one clock read: records the
+/// interval in the stage's histogram and returns it in microseconds, so the
+/// histogram and a traced span report the same interval.
+fn finish_stage(histogram: &Histogram, started: Instant) -> u64 {
+    let micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    histogram.record_micros(micros);
+    micros
 }
 
 /// The hardware evaluation options of a point: the defaults at its RAM latency.
@@ -122,11 +128,12 @@ impl<'k> KernelTables<'k> {
 }
 
 /// A point waiting for evaluation, with the content address the cache pass
-/// built for it.
+/// built for it and its slot in the point order.
 struct Pending<'s> {
     point: &'s DesignPoint,
     canonical: String,
     key: u64,
+    slot: usize,
 }
 
 impl Pending<'_> {
@@ -188,14 +195,12 @@ fn evaluate_run(
     if !kernel.analysis_is_cached() {
         let started = Instant::now();
         let _ = kernel.analysis();
-        metrics.reuse_analysis_us.record(started.elapsed());
-        timings.reuse_analysis_us = elapsed_us(started);
+        timings.reuse_analysis_us = finish_stage(&metrics.reuse_analysis_us, started);
     }
     let first = run[0].point;
     let started = Instant::now();
     let allocated = first.allocator.allocate(kernel, first.budget);
-    metrics.allocation_us.record(started.elapsed());
-    timings.allocation_us = elapsed_us(started);
+    timings.allocation_us = finish_stage(&metrics.allocation_us, started);
     let Ok(allocation) = allocated else {
         for pending in run {
             metrics.evaluations.inc();
@@ -212,8 +217,7 @@ fn evaluate_run(
         let table = tables.get(point.ram_latency);
         let cost = cost.get_or_insert_with(|| table.allocation_cost(&allocation));
         let terms = table.point_cost(cost, &point.device);
-        metrics.cost_model_us.record(started.elapsed());
-        timings.cost_model_us = elapsed_us(started);
+        timings.cost_model_us = finish_stage(&metrics.cost_model_us, started);
         let record = PointRecord {
             feasible: true,
             fits: terms.fits,
@@ -262,6 +266,7 @@ pub fn evaluate_point_timed(
         point,
         canonical,
         key,
+        slot: 0,
     }];
     let mut evaluated = None;
     evaluate_run(
@@ -343,31 +348,32 @@ impl Explorer {
     ) -> Result<Exploration, S::Error> {
         let points = space.points();
 
-        // Cache pass: answer what we can, queue the rest.  Repeated design
-        // points within one run (a duplicated axis value) are collapsed onto a
-        // single pending evaluation whose result fans out to every slot.  Each
-        // point's canonical string is built exactly once here.
+        // Cache pass: answer what we can, queue the rest.  A repeated design
+        // point within one run (a duplicated axis value) is a twin: its slot
+        // is filled from the one pending evaluation of its first occurrence.
+        // Each point's canonical string is built exactly once here.
+        let metrics = engine_metrics();
         let mut records: Vec<Option<PointRecord>> = vec![None; points.len()];
         let mut pending: Vec<Pending<'_>> = Vec::new();
-        let mut pending_slots: Vec<Vec<usize>> = Vec::new();
-        let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut twins: Vec<(usize, usize)> = Vec::new();
+        let mut seen: HashMap<u64, usize> = HashMap::with_capacity(points.len());
         let mut cache_hits = 0;
-        for (index, point) in points.iter().enumerate() {
+        for (slot, point) in points.iter().enumerate() {
             let canonical = point.canonical();
             let key = crate::space::fnv1a_64(canonical.as_bytes());
-            if let Some(&slot) = seen.get(&key) {
-                if pending[slot].canonical == canonical {
-                    pending_slots[slot].push(index);
+            if let Some(&twin) = seen.get(&key) {
+                if pending[twin].canonical == canonical {
+                    twins.push((slot, twin));
                     continue;
                 }
                 // A key collision between distinct points: fall through and
-                // evaluate separately (the store indexes a vec per key, so
-                // both colliding records are cached).
+                // evaluate separately (the store keeps both colliding
+                // records).
             }
-            engine_metrics().store_reads.inc();
+            metrics.store_reads.inc();
             match store.get(key, &canonical)? {
                 Some(record) => {
-                    records[index] = Some(record);
+                    records[slot] = Some(record);
                     cache_hits += 1;
                 }
                 None => {
@@ -376,8 +382,8 @@ impl Explorer {
                         point,
                         canonical,
                         key,
+                        slot,
                     });
-                    pending_slots.push(vec![index]);
                 }
             }
         }
@@ -425,16 +431,13 @@ impl Explorer {
 
         // Fresh records reach the store in point order, so a persistent
         // store's bytes never depend on the worker count or thread timing.
-        for (record, slots) in fresh.into_iter().zip(&pending_slots) {
-            engine_metrics().store_writes.inc();
+        for (queued, record) in pending.iter().zip(fresh) {
+            metrics.store_writes.inc();
             store.put(&record)?;
-            let (&last, rest) = slots
-                .split_last()
-                .expect("every pending point fills at least one slot");
-            for &index in rest {
-                records[index] = Some(record.clone());
-            }
-            records[last] = Some(record);
+            records[queued.slot] = Some(record);
+        }
+        for (slot, twin) in twins {
+            records[slot] = records[pending[twin].slot].clone();
         }
 
         Ok(Exploration {

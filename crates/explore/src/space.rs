@@ -1,6 +1,8 @@
 //! The design-space specification: which (kernel, allocator, budget, RAM
 //! latency, device) combinations an exploration covers.
 
+use std::fmt::Write as _;
+
 use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel};
 use srra_fpga::DeviceModel;
 
@@ -177,16 +179,30 @@ pub struct DesignPoint {
 }
 
 impl DesignPoint {
-    /// The canonical key string this point is content-addressed by.
+    /// The canonical key string this point is content-addressed by:
+    /// `kernel=K;algo=A;budget=N;latency=L;device=D`.
     pub fn canonical(&self) -> String {
-        format!(
-            "kernel={};algo={};budget={};latency={};device={}",
-            self.kernel,
-            self.allocator.label(),
-            self.budget,
-            self.ram_latency,
-            self.device.name()
-        )
+        let label = self.allocator.label();
+        let device = self.device.name();
+        // The field names and separators, the three names, and two u64s of
+        // at most 20 digits each.
+        let capacity = "kernel=;algo=;budget=;latency=;device=".len()
+            + self.kernel.len()
+            + label.len()
+            + device.len()
+            + 2 * 20;
+        let mut canonical = String::with_capacity(capacity);
+        canonical.push_str("kernel=");
+        canonical.push_str(&self.kernel);
+        canonical.push_str(";algo=");
+        canonical.push_str(label);
+        canonical.push_str(";budget=");
+        let _ = write!(canonical, "{}", self.budget);
+        canonical.push_str(";latency=");
+        let _ = write!(canonical, "{}", self.ram_latency);
+        canonical.push_str(";device=");
+        canonical.push_str(device);
+        canonical
     }
 
     /// The FNV-1a hash of [`DesignPoint::canonical`], the store key.
