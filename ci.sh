@@ -6,7 +6,9 @@
 #   4. tier-1 verification (cargo build --release && cargo test -q)
 #   5. explore sweep bytes (a 1,512-point `srra explore` sweep with --jobs 1
 #                           and --jobs 2: identical CSVs and cache files,
-#                           and the cache matches a pinned sha256)
+#                           and the cache matches a pinned sha256; then a
+#                           warm re-run over that cache: all hits, the same
+#                           CSV bytes and an unchanged cache)
 #   6. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
@@ -85,9 +87,19 @@ cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-2.csv" \
   || { echo "explore sweep: the CSV depends on --jobs"; exit 1; }
 cmp -s "$SMOKE_DIR/sweep-1.jsonl" "$SMOKE_DIR/sweep-2.jsonl" \
   || { echo "explore sweep: the cache file depends on --jobs"; exit 1; }
-echo "f96a44436c68aea9dbaa625f2c85e7e5817a571fc451380d07caa9b01d9813ca  $SMOKE_DIR/sweep-1.jsonl" \
-  | sha256sum --check --quiet \
+SWEEP_SHA256="f96a44436c68aea9dbaa625f2c85e7e5817a571fc451380d07caa9b01d9813ca"
+echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-1.jsonl" | sha256sum --check --quiet \
   || { echo "explore sweep: cache bytes changed"; exit 1; }
+# Warm re-run over the pinned cache: every record loads back, every point is
+# a hit, and neither the CSV nor the cache file moves by a byte.
+"$SRRA" explore $SWEEP_AXES --csv --jobs 1 --cache "$SMOKE_DIR/sweep-1.jsonl" \
+  --stats-json "$SMOKE_DIR/sweep-warm.json" > "$SMOKE_DIR/sweep-warm.csv" 2> /dev/null
+cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-warm.csv" \
+  || { echo "explore sweep: the warm CSV differs from the cold one"; exit 1; }
+grep -q '"cache_hits":1512,"evaluated":0' "$SMOKE_DIR/sweep-warm.json" \
+  || { echo "explore sweep: the warm run missed the cache"; exit 1; }
+echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-1.jsonl" | sha256sum --check --quiet \
+  || { echo "explore sweep: the warm run changed the cache"; exit 1; }
 
 # perfbench is a Cargo workspace of its own, so the steps above never build it.
 echo "==> perfbench unit tests"
