@@ -182,25 +182,20 @@ impl DesignPoint {
     /// The canonical key string this point is content-addressed by:
     /// `kernel=K;algo=A;budget=N;latency=L;device=D`.
     pub fn canonical(&self) -> String {
-        let label = self.allocator.label();
-        let device = self.device.name();
+        let (label, device) = (self.allocator.label(), self.device.name());
         // The field names and separators, the three names, and two u64s of
         // at most 20 digits each.
-        let capacity = "kernel=;algo=;budget=;latency=;device=".len()
-            + self.kernel.len()
-            + label.len()
-            + device.len()
-            + 2 * 20;
-        let mut canonical = String::with_capacity(capacity);
+        let names = self.kernel.len() + label.len() + device.len();
+        let mut canonical = String::with_capacity(38 + names + 2 * 20);
         canonical.push_str("kernel=");
         canonical.push_str(&self.kernel);
         canonical.push_str(";algo=");
         canonical.push_str(label);
-        canonical.push_str(";budget=");
-        let _ = write!(canonical, "{}", self.budget);
-        canonical.push_str(";latency=");
-        let _ = write!(canonical, "{}", self.ram_latency);
-        canonical.push_str(";device=");
+        let _ = write!(
+            canonical,
+            ";budget={};latency={};device=",
+            self.budget, self.ram_latency
+        );
         canonical.push_str(device);
         canonical
     }
