@@ -13,8 +13,12 @@
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
 #   7. serve smoke test    (srra serve + srra query against a live socket,
-#                           incl. one pipelined keep-alive connection and
-#                           the same ops over the binary wire codec)
+#                           incl. one pipelined keep-alive connection, one
+#                           raw-socket mget sent canonical and scrambled
+#                           (reordered, spaced, an escaped name, an unknown
+#                           member, trace first) that must get byte-identical
+#                           replies, and the same ops over the binary wire
+#                           codec)
 #   8. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary; both nodes must receive traffic)
@@ -149,6 +153,25 @@ sed -n '4p' "$PIPE_OUT" | grep -Eq '"get":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"mget":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"mexplore":\{"count":[1-9]'
 sed -n '4p' "$PIPE_OUT" | grep -Eq '"explore":\{"count":[1-9]'
+# The server's JSON reader on a line no in-tree client writes: the same
+# traced `mget` sent raw over one socket, once canonical and once with its
+# members reversed, spaces around every token, an escaped member name, an
+# unknown member and `trace` first.  The two replies must be byte-identical.
+exec 8<>"/dev/tcp/127.0.0.1/${ADDR##*:}" \
+  || { echo "serve smoke: raw JSON connection failed"; exit 1; }
+printf '%s\n' '{"op":"mget","canonicals":["'"$FIR_CANON"'","kernel=nope"],"trace":"ci.json.1"}' >&8
+IFS= read -r -t 10 RAW_CANONICAL <&8 \
+  || { echo "serve smoke: no reply to the canonical raw line"; exit 1; }
+printf '%s\n' '{ "trace" : "ci.json.1" , "x-unknown" : { "a" : [ 1 , -2.5e3 , null ] } , "canonical\u0073" : [ "'"$FIR_CANON"'" , "kernel=nope" ] , "op" : "mget" }' >&8
+IFS= read -r -t 10 RAW_SCRAMBLED <&8 \
+  || { echo "serve smoke: no reply to the scrambled raw line"; exit 1; }
+exec 8<&- 8>&-
+case "$RAW_CANONICAL" in
+  '{"ok":true,"got":[{'*',null],"trace":"ci.json.1"}') ;;
+  *) echo "serve smoke: unexpected raw mget reply: $RAW_CANONICAL"; exit 1 ;;
+esac
+[ "$RAW_CANONICAL" = "$RAW_SCRAMBLED" ] \
+  || { echo "serve smoke: a scrambled JSON line got a different reply"; exit 1; }
 # Binary wire codec: every deterministic op prints identical replies over
 # both codecs (the server detects the codec per frame on the shared
 # listener).  One JSON pass warms the cache first.  stats, metrics, series

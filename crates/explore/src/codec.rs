@@ -16,8 +16,12 @@
 //! * **JSON** (JSONL cache files, wire lines): every value an object whose
 //!   members are the field names, sequences arrays, maps objects keyed by
 //!   entry, `f64` through `{:?}` (the shortest text that parses back to the
-//!   same bits).  Decoding goes through [`JsonValue::parse`], so it keeps
-//!   that parser's depth cap, and looks members up by name.
+//!   same bits).  Decoding tokenizes the document once into the JSON
+//!   reader's flat token tape, which validates it and caps its nesting at
+//!   [`JsonValue::MAX_DEPTH`](crate::JsonValue::MAX_DEPTH), then reads each
+//!   member by name off its object's member index, allocating only the
+//!   `String`s the value owns.  Members may come in any order, unknown ones
+//!   are ignored, and a duplicated one reads as its first occurrence.
 //!
 //! Where the two encodings differ beyond that (derived JSON fields, omitted
 //! defaults, the [`PointRecord`] key as hex text), the field list branches
@@ -34,7 +38,7 @@ use srra_obs::{
     LATENCY_BUCKETS,
 };
 
-use crate::json::{render_string, JsonValue};
+use crate::json::{render_string, Kind, Tape};
 use crate::store::PointRecord;
 
 /// Longest string the decoder will allocate for (16 MiB).
@@ -510,10 +514,33 @@ impl JsonEncoder<'_> {
     }
 
     /// Writes one member whose value is `text` verbatim.
-    fn scalar(&mut self, name: &str, text: std::fmt::Arguments<'_>) -> WireResult {
+    fn scalar(&mut self, name: &str, text: &str) -> WireResult {
         self.member(name);
-        let _ = self.out.write_fmt(text);
+        self.out.push_str(text);
         Ok(())
+    }
+
+    /// Writes one member whose value is `value`'s decimal digits, after a
+    /// `-` when `negative`.
+    fn integer(&mut self, name: &str, negative: bool, mut value: u64) -> WireResult {
+        let mut digits = [0u8; 21];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        if negative {
+            start -= 1;
+            digits[start] = b'-';
+        }
+        self.scalar(
+            name,
+            std::str::from_utf8(&digits[start..]).expect("ASCII digits"),
+        )
     }
 
     fn nest(
@@ -540,19 +567,21 @@ impl Encoder for JsonEncoder<'_> {
     }
 
     fn u64(&mut self, name: &str, value: u64) -> WireResult {
-        self.scalar(name, format_args!("{value}"))
+        self.integer(name, false, value)
     }
 
     fn i64(&mut self, name: &str, value: i64) -> WireResult {
-        self.scalar(name, format_args!("{value}"))
+        self.integer(name, value < 0, value.unsigned_abs())
     }
 
     fn f64(&mut self, name: &str, value: f64) -> WireResult {
-        self.scalar(name, format_args!("{value:?}"))
+        self.member(name);
+        let _ = write!(self.out, "{value:?}");
+        Ok(())
     }
 
     fn bool(&mut self, name: &str, value: bool) -> WireResult {
-        self.scalar(name, format_args!("{value}"))
+        self.scalar(name, if value { "true" } else { "false" })
     }
 
     fn str(&mut self, name: &str, value: &str) -> WireResult {
@@ -562,7 +591,12 @@ impl Encoder for JsonEncoder<'_> {
     }
 
     fn hex(&mut self, name: &str, value: u64) -> WireResult {
-        self.scalar(name, format_args!("\"{value:#018x}\""))
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = *b"\"0x0000000000000000\"";
+        for (at, digit) in text[3..19].iter_mut().enumerate() {
+            *digit = HEX[(value >> (60 - 4 * at) & 0xf) as usize];
+        }
+        self.scalar(name, std::str::from_utf8(&text).expect("ASCII hex"))
     }
 
     fn variant(&mut self, _: u8, json: impl FnOnce(&mut Self) -> WireResult) -> WireResult {
@@ -608,36 +642,49 @@ impl Encoder for JsonEncoder<'_> {
     }
 }
 
-/// The JSON codec's reader over a parsed [`JsonValue`] tree.
-struct JsonDecoder<'a> {
-    /// The object (or, for an empty name, the bare value) being read.
-    current: &'a JsonValue,
-    /// The key of the map entry being read.
-    key: &'a str,
+/// The JSON codec's reader: `Wire` fields straight off a [`Tape`], with an
+/// owned `String` only where a value holds one.
+struct JsonDecoder<'t, 'a> {
+    tape: &'t Tape<'a>,
+    /// The token being read: the object a named field is looked up in, or
+    /// the bare value an empty name reads.
+    current: usize,
+    /// Where the next lookup in `current` starts: just past its last match.
+    cursor: usize,
+    /// The filter bits of `current`'s members before `cursor` (see
+    /// [`Tape::find`]).
+    passed: u64,
+    /// The key token of the map entry being read.
+    key: Option<usize>,
 }
 
-impl<'a> JsonDecoder<'a> {
-    fn member(&self, name: &str) -> Option<&'a JsonValue> {
+impl JsonDecoder<'_, '_> {
+    /// The value token of the member `name`, or `current` for the empty
+    /// name.  A found member moves the lookup cursor past it.
+    fn field(&mut self, name: &str) -> Result<usize, WireError> {
         if name.is_empty() {
-            Some(self.current)
-        } else {
-            self.current.get(name)
+            return Ok(self.current);
         }
-    }
-
-    fn field(&self, name: &str) -> Result<&'a JsonValue, WireError> {
-        self.member(name)
-            .ok_or_else(|| corrupt(format!("missing field `{name}`")))
+        let tape = self.tape;
+        let at = tape
+            .find(self.current, name, self.cursor, self.passed)
+            .ok_or_else(|| corrupt(format!("missing field `{name}`")))?;
+        if at >= self.cursor {
+            self.passed |= tape.filter(self.current, self.cursor..at + 1);
+            self.cursor = at + 1;
+        }
+        Ok(tape.members(self.current)[at].key + 1)
     }
 
     /// Reads `name` through `read`, naming the expected type on failure.
     fn typed<T>(
-        &self,
+        &mut self,
         name: &str,
         what: &str,
-        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+        read: impl FnOnce(&Tape<'_>, usize) -> Option<T>,
     ) -> WireResult<T> {
-        read(self.field(name)?).ok_or_else(|| {
+        let token = self.field(name)?;
+        read(self.tape, token).ok_or_else(|| {
             if name.is_empty() {
                 corrupt(format!("element is not {what}"))
             } else {
@@ -646,71 +693,86 @@ impl<'a> JsonDecoder<'a> {
         })
     }
 
-    fn raw_number(value: &JsonValue) -> Option<&str> {
-        match value {
-            JsonValue::Number(raw) => Some(raw),
-            _ => None,
-        }
+    /// The token of `name` if it is of `kind`.
+    fn kind(&mut self, name: &str, kind: Kind, what: &str) -> WireResult<usize> {
+        self.typed(name, what, |tape, token| {
+            (tape.token(token).kind == kind).then_some(token)
+        })
     }
 
-    fn entries(&self, name: &str) -> Result<&'a [(String, JsonValue)], WireError> {
-        self.typed(name, "an object", |value| match value {
-            JsonValue::Object(entries) => Some(entries.as_slice()),
+    /// The raw text of the number `name`, parsed as `T`.
+    fn number<T: std::str::FromStr>(&mut self, name: &str, what: &str) -> WireResult<T> {
+        self.typed(name, what, |tape, token| match tape.token(token).kind {
+            Kind::Number => tape.text(token).parse().ok(),
             _ => None,
         })
+    }
+
+    /// The text of the string `name`, borrowed from the tape.
+    fn text(&mut self, name: &str) -> WireResult<&str> {
+        let token = self.kind(name, Kind::Text, "a string")?;
+        Ok(self.tape.text(token))
     }
 
     fn enter<T>(
         &mut self,
-        value: &'a JsonValue,
+        token: usize,
         body: impl FnOnce(&mut Self) -> WireResult<T>,
     ) -> WireResult<T> {
-        let outer = std::mem::replace(&mut self.current, value);
+        let outer = (self.current, self.cursor, self.passed);
+        (self.current, self.cursor, self.passed) = (token, 0, 0);
         let result = body(self);
-        self.current = outer;
+        (self.current, self.cursor, self.passed) = outer;
         result
     }
 }
 
-impl Decoder for JsonDecoder<'_> {
+impl Decoder for JsonDecoder<'_, '_> {
     const JSON: bool = true;
 
     fn has(&self, name: &str) -> bool {
-        self.member(name).is_some()
+        name.is_empty()
+            || self
+                .tape
+                .find(self.current, name, self.cursor, self.passed)
+                .is_some()
     }
 
     fn u8(&mut self, name: &str) -> WireResult<u8> {
-        self.typed(name, "a byte", |value| {
-            value.as_u64().and_then(|n| u8::try_from(n).ok())
+        self.typed(name, "a byte", |tape, token| match tape.token(token).kind {
+            Kind::Number => tape.text(token).parse::<u64>().ok()?.try_into().ok(),
+            _ => None,
         })
     }
 
     fn u64(&mut self, name: &str) -> WireResult<u64> {
-        self.typed(name, "a non-negative integer", JsonValue::as_u64)
+        self.number(name, "a non-negative integer")
     }
 
     fn i64(&mut self, name: &str) -> WireResult<i64> {
-        self.typed(name, "an integer", |value| {
-            Self::raw_number(value)?.parse().ok()
-        })
+        self.number(name, "an integer")
     }
 
     fn f64(&mut self, name: &str) -> WireResult<f64> {
-        self.typed(name, "a number", |value| {
-            Self::raw_number(value)?.parse().ok()
-        })
+        self.number(name, "a number")
     }
 
     fn bool(&mut self, name: &str) -> WireResult<bool> {
-        self.typed(name, "a boolean", JsonValue::as_bool)
+        self.typed(name, "a boolean", |tape, token| {
+            match tape.token(token).kind {
+                Kind::True => Some(true),
+                Kind::False => Some(false),
+                _ => None,
+            }
+        })
     }
 
     fn str(&mut self, name: &str) -> WireResult<String> {
-        self.typed(name, "a string", |value| value.as_str().map(str::to_owned))
+        self.text(name).map(str::to_owned)
     }
 
     fn hex(&mut self, name: &str) -> WireResult<u64> {
-        let text = self.str(name)?;
+        let text = self.text(name)?;
         let digits = text
             .strip_prefix("0x")
             .ok_or_else(|| corrupt(format!("field `{name}`: expected 0x prefix, got `{text}`")))?;
@@ -726,10 +788,8 @@ impl Decoder for JsonDecoder<'_> {
         name: &str,
         body: impl FnOnce(&mut Self) -> WireResult<T>,
     ) -> WireResult<T> {
-        let value = self.typed(name, "an object", |value| {
-            matches!(value, JsonValue::Object(_)).then_some(value)
-        })?;
-        self.enter(value, body)
+        let token = self.kind(name, Kind::Object, "an object")?;
+        self.enter(token, body)
     }
 
     fn seq<T>(
@@ -737,10 +797,10 @@ impl Decoder for JsonDecoder<'_> {
         name: &str,
         mut body: impl FnMut(&mut Self) -> WireResult<T>,
     ) -> WireResult<Vec<T>> {
-        let items = self.typed(name, "an array", JsonValue::as_array)?;
-        items
-            .iter()
-            .map(|item| self.enter(item, &mut body))
+        let array = self.kind(name, Kind::Array, "an array")?;
+        let tape = self.tape;
+        tape.elements(array)
+            .map(|element| self.enter(element, &mut body))
             .collect()
     }
 
@@ -749,13 +809,15 @@ impl Decoder for JsonDecoder<'_> {
         name: &str,
         mut body: impl FnMut(&mut Self) -> WireResult<T>,
     ) -> WireResult<Vec<T>> {
+        let object = self.kind(name, Kind::Object, "an object")?;
+        let tape = self.tape;
         let outer = self.key;
-        let entries = self.entries(name)?;
-        let result = entries
+        let result = tape
+            .members(object)
             .iter()
-            .map(|(key, value)| {
-                self.key = key;
-                self.enter(value, &mut body)
+            .map(|member| {
+                self.key = Some(member.key);
+                self.enter(member.key + 1, &mut body)
             })
             .collect();
         self.key = outer;
@@ -763,11 +825,14 @@ impl Decoder for JsonDecoder<'_> {
     }
 
     fn key(&mut self) -> WireResult<String> {
-        Ok(self.key.to_owned())
+        Ok(self
+            .key
+            .map_or_else(String::new, |key| self.tape.text(key).to_owned()))
     }
 
     fn option(&mut self, name: &str) -> WireResult<bool> {
-        Ok(!matches!(self.field(name)?, JsonValue::Null))
+        let token = self.field(name)?;
+        Ok(self.tape.token(token).kind != Kind::Null)
     }
 }
 
@@ -830,21 +895,47 @@ pub fn write_json<T: Wire>(out: &mut String, value: &T) {
         .expect("the JSON encoder never fails");
 }
 
-/// Decodes one value from a parsed JSON object.
+/// Decodes one value from one JSON document, such as a JSONL cache line or
+/// a wire line: one validating pass into a token tape, then the value's fields
+/// straight off it.  Members may come in any order, unknown ones are
+/// ignored, and a duplicated one reads as its first occurrence.
 ///
 /// # Errors
 ///
-/// A description of the first missing or mistyped member, without the
-/// binary codec's prefix.
-pub fn from_json<T: Wire>(value: &JsonValue) -> Result<T, String> {
+/// A description of the first syntax problem, or of the first missing or
+/// mistyped member, without the binary codec's prefix.
+pub fn from_json<T: Wire>(text: &str) -> Result<T, String> {
+    Ok(from_json_with(text, "")?.0)
+}
+
+/// As [`from_json`], and also returns the top-level member `member` (its
+/// first occurrence, at any position), which must be a string when present:
+/// a member outside `T`'s field list, such as the wire's `trace`.  The empty
+/// name looks nothing up.
+///
+/// # Errors
+///
+/// As [`from_json`], and a present `member` that is not a string.
+pub fn from_json_with<T: Wire>(text: &str, member: &str) -> Result<(T, Option<String>), String> {
+    let tape = Tape::parse(text)?;
     let mut decoder = JsonDecoder {
-        current: value,
-        key: "",
+        tape: &tape,
+        current: 0,
+        cursor: 0,
+        passed: 0,
+        key: None,
     };
-    decoder.value("").map_err(|err| match err {
+    let value = decoder.value("").map_err(|err| match err {
         WireError::Corrupt(message) => message,
         other => other.to_string(),
-    })
+    })?;
+    if member.is_empty() || !decoder.has(member) {
+        return Ok((value, None));
+    }
+    let text = decoder
+        .text(member)
+        .map_err(|_| format!("`{member}` must be a string"))?;
+    Ok((value, Some(text.to_owned())))
 }
 
 impl Wire for PointRecord {
@@ -1166,7 +1257,7 @@ mod tests {
         assert_eq!(&back, value);
         let mut line = String::new();
         write_json(&mut line, value);
-        let back: T = from_json(&JsonValue::parse(&line).expect("parses")).expect("decodes");
+        let back: T = from_json(&line).expect("decodes");
         assert_eq!(&back, value, "{line}");
     }
 

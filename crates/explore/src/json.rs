@@ -1,14 +1,28 @@
-//! A minimal recursive JSON reader, shared by the JSONL cache files
+//! The workspace's one JSON reader, shared by the JSONL cache files
 //! ([`PointRecord`](crate::PointRecord)) and the serve layer's wire protocol
 //! (both through [`crate::codec`]), plus the JSON string escaper.
 //!
-//! The workspace's `serde` is an offline no-op shim, so the workspace carries
-//! its own small JSON value type.  Numbers are kept as their raw source text:
-//! the parser never converts to `f64` and back, so
-//! [`PointRecord::from_json_value`](crate::PointRecord::from_json_value)
-//! decodes the f64 fields of an embedded record bit-exactly.
+//! The workspace's `serde` is an offline no-op shim, so the workspace reads
+//! JSON itself, after simdjson's design (Langdale & Lemire, "Parsing
+//! Gigabytes of JSON per Second", VLDB J. 2019): one validating pass turns a
+//! document into a flat [`Tape`] of tokens, and readers take values off the
+//! tape without building a tree.
+//!
+//! * A number token is its raw source text: nothing converts to `f64` and
+//!   back, so the codec decodes the f64 fields of a record bit-exactly.
+//! * A string token is its unescaped text: a slice of the source when the
+//!   string has no escape, else a slice of the tape's one buffer of
+//!   unescaped strings.
+//! * A container token records where its subtree ends, so a reader steps
+//!   over a nested value in one move.
+//! * Each object's members sit contiguously in the tape's member index,
+//!   in document order, each with a signature of its key.
+//!
+//! The codec's JSON `Decoder` reads `Wire` fields straight off the tape;
+//! [`JsonValue::parse`] builds its tree from the same tokens.
 
-use std::fmt::Write as _;
+use std::cell::Cell;
+use std::ops::Range;
 
 /// One JSON value: the full recursive grammar, with numbers kept as raw text.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,9 +44,10 @@ pub enum JsonValue {
 impl JsonValue {
     /// The deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
     ///
-    /// The parser recurses once per level, so the cap bounds its stack use.
-    /// The deepest message the workspace writes (a `series` or `metrics`
-    /// reply) nests about 6 levels.
+    /// The tokenizer keeps one stack entry per open level, and the tree
+    /// built from its tokens recurses once per level, so the cap bounds
+    /// both.  The deepest message the workspace writes (a `series` or
+    /// `metrics` reply) nests about 6 levels.
     pub const MAX_DEPTH: usize = 128;
 
     /// Parses one complete JSON document; trailing garbage is an error.
@@ -44,18 +59,8 @@ impl JsonValue {
     ///
     /// Returns a description of the first syntax problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parser = Parser {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.text.len() {
-            return Err(format!("trailing input at byte {}", parser.pos));
-        }
-        Ok(value)
+        let tape = Tape::parse(text)?;
+        Ok(tape.tree(0))
     }
 
     /// Looks a field up in an object (first occurrence); `None` for other
@@ -112,167 +117,405 @@ impl JsonValue {
 }
 
 /// Writes `text` as a quoted, escaped JSON string: the JSON codec's one
-/// string escaper.
+/// string escaper.  Runs that need no escape are copied whole.
 pub(crate) fn render_string(out: &mut String, text: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, &byte) in text.as_bytes().iter().enumerate() {
+        let unicode;
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                unicode = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(byte >> 4)],
+                    HEX[usize::from(byte & 0xf)],
+                ];
+                std::str::from_utf8(&unicode).expect("an ASCII escape")
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..at` ends on a char boundary.
+        out.push_str(&text[run..at]);
+        out.push_str(escape);
+        run = at + 1;
     }
+    out.push_str(&text[run..]);
     out.push('"');
 }
 
-/// The parse cursor.  `pos` is a byte offset that only ever stops on a
-/// char boundary: every token it steps over is ASCII, and strings are left
-/// just past their closing `"`.  `depth` counts the arrays and objects open
-/// at the cursor.
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-    depth: usize,
+/// What a [`Token`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Null,
+    False,
+    True,
+    Number,
+    Text,
+    Array,
+    Object,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+/// One value on the tape; a container's descendants follow it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Token {
+    pub(crate) kind: Kind,
+    /// For `Text`: the text sits in [`Tape::unescaped`], not in the source.
+    escaped: bool,
+    /// `Number`: the raw text's byte range in the source.  `Text`: the
+    /// unescaped text's byte range.  `Object`: its members' range in
+    /// [`Tape::members`].  `Array`: `end` is the element count.
+    start: usize,
+    end: usize,
+    /// The index of the first token after this one's subtree.
+    next: usize,
+}
+
+/// One member of an object: its key's `Text` token, which its value's
+/// token follows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member {
+    /// [`signature`] of the unescaped key.
+    sig: u64,
+    pub(crate) key: usize,
+}
+
+/// A key's signature: its length and first eight bytes, mixed so that the
+/// top six bits are spread well enough to pick one bit of a 64-bit filter
+/// (see [`Tape::find`]).  Equal keys have equal signatures.
+fn signature(key: &[u8]) -> u64 {
+    let head = match key.get(..8) {
+        Some(head) => u64::from_le_bytes(head.try_into().expect("eight bytes")),
+        None => key
+            .iter()
+            .rev()
+            .fold(0, |word, &byte| word << 8 | u64::from(byte)),
+    };
+    (head ^ key.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The bit of a lookup filter that a signature sets.
+fn filter_bit(sig: u64) -> u64 {
+    1 << (sig >> 58)
+}
+
+/// An array or object the tokenizer has opened but not closed.
+struct Open {
+    token: usize,
+    object: bool,
+    /// Objects: where its members start on the pending stack.  Arrays: the
+    /// elements closed so far.
+    mark: usize,
+}
+
+/// A validated JSON document as a flat token list: the token of the
+/// top-level value first, every container's descendants after it in
+/// document order.
+pub(crate) struct Tape<'a> {
+    source: &'a str,
+    buf: Buffers,
+}
+
+/// A tape's buffers.  A dropped tape leaves them to the next parse on its
+/// thread, so a reader's steady state allocates only the values it returns.
+#[derive(Default)]
+struct Buffers {
+    tokens: Vec<Token>,
+    /// Every object's members, each object's contiguous and in document
+    /// order; objects are listed in the order they close.
+    members: Vec<Member>,
+    /// The unescaped text of every string with an escape in it.
+    unescaped: String,
+    /// While tokenizing: the open containers, innermost last.
+    open: Vec<Open>,
+    /// While tokenizing: the members of every open object, innermost last.
+    pending: Vec<Member>,
+}
+
+thread_local! {
+    static SPARE: Cell<Buffers> = const {
+        Cell::new(Buffers {
+            tokens: Vec::new(),
+            members: Vec::new(),
+            unescaped: String::new(),
+            open: Vec::new(),
+            pending: Vec::new(),
+        })
+    };
+}
+
+impl Drop for Tape<'_> {
+    fn drop(&mut self) {
+        // Only a small document's buffers are kept: enough for a batch of
+        // a few records, so that threads do not each hold a large one.
+        const KEEP_TOKENS: usize = 1 << 9;
+        const KEEP_TEXT: usize = 1 << 12;
+        if self.buf.tokens.capacity() <= KEEP_TOKENS && self.buf.unescaped.capacity() <= KEEP_TEXT {
+            SPARE.with(|spare| spare.set(std::mem::take(&mut self.buf)));
         }
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
+/// Skips JSON whitespace from `pos`.
+fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
+    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(pos) {
+        pos += 1;
     }
+    pos
+}
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                char::from(byte),
-                self.pos
-            ))
+/// The offset of the first `"` or `\\` at or after `pos`, or the end of
+/// `bytes`.  It tests eight bytes at a time: a lane of `word ^ pattern` is
+/// zero where the byte matches, and the lowest lane the zero-byte test
+/// flags is always a true match (a borrow only flags lanes above one).
+fn quote_or_backslash(bytes: &[u8], mut pos: usize) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_lanes = |x: u64| x.wrapping_sub(LOW) & !x & HIGH;
+    while let Some(chunk) = bytes.get(pos..pos + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let found = zero_lanes(word ^ (LOW * u64::from(b'"')))
+            | zero_lanes(word ^ (LOW * u64::from(b'\\')));
+        if found != 0 {
+            return pos + (found.trailing_zeros() / 8) as usize;
         }
+        pos += 8;
     }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.text[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
+    while bytes
+        .get(pos)
+        .is_some_and(|&byte| byte != b'"' && byte != b'\\')
+    {
+        pos += 1;
     }
+    pos
+}
 
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == JsonValue::MAX_DEPTH {
+/// Skips ASCII digits from `*pos`, returning how many there were.
+fn digits(bytes: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+impl<'a> Tape<'a> {
+    /// Tokenizes and validates one complete JSON document; trailing garbage
+    /// is an error, as is nesting deeper than [`JsonValue::MAX_DEPTH`].
+    ///
+    /// Strings accept the escapes `\" \\ \/ \b \f \n \r \t` and `\u` with
+    /// four hex digits naming a scalar value (a lone surrogate is an error;
+    /// surrogate pairs are not combined).  Numbers are an optional `-`,
+    /// digits, an optional `.` and digits, an optional exponent, with at
+    /// least one mantissa digit and one exponent digit: `1.`, `-.5`, `01`
+    /// and `1.e5` parse, `1e`, `1e+`, `-` and `-.` do not.
+    pub(crate) fn parse(source: &'a str) -> Result<Self, String> {
+        let bytes = source.as_bytes();
+        let mut buf = SPARE.with(Cell::take);
+        buf.tokens.clear();
+        buf.members.clear();
+        buf.unescaped.clear();
+        buf.open.clear();
+        buf.pending.clear();
+        buf.tokens.reserve(source.len() / 10 + 2);
+        let mut tape = Tape { source, buf };
+        let mut pos = skip_ws(bytes, 0);
+        'value: loop {
+            match bytes.get(pos) {
+                Some(&byte @ (b'{' | b'[')) => {
+                    if tape.buf.open.len() == JsonValue::MAX_DEPTH {
+                        return Err(format!(
+                            "nested deeper than {} levels at byte {pos}",
+                            JsonValue::MAX_DEPTH
+                        ));
+                    }
+                    let object = byte == b'{';
+                    let token = tape.push(Kind::Array, false, 0..0);
+                    pos = skip_ws(bytes, pos + 1);
+                    let empty = bytes.get(pos) == Some(if object { &b'}' } else { &b']' });
+                    let mark = if object { tape.buf.pending.len() } else { 0 };
+                    tape.buf.open.push(Open {
+                        token,
+                        object,
+                        mark,
+                    });
+                    if empty {
+                        pos += 1;
+                        tape.close();
+                    } else {
+                        if object {
+                            pos = tape.read_key(pos)?;
+                        }
+                        continue 'value;
+                    }
+                }
+                Some(b'"') => pos = tape.string(pos)?,
+                Some(b't') => pos = tape.literal(pos, "true", Kind::True)?,
+                Some(b'f') => pos = tape.literal(pos, "false", Kind::False)?,
+                Some(b'n') => pos = tape.literal(pos, "null", Kind::Null)?,
+                Some(b'-' | b'0'..=b'9') => pos = tape.number(pos)?,
+                other => {
                     return Err(format!(
-                        "nested deeper than {} levels at byte {}",
-                        JsonValue::MAX_DEPTH,
-                        self.pos
-                    ));
+                        "unexpected value start {:?} at byte {pos}",
+                        other.map(|&byte| char::from(byte))
+                    ))
                 }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
             }
-            Some(b'"') => Ok(JsonValue::Text(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected value start {other:?} at byte {}",
-                self.pos
-            )),
+            // A value just ended: separate it from the next one, or close
+            // the containers it ends.
+            while let Some(top) = tape.buf.open.last_mut() {
+                pos = skip_ws(bytes, pos);
+                let close = if top.object { b'}' } else { b']' };
+                match bytes.get(pos) {
+                    Some(b',') => {
+                        if !top.object {
+                            top.mark += 1;
+                        }
+                        pos = skip_ws(bytes, pos + 1);
+                        if top.object {
+                            pos = tape.read_key(pos)?;
+                        }
+                        continue 'value;
+                    }
+                    Some(&byte) if byte == close => {
+                        if !top.object {
+                            top.mark += 1;
+                        }
+                        pos += 1;
+                        tape.close();
+                    }
+                    other => {
+                        return Err(format!(
+                            "expected `,` or `{}` at byte {pos}, got {:?}",
+                            char::from(close),
+                            other.map(|&byte| char::from(byte))
+                        ))
+                    }
+                }
+            }
+            break;
+        }
+        pos = skip_ws(bytes, pos);
+        if pos != bytes.len() {
+            return Err(format!("trailing input at byte {pos}"));
+        }
+        Ok(tape)
+    }
+
+    fn push(&mut self, kind: Kind, escaped: bool, range: Range<usize>) -> usize {
+        let index = self.buf.tokens.len();
+        self.buf.tokens.push(Token {
+            kind,
+            escaped,
+            start: range.start,
+            end: range.end,
+            next: index + 1,
+        });
+        index
+    }
+
+    /// Closes the innermost open container: an object moves its members
+    /// from the pending stack into the member index.
+    fn close(&mut self) {
+        let buf = &mut self.buf;
+        let open = buf.open.pop().expect("an open container");
+        let next = buf.tokens.len();
+        let token = &mut buf.tokens[open.token];
+        token.next = next;
+        if open.object {
+            token.kind = Kind::Object;
+            token.start = buf.members.len();
+            buf.members.extend(buf.pending.drain(open.mark..));
+            token.end = buf.members.len();
+        } else {
+            token.end = open.mark;
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+    /// Reads an object member's key, its `:` and the whitespace after it;
+    /// the member's value starts at the returned offset.
+    fn read_key(&mut self, pos: usize) -> Result<usize, String> {
+        let bytes = self.source.as_bytes();
+        if bytes.get(pos) != Some(&b'"') {
+            return Err(format!("expected `\"` at byte {pos}"));
         }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
+        let pos = skip_ws(bytes, self.string(pos)?);
+        let key = self.buf.tokens.len() - 1;
+        let sig = signature(self.text(key).as_bytes());
+        self.buf.pending.push(Member { sig, key });
+        if bytes.get(pos) != Some(&b':') {
+            return Err(format!("expected `:` at byte {pos}"));
         }
+        Ok(skip_ws(bytes, pos + 1))
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
+    fn literal(&mut self, pos: usize, word: &str, kind: Kind) -> Result<usize, String> {
+        if !self.source.as_bytes()[pos..].starts_with(word.as_bytes()) {
+            return Err(format!("bad literal at byte {pos}"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => return Err(format!("expected `,` or `]`, got {other:?}")),
-            }
-        }
+        self.push(kind, false, pos..pos + word.len());
+        Ok(pos + word.len())
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next `"` or `\` in one piece.  Both are
-            // ASCII, so the run ends on a char boundary, and the scan never
-            // looks past this string.
-            let rest = &self.text[self.pos..];
-            let run = rest
-                .find(['"', '\\'])
-                .ok_or_else(|| "unterminated string".to_owned())?;
-            out.push_str(&rest[..run]);
-            self.pos += run + 1;
-            if rest.as_bytes()[run] == b'"' {
-                return Ok(out);
+    fn number(&mut self, start: usize) -> Result<usize, String> {
+        let bytes = self.source.as_bytes();
+        let mut pos = start + usize::from(bytes[start] == b'-');
+        let mut mantissa = digits(bytes, &mut pos);
+        if bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            mantissa += digits(bytes, &mut pos);
+        }
+        let mut exponent_ok = true;
+        if let Some(b'e' | b'E') = bytes.get(pos) {
+            pos += 1;
+            if let Some(b'+' | b'-') = bytes.get(pos) {
+                pos += 1;
             }
-            let escaped = match self.peek() {
+            exponent_ok = digits(bytes, &mut pos) > 0;
+        }
+        if mantissa == 0 || !exponent_ok {
+            return Err(format!(
+                "bad number `{}` at byte {start}",
+                &self.source[start..pos]
+            ));
+        }
+        self.push(Kind::Number, false, start..pos);
+        Ok(pos)
+    }
+
+    /// Reads the string whose opening `"` is at `pos`, returning the offset
+    /// after its closing `"`.  Every byte it stops on is ASCII, so each run
+    /// it copies starts and ends on a char boundary.
+    fn string(&mut self, pos: usize) -> Result<usize, String> {
+        let bytes = self.source.as_bytes();
+        let start = pos + 1;
+        let mut pos = quote_or_backslash(bytes, start);
+        if bytes.get(pos) == Some(&b'"') {
+            self.push(Kind::Text, false, start..pos);
+            return Ok(pos + 1);
+        }
+        let from = self.buf.unescaped.len();
+        let mut run = start;
+        loop {
+            self.buf.unescaped.push_str(&self.source[run..pos]);
+            if bytes.get(pos) == Some(&b'"') {
+                self.push(Kind::Text, true, from..self.buf.unescaped.len());
+                return Ok(pos + 1);
+            }
+            if pos == bytes.len() {
+                return Err("unterminated string".to_owned());
+            }
+            // `pos` is at a backslash.
+            pos += 1;
+            let escaped = match bytes.get(pos) {
                 Some(b'"') => '"',
                 Some(b'\\') => '\\',
                 Some(b'/') => '/',
@@ -283,49 +526,118 @@ impl Parser<'_> {
                 Some(b'f') => '\u{c}',
                 Some(b'u') => {
                     let digits = self
-                        .text
-                        .get(self.pos + 1..self.pos + 5)
+                        .source
+                        .get(pos + 1..pos + 5)
                         .ok_or_else(|| "truncated \\u escape".to_owned())?;
                     let code = u32::from_str_radix(digits, 16)
                         .map_err(|e| format!("bad \\u escape: {e}"))?;
-                    self.pos += 4;
+                    pos += 4;
                     char::from_u32(code).ok_or_else(|| format!("bad \\u code point {code:#x}"))?
                 }
-                other => return Err(format!("bad escape at byte {}: {other:?}", self.pos)),
+                other => {
+                    return Err(format!(
+                        "bad escape at byte {pos}: {:?}",
+                        other.map(|&byte| char::from(byte))
+                    ))
+                }
             };
-            self.pos += 1;
-            out.push(escaped);
+            self.buf.unescaped.push(escaped);
+            run = pos + 1;
+            pos = quote_or_backslash(bytes, run);
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// The token at `index`.
+    pub(crate) fn token(&self, index: usize) -> Token {
+        self.buf.tokens[index]
+    }
+
+    /// The unescaped text of a `Text` token, or the raw text of a `Number`.
+    pub(crate) fn text(&self, index: usize) -> &str {
+        let token = &self.buf.tokens[index];
+        let range = token.start..token.end;
+        if token.escaped {
+            &self.buf.unescaped[range]
+        } else {
+            &self.source[range]
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+    }
+
+    /// The members of an `Object` token; none for any other token.
+    pub(crate) fn members(&self, index: usize) -> &[Member] {
+        let token = &self.buf.tokens[index];
+        match token.kind {
+            Kind::Object => &self.buf.members[token.start..token.end],
+            _ => &[],
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+    }
+
+    /// The element tokens of an `Array` token, in order.
+    pub(crate) fn elements(&self, index: usize) -> impl Iterator<Item = usize> + '_ {
+        let count = match self.buf.tokens[index].kind {
+            Kind::Array => self.buf.tokens[index].end,
+            _ => 0,
+        };
+        std::iter::successors(Some(index + 1), |&element| {
+            Some(self.buf.tokens[element].next)
+        })
+        .take(count)
+    }
+
+    /// The position, among `object`'s members, of the first one named
+    /// `name`; `None` when it has none or is not an object.
+    ///
+    /// A reader that takes fields in document order passes its last match:
+    /// the search then starts at `cursor`, and `passed`, one
+    /// [`filter_bit`] per signature of the members before it, proves that
+    /// none of those matches.  When the filter cannot prove it, the search
+    /// starts at the first member, so a duplicated name always resolves to
+    /// its first occurrence.
+    pub(crate) fn find(
+        &self,
+        object: usize,
+        name: &str,
+        cursor: usize,
+        passed: u64,
+    ) -> Option<usize> {
+        let members = self.members(object);
+        let sig = signature(name.as_bytes());
+        let from = if passed & filter_bit(sig) == 0 {
+            cursor.min(members.len())
+        } else {
+            0
+        };
+        members[from..]
+            .iter()
+            .position(|member| member.sig == sig && self.text(member.key) == name)
+            .map(|at| from + at)
+    }
+
+    /// The filter bits of `object`'s members in `range` (see
+    /// [`Tape::find`]).
+    pub(crate) fn filter(&self, object: usize, range: Range<usize>) -> u64 {
+        self.members(object)[range]
+            .iter()
+            .fold(0, |bits, member| bits | filter_bit(member.sig))
+    }
+
+    /// The tree of the value at `index`.  The recursion is as deep as the
+    /// document's nesting, which [`Tape::parse`] capped.
+    fn tree(&self, index: usize) -> JsonValue {
+        match self.buf.tokens[index].kind {
+            Kind::Null => JsonValue::Null,
+            Kind::False => JsonValue::Bool(false),
+            Kind::True => JsonValue::Bool(true),
+            Kind::Number => JsonValue::Number(self.text(index).to_owned()),
+            Kind::Text => JsonValue::Text(self.text(index).to_owned()),
+            Kind::Array => JsonValue::Array(self.elements(index).map(|e| self.tree(e)).collect()),
+            Kind::Object => JsonValue::Object(
+                self.members(index)
+                    .iter()
+                    .map(|m| (self.text(m.key).to_owned(), self.tree(m.key + 1)))
+                    .collect(),
+            ),
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let raw = &self.text[start..self.pos];
-        if raw.parse::<f64>().is_err() {
-            return Err(format!("bad number `{raw}` at byte {start}"));
-        }
-        Ok(JsonValue::Number(raw.to_owned()))
     }
 }
 
@@ -416,5 +728,136 @@ mod tests {
         assert_eq!(items[2], JsonValue::Number("1e-300".to_owned()));
         assert_eq!(items[0].as_f64(), Some(10.573));
         assert_eq!(items[1].as_f64(), Some(1_305.312_048));
+    }
+
+    /// Every string of up to six characters over the number alphabet, in a
+    /// fixed order.
+    fn number_like_strings() -> Vec<String> {
+        let alphabet = ['0', '1', '.', 'e', 'E', '+', '-'];
+        let mut all = vec![String::new()];
+        let mut layer = vec![String::new()];
+        for _ in 0..6 {
+            layer = layer
+                .iter()
+                .flat_map(|prefix| alphabet.iter().map(move |&c| format!("{prefix}{c}")))
+                .collect();
+            all.extend(layer.iter().cloned());
+        }
+        all
+    }
+
+    #[test]
+    fn number_syntax_is_rusts_float_syntax_over_a_greedy_scan() {
+        // The rule the tokenizer implements structurally: a value that
+        // starts with `-` or a digit is scanned greedily (sign, digits,
+        // fraction, exponent) and must then parse as an `f64`, with nothing
+        // left over.
+        let greedy = |text: &str| {
+            let bytes = text.as_bytes();
+            let mut pos = usize::from(bytes.first() == Some(&b'-'));
+            digits(bytes, &mut pos);
+            if bytes.get(pos) == Some(&b'.') {
+                pos += 1;
+                digits(bytes, &mut pos);
+            }
+            if let Some(b'e' | b'E') = bytes.get(pos) {
+                pos += 1;
+                if let Some(b'+' | b'-') = bytes.get(pos) {
+                    pos += 1;
+                }
+                digits(bytes, &mut pos);
+            }
+            pos
+        };
+        let mut accepted = 0;
+        for text in number_like_strings() {
+            let starts = text.starts_with(|c: char| c == '-' || c.is_ascii_digit());
+            let want = starts && greedy(&text) == text.len() && text.parse::<f64>().is_ok();
+            let got = JsonValue::parse(&text);
+            assert_eq!(got.is_ok(), want, "`{text}`: {got:?}");
+            if let Ok(value) = got {
+                assert_eq!(value, JsonValue::Number(text.clone()));
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 1_000, "{accepted}");
+        for (text, ok) in [
+            ("1.", true),
+            ("-.5", true),
+            ("01", true),
+            ("1.e5", true),
+            ("1e", false),
+            ("1e+", false),
+            ("-", false),
+            ("-.", false),
+        ] {
+            assert_eq!(JsonValue::parse(text).is_ok(), ok, "`{text}`");
+        }
+    }
+
+    #[test]
+    fn duplicated_members_keep_every_entry_and_get_takes_the_first() {
+        let value = JsonValue::parse(r#"{"a":1,"b":2,"a":3,"key":4,"key":5}"#).unwrap();
+        let JsonValue::Object(members) = &value else {
+            panic!("an object");
+        };
+        let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "a", "key", "key"]);
+        assert_eq!(value.get("a").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(value.get("key").and_then(JsonValue::as_u64), Some(4));
+    }
+
+    #[test]
+    fn lookups_resume_after_the_last_match_but_keep_first_occurrence() {
+        let tape = Tape::parse(r#"{"a":1,"b":2,"a":3,"c":4}"#).unwrap();
+        // In order: each match starts the next search after it.
+        assert_eq!(tape.find(0, "a", 0, 0), Some(0));
+        assert_eq!(tape.find(0, "b", 1, tape.filter(0, 0..1)), Some(1));
+        // Past both `a`s' first occurrence, the filter sends the search
+        // back to the first member.
+        assert_eq!(tape.find(0, "a", 2, tape.filter(0, 0..2)), Some(0));
+        assert_eq!(tape.find(0, "c", 2, tape.filter(0, 0..2)), Some(3));
+        assert_eq!(tape.find(0, "d", 4, tape.filter(0, 0..4)), None);
+        // Not an object: nothing to find.
+        let tape = Tape::parse("[1]").unwrap();
+        assert_eq!(tape.find(0, "a", 0, 0), None);
+    }
+
+    /// The escaper before it copied runs: one char at a time.
+    fn render_by_char(text: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from('"');
+        for ch in text.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn the_escaper_writes_the_same_bytes_as_a_char_by_char_escaper() {
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        for text in [
+            "",
+            "plain",
+            every_ascii.as_str(),
+            "ünïcødé — 日本語 🚀\u{7f}\u{80}",
+            "\"\u{1f}\\end",
+        ] {
+            let mut out = String::new();
+            render_string(&mut out, text);
+            assert_eq!(out, render_by_char(text));
+            assert_eq!(JsonValue::parse(&out).unwrap().as_str(), Some(text));
+        }
     }
 }

@@ -18,7 +18,6 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{from_json, to_json, write_json};
-use crate::json::JsonValue;
 
 /// The persisted outcome of evaluating one design point.
 ///
@@ -88,24 +87,14 @@ impl PointRecord {
 
     /// Decodes a record from one JSON line produced by
     /// [`PointRecord::to_json_line`]; anything after the record's closing
-    /// brace but whitespace is an error.
+    /// brace but whitespace is an error.  Numbers are read from their source
+    /// text, so the f64 fields decode bit-exactly.
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntax problem or missing field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        Self::from_json_value(&JsonValue::parse(line)?)
-    }
-
-    /// Decodes a record from an already parsed JSON object, such as one
-    /// embedded in a larger document.  Numbers keep their source text in a
-    /// [`JsonValue`], so the f64 fields decode bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        from_json(value)
+        from_json(line)
     }
 }
 

@@ -17,9 +17,9 @@
 //! keep-alive client can reuse one scratch allocation across requests.
 
 use srra_explore::codec::{
-    from_json, to_json, write_json, Decoder, Encoder, Wire, WireError, WireResult,
+    from_json_with, to_json, write_json, Decoder, Encoder, Wire, WireError, WireResult,
 };
-use srra_explore::{JsonValue, PointRecord};
+use srra_explore::PointRecord;
 use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
 /// Longest accepted `trace` id, in bytes.
@@ -72,16 +72,10 @@ pub fn stamp_trace(out: &mut String, id: &str) {
 /// Decodes one JSON line into `T` plus its optional top-level `trace`
 /// member, which may sit at any position.
 fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
-    let value = JsonValue::parse(line)?;
-    let decoded = from_json(&value)?;
-    let trace = match value.get("trace") {
-        None => None,
-        Some(id) => {
-            let id = id.as_str().ok_or("`trace` must be a string")?;
-            check_trace(id)?;
-            Some(id.to_owned())
-        }
-    };
+    let (decoded, trace) = from_json_with(line, "trace")?;
+    if let Some(id) = &trace {
+        check_trace(id)?;
+    }
     Ok((decoded, trace))
 }
 

@@ -32,11 +32,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use srra_core::{AllocatorRegistry, CompiledKernel};
-use srra_explore::{evaluate_point_timed, DesignPoint, PointRecord};
+use srra_explore::{evaluate_point_timed, fnv1a_64, DesignPoint, PointRecord};
 use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
@@ -447,20 +447,36 @@ pub struct ServerReport {
 ///
 /// Returns a user-facing message naming the unknown device.
 pub fn device_by_name(name: &str) -> Result<DeviceModel, String> {
-    let lower = name.to_ascii_lowercase();
-    for device in [DeviceModel::xcv1000(), DeviceModel::xcv300()] {
-        if device.name().to_ascii_lowercase() == lower
-            || device
-                .name()
-                .to_ascii_lowercase()
-                .starts_with(&format!("{lower}-"))
-        {
-            return Ok(device);
-        }
-    }
-    Err(format!(
-        "unknown device `{name}`; expected xcv1000 or xcv300"
-    ))
+    static DEVICES: OnceLock<[DeviceModel; 2]> = OnceLock::new();
+    let devices = DEVICES.get_or_init(|| [DeviceModel::xcv1000(), DeviceModel::xcv300()]);
+    let wanted = name.as_bytes();
+    devices
+        .iter()
+        .find(|device| {
+            // The whole part name, or the part before its `-package` suffix.
+            let full = device.name().as_bytes();
+            full.eq_ignore_ascii_case(wanted)
+                || (full.get(wanted.len()) == Some(&b'-')
+                    && full[..wanted.len()].eq_ignore_ascii_case(wanted))
+        })
+        .cloned()
+        .ok_or_else(|| format!("unknown device `{name}`; expected xcv1000 or xcv300"))
+}
+
+/// The design point a query names, its allocator and device resolved by
+/// name: the one resolver behind [`canonical_for`] and the server's answers.
+fn resolve(point: &QueryPoint) -> Result<DesignPoint, String> {
+    let allocator = AllocatorRegistry::global()
+        .get(&point.algorithm)
+        .ok_or_else(|| format!("unknown algorithm `{}`", point.algorithm))?;
+    Ok(DesignPoint {
+        kernel_index: 0, // Unused by `evaluate_point`; the kernel is passed directly.
+        kernel: point.kernel.clone(),
+        allocator,
+        budget: point.budget,
+        ram_latency: point.ram_latency,
+        device: device_by_name(&point.device)?,
+    })
 }
 
 /// The canonical design-point string for a named query, resolved exactly as
@@ -472,18 +488,7 @@ pub fn device_by_name(name: &str) -> Result<DeviceModel, String> {
 /// Returns a user-facing message for an unknown algorithm or device (kernel
 /// names pass through verbatim; an unknown kernel simply misses).
 pub fn canonical_for(point: &QueryPoint) -> Result<String, String> {
-    let allocator = AllocatorRegistry::global()
-        .get(&point.algorithm)
-        .ok_or_else(|| format!("unknown algorithm `{}`", point.algorithm))?;
-    let device = device_by_name(&point.device)?;
-    Ok(format!(
-        "kernel={};algo={};budget={};latency={};device={}",
-        point.kernel,
-        allocator.label(),
-        point.budget,
-        point.ram_latency,
-        device.name()
-    ))
+    resolve(point).map(|point| point.canonical())
 }
 
 /// A bound, not-yet-running query server.
@@ -1261,20 +1266,9 @@ fn answer_point(
             point.kernel
         )
     })?;
-    let allocator = AllocatorRegistry::global()
-        .get(&point.algorithm)
-        .ok_or_else(|| format!("unknown algorithm `{}`", point.algorithm))?;
-    let device = device_by_name(&point.device)?;
-    let design_point = DesignPoint {
-        kernel_index: 0, // Unused by `evaluate_point`; the kernel is passed directly.
-        kernel: point.kernel.clone(),
-        allocator,
-        budget: point.budget,
-        ram_latency: point.ram_latency,
-        device,
-    };
+    let design_point = resolve(point)?;
     let canonical = design_point.canonical();
-    let key = design_point.key();
+    let key = fnv1a_64(canonical.as_bytes());
     let mut first_try = true;
     loop {
         match shard_lookup(state, key, &canonical, collector.as_deref_mut()) {
