@@ -658,7 +658,26 @@ struct JsonDecoder<'t, 'a> {
     key: Option<usize>,
 }
 
-impl JsonDecoder<'_, '_> {
+impl<'t, 'a> JsonDecoder<'t, 'a> {
+    /// A reader of the tape's top-level value.
+    fn root(tape: &'t Tape<'a>) -> Self {
+        Self {
+            tape,
+            current: 0,
+            cursor: 0,
+            passed: 0,
+            key: None,
+        }
+    }
+
+    /// Decodes the current value as a `T`, with the JSON codec's errors.
+    fn decode<T: Wire>(&mut self) -> Result<T, String> {
+        self.value("").map_err(|err| match err {
+            WireError::Corrupt(message) => message,
+            other => other.to_string(),
+        })
+    }
+
     /// The value token of the member `name`, or `current` for the empty
     /// name.  A found member moves the lookup cursor past it.
     fn field(&mut self, name: &str) -> Result<usize, WireError> {
@@ -696,13 +715,13 @@ impl JsonDecoder<'_, '_> {
     /// The token of `name` if it is of `kind`.
     fn kind(&mut self, name: &str, kind: Kind, what: &str) -> WireResult<usize> {
         self.typed(name, what, |tape, token| {
-            (tape.token(token).kind == kind).then_some(token)
+            (tape.kind(token) == kind).then_some(token)
         })
     }
 
     /// The raw text of the number `name`, parsed as `T`.
     fn number<T: std::str::FromStr>(&mut self, name: &str, what: &str) -> WireResult<T> {
-        self.typed(name, what, |tape, token| match tape.token(token).kind {
+        self.typed(name, what, |tape, token| match tape.kind(token) {
             Kind::Number => tape.text(token).parse().ok(),
             _ => None,
         })
@@ -739,10 +758,7 @@ impl Decoder for JsonDecoder<'_, '_> {
     }
 
     fn u8(&mut self, name: &str) -> WireResult<u8> {
-        self.typed(name, "a byte", |tape, token| match tape.token(token).kind {
-            Kind::Number => tape.text(token).parse::<u64>().ok()?.try_into().ok(),
-            _ => None,
-        })
+        self.number(name, "a byte")
     }
 
     fn u64(&mut self, name: &str) -> WireResult<u64> {
@@ -758,12 +774,10 @@ impl Decoder for JsonDecoder<'_, '_> {
     }
 
     fn bool(&mut self, name: &str) -> WireResult<bool> {
-        self.typed(name, "a boolean", |tape, token| {
-            match tape.token(token).kind {
-                Kind::True => Some(true),
-                Kind::False => Some(false),
-                _ => None,
-            }
+        self.typed(name, "a boolean", |tape, token| match tape.kind(token) {
+            Kind::True => Some(true),
+            Kind::False => Some(false),
+            _ => None,
         })
     }
 
@@ -832,7 +846,7 @@ impl Decoder for JsonDecoder<'_, '_> {
 
     fn option(&mut self, name: &str) -> WireResult<bool> {
         let token = self.field(name)?;
-        Ok(self.tape.token(token).kind != Kind::Null)
+        Ok(self.tape.kind(token) != Kind::Null)
     }
 }
 
@@ -896,8 +910,8 @@ pub fn write_json<T: Wire>(out: &mut String, value: &T) {
 }
 
 /// Decodes one value from one JSON document, such as a JSONL cache line or
-/// a wire line: one validating pass into a token tape, then the value's fields
-/// straight off it.  Members may come in any order, unknown ones are
+/// a wire line: one validating pass into a token tape, then the value's
+/// fields straight off it.  Members may come in any order, unknown ones are
 /// ignored, and a duplicated one reads as its first occurrence.
 ///
 /// # Errors
@@ -905,31 +919,22 @@ pub fn write_json<T: Wire>(out: &mut String, value: &T) {
 /// A description of the first syntax problem, or of the first missing or
 /// mistyped member, without the binary codec's prefix.
 pub fn from_json<T: Wire>(text: &str) -> Result<T, String> {
-    Ok(from_json_with(text, "")?.0)
+    let tape = Tape::parse(text)?;
+    JsonDecoder::root(&tape).decode()
 }
 
 /// As [`from_json`], and also returns the top-level member `member` (its
 /// first occurrence, at any position), which must be a string when present:
-/// a member outside `T`'s field list, such as the wire's `trace`.  The empty
-/// name looks nothing up.
+/// a member outside `T`'s field list, such as the wire's `trace`.
 ///
 /// # Errors
 ///
 /// As [`from_json`], and a present `member` that is not a string.
 pub fn from_json_with<T: Wire>(text: &str, member: &str) -> Result<(T, Option<String>), String> {
     let tape = Tape::parse(text)?;
-    let mut decoder = JsonDecoder {
-        tape: &tape,
-        current: 0,
-        cursor: 0,
-        passed: 0,
-        key: None,
-    };
-    let value = decoder.value("").map_err(|err| match err {
-        WireError::Corrupt(message) => message,
-        other => other.to_string(),
-    })?;
-    if member.is_empty() || !decoder.has(member) {
+    let mut decoder = JsonDecoder::root(&tape);
+    let value = decoder.decode()?;
+    if !decoder.has(member) {
         return Ok((value, None));
     }
     let text = decoder

@@ -152,7 +152,7 @@ pub(crate) fn render_string(out: &mut String, text: &str) {
     out.push('"');
 }
 
-/// What a [`Token`] is.
+/// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     Null,
@@ -166,13 +166,14 @@ pub(crate) enum Kind {
 
 /// One value on the tape; a container's descendants follow it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Token {
-    pub(crate) kind: Kind,
-    /// For `Text`: the text sits in [`Tape::unescaped`], not in the source.
+struct Token {
+    kind: Kind,
+    /// For `Text`: the text sits in [`Buffers::unescaped`], not in the
+    /// source.
     escaped: bool,
     /// `Number`: the raw text's byte range in the source.  `Text`: the
     /// unescaped text's byte range.  `Object`: its members' range in
-    /// [`Tape::members`].  `Array`: `end` is the element count.
+    /// [`Buffers::members`].  `Array`: `end` is the element count.
     start: usize,
     end: usize,
     /// The index of the first token after this one's subtree.
@@ -241,15 +242,7 @@ struct Buffers {
 }
 
 thread_local! {
-    static SPARE: Cell<Buffers> = const {
-        Cell::new(Buffers {
-            tokens: Vec::new(),
-            members: Vec::new(),
-            unescaped: String::new(),
-            open: Vec::new(),
-            pending: Vec::new(),
-        })
-    };
+    static SPARE: Cell<Buffers> = Cell::new(Buffers::default());
 }
 
 impl Drop for Tape<'_> {
@@ -312,8 +305,8 @@ impl<'a> Tape<'a> {
     /// is an error, as is nesting deeper than [`JsonValue::MAX_DEPTH`].
     ///
     /// Strings accept the escapes `\" \\ \/ \b \f \n \r \t` and `\u` with
-    /// four hex digits naming a scalar value (a lone surrogate is an error;
-    /// surrogate pairs are not combined).  Numbers are an optional `-`,
+    /// four hex digits naming a scalar value (a surrogate, paired or not, is
+    /// an error).  Numbers are an optional `-`,
     /// digits, an optional `.` and digits, an optional exponent, with at
     /// least one mantissa digit and one exponent digit: `1.`, `-.5`, `01`
     /// and `1.e5` parse, `1e`, `1e+`, `-` and `-.` do not.
@@ -338,7 +331,9 @@ impl<'a> Tape<'a> {
                         ));
                     }
                     let object = byte == b'{';
-                    let token = tape.push(Kind::Array, false, 0..0);
+                    let kind = if object { Kind::Object } else { Kind::Array };
+                    // `close` fills in the range and the subtree's end.
+                    let token = tape.push(kind, false, 0..0);
                     pos = skip_ws(bytes, pos + 1);
                     let empty = bytes.get(pos) == Some(if object { &b'}' } else { &b']' });
                     let mark = if object { tape.buf.pending.len() } else { 0 };
@@ -431,7 +426,6 @@ impl<'a> Tape<'a> {
         let token = &mut buf.tokens[open.token];
         token.next = next;
         if open.object {
-            token.kind = Kind::Object;
             token.start = buf.members.len();
             buf.members.extend(buf.pending.drain(open.mark..));
             token.end = buf.members.len();
@@ -547,9 +541,9 @@ impl<'a> Tape<'a> {
         }
     }
 
-    /// The token at `index`.
-    pub(crate) fn token(&self, index: usize) -> Token {
-        self.buf.tokens[index]
+    /// What the token at `index` is.
+    pub(crate) fn kind(&self, index: usize) -> Kind {
+        self.buf.tokens[index].kind
     }
 
     /// The unescaped text of a `Text` token, or the raw text of a `Number`.
@@ -603,7 +597,7 @@ impl<'a> Tape<'a> {
         let members = self.members(object);
         let sig = signature(name.as_bytes());
         let from = if passed & filter_bit(sig) == 0 {
-            cursor.min(members.len())
+            cursor
         } else {
             0
         };
