@@ -1469,6 +1469,29 @@ mod tests {
     }
 
     #[test]
+    fn json_integers_and_keys_write_what_core_fmt_writes() {
+        let json = |write: &dyn Fn(&mut JsonEncoder<'_>) -> WireResult| {
+            let mut out = String::new();
+            write(&mut JsonEncoder {
+                out: &mut out,
+                first: true,
+                keyed: false,
+            })
+            .expect("encodes");
+            out
+        };
+        for value in [0, 1, 9, 10, 4_096, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(json(&|e| e.u64("", value)), format!("{value}"));
+            assert_eq!(json(&|e| e.hex("", value)), format!("\"{value:#018x}\""));
+        }
+        for value in [i64::MIN, -4_096, -1, 0, 7, i64::MAX] {
+            assert_eq!(json(&|e| e.i64("", value)), format!("{value}"));
+        }
+        assert_eq!(json(&|e| e.u8("n", 255)), "\"n\":255");
+        assert_eq!(json(&|e| e.bool("b", false)), "\"b\":false");
+    }
+
+    #[test]
     fn binary_beats_json_on_size_for_typical_records() {
         // Not a correctness property, but the point of the codec: the binary
         // encoding of a typical record is smaller than its JSON line.
