@@ -318,7 +318,9 @@ impl<'a> Tape<'a> {
         buf.unescaped.clear();
         buf.open.clear();
         buf.pending.clear();
-        buf.tokens.reserve(source.len() / 10 + 2);
+        // About one token per ten bytes of compact JSON, capped so that a
+        // long line of whitespace or one huge string reserves little.
+        buf.tokens.reserve((source.len() / 10 + 2).min(1 << 16));
         let mut tape = Tape { source, buf };
         let mut pos = skip_ws(bytes, 0);
         'value: loop {

@@ -172,7 +172,8 @@ fn a_duplicated_member_reads_as_its_first_occurrence() {
     let line = record().to_json_line();
     let body = &line[1..];
 
-    // JsonValue::get: the first of two `budget`s, either way round.
+    // The first of two `budget`s, either way round, in `JsonValue::get`
+    // and in the record decoder.
     for (text, budget) in [
         (format!("{{\"budget\":16,{body}"), 16),
         (format!("{}, \"budget\":16}}", &line[..line.len() - 1]), 32),
