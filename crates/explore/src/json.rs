@@ -681,6 +681,18 @@ mod tests {
     fn unicode_escapes_decode() {
         let value = JsonValue::parse("\"\\u0041\\u00e9\\u2192\"").unwrap();
         assert_eq!(value.as_str(), Some("Aé→"));
+        // The four characters are one hex number, which may carry a `+`;
+        // a surrogate, paired or not, names no char.
+        let value = JsonValue::parse("\"\\u+041\"").unwrap();
+        assert_eq!(value.as_str(), Some("A"));
+        for bad in [
+            "\"\\ud83d\\ude80\"",
+            "\"\\udc00\"",
+            "\"\\u-041\"",
+            "\"\\u12\"",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
