@@ -21,7 +21,6 @@
 //! The codec's JSON `Decoder` reads `Wire` fields straight off the tape;
 //! [`JsonValue::parse`] builds its tree from the same tokens.
 
-use std::cell::Cell;
 use std::ops::Range;
 
 /// One JSON value: the full recursive grammar, with numbers kept as raw text.
@@ -168,12 +167,12 @@ pub(crate) enum Kind {
 #[derive(Debug, Clone, Copy)]
 struct Token {
     kind: Kind,
-    /// For `Text`: the text sits in [`Buffers::unescaped`], not in the
+    /// For `Text`: the text sits in the tape's `unescaped` buffer, not in the
     /// source.
     escaped: bool,
     /// `Number`: the raw text's byte range in the source.  `Text`: the
     /// unescaped text's byte range.  `Object`: its members' range in
-    /// [`Buffers::members`].  `Array`: `end` is the element count.
+    /// the tape's `members` index.  `Array`: `end` is the element count.
     start: usize,
     end: usize,
     /// The index of the first token after this one's subtree.
@@ -222,13 +221,6 @@ struct Open {
 /// document order.
 pub(crate) struct Tape<'a> {
     source: &'a str,
-    buf: Buffers,
-}
-
-/// A tape's buffers.  A dropped tape leaves them to the next parse on its
-/// thread, so a reader's steady state allocates only the values it returns.
-#[derive(Default)]
-struct Buffers {
     tokens: Vec<Token>,
     /// Every object's members, each object's contiguous and in document
     /// order; objects are listed in the order they close.
@@ -241,22 +233,6 @@ struct Buffers {
     pending: Vec<Member>,
 }
 
-thread_local! {
-    static SPARE: Cell<Buffers> = Cell::new(Buffers::default());
-}
-
-impl Drop for Tape<'_> {
-    fn drop(&mut self) {
-        // Only a small document's buffers are kept: enough for a batch of
-        // a few records, so that threads do not each hold a large one.
-        const KEEP_TOKENS: usize = 1 << 9;
-        const KEEP_TEXT: usize = 1 << 12;
-        if self.buf.tokens.capacity() <= KEEP_TOKENS && self.buf.unescaped.capacity() <= KEEP_TEXT {
-            SPARE.with(|spare| spare.set(std::mem::take(&mut self.buf)));
-        }
-    }
-}
-
 /// Skips JSON whitespace from `pos`.
 fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
     while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(pos) {
@@ -266,29 +242,12 @@ fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
 }
 
 /// The offset of the first `"` or `\\` at or after `pos`, or the end of
-/// `bytes`.  It tests eight bytes at a time: a lane of `word ^ pattern` is
-/// zero where the byte matches, and the lowest lane the zero-byte test
-/// flags is always a true match (a borrow only flags lanes above one).
-fn quote_or_backslash(bytes: &[u8], mut pos: usize) -> usize {
-    const LOW: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    let zero_lanes = |x: u64| x.wrapping_sub(LOW) & !x & HIGH;
-    while let Some(chunk) = bytes.get(pos..pos + 8) {
-        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
-        let found = zero_lanes(word ^ (LOW * u64::from(b'"')))
-            | zero_lanes(word ^ (LOW * u64::from(b'\\')));
-        if found != 0 {
-            return pos + (found.trailing_zeros() / 8) as usize;
-        }
-        pos += 8;
-    }
-    while bytes
-        .get(pos)
-        .is_some_and(|&byte| byte != b'"' && byte != b'\\')
-    {
-        pos += 1;
-    }
-    pos
+/// `bytes`.
+fn quote_or_backslash(bytes: &[u8], pos: usize) -> usize {
+    bytes[pos..]
+        .iter()
+        .position(|&byte| byte == b'"' || byte == b'\\')
+        .map_or(bytes.len(), |at| pos + at)
 }
 
 /// Skips ASCII digits from `*pos`, returning how many there were.
@@ -312,21 +271,21 @@ impl<'a> Tape<'a> {
     /// and `1.e5` parse, `1e`, `1e+`, `-` and `-.` do not.
     pub(crate) fn parse(source: &'a str) -> Result<Self, String> {
         let bytes = source.as_bytes();
-        let mut buf = SPARE.with(Cell::take);
-        buf.tokens.clear();
-        buf.members.clear();
-        buf.unescaped.clear();
-        buf.open.clear();
-        buf.pending.clear();
-        // About one token per ten bytes of compact JSON, capped so that a
-        // long line of whitespace or one huge string reserves little.
-        buf.tokens.reserve((source.len() / 10 + 2).min(1 << 16));
-        let mut tape = Tape { source, buf };
+        let mut tape = Tape {
+            source,
+            // About one token per ten bytes of compact JSON, capped so that
+            // a long line of whitespace or one huge string reserves little.
+            tokens: Vec::with_capacity((source.len() / 10 + 2).min(1 << 16)),
+            members: Vec::new(),
+            unescaped: String::new(),
+            open: Vec::new(),
+            pending: Vec::new(),
+        };
         let mut pos = skip_ws(bytes, 0);
         'value: loop {
             match bytes.get(pos) {
                 Some(&byte @ (b'{' | b'[')) => {
-                    if tape.buf.open.len() == JsonValue::MAX_DEPTH {
+                    if tape.open.len() == JsonValue::MAX_DEPTH {
                         return Err(format!(
                             "nested deeper than {} levels at byte {pos}",
                             JsonValue::MAX_DEPTH
@@ -338,8 +297,8 @@ impl<'a> Tape<'a> {
                     let token = tape.push(kind, false, 0..0);
                     pos = skip_ws(bytes, pos + 1);
                     let empty = bytes.get(pos) == Some(if object { &b'}' } else { &b']' });
-                    let mark = if object { tape.buf.pending.len() } else { 0 };
-                    tape.buf.open.push(Open {
+                    let mark = if object { tape.pending.len() } else { 0 };
+                    tape.open.push(Open {
                         token,
                         object,
                         mark,
@@ -359,16 +318,11 @@ impl<'a> Tape<'a> {
                 Some(b'f') => pos = tape.literal(pos, "false", Kind::False)?,
                 Some(b'n') => pos = tape.literal(pos, "null", Kind::Null)?,
                 Some(b'-' | b'0'..=b'9') => pos = tape.number(pos)?,
-                other => {
-                    return Err(format!(
-                        "unexpected value start {:?} at byte {pos}",
-                        other.map(|&byte| char::from(byte))
-                    ))
-                }
+                other => return Err(format!("unexpected value start {other:?} at byte {pos}")),
             }
             // A value just ended: separate it from the next one, or close
             // the containers it ends.
-            while let Some(top) = tape.buf.open.last_mut() {
+            while let Some(top) = tape.open.last_mut() {
                 pos = skip_ws(bytes, pos);
                 let close = if top.object { b'}' } else { b']' };
                 match bytes.get(pos) {
@@ -391,9 +345,8 @@ impl<'a> Tape<'a> {
                     }
                     other => {
                         return Err(format!(
-                            "expected `,` or `{}` at byte {pos}, got {:?}",
-                            char::from(close),
-                            other.map(|&byte| char::from(byte))
+                            "expected `,` or `{}`, got {other:?}",
+                            char::from(close)
                         ))
                     }
                 }
@@ -408,8 +361,8 @@ impl<'a> Tape<'a> {
     }
 
     fn push(&mut self, kind: Kind, escaped: bool, range: Range<usize>) -> usize {
-        let index = self.buf.tokens.len();
-        self.buf.tokens.push(Token {
+        let index = self.tokens.len();
+        self.tokens.push(Token {
             kind,
             escaped,
             start: range.start,
@@ -422,15 +375,14 @@ impl<'a> Tape<'a> {
     /// Closes the innermost open container: an object moves its members
     /// from the pending stack into the member index.
     fn close(&mut self) {
-        let buf = &mut self.buf;
-        let open = buf.open.pop().expect("an open container");
-        let next = buf.tokens.len();
-        let token = &mut buf.tokens[open.token];
+        let open = self.open.pop().expect("an open container");
+        let next = self.tokens.len();
+        let token = &mut self.tokens[open.token];
         token.next = next;
         if open.object {
-            token.start = buf.members.len();
-            buf.members.extend(buf.pending.drain(open.mark..));
-            token.end = buf.members.len();
+            token.start = self.members.len();
+            self.members.extend(self.pending.drain(open.mark..));
+            token.end = self.members.len();
         } else {
             token.end = open.mark;
         }
@@ -444,9 +396,9 @@ impl<'a> Tape<'a> {
             return Err(format!("expected `\"` at byte {pos}"));
         }
         let pos = skip_ws(bytes, self.string(pos)?);
-        let key = self.buf.tokens.len() - 1;
+        let key = self.tokens.len() - 1;
         let sig = signature(self.text(key).as_bytes());
-        self.buf.pending.push(Member { sig, key });
+        self.pending.push(Member { sig, key });
         if bytes.get(pos) != Some(&b':') {
             return Err(format!("expected `:` at byte {pos}"));
         }
@@ -498,12 +450,12 @@ impl<'a> Tape<'a> {
             self.push(Kind::Text, false, start..pos);
             return Ok(pos + 1);
         }
-        let from = self.buf.unescaped.len();
+        let from = self.unescaped.len();
         let mut run = start;
         loop {
-            self.buf.unescaped.push_str(&self.source[run..pos]);
+            self.unescaped.push_str(&self.source[run..pos]);
             if bytes.get(pos) == Some(&b'"') {
-                self.push(Kind::Text, true, from..self.buf.unescaped.len());
+                self.push(Kind::Text, true, from..self.unescaped.len());
                 return Ok(pos + 1);
             }
             if pos == bytes.len() {
@@ -530,14 +482,9 @@ impl<'a> Tape<'a> {
                     pos += 4;
                     char::from_u32(code).ok_or_else(|| format!("bad \\u code point {code:#x}"))?
                 }
-                other => {
-                    return Err(format!(
-                        "bad escape at byte {pos}: {:?}",
-                        other.map(|&byte| char::from(byte))
-                    ))
-                }
+                other => return Err(format!("bad escape at byte {pos}: {other:?}")),
             };
-            self.buf.unescaped.push(escaped);
+            self.unescaped.push(escaped);
             run = pos + 1;
             pos = quote_or_backslash(bytes, run);
         }
@@ -545,15 +492,15 @@ impl<'a> Tape<'a> {
 
     /// What the token at `index` is.
     pub(crate) fn kind(&self, index: usize) -> Kind {
-        self.buf.tokens[index].kind
+        self.tokens[index].kind
     }
 
     /// The unescaped text of a `Text` token, or the raw text of a `Number`.
     pub(crate) fn text(&self, index: usize) -> &str {
-        let token = &self.buf.tokens[index];
+        let token = &self.tokens[index];
         let range = token.start..token.end;
         if token.escaped {
-            &self.buf.unescaped[range]
+            &self.unescaped[range]
         } else {
             &self.source[range]
         }
@@ -561,23 +508,21 @@ impl<'a> Tape<'a> {
 
     /// The members of an `Object` token; none for any other token.
     pub(crate) fn members(&self, index: usize) -> &[Member] {
-        let token = &self.buf.tokens[index];
+        let token = &self.tokens[index];
         match token.kind {
-            Kind::Object => &self.buf.members[token.start..token.end],
+            Kind::Object => &self.members[token.start..token.end],
             _ => &[],
         }
     }
 
     /// The element tokens of an `Array` token, in order.
     pub(crate) fn elements(&self, index: usize) -> impl Iterator<Item = usize> + '_ {
-        let count = match self.buf.tokens[index].kind {
-            Kind::Array => self.buf.tokens[index].end,
+        let count = match self.tokens[index].kind {
+            Kind::Array => self.tokens[index].end,
             _ => 0,
         };
-        std::iter::successors(Some(index + 1), |&element| {
-            Some(self.buf.tokens[element].next)
-        })
-        .take(count)
+        std::iter::successors(Some(index + 1), |&element| Some(self.tokens[element].next))
+            .take(count)
     }
 
     /// The position, among `object`'s members, of the first one named
@@ -620,7 +565,7 @@ impl<'a> Tape<'a> {
     /// The tree of the value at `index`.  The recursion is as deep as the
     /// document's nesting, which [`Tape::parse`] capped.
     fn tree(&self, index: usize) -> JsonValue {
-        match self.buf.tokens[index].kind {
+        match self.tokens[index].kind {
             Kind::Null => JsonValue::Null,
             Kind::False => JsonValue::Bool(false),
             Kind::True => JsonValue::Bool(true),
@@ -709,6 +654,41 @@ mod tests {
             "\"bad \\q escape\"",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn syntax_errors_keep_their_text() {
+        // The server answers a malformed line with this text, so it is part
+        // of the wire; a byte the reader did not expect prints as a number.
+        for (bad, message) in [
+            ("", "unexpected value start None at byte 0"),
+            ("[1,", "unexpected value start None at byte 3"),
+            ("[1,@]", "unexpected value start Some(64) at byte 3"),
+            ("[1 2]", "expected `,` or `]`, got Some(50)"),
+            ("{\"a\":1 2}", "expected `,` or `}`, got Some(50)"),
+            ("{\"a\":1", "expected `,` or `}`, got None"),
+            ("{1:2}", "expected `\"` at byte 1"),
+            ("{\"a\" 1}", "expected `:` at byte 5"),
+            ("\"\\q\"", "bad escape at byte 2: Some(113)"),
+            ("\"\\", "bad escape at byte 2: None"),
+            ("\"abc", "unterminated string"),
+            (
+                "\"\\u12x\"",
+                "bad \\u escape: invalid digit found in string",
+            ),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\udc00\"", "bad \\u code point 0xdc00"),
+            ("-.", "bad number `-.` at byte 0"),
+            ("[1e+]", "bad number `1e+` at byte 1"),
+            ("nul", "bad literal at byte 0"),
+            ("1 2", "trailing input at byte 2"),
+            (
+                &"[".repeat(200),
+                "nested deeper than 128 levels at byte 128",
+            ),
+        ] {
+            assert_eq!(JsonValue::parse(bad), Err(message.to_owned()), "`{bad}`");
         }
     }
 
