@@ -642,27 +642,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "\"unterminated",
-            "{\"a\" 1}",
-            "{\"a\":1} trailing",
-            "01a",
-            "nulL",
-            "\"bad \\q escape\"",
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "accepted `{bad}`");
-        }
-    }
-
-    #[test]
-    fn syntax_errors_keep_their_text() {
         // The server answers a malformed line with this text, so it is part
         // of the wire; a byte the reader did not expect prints as a number.
         for (bad, message) in [
             ("", "unexpected value start None at byte 0"),
+            ("{", "expected `\"` at byte 1"),
             ("[1,", "unexpected value start None at byte 3"),
             ("[1,@]", "unexpected value start Some(64) at byte 3"),
             ("[1 2]", "expected `,` or `]`, got Some(50)"),
@@ -670,9 +654,9 @@ mod tests {
             ("{\"a\":1", "expected `,` or `}`, got None"),
             ("{1:2}", "expected `\"` at byte 1"),
             ("{\"a\" 1}", "expected `:` at byte 5"),
-            ("\"\\q\"", "bad escape at byte 2: Some(113)"),
+            ("\"unterminated", "unterminated string"),
+            ("\"bad \\q escape\"", "bad escape at byte 6: Some(113)"),
             ("\"\\", "bad escape at byte 2: None"),
-            ("\"abc", "unterminated string"),
             (
                 "\"\\u12x\"",
                 "bad \\u escape: invalid digit found in string",
@@ -681,8 +665,9 @@ mod tests {
             ("\"\\udc00\"", "bad \\u code point 0xdc00"),
             ("-.", "bad number `-.` at byte 0"),
             ("[1e+]", "bad number `1e+` at byte 1"),
-            ("nul", "bad literal at byte 0"),
-            ("1 2", "trailing input at byte 2"),
+            ("nulL", "bad literal at byte 0"),
+            ("01a", "trailing input at byte 2"),
+            ("{\"a\":1} trailing", "trailing input at byte 8"),
             (
                 &"[".repeat(200),
                 "nested deeper than 128 levels at byte 128",
