@@ -172,7 +172,7 @@ struct Token {
     escaped: bool,
     /// `Number`: the raw text's byte range in the source.  `Text`: the
     /// unescaped text's byte range.  `Object`: its members' range in
-    /// the tape's `members` index.  `Array`: `end` is the element count.
+    /// the tape's `members` index.  `Array`: unused.
     start: usize,
     end: usize,
     /// The index of the first token after this one's subtree.
@@ -207,15 +207,6 @@ fn filter_bit(sig: u64) -> u64 {
     1 << (sig >> 58)
 }
 
-/// An array or object the tokenizer has opened but not closed.
-struct Open {
-    token: usize,
-    object: bool,
-    /// Objects: where its members start on the pending stack.  Arrays: the
-    /// elements closed so far.
-    mark: usize,
-}
-
 /// A validated JSON document as a flat token list: the token of the
 /// top-level value first, every container's descendants after it in
 /// document order.
@@ -227,10 +218,8 @@ pub(crate) struct Tape<'a> {
     members: Vec<Member>,
     /// The unescaped text of every string with an escape in it.
     unescaped: String,
-    /// While tokenizing: the open containers, innermost last.
-    open: Vec<Open>,
-    /// While tokenizing: the members of every open object, innermost last.
-    pending: Vec<Member>,
+    /// While tokenizing: the tokens of the open containers, innermost last.
+    open: Vec<usize>,
 }
 
 /// Skips JSON whitespace from `pos`.
@@ -271,15 +260,16 @@ impl<'a> Tape<'a> {
     /// and `1.e5` parse, `1e`, `1e+`, `-` and `-.` do not.
     pub(crate) fn parse(source: &'a str) -> Result<Self, String> {
         let bytes = source.as_bytes();
+        // A record line holds about one token per 11 bytes and one member
+        // per 23, so both lists are reserved from the line's length, and
+        // capped so that a long line of whitespace or one huge string
+        // reserves little.
         let mut tape = Tape {
             source,
-            // About one token per ten bytes of compact JSON, capped so that
-            // a long line of whitespace or one huge string reserves little.
             tokens: Vec::with_capacity((source.len() / 10 + 2).min(1 << 16)),
-            members: Vec::new(),
+            members: Vec::with_capacity((source.len() / 20 + 1).min(1 << 15)),
             unescaped: String::new(),
             open: Vec::new(),
-            pending: Vec::new(),
         };
         let mut pos = skip_ws(bytes, 0);
         'value: loop {
@@ -296,14 +286,8 @@ impl<'a> Tape<'a> {
                     // `close` fills in the range and the subtree's end.
                     let token = tape.push(kind, false, 0..0);
                     pos = skip_ws(bytes, pos + 1);
-                    let empty = bytes.get(pos) == Some(if object { &b'}' } else { &b']' });
-                    let mark = if object { tape.pending.len() } else { 0 };
-                    tape.open.push(Open {
-                        token,
-                        object,
-                        mark,
-                    });
-                    if empty {
+                    tape.open.push(token);
+                    if bytes.get(pos) == Some(if object { &b'}' } else { &b']' }) {
                         pos += 1;
                         tape.close();
                     } else {
@@ -322,24 +306,19 @@ impl<'a> Tape<'a> {
             }
             // A value just ended: separate it from the next one, or close
             // the containers it ends.
-            while let Some(top) = tape.open.last_mut() {
+            while let Some(&top) = tape.open.last() {
                 pos = skip_ws(bytes, pos);
-                let close = if top.object { b'}' } else { b']' };
+                let object = tape.tokens[top].kind == Kind::Object;
+                let close = if object { b'}' } else { b']' };
                 match bytes.get(pos) {
                     Some(b',') => {
-                        if !top.object {
-                            top.mark += 1;
-                        }
                         pos = skip_ws(bytes, pos + 1);
-                        if top.object {
+                        if object {
                             pos = tape.read_key(pos)?;
                         }
                         continue 'value;
                     }
                     Some(&byte) if byte == close => {
-                        if !top.object {
-                            top.mark += 1;
-                        }
                         pos += 1;
                         tape.close();
                     }
@@ -372,19 +351,23 @@ impl<'a> Tape<'a> {
         index
     }
 
-    /// Closes the innermost open container: an object moves its members
-    /// from the pending stack into the member index.
+    /// Closes the innermost open container.  An object appends its members
+    /// to the member index: its first key follows its token, each key is
+    /// followed by its value, and each value's subtree by the next key.
     fn close(&mut self) {
-        let open = self.open.pop().expect("an open container");
+        let token = self.open.pop().expect("an open container");
         let next = self.tokens.len();
-        let token = &mut self.tokens[open.token];
-        token.next = next;
-        if open.object {
-            token.start = self.members.len();
-            self.members.extend(self.pending.drain(open.mark..));
-            token.end = self.members.len();
-        } else {
-            token.end = open.mark;
+        self.tokens[token].next = next;
+        if self.tokens[token].kind == Kind::Object {
+            let start = self.members.len();
+            let mut key = token + 1;
+            while key < next {
+                let sig = signature(self.text(key).as_bytes());
+                self.members.push(Member { sig, key });
+                key = self.tokens[key + 1].next;
+            }
+            self.tokens[token].start = start;
+            self.tokens[token].end = self.members.len();
         }
     }
 
@@ -396,9 +379,6 @@ impl<'a> Tape<'a> {
             return Err(format!("expected `\"` at byte {pos}"));
         }
         let pos = skip_ws(bytes, self.string(pos)?);
-        let key = self.tokens.len() - 1;
-        let sig = signature(self.text(key).as_bytes());
-        self.pending.push(Member { sig, key });
         if bytes.get(pos) != Some(&b':') {
             return Err(format!("expected `:` at byte {pos}"));
         }
@@ -515,14 +495,18 @@ impl<'a> Tape<'a> {
         }
     }
 
-    /// The element tokens of an `Array` token, in order.
+    /// The element tokens of an `Array` token, in order; none for any other
+    /// token.
     pub(crate) fn elements(&self, index: usize) -> impl Iterator<Item = usize> + '_ {
-        let count = match self.tokens[index].kind {
-            Kind::Array => self.tokens[index].end,
-            _ => 0,
+        let end = match self.tokens[index].kind {
+            Kind::Array => self.tokens[index].next,
+            _ => index + 1,
         };
-        std::iter::successors(Some(index + 1), |&element| Some(self.tokens[element].next))
-            .take(count)
+        let first = index + 1;
+        std::iter::successors((first < end).then_some(first), move |&element| {
+            let next = self.tokens[element].next;
+            (next < end).then_some(next)
+        })
     }
 
     /// The position, among `object`'s members, of the first one named
