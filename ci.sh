@@ -37,6 +37,9 @@
 #                           reborn node is healed by read-repair and
 #                           converged by `cluster repair`; idle-connection
 #                           reaping under --idle-timeout-secs)
+#  13. code size           (prints ROADMAP's "Code size" figure, the
+#                           non-test lines of crates/*/src and src, in total
+#                           and per crate; reported, never gating)
 #
 # Every cargo step except fmt passes --locked: a change that would rewrite
 # Cargo.lock or perfbench/Cargo.lock fails here instead of silently updating
@@ -531,5 +534,20 @@ wait "$NODE_C_PID"
 NODE_C_PID=""
 wait "$NODE_D_PID"
 NODE_D_PID=""
+
+echo "==> code size (non-test lines, reported only)"
+# The lines before each file's first #[cfg(test)], shims excluded.
+non_test_lines() {
+  find "$@" -name '*.rs' -not -path 'crates/shims/*' | sort \
+    | xargs awk 'FNR==1{stop=0} /#\[cfg\(test\)\]/{stop=1} !stop{n++} END{print n}'
+}
+code_size() {
+  echo "total $(non_test_lines crates/*/src src)"
+  for dir in crates/*/src src; do
+    local name="${dir%/src}"
+    echo "  ${name#crates/} $(non_test_lines "$dir")"
+  done
+}
+code_size || echo "code size: not counted"
 
 echo "ci.sh: all checks passed"

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use srra_dfg::{Storage, StorageMap};
 use srra_ir::RefId;
@@ -32,11 +34,14 @@ impl ReplacementMode {
 }
 
 /// The allocation decision for a single reference group.
+///
+/// The array name and the rendered reference are shared with the
+/// [`ReuseSummary`] the decision was made from, not copied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RefAllocation {
     ref_id: RefId,
-    array_name: String,
-    rendered: String,
+    array_name: Arc<str>,
+    rendered: Arc<str>,
     registers_full: u64,
     beta: u64,
     mode: ReplacementMode,
@@ -44,10 +49,11 @@ pub struct RefAllocation {
 
 impl RefAllocation {
     pub(crate) fn new(summary: &ReuseSummary, beta: u64, mode: ReplacementMode) -> Self {
+        let (array_name, rendered) = summary.shared_names();
         Self {
             ref_id: summary.ref_id(),
-            array_name: summary.array_name().to_owned(),
-            rendered: summary.rendered().to_owned(),
+            array_name,
+            rendered,
             registers_full: summary.registers_full(),
             beta,
             mode,

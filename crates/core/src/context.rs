@@ -2,11 +2,11 @@
 //!
 //! Every layer of the pipeline — the allocators, the cost model, the
 //! exploration engine, the bench harness, the CLI — needs the same derived
-//! artifacts for a kernel: its [`ReuseAnalysis`], its [`DataFlowGraph`] and the
-//! baseline critical-path analysis.  (The reference table needs no slot: the
-//! [`Kernel`] builds it once, on construction.)  Before [`CompiledKernel`]
-//! existed each call site re-derived them, so a sweep over N design points of
-//! one kernel paid for N analyses.
+//! artifacts for a kernel: its [`ReuseAnalysis`], its [`DataFlowGraph`], the
+//! baseline critical-path analysis and CPA-RA's starting cut set.  (The
+//! reference table needs no slot: the [`Kernel`] builds it once, on
+//! construction.)  Before [`CompiledKernel`] existed each call site re-derived
+//! them, so a sweep over N design points of one kernel paid for N analyses.
 //!
 //! A [`CompiledKernel`] bundles the kernel with [`OnceLock`]-memoized slots for
 //! each artifact: the first accessor call computes, every later call (from any
@@ -30,6 +30,8 @@ use srra_dfg::{CriticalPathAnalysis, DataFlowGraph, LatencyModel, StorageMap};
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
+use crate::cpa_ra::Candidate;
+
 /// A kernel plus lazily-memoized analysis artifacts, shared across the pipeline.
 ///
 /// The memoized artifacts are exactly the allocation-*independent* ones:
@@ -41,18 +43,25 @@ use srra_reuse::ReuseAnalysis;
 ///   `srra-fpga`'s `HardwareDesign::evaluate_on_dfg`), so a sweep builds it
 ///   once per kernel rather than several times per design point,
 /// * [`CompiledKernel::critical_path`] — the baseline critical-path analysis
-///   (default latency model, every reference in RAM), the starting point of
-///   CPA-RA and of the Graphviz dumps.
+///   (default latency model, every reference in RAM), which the Graphviz
+///   dumps highlight,
+/// * CPA-RA's starting cut set — the candidate cuts of the critical graph at
+///   one register per reference, where every CPA-RA allocation starts whatever
+///   its budget.  It is filled by the first registry `cpa` allocation that
+///   spends a register beyond that, not from [`CompiledKernel::critical_path`]:
+///   one register already fully replaces a reference whose `R` is 1, so that
+///   state's storage is not all-RAM.
 ///
-/// Allocation-*dependent* artifacts (storage maps, per-iteration critical
-/// graphs inside CPA-RA) are recomputed as before; memoizing them would change
-/// results as the allocator iterates.
+/// Allocation-*dependent* artifacts (storage maps, and the critical graphs of
+/// CPA-RA's later iterations) are recomputed on every allocation; memoizing
+/// them would change results as the allocator iterates.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     kernel: Kernel,
     analysis: OnceLock<ReuseAnalysis>,
     dfg: OnceLock<DataFlowGraph>,
     critical: OnceLock<CriticalPathAnalysis>,
+    starting_cuts: OnceLock<Vec<Candidate>>,
 }
 
 impl CompiledKernel {
@@ -63,6 +72,7 @@ impl CompiledKernel {
             analysis: OnceLock::new(),
             dfg: OnceLock::new(),
             critical: OnceLock::new(),
+            starting_cuts: OnceLock::new(),
         }
     }
 
@@ -105,6 +115,12 @@ impl CompiledKernel {
         self.critical.get_or_init(|| {
             CriticalPathAnalysis::new(self.dfg(), &LatencyModel::default(), &StorageMap::all_ram())
         })
+    }
+
+    /// The slot for CPA-RA's candidate cuts at one register per reference,
+    /// which the CPA-RA loop fills on its first iteration.
+    pub(crate) fn starting_cuts(&self) -> &OnceLock<Vec<Candidate>> {
+        &self.starting_cuts
     }
 
     /// Whether the reuse analysis has been computed (or seeded) already.

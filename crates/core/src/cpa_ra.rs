@@ -1,6 +1,7 @@
 //! CPA-RA — Critical-Path-Aware Register Allocation (the paper's proposal).
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use srra_dfg::{find_cuts, CriticalPathAnalysis, DataFlowGraph, LatencyModel, Storage, StorageMap};
 use srra_ir::{Kernel, RefId};
@@ -13,7 +14,8 @@ use crate::registry::{AllocatorRef, CRITICAL_PATH_AWARE};
 
 /// A candidate cut: its reference groups and the registers still needed to fully
 /// replace all of them.
-struct Candidate {
+#[derive(Debug, Clone)]
+pub(crate) struct Candidate {
     refs: Vec<RefId>,
     additional_registers: u64,
 }
@@ -81,12 +83,15 @@ fn select(candidates: &[Candidate]) -> Option<&Candidate> {
     })
 }
 
-/// CPA-RA over a prebuilt data-flow graph: the registry entry passes a
-/// [`crate::CompiledKernel`]'s memoized graph, [`critical_path_aware`] a fresh one.
+/// CPA-RA over a prebuilt data-flow graph and a slot for the candidate cuts of
+/// its starting state: the registry entry passes a [`crate::CompiledKernel`]'s
+/// memoized graph and slot, [`critical_path_aware`] a fresh graph and an empty
+/// slot.
 pub(crate) fn critical_path_aware_on_dfg(
     kernel: &Kernel,
     analysis: &ReuseAnalysis,
     dfg: &DataFlowGraph,
+    starting: &OnceLock<Vec<Candidate>>,
     budget: u64,
 ) -> Result<RegisterAllocation, AllocError> {
     check_budget(analysis, budget)?;
@@ -96,9 +101,20 @@ pub(crate) fn critical_path_aware_on_dfg(
     let mut remaining = budget - analysis.len() as u64;
     let latency = LatencyModel::default();
 
+    // Every budget starts from the same β, so the first iteration's cuts come
+    // from `starting`, computed once per slot; each later iteration
+    // enumerates the cuts of its own state.
+    let mut starting = Some(starting);
     while remaining > 0 {
-        let candidates = candidates(dfg, analysis, &betas, &latency);
-        let Some(best) = select(&candidates) else {
+        let fresh;
+        let candidates = match starting.take() {
+            Some(slot) => slot.get_or_init(|| candidates(dfg, analysis, &betas, &latency)),
+            None => {
+                fresh = candidates(dfg, analysis, &betas, &latency);
+                &fresh
+            }
+        };
+        let Some(best) = select(candidates) else {
             break;
         };
 
@@ -170,6 +186,12 @@ pub(crate) fn critical_path_aware_on_dfg(
 /// among its references (partial replacement), and the algorithm stops when either the
 /// budget or the improvable cuts run out.
 ///
+/// This function builds the data-flow graph and enumerates the first iteration's cuts
+/// afresh on every call.  The registry's `cpa` entry runs the same loop over a
+/// [`crate::CompiledKernel`], which memoizes both: every budget starts from one register
+/// per reference, so a sweep over a kernel's budgets enumerates that starting cut set
+/// once.
+///
 /// # Errors
 ///
 /// Same as [`crate::full_reuse`]: [`AllocError::EmptyKernel`] and
@@ -203,6 +225,7 @@ pub fn critical_path_aware(
         kernel,
         analysis,
         &DataFlowGraph::from_kernel(kernel),
+        &OnceLock::new(),
         budget,
     )
 }

@@ -335,6 +335,7 @@ builtin_allocator!(
         kernel.kernel(),
         kernel.analysis(),
         kernel.dfg(),
+        kernel.starting_cuts(),
         budget,
     )
 );

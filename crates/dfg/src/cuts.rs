@@ -13,6 +13,7 @@
 //! critical graphs of loop bodies are tiny, and the search is additionally capped.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::critical::CriticalGraph;
 use crate::graph::{DataFlowGraph, NodeId};
@@ -72,12 +73,26 @@ fn minimise(cg: &CriticalGraph, cut: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
     minimal
 }
 
+/// Process-wide count of cut enumerations, see [`cut_enumerations`].
+static CUT_ENUMERATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// The number of [`find_cuts`] calls made by this process so far.
+///
+/// Instrumentation for the memoization regression tests: an allocation that reuses a
+/// memoized starting cut set enumerates one set fewer than one that starts afresh.
+/// The counter is monotonic, so tests must compare deltas, not absolute values.
+#[doc(hidden)]
+pub fn cut_enumerations() -> usize {
+    CUT_ENUMERATIONS.load(Ordering::Relaxed)
+}
+
 /// Enumerates the minimal reference-node cuts of the critical graph.
 ///
 /// Returns an empty vector when some critical path contains no reference node at all
 /// (in that case no register allocation can shorten the critical path).  Cuts are
 /// returned sorted by size, then lexicographically, so the output is deterministic.
 pub fn find_cuts(dfg: &DataFlowGraph, cg: &CriticalGraph) -> Vec<Cut> {
+    CUT_ENUMERATIONS.fetch_add(1, Ordering::Relaxed);
     let reference_nodes: BTreeSet<NodeId> = cg
         .nodes()
         .iter()

@@ -51,6 +51,8 @@ mod latency;
 #[doc(hidden)]
 pub use build::dfg_builds;
 pub use critical::{CriticalGraph, CriticalPathAnalysis};
+#[doc(hidden)]
+pub use cuts::cut_enumerations;
 pub use cuts::{find_cuts, Cut};
 pub use dot::to_dot;
 pub use graph::{DataFlowGraph, Node, NodeId, NodeKind};

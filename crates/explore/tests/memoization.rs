@@ -1,15 +1,18 @@
 //! Regression test for the `CompiledKernel` memoization contract: an explore
 //! sweep over N design points of one kernel performs exactly one reuse
 //! analysis and builds exactly one data-flow graph, which the allocators and
-//! the cost model share.
+//! the cost model share, and CPA-RA enumerates its starting cut set once per
+//! kernel rather than once per allocation.
 //!
-//! The test instruments `srra_reuse::analysis_runs()` and
-//! `srra_dfg::dfg_builds()`, process-wide counters bumped by every
-//! `ReuseAnalysis::of` and `DataFlowGraph::from_kernel` call.  It lives in its
-//! own integration test binary (one `#[test]`) so no concurrently running test
-//! can touch the counters between the deltas.
+//! The test instruments `srra_reuse::analysis_runs()`,
+//! `srra_dfg::dfg_builds()` and `srra_dfg::cut_enumerations()`, process-wide
+//! counters bumped by every `ReuseAnalysis::of`, `DataFlowGraph::from_kernel`
+//! and `find_cuts` call.  It lives in its own integration test binary (one
+//! `#[test]`) so no concurrently running test can touch the counters between
+//! the deltas.
 
-use srra_dfg::dfg_builds;
+use srra_core::{AllocatorRegistry, CompiledKernel};
+use srra_dfg::{cut_enumerations, dfg_builds};
 use srra_explore::{DesignSpace, Explorer, MemoryStore};
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
@@ -29,6 +32,7 @@ fn one_reuse_analysis_per_kernel_per_sweep() {
     let mut store = MemoryStore::new();
     let cold = Explorer::new(4).explore(&space, &mut store).unwrap();
     let (after_cold, dfgs_after_cold) = (analysis_runs(), dfg_builds());
+    let cuts_after_cold = cut_enumerations();
     assert_eq!(cold.evaluated, 24);
     assert_eq!(
         after_cold - before,
@@ -54,6 +58,34 @@ fn one_reuse_analysis_per_kernel_per_sweep() {
         dfg_builds(),
         dfgs_after_cold,
         "a fully cached re-run must not build a DFG at all"
+    );
+    assert_eq!(
+        cut_enumerations(),
+        cuts_after_cold,
+        "a fully cached re-run must not enumerate a cut set at all"
+    );
+
+    // CPA-RA starts every budget from one register per reference, so a kernel
+    // that has allocated once reuses that state's cut set: the same allocation
+    // enumerates exactly one set fewer than on a fresh kernel.
+    let cpa = AllocatorRegistry::global().get("cpa").unwrap();
+    let before_fresh = cut_enumerations();
+    cpa.allocate(&CompiledKernel::new(paper_example()), 64)
+        .unwrap();
+    let fresh = cut_enumerations() - before_fresh;
+    let allocated_once = CompiledKernel::new(paper_example());
+    cpa.allocate(&allocated_once, 32).unwrap();
+    let before_memoized = cut_enumerations();
+    cpa.allocate(&allocated_once, 64).unwrap();
+    let memoized = cut_enumerations() - before_memoized;
+    assert!(
+        fresh >= 1,
+        "CPA-RA at budget 64 enumerates at least one cut set"
+    );
+    assert_eq!(
+        memoized + 1,
+        fresh,
+        "an allocation on a kernel that has allocated once must reuse its starting cut set"
     );
 
     // Multi-kernel spaces scale the bound linearly: one analysis and one DFG

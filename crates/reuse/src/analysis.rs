@@ -1,5 +1,7 @@
 //! Whole-kernel reuse analysis: one [`ReuseSummary`] per reference group.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use srra_ir::{ArrayId, Kernel, LoopId, RefId};
 
@@ -15,8 +17,8 @@ use crate::savings::AccessCounts;
 pub struct ReuseSummary {
     ref_id: RefId,
     array: ArrayId,
-    array_name: String,
-    rendered: String,
+    array_name: Arc<str>,
+    rendered: Arc<str>,
     invariant_loops: Vec<LoopId>,
     reuse_loop: Option<LoopId>,
     registers_full: u64,
@@ -43,6 +45,13 @@ impl ReuseSummary {
     /// The reference rendered as `name[subscripts]` with the kernel's loop names.
     pub fn rendered(&self) -> &str {
         &self.rendered
+    }
+
+    /// [`ReuseSummary::array_name`] and [`ReuseSummary::rendered`] as shared
+    /// strings, for results that keep both beside the analysis without copying
+    /// their text.
+    pub fn shared_names(&self) -> (Arc<str>, Arc<str>) {
+        (Arc::clone(&self.array_name), Arc::clone(&self.rendered))
     }
 
     /// Loops carrying temporal reuse for the reference, outermost first.
@@ -146,8 +155,8 @@ impl ReuseAnalysis {
                 ReuseSummary {
                     ref_id: info.id(),
                     array: info.array(),
-                    array_name: info.array_name().to_owned(),
-                    rendered: info.render(&loop_names),
+                    array_name: info.array_name().into(),
+                    rendered: info.render(&loop_names).into(),
                     invariant_loops: invariant_loops(info, nest),
                     reuse_loop: reuse_loop(info, nest),
                     registers_full: registers_for_full_replacement(info, nest),
