@@ -17,12 +17,14 @@
 #                           raw-socket mget sent canonical and scrambled
 #                           (reordered, spaced, an escaped name, an unknown
 #                           member, trace first) that must get byte-identical
-#                           replies, and the same ops over the binary wire
-#                           codec)
+#                           replies, the same ops over the binary wire
+#                           codec, and a malformed --trace id refused with
+#                           exit 1 before any connection opens)
 #   8. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary, the connection flag before and after
-#                           the op; both nodes must receive traffic)
+#                           the op; both nodes must receive traffic; a
+#                           malformed --trace id fails as in step 7)
 #   9. metrics smoke test  (traffic-driven telemetry scrape: JSON snapshot
 #                           with non-zero counters + well-formed Prometheus
 #                           exposition, folded into the steps above)
@@ -228,6 +230,21 @@ grep -q 'slow-query.*trace=ci.trace.1.*spans=' "$SMOKE_DIR/serve.err" \
 # ...and an unknown id answers an empty waterfall, not an error.
 "$SRRA" query --addr "$ADDR" trace ci.never.sent \
   | grep -q 'no spans retained' || { echo "trace smoke: unknown id"; exit 1; }
+# A malformed --trace id is refused before dialing: exit 1 with a text that
+# names the id, and the node's connection count rises only by the follow-up
+# stats call's own connection.
+BAD_TRACE_TEXT='error: invalid trace id `bad id`: want 1..=64 bytes of [A-Za-z0-9._-]'
+connections() {
+  "$SRRA" query --addr "$ADDR" stats | sed -n 's/.*"connections":\([0-9]*\).*/\1/p'
+}
+CONNECTIONS_BEFORE="$(connections)"
+STATUS=0
+"$SRRA" query --addr "$ADDR" --trace "bad id" stats > "$SMOKE_DIR/bad-trace.out" 2>&1 \
+  || STATUS=$?
+[ "$STATUS" -eq 1 ] && grep -Fqx "$BAD_TRACE_TEXT" "$SMOKE_DIR/bad-trace.out" \
+  || { echo "trace smoke: bad --trace id (exit $STATUS)"; cat "$SMOKE_DIR/bad-trace.out"; exit 1; }
+[ "$(connections)" -eq $((CONNECTIONS_BEFORE + 1)) ] \
+  || { echo "trace smoke: a bad --trace id opened a connection"; exit 1; }
 # Metrics smoke: after the mixed get/mget/mexplore traffic above, the JSON
 # snapshot reports non-zero serve counters and the exploration-stage globals.
 METRICS_OUT="$SMOKE_DIR/metrics.json"
@@ -376,6 +393,13 @@ grep -q '^mexplore +' "$CLUSTER_TRACE_OUT" \
   || { echo "cluster smoke: routed root span missing"; exit 1; }
 grep -q '^  engine.allocation +' "$CLUSTER_TRACE_OUT" \
   || { echo "cluster smoke: engine stage child missing"; exit 1; }
+# A malformed --trace id fails before any node is dialed, with the text
+# `srra query` prints.
+STATUS=0
+"$SRRA" cluster --nodes "$NODES" --trace "bad id" stats \
+  > "$SMOKE_DIR/cluster-bad-trace.out" 2>&1 || STATUS=$?
+[ "$STATUS" -eq 1 ] && grep -Fqx "$BAD_TRACE_TEXT" "$SMOKE_DIR/cluster-bad-trace.out" \
+  || { echo "cluster smoke: bad --trace id (exit $STATUS)"; cat "$SMOKE_DIR/cluster-bad-trace.out"; exit 1; }
 # Graceful shutdown of both nodes.
 "$SRRA" query --addr "$ADDR_A" shutdown | grep -q '"shutting_down":true'
 "$SRRA" query --addr "$ADDR_B" shutdown | grep -q '"shutting_down":true'

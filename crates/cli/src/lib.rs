@@ -36,8 +36,8 @@ use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
 use srra_serve::{
-    Connection, QueryPoint, Request, Response, Server, ServerConfig, ShardedStore, SnapshotDelta,
-    Span,
+    valid_trace_id, ClientError, Connection, QueryPoint, Request, Response, Server, ServerConfig,
+    ShardedStore, SnapshotDelta, Span,
 };
 
 /// Usage text printed for `srra help` and on argument errors.
@@ -671,7 +671,14 @@ fn take_connection_flags<'a>(
     while let Some(arg) = flags.next() {
         match arg {
             "--binary" => conn.binary = true,
-            "--trace" => conn.trace = Some(flags.value(arg)?.to_owned()),
+            "--trace" => {
+                let id = flags.value(arg)?;
+                if !valid_trace_id(id) {
+                    let invalid = ClientError::InvalidTrace(id.to_owned());
+                    return Err(CliError(invalid.to_string()));
+                }
+                conn.trace = Some(id.to_owned());
+            }
             "--timeout-ms" => {
                 let ms = flags.number(arg, 0)?;
                 conn.timeout = Some((ms > 0).then(|| std::time::Duration::from_millis(ms)));
@@ -2071,6 +2078,17 @@ mod tests {
                 "--trace needs a value".into(),
             ),
             (
+                &[
+                    "query",
+                    "--addr",
+                    "127.0.0.1:9",
+                    "--trace",
+                    "bad id",
+                    "stats",
+                ],
+                "invalid trace id `bad id`: want 1..=64 bytes of [A-Za-z0-9._-]".into(),
+            ),
+            (
                 &["query", "--addr", "127.0.0.1:9", "metrics", "--bogus"],
                 "query metrics takes only --prom, got `--bogus`".into(),
             ),
@@ -2128,6 +2146,17 @@ mod tests {
             (
                 &["cluster", "--nodes", "127.0.0.1:9", "mget", "--bogus"],
                 "unknown query explore flag `--bogus`".into(),
+            ),
+            (
+                &[
+                    "cluster",
+                    "--nodes",
+                    "127.0.0.1:9",
+                    "--trace",
+                    "bad id",
+                    "stats",
+                ],
+                "invalid trace id `bad id`: want 1..=64 bytes of [A-Za-z0-9._-]".into(),
             ),
             (
                 &["cluster", "--nodes", "127.0.0.1:9", "frobnicate"],

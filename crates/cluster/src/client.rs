@@ -517,12 +517,9 @@ impl ClusterClient {
     /// [`srra_serve::TRACE_MAX_LEN`] bytes, or contain characters outside
     /// `[A-Za-z0-9._-]`.
     pub fn set_trace(&mut self, trace: Option<&str>) -> Result<(), ClusterError> {
-        if let Some(id) = trace {
-            if !valid_trace_id(id) {
-                return Err(ClusterError::Config(format!(
-                    "invalid trace id `{id}`: want 1-64 bytes of [A-Za-z0-9._-]"
-                )));
-            }
+        if let Some(id) = trace.filter(|id| !valid_trace_id(id)) {
+            let invalid = ClientError::InvalidTrace(id.to_owned());
+            return Err(ClusterError::Config(invalid.to_string()));
         }
         for node in &mut self.nodes {
             node.trace = trace.map(str::to_owned);

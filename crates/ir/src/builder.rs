@@ -28,6 +28,12 @@ pub struct ExprHandle {
 /// validation is deferred to [`KernelBuilder::build`], which runs the full
 /// [`crate::validate_kernel`] checks.
 ///
+/// The arena is shallow: an operator records the handles of its operands, and
+/// [`KernelBuilder::build`] assembles each statement's [`Expr`] tree once, moving
+/// every node into its parent.  Handles may be shared, so the handles form a DAG while
+/// the built body is a tree: a handle consumed twice, as in `b.add(x, x)` or by two
+/// statements, yields two equal subtrees.
+///
 /// # Example
 ///
 /// ```
@@ -55,9 +61,43 @@ pub struct KernelBuilder {
     name: String,
     loops: RefCell<Vec<Loop>>,
     arrays: RefCell<Vec<ArrayDecl>>,
-    arena: RefCell<Vec<Expr>>,
-    statements: RefCell<Vec<Statement>>,
+    arena: RefCell<Vec<Slot>>,
+    statements: RefCell<Vec<(StoreTarget, usize)>>,
     deferred_error: RefCell<Option<IrError>>,
+}
+
+/// One arena entry: a node and the number of times its handle was consumed.
+#[derive(Debug)]
+struct Slot {
+    node: Node,
+    uses: usize,
+}
+
+/// A shallow expression node; operators name their operands by arena index.
+#[derive(Debug)]
+enum Node {
+    /// A leaf operand, or during [`KernelBuilder::build`] the assembled tree of an
+    /// entry with consumers left.
+    Expr(Expr),
+    Binary(BinOp, usize, usize),
+    Unary(UnOp, usize),
+}
+
+/// Assembles the tree of arena entry `index` for one of its consumers.  The last
+/// consumer takes the tree; an earlier one leaves a copy for those still to come.
+fn assemble(arena: &mut [Slot], index: usize) -> Expr {
+    let node = std::mem::replace(&mut arena[index].node, Node::Expr(Expr::IntConst(0)));
+    let expr = match node {
+        Node::Expr(expr) => expr,
+        Node::Binary(op, lhs, rhs) => Expr::binary(op, assemble(arena, lhs), assemble(arena, rhs)),
+        Node::Unary(op, operand) => Expr::unary(op, assemble(arena, operand)),
+    };
+    let slot = &mut arena[index];
+    slot.uses -= 1;
+    if slot.uses > 0 {
+        slot.node = Node::Expr(expr.clone());
+    }
+    expr
 }
 
 impl KernelBuilder {
@@ -113,55 +153,58 @@ impl KernelBuilder {
         AffineExpr::constant(value)
     }
 
-    fn push(&self, expr: Expr) -> ExprHandle {
+    fn push(&self, node: Node) -> ExprHandle {
         let mut arena = self.arena.borrow_mut();
         let index = arena.len();
-        arena.push(expr);
+        arena.push(Slot { node, uses: 0 });
         ExprHandle {
             index,
             builder: self.id,
         }
     }
 
-    fn resolve(&self, handle: ExprHandle) -> Expr {
-        if handle.builder != self.id || handle.index >= self.arena.borrow().len() {
-            self.deferred_error
-                .borrow_mut()
-                .get_or_insert(IrError::ForeignHandle);
-            return Expr::IntConst(0);
+    /// Counts one consumer of `handle` and returns its arena index.  A foreign
+    /// handle is recorded for [`KernelBuilder::build`] to refuse.
+    fn consume(&self, handle: ExprHandle) -> usize {
+        let mut arena = self.arena.borrow_mut();
+        match arena.get_mut(handle.index) {
+            Some(slot) if handle.builder == self.id => slot.uses += 1,
+            _ => {
+                self.deferred_error
+                    .borrow_mut()
+                    .get_or_insert(IrError::ForeignHandle);
+            }
         }
-        self.arena.borrow()[handle.index].clone()
+        handle.index
     }
 
     /// A read of `array` at the given affine subscripts.
     pub fn read(&self, array: ArrayId, subscripts: &[AffineExpr]) -> ExprHandle {
-        self.push(Expr::ArrayAccess(ArrayRef::new(
+        self.push(Node::Expr(Expr::ArrayAccess(ArrayRef::new(
             array,
             subscripts.to_vec(),
             AccessKind::Read,
-        )))
+        ))))
     }
 
     /// An integer literal operand.
     pub fn int(&self, value: i64) -> ExprHandle {
-        self.push(Expr::IntConst(value))
+        self.push(Node::Expr(Expr::IntConst(value)))
     }
 
     /// A use of a scalar temporary defined by an earlier [`KernelBuilder::define`].
     pub fn scalar(&self, name: impl Into<String>) -> ExprHandle {
-        self.push(Expr::Scalar(name.into()))
+        self.push(Node::Expr(Expr::Scalar(name.into())))
     }
 
     /// The current value of a loop induction variable as an operand.
     pub fn loop_index(&self, loop_id: LoopId) -> ExprHandle {
-        self.push(Expr::LoopIndex(loop_id))
+        self.push(Node::Expr(Expr::LoopIndex(loop_id)))
     }
 
     /// A binary operation over two previously built expressions.
     pub fn binary(&self, op: BinOp, lhs: ExprHandle, rhs: ExprHandle) -> ExprHandle {
-        let lhs = self.resolve(lhs);
-        let rhs = self.resolve(rhs);
-        self.push(Expr::binary(op, lhs, rhs))
+        self.push(Node::Binary(op, self.consume(lhs), self.consume(rhs)))
     }
 
     /// Shorthand for [`BinOp::Add`].
@@ -181,25 +224,23 @@ impl KernelBuilder {
 
     /// A unary operation over a previously built expression.
     pub fn unary(&self, op: UnOp, operand: ExprHandle) -> ExprHandle {
-        let operand = self.resolve(operand);
-        self.push(Expr::unary(op, operand))
+        self.push(Node::Unary(op, self.consume(operand)))
     }
 
     /// Appends a statement storing `value` into `array[subscripts]`.
     pub fn store(&self, array: ArrayId, subscripts: &[AffineExpr], value: ExprHandle) {
-        let value = self.resolve(value);
-        self.statements.borrow_mut().push(Statement::new(
-            StoreTarget::Array(ArrayRef::new(array, subscripts.to_vec(), AccessKind::Write)),
-            value,
-        ));
+        let target =
+            StoreTarget::Array(ArrayRef::new(array, subscripts.to_vec(), AccessKind::Write));
+        let value = self.consume(value);
+        self.statements.borrow_mut().push((target, value));
     }
 
     /// Appends a statement defining a scalar temporary usable by later statements.
     pub fn define(&self, name: impl Into<String>, value: ExprHandle) {
-        let value = self.resolve(value);
+        let value = self.consume(value);
         self.statements
             .borrow_mut()
-            .push(Statement::new(StoreTarget::Scalar(name.into()), value));
+            .push((StoreTarget::Scalar(name.into()), value));
     }
 
     /// Number of statements added so far.
@@ -207,7 +248,8 @@ impl KernelBuilder {
         self.statements.borrow().len()
     }
 
-    /// Finalises the kernel, running full validation.
+    /// Finalises the kernel: assembles each statement's expression tree once, then
+    /// runs full validation.
     ///
     /// # Errors
     ///
@@ -217,7 +259,14 @@ impl KernelBuilder {
         if let Some(err) = self.deferred_error.into_inner() {
             return Err(err);
         }
-        let nest = LoopNest::new(self.loops.into_inner(), self.statements.into_inner())?;
+        let mut arena = self.arena.into_inner();
+        let body = self
+            .statements
+            .into_inner()
+            .into_iter()
+            .map(|(target, value)| Statement::new(target, assemble(&mut arena, value)))
+            .collect();
+        let nest = LoopNest::new(self.loops.into_inner(), body)?;
         Kernel::new(self.name, self.arrays.into_inner(), nest)
     }
 }
@@ -254,6 +303,29 @@ mod tests {
         let use_foreign = b.add(foreign, b.int(2));
         b.store(a, &[b.idx(i)], use_foreign);
         assert_eq!(b.build().unwrap_err(), IrError::ForeignHandle);
+    }
+
+    #[test]
+    fn a_long_chained_reduction_builds_its_hand_written_tree() {
+        const TERMS: i64 = 300;
+        let b = KernelBuilder::new("chain");
+        let i = b.add_loop("i", 4);
+        let x = b.add_array("x", &[4 + TERMS as u64], 16);
+        let y = b.add_array("y", &[4], 32);
+        let mut acc = b.read(x, &[b.idx(i)]);
+        for k in 1..TERMS {
+            acc = b.add(acc, b.read(x, &[b.scaled_idx(i, 1, k)]));
+        }
+        b.store(y, &[b.idx(i)], acc);
+        let kernel = b.build().unwrap();
+
+        let tap = |k| {
+            let subscript = AffineExpr::index(i).with_constant(k);
+            Expr::array(ArrayRef::new(x, vec![subscript], AccessKind::Read))
+        };
+        let chain = (1..TERMS).fold(tap(0), |acc, k| Expr::add(acc, tap(k)));
+        assert_eq!(kernel.nest().body()[0].value(), &chain);
+        assert_eq!(kernel.reference_table().len(), TERMS as usize + 1);
     }
 
     #[test]

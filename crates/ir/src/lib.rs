@@ -11,9 +11,11 @@
 //! * [`Loop`] / [`LoopNest`] — a perfect nest of counted loops,
 //! * [`AffineExpr`] — an affine function of loop indices,
 //! * [`ArrayDecl`] / [`ArrayRef`] — array variables and their subscripted references,
-//! * [`Expr`] / [`Statement`] — the expression DAG forming the loop body,
+//! * [`Expr`] / [`Statement`] — the loop body, one expression tree per statement,
 //! * [`Kernel`] — a named, validated loop nest with its array declarations,
-//! * [`KernelBuilder`] — an ergonomic builder used by `srra-kernels` and by user code.
+//! * [`KernelBuilder`] — an ergonomic builder used by `srra-kernels` and by user code;
+//!   its expression handles may be shared, so they form a DAG that `build()` copies
+//!   into the statements' trees.
 //!
 //! # Example
 //!

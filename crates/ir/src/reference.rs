@@ -123,10 +123,10 @@ impl ReferenceTable {
     /// Builds the reference table of a kernel.
     pub fn build(kernel: &Kernel) -> Self {
         let mut table = ReferenceTable::default();
-        let mut index: HashMap<(ArrayId, Vec<AffineExpr>), RefId> = HashMap::new();
+        let mut index: HashMap<(ArrayId, &[AffineExpr]), RefId> = HashMap::new();
         for (stmt_idx, stmt) in kernel.nest().body().iter().enumerate() {
             for array_ref in stmt.array_refs() {
-                let key = (array_ref.array(), array_ref.subscripts().to_vec());
+                let key = (array_ref.array(), array_ref.subscripts());
                 let id = *index.entry(key).or_insert_with(|| {
                     let id = RefId::new(table.refs.len());
                     let array_name = kernel

@@ -28,7 +28,7 @@ pub fn validate_kernel(kernel: &Kernel) -> Result<(), IrError> {
 
     let mut loop_names = HashSet::new();
     for l in kernel.nest().loops() {
-        if !loop_names.insert(l.name().to_owned()) {
+        if !loop_names.insert(l.name()) {
             return Err(IrError::DuplicateLoop {
                 name: l.name().to_owned(),
             });
@@ -37,7 +37,7 @@ pub fn validate_kernel(kernel: &Kernel) -> Result<(), IrError> {
 
     let mut array_names = HashSet::new();
     for a in kernel.arrays() {
-        if !array_names.insert(a.name().to_owned()) {
+        if !array_names.insert(a.name()) {
             return Err(IrError::DuplicateArray {
                 name: a.name().to_owned(),
             });
@@ -67,7 +67,7 @@ pub fn validate_kernel(kernel: &Kernel) -> Result<(), IrError> {
                 });
             }
             for (dim, subscript) in array_ref.subscripts().iter().enumerate() {
-                for loop_id in subscript.used_loops() {
+                for (loop_id, _) in subscript.terms() {
                     if loop_id.index() >= depth {
                         return Err(IrError::UnknownLoop {
                             loop_id: loop_id.index(),

@@ -14,7 +14,7 @@
 //! register per element of the *inner* footprint, which is exactly the working set that
 //! must stay live across one iteration of that loop.
 
-use srra_ir::{LoopId, LoopNest, RefInfo};
+use srra_ir::{Loop, LoopId, LoopNest, RefInfo};
 
 /// Returns the loops whose index does **not** appear in any subscript of the reference,
 /// outermost first.
@@ -41,18 +41,21 @@ pub fn invariant_loops(reference: &RefInfo, nest: &LoopNest) -> Vec<LoopId> {
 /// the dense affine references of the evaluation kernels and a safe over-approximation
 /// for strided references.
 pub fn footprint(reference: &RefInfo, nest: &LoopNest, from_depth: usize) -> u64 {
-    let restricted_trips: Vec<u64> = nest
-        .trip_counts()
-        .iter()
-        .enumerate()
-        .map(|(depth, &trip)| if depth >= from_depth { trip } else { 1 })
-        .collect();
     reference
         .subscripts()
         .iter()
         .map(|subscript| {
-            let (lo, hi) = subscript.range(&restricted_trips);
-            (hi - lo + 1).max(1) as u64
+            // `hi - lo` of the subscript's range with the loops outside `from_depth`
+            // fixed: each loop inside adds |coefficient| × (trip count − 1).
+            let spread: i64 = subscript
+                .terms()
+                .filter(|(loop_id, _)| loop_id.index() >= from_depth)
+                .map(|(loop_id, coeff)| {
+                    let trip = nest.loop_at(loop_id).map_or(1, Loop::trip_count);
+                    (coeff * trip.saturating_sub(1) as i64).abs()
+                })
+                .sum();
+            (spread + 1) as u64
         })
         .fold(1u64, |acc, extent| acc.saturating_mul(extent))
 }
@@ -62,7 +65,7 @@ pub fn footprint(reference: &RefInfo, nest: &LoopNest, from_depth: usize) -> u64
 pub fn carries_reuse(reference: &RefInfo, nest: &LoopNest, depth: usize) -> bool {
     let own = footprint(reference, nest, depth);
     let inner = footprint(reference, nest, depth + 1);
-    own < nest.trip_counts()[depth].saturating_mul(inner)
+    own < nest.trip_count(LoopId::new(depth)).saturating_mul(inner)
 }
 
 /// Returns the outermost loop that carries temporal reuse for the reference, if any.

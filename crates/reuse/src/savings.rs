@@ -55,11 +55,9 @@ impl AccessCounts {
                 // is not forwarded, and a final store if it performs a write), and the
                 // whole traversal repeats once per iteration of the loops outside the
                 // reuse loop.
-                let outside: u64 = nest
-                    .trip_counts()
+                let outside: u64 = nest.loops()[..reuse.index()]
                     .iter()
-                    .take(reuse.index())
-                    .fold(1u64, |acc, &t| acc.saturating_mul(t));
+                    .fold(1u64, |acc, l| acc.saturating_mul(l.trip_count()));
                 let distinct = footprint(reference, nest, reuse.index());
                 let has_unforwarded_read = reference.occurrences().iter().any(|o| {
                     o.access.is_read() && !first_write.map(|w| w < o.statement).unwrap_or(false)

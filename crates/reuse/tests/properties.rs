@@ -2,9 +2,9 @@
 //! the partial-replacement access model.
 
 use proptest::prelude::*;
-use srra_ir::{Kernel, KernelBuilder};
+use srra_ir::{AffineExpr, Kernel, KernelBuilder, LoopId, RefInfo};
 use srra_reuse::{
-    eliminated_accesses, footprint, registers_for_full_replacement, remaining_accesses,
+    eliminated_accesses, footprint, registers_for_full_replacement, remaining_accesses, reuse_loop,
     ReuseAnalysis,
 };
 
@@ -124,6 +124,88 @@ proptest! {
         prop_assert_eq!(ids.len(), analysis.len());
         for pair in sorted.windows(2) {
             prop_assert!(pair[0].benefit_cost() >= pair[1].benefit_cost());
+        }
+    }
+}
+
+/// `footprint`'s definition: the product over subscripts of `hi - lo + 1` from
+/// [`AffineExpr::range`], with the trip counts at depths below `from_depth`
+/// taken as 1.
+fn footprint_by_definition(info: &RefInfo, trips: &[u64], from_depth: usize) -> u64 {
+    let restricted: Vec<u64> = trips
+        .iter()
+        .enumerate()
+        .map(|(depth, &trip)| if depth >= from_depth { trip } else { 1 })
+        .collect();
+    info.subscripts()
+        .iter()
+        .map(|subscript| {
+            let (lo, hi) = subscript.range(&restricted);
+            (hi - lo + 1) as u64
+        })
+        .fold(1u64, u64::saturating_mul)
+}
+
+/// A kernel reading one array per generated reference: each subscript is
+/// `coefficients · loops + offset`, shifted so it never goes below the offset,
+/// and each array is just large enough for its subscripts.
+fn kernel_with_references(trips: &[u64], references: &[Vec<(Vec<i64>, i64)>]) -> Kernel {
+    let b = KernelBuilder::new("footprints");
+    let loops: Vec<LoopId> = trips
+        .iter()
+        .enumerate()
+        .map(|(depth, &trip)| b.add_loop(format!("l{depth}"), trip))
+        .collect();
+    let mut sum = None;
+    for (k, subscripts) in references.iter().enumerate() {
+        let mut exprs = Vec::new();
+        let mut dims = Vec::new();
+        for (coefficients, offset) in subscripts {
+            let mut expr = AffineExpr::zero();
+            for (&coefficient, &loop_id) in coefficients.iter().zip(&loops) {
+                expr.set_term(loop_id, coefficient);
+            }
+            let (lo, hi) = expr.range(trips);
+            dims.push((hi - lo + offset + 1) as u64);
+            exprs.push(expr.with_constant(offset - lo));
+        }
+        let array = b.add_array(format!("r{k}"), &dims, 16);
+        let read = b.read(array, &exprs);
+        sum = Some(sum.map_or(read, |acc| b.add(acc, read)));
+    }
+    b.define("t", sum.expect("at least one reference"));
+    b.build().expect("generated references stay in bounds")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn footprint_and_the_requirement_follow_their_definition(
+        trips in prop::collection::vec(1u64..8, 1..5),
+        references in prop::collection::vec(
+            prop::collection::vec((prop::collection::vec(-2i64..=3, 4), 0i64..3), 1..4),
+            1..5,
+        ),
+    ) {
+        let kernel = kernel_with_references(&trips, &references);
+        let nest = kernel.nest();
+        for info in kernel.reference_table() {
+            for from_depth in 0..=nest.depth() {
+                prop_assert_eq!(
+                    footprint(info, nest, from_depth),
+                    footprint_by_definition(info, &trips, from_depth)
+                );
+            }
+            let reuse = (0..nest.depth()).find(|&depth| {
+                footprint_by_definition(info, &trips, depth)
+                    < trips[depth] * footprint_by_definition(info, &trips, depth + 1)
+            });
+            prop_assert_eq!(reuse_loop(info, nest), reuse.map(LoopId::new));
+            let registers = reuse.map_or(1, |depth| {
+                footprint_by_definition(info, &trips, depth + 1).max(1)
+            });
+            prop_assert_eq!(registers_for_full_replacement(info, nest), registers);
         }
     }
 }

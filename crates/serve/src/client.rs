@@ -30,8 +30,8 @@ use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, 
 
 use crate::binary::{decode_payload, encode_request_frame, read_frame, FrameError};
 use crate::protocol::{
-    check_trace, stamp_trace, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
-    ShardDigest,
+    stamp_trace, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    ShardDigest, TRACE_MAX_LEN,
 };
 
 /// Lifts a codec failure into the client error space.
@@ -69,6 +69,9 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered with an error response.
     Server(String),
+    /// The caller's own trace id is not a legal wire id (see
+    /// [`valid_trace_id`](crate::valid_trace_id)); nothing was sent.
+    InvalidTrace(String),
 }
 
 impl std::fmt::Display for ClientError {
@@ -77,6 +80,10 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(err) => write!(f, "query I/O error: {err}"),
             ClientError::Protocol(message) => write!(f, "malformed server response: {message}"),
             ClientError::Server(message) => write!(f, "server error: {message}"),
+            ClientError::InvalidTrace(id) => write!(
+                f,
+                "invalid trace id `{id}`: want 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
+            ),
         }
     }
 }
@@ -278,12 +285,12 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Rejects ids that are empty, longer than
+    /// [`ClientError::InvalidTrace`] for ids that are empty, longer than
     /// [`TRACE_MAX_LEN`](crate::protocol::TRACE_MAX_LEN) bytes, or contain
     /// characters outside `[A-Za-z0-9._-]`.
     pub fn set_trace(&mut self, trace: Option<&str>) -> Result<(), ClientError> {
-        if let Some(id) = trace {
-            check_trace(id).map_err(ClientError::Protocol)?;
+        if let Some(id) = trace.filter(|id| !valid_trace_id(id)) {
+            return Err(ClientError::InvalidTrace(id.to_owned()));
         }
         self.trace = trace.map(str::to_owned);
         Ok(())

@@ -61,9 +61,17 @@ fn traces_round_trip_and_metrics_expose_the_workload() {
     assert!(hit.is_some(), "evaluated above");
     assert_eq!(connection.last_trace(), None);
 
-    // Bad ids are rejected client-side, before any bytes move.
+    // Bad ids are rejected client-side, before any bytes move, as the
+    // caller's error rather than the server's.
     assert!(connection.set_trace(Some("")).is_err());
-    assert!(connection.set_trace(Some("has space")).is_err());
+    let err = connection
+        .set_trace(Some("has space"))
+        .expect_err("a space is not a trace id character");
+    assert!(matches!(&err, srra_serve::ClientError::InvalidTrace(id) if id == "has space"));
+    assert_eq!(
+        err.to_string(),
+        "invalid trace id `has space`: want 1..=64 bytes of [A-Za-z0-9._-]"
+    );
     assert!(connection.set_trace(Some(&"x".repeat(65))).is_err());
 
     // The structured metrics snapshot reflects the workload above.
