@@ -17,9 +17,11 @@
 #                           raw-socket mget sent canonical and scrambled
 #                           (reordered, spaced, an escaped name, an unknown
 #                           member, trace first) that must get byte-identical
-#                           replies, the same ops over the binary wire
-#                           codec, and a malformed --trace id refused with
-#                           exit 1 before any connection opens)
+#                           replies, a JSON line one byte over the 64 MiB
+#                           frame cap refused with the pinned error while
+#                           the node keeps serving, the same ops over the
+#                           binary wire codec, and a malformed --trace id
+#                           refused with exit 1 before any connection opens)
 #   8. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary, the connection flag before and after
@@ -178,6 +180,19 @@ case "$RAW_CANONICAL" in
 esac
 [ "$RAW_CANONICAL" = "$RAW_SCRAMBLED" ] \
   || { echo "serve smoke: a scrambled JSON line got a different reply"; exit 1; }
+# A JSON line one byte past the frame cap (MAX_FRAME_LEN, 64 MiB) with no
+# newline: the server reads no further, answers the pinned error, closes the
+# connection, counts one invalid request and keeps serving.
+exec 8<>"/dev/tcp/127.0.0.1/${ADDR##*:}" \
+  || { echo "serve smoke: raw long-line connection failed"; exit 1; }
+head -c $((64 * 1024 * 1024 + 1)) /dev/zero | tr '\0' 'a' >&8
+IFS= read -r -t 10 LONG_LINE_REPLY <&8 \
+  || { echo "serve smoke: no reply to the over-long JSON line"; exit 1; }
+exec 8<&- 8>&-
+[ "$LONG_LINE_REPLY" = '{"ok":false,"error":"JSON request line longer than 67108864 bytes"}' ] \
+  || { echo "serve smoke: unexpected over-long line reply: $LONG_LINE_REPLY"; exit 1; }
+"$SRRA" query --addr "$ADDR" stats | grep -Eq '"invalid":\{"count":[1-9]' \
+  || { echo "serve smoke: the over-long JSON line was not counted"; exit 1; }
 # Binary wire codec: every deterministic op prints identical replies over
 # both codecs (the server detects the codec per frame on the shared
 # listener).  One JSON pass warms the cache first.  stats, metrics, series

@@ -2,100 +2,94 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use srra_ir::{AccessKind, Expr, Kernel, RefId, StoreTarget};
+use srra_ir::{AccessKind, ArrayRef, Expr, Kernel, RefInfo, StoreTarget};
 
-use crate::graph::{DataFlowGraph, NodeId, NodeKind};
+use crate::graph::{DataFlowGraph, Label, NodeId, NodeKind};
 
 struct Builder<'k> {
     kernel: &'k Kernel,
     graph: DataFlowGraph,
     /// Producing node of each scalar temporary defined so far.
-    scalar_defs: HashMap<String, NodeId>,
-    /// Reference node that most recently wrote each reference group (value forwarding
-    /// inside one iteration, e.g. the `d[i][k]` node of the paper's example).
-    last_write: HashMap<RefId, NodeId>,
-    /// Reference node created for a read of each group, so repeated reads of the same
-    /// element within one iteration fetch it only once.
-    read_nodes: HashMap<RefId, NodeId>,
+    scalar_defs: HashMap<&'k str, NodeId>,
+    /// Reference node that most recently wrote each reference group, by `RefId`
+    /// (value forwarding inside one iteration, e.g. the `d[i][k]` node of the paper's
+    /// example).
+    last_write: Vec<Option<NodeId>>,
+    /// Reference node created for a read of each group, by `RefId`, so repeated reads
+    /// of the same element within one iteration fetch it only once.
+    read_nodes: Vec<Option<NodeId>>,
 }
 
 impl<'k> Builder<'k> {
     fn new(kernel: &'k Kernel) -> Self {
+        let groups = kernel.reference_table().len();
         Self {
             kernel,
             graph: DataFlowGraph::new(),
             scalar_defs: HashMap::new(),
-            last_write: HashMap::new(),
-            read_nodes: HashMap::new(),
+            last_write: vec![None; groups],
+            read_nodes: vec![None; groups],
         }
     }
 
-    fn reference_label(&self, ref_id: RefId) -> String {
-        let table = self.kernel.reference_table();
-        let names = self.kernel.nest().loop_names();
-        table
-            .get(ref_id)
-            .map(|info| info.render(&names))
-            .unwrap_or_else(|| ref_id.to_string())
-    }
-
-    fn lookup_ref(&self, array: srra_ir::ArrayId, subscripts: &[srra_ir::AffineExpr]) -> RefId {
+    fn lookup_ref(&self, array_ref: &ArrayRef) -> &'k RefInfo {
         self.kernel
             .reference_table()
-            .find(array, subscripts)
-            .map(|info| info.id())
+            .find(array_ref.array(), array_ref.subscripts())
             .expect("reference present in table")
     }
 
-    fn build_expr(&mut self, expr: &Expr, statement: usize) -> NodeId {
+    /// Adds a reference node labelled with its group's shared name.
+    fn add_reference(&mut self, info: &RefInfo, access: AccessKind) -> NodeId {
+        let kind = NodeKind::Reference {
+            ref_id: info.id(),
+            array: info.array(),
+            access,
+        };
+        let (_, name) = info.shared_names();
+        self.graph.push_node(kind, Label::Name(Arc::clone(name)))
+    }
+
+    fn build_expr(&mut self, expr: &'k Expr, statement: usize) -> NodeId {
         match expr {
             Expr::ArrayAccess(r) => {
-                let ref_id = self.lookup_ref(r.array(), r.subscripts());
-                if let Some(&producer) = self.last_write.get(&ref_id) {
+                let info = self.lookup_ref(r);
+                let group = info.id().index();
+                if let Some(producer) = self.last_write[group] {
                     return producer;
                 }
-                if let Some(&existing) = self.read_nodes.get(&ref_id) {
+                if let Some(existing) = self.read_nodes[group] {
                     return existing;
                 }
-                let label = self.reference_label(ref_id);
-                let node = self.graph.add_node(
-                    NodeKind::Reference {
-                        ref_id,
-                        array: r.array(),
-                        access: AccessKind::Read,
-                    },
-                    label,
-                );
-                self.read_nodes.insert(ref_id, node);
+                let node = self.add_reference(info, AccessKind::Read);
+                self.read_nodes[group] = Some(node);
                 node
             }
-            Expr::Scalar(name) => {
-                if let Some(&producer) = self.scalar_defs.get(name) {
-                    producer
-                } else {
-                    self.graph.add_node(NodeKind::Input, name.clone())
-                }
-            }
-            Expr::LoopIndex(l) => self.graph.add_node(NodeKind::Input, l.to_string()),
-            Expr::IntConst(v) => self.graph.add_node(NodeKind::Input, v.to_string()),
+            Expr::Scalar(name) => match self.scalar_defs.get(name.as_str()) {
+                Some(&producer) => producer,
+                None => self
+                    .graph
+                    .push_node(NodeKind::Input, Label::Name(name.as_str().into())),
+            },
+            Expr::LoopIndex(l) => self.graph.push_node(NodeKind::Input, Label::LoopIndex(*l)),
+            Expr::IntConst(v) => self.graph.push_node(NodeKind::Input, Label::Constant(*v)),
             Expr::Binary { op, lhs, rhs } => {
                 let lhs_node = self.build_expr(lhs, statement);
                 let rhs_node = self.build_expr(rhs, statement);
-                let node = self.graph.add_node(
-                    NodeKind::Binary { op: *op, statement },
-                    format!("{}#{}", op.mnemonic(), statement),
-                );
+                let node = self
+                    .graph
+                    .push_node(NodeKind::Binary { op: *op, statement }, Label::Operation);
                 self.graph.add_edge(lhs_node, node);
                 self.graph.add_edge(rhs_node, node);
                 node
             }
             Expr::Unary { op, operand } => {
                 let operand_node = self.build_expr(operand, statement);
-                let node = self.graph.add_node(
-                    NodeKind::Unary { op: *op, statement },
-                    format!("{}#{}", op.mnemonic(), statement),
-                );
+                let node = self
+                    .graph
+                    .push_node(NodeKind::Unary { op: *op, statement }, Label::Operation);
                 self.graph.add_edge(operand_node, node);
                 node
             }
@@ -107,21 +101,13 @@ impl<'k> Builder<'k> {
             let value_node = self.build_expr(stmt.value(), statement);
             match stmt.target() {
                 StoreTarget::Array(r) => {
-                    let ref_id = self.lookup_ref(r.array(), r.subscripts());
-                    let label = self.reference_label(ref_id);
-                    let store = self.graph.add_node(
-                        NodeKind::Reference {
-                            ref_id,
-                            array: r.array(),
-                            access: AccessKind::Write,
-                        },
-                        label,
-                    );
+                    let info = self.lookup_ref(r);
+                    let store = self.add_reference(info, AccessKind::Write);
                     self.graph.add_edge(value_node, store);
-                    self.last_write.insert(ref_id, store);
+                    self.last_write[info.id().index()] = Some(store);
                 }
                 StoreTarget::Scalar(name) => {
-                    self.scalar_defs.insert(name.clone(), value_node);
+                    self.scalar_defs.insert(name, value_node);
                 }
             }
         }
@@ -170,7 +156,7 @@ mod tests {
         assert_eq!(dfg.edge_count(), 6);
         assert_eq!(dfg.reference_nodes().len(), 5);
         assert_eq!(dfg.operation_nodes().len(), 2);
-        assert!(dfg.is_acyclic());
+        assert_eq!(dfg.topological_order().len(), dfg.node_count());
 
         // d is a single node fed by op1 and feeding op2.
         let d = dfg
@@ -214,9 +200,38 @@ mod tests {
         let kernel = paper_example();
         let dfg = DataFlowGraph::from_kernel(&kernel);
         let table = kernel.reference_table();
-        let d = table.find_by_name("d").unwrap().id();
-        assert_eq!(dfg.nodes_of_reference(d).len(), 1);
-        let a = table.find_by_name("a").unwrap().id();
-        assert_eq!(dfg.nodes_of_reference(a).len(), 1);
+        let nodes_of = |name: &str| {
+            let group = table.find_by_name(name).unwrap().id();
+            dfg.nodes().filter(|n| n.reference() == Some(group)).count()
+        };
+        assert_eq!(nodes_of("d"), 1);
+        assert_eq!(nodes_of("a"), 1);
+    }
+
+    #[test]
+    fn labels_are_rendered_on_demand() {
+        // out[i] = (in[i] + i) * -2 - t, with t an external scalar.
+        let b = srra_ir::KernelBuilder::new("labels");
+        let i = b.add_loop("i", 8);
+        let input = b.add_array("in", &[8], 16);
+        let output = b.add_array("out", &[8], 16);
+        let sum = b.add(b.read(input, &[b.idx(i)]), b.loop_index(i));
+        let scaled = b.mul(sum, b.int(-2));
+        b.store(output, &[b.idx(i)], b.sub(scaled, b.scalar("t")));
+        let kernel = b.build().unwrap();
+        let dfg = DataFlowGraph::from_kernel(&kernel);
+        let labels: Vec<String> = dfg.nodes().map(|n| n.label().to_string()).collect();
+        assert_eq!(
+            labels,
+            ["in[i]", "L0", "add#0", "-2", "mul#0", "t", "sub#0", "out[i]"]
+        );
+        // A reference node borrows its group's name from the reference table.
+        let table = kernel.reference_table();
+        let first = dfg.node(NodeId::new(0));
+        let (_, name) = table
+            .get(first.reference().unwrap())
+            .unwrap()
+            .shared_names();
+        assert!(std::ptr::eq(&*first.label(), &**name));
     }
 }

@@ -10,10 +10,15 @@ use crate::latency::{LatencyModel, StorageMap};
 ///
 /// The paper calls this the *Critical Graph* (CG); CPA-RA allocates registers to cuts
 /// of this graph so that every register spent shortens **all** critical paths at once.
+/// Its edges are kept as offset arrays: the successors of the `i`-th node are one
+/// contiguous run of a single array.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CriticalGraph {
     nodes: Vec<NodeId>,
-    edges: Vec<(NodeId, NodeId)>,
+    /// The successors of `nodes[i]` are `successors[offsets[i]..offsets[i + 1]]`, in
+    /// the DFG's edge order.
+    offsets: Vec<usize>,
+    successors: Vec<NodeId>,
     sources: Vec<NodeId>,
     sinks: Vec<NodeId>,
 }
@@ -22,11 +27,6 @@ impl CriticalGraph {
     /// Nodes of the critical graph, in ascending id order.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// Edges of the critical graph (each edge lies on some critical path).
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
     }
 
     /// Critical nodes with no critical predecessor (path entry points).
@@ -44,13 +44,19 @@ impl CriticalGraph {
         self.nodes.binary_search(&node).is_ok()
     }
 
-    /// Successors of `node` within the critical graph.
-    pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|(from, _)| *from == node)
-            .map(|(_, to)| *to)
-            .collect()
+    /// Successors of `node` within the critical graph (none when `node` is not in it).
+    /// Each edge to one lies on some critical path.
+    pub fn successors(&self, node: NodeId) -> &[NodeId] {
+        match self.nodes.binary_search(&node) {
+            Ok(index) => &self.successors[self.offsets[index]..self.offsets[index + 1]],
+            Err(_) => &[],
+        }
+    }
+
+    /// The offset arrays: the successors of the node at `index` of
+    /// [`CriticalGraph::nodes`] are `successors[offsets[index]..offsets[index + 1]]`.
+    pub(crate) fn adjacency(&self) -> (&[usize], &[NodeId]) {
+        (&self.offsets, &self.successors)
     }
 
     /// Number of critical nodes.
@@ -112,33 +118,40 @@ impl CriticalPathAnalysis {
         }
         let critical_length = longest_to.iter().copied().max().unwrap_or(0);
 
-        let mut nodes: Vec<NodeId> = dfg
+        let nodes: Vec<NodeId> = dfg
             .node_ids()
             .filter(|id| {
                 longest_to[id.index()] + longest_from[id.index()] - latencies[id.index()]
                     == critical_length
             })
             .collect();
-        nodes.sort_unstable();
-        let mut edges = Vec::new();
+        // An edge lies on a critical path when its ends' longest paths meet at the
+        // critical length; both its ends are then critical nodes.
+        let critical_edge = |from: NodeId, to: NodeId| {
+            longest_to[from.index()] + longest_from[to.index()] == critical_length
+        };
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut successors = Vec::new();
         for &from in &nodes {
-            for &to in dfg.successors(from) {
-                let critical_edge =
-                    longest_to[from.index()] + longest_from[to.index()] == critical_length;
-                if critical_edge && nodes.binary_search(&to).is_ok() {
-                    edges.push((from, to));
-                }
-            }
+            let next = dfg.successors(from).iter().copied();
+            successors.extend(next.filter(|&to| critical_edge(from, to)));
+            offsets.push(successors.len());
         }
         let sources: Vec<NodeId> = nodes
             .iter()
             .copied()
-            .filter(|n| !edges.iter().any(|(_, to)| to == n))
+            .filter(|&to| {
+                !dfg.predecessors(to)
+                    .iter()
+                    .any(|&from| critical_edge(from, to))
+            })
             .collect();
         let sinks: Vec<NodeId> = nodes
             .iter()
-            .copied()
-            .filter(|n| !edges.iter().any(|(from, _)| from == n))
+            .enumerate()
+            .filter(|&(index, _)| offsets[index] == offsets[index + 1])
+            .map(|(_, &node)| node)
             .collect();
 
         Self {
@@ -148,7 +161,8 @@ impl CriticalPathAnalysis {
             critical_length,
             critical_graph: CriticalGraph {
                 nodes,
-                edges,
+                offsets,
+                successors,
                 sources,
                 sinks,
             },
@@ -192,34 +206,6 @@ impl CriticalPathAnalysis {
     pub fn critical_graph(&self) -> &CriticalGraph {
         &self.critical_graph
     }
-
-    /// Enumerates complete critical paths (source to sink), up to `limit` paths.
-    ///
-    /// The number of critical paths can be exponential in pathological graphs, hence
-    /// the explicit cap; the graphs arising from the paper's kernels have only a
-    /// handful.
-    pub fn critical_paths(&self, limit: usize) -> Vec<Vec<NodeId>> {
-        let cg = &self.critical_graph;
-        let mut paths = Vec::new();
-        let mut stack: Vec<Vec<NodeId>> = cg.sources().iter().map(|&s| vec![s]).collect();
-        while let Some(path) = stack.pop() {
-            if paths.len() >= limit {
-                break;
-            }
-            let last = *path.last().expect("non-empty path");
-            let succs = cg.successors(last);
-            if succs.is_empty() {
-                paths.push(path);
-            } else {
-                for s in succs {
-                    let mut next = path.clone();
-                    next.push(s);
-                    stack.push(next);
-                }
-            }
-        }
-        paths
-    }
 }
 
 #[cfg(test)]
@@ -248,13 +234,18 @@ mod tests {
         // a/b (1) -> op1 (2) -> d (1) -> op2 (2) -> e (1) = 7 cycles.
         assert_eq!(analysis.critical_length(), 7);
         let cg = analysis.critical_graph();
-        let labels: Vec<&str> = cg.nodes().iter().map(|&n| dfg.node(n).label()).collect();
-        assert!(labels.contains(&"a[k]"));
-        assert!(labels.contains(&"b[k][j]"));
-        assert!(labels.contains(&"d[i][k]"));
-        assert!(labels.contains(&"e[i][j][k]"));
+        let labels: Vec<String> = cg
+            .nodes()
+            .iter()
+            .map(|&n| dfg.node(n).label().into_owned())
+            .collect();
+        let critical = |label: &str| labels.iter().any(|l| l == label);
+        assert!(critical("a[k]"));
+        assert!(critical("b[k][j]"));
+        assert!(critical("d[i][k]"));
+        assert!(critical("e[i][j][k]"));
         // c is NOT on the critical path: its chain c -> op2 -> e is shorter.
-        assert!(!labels.contains(&"c[j]"));
+        assert!(!critical("c[j]"));
         assert_eq!(cg.len(), 6);
     }
 
@@ -284,19 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_paths_enumeration_is_capped_and_complete() {
-        let (_, dfg, model) = setup();
-        let analysis = CriticalPathAnalysis::new(&dfg, &model, &StorageMap::all_ram());
-        let paths = analysis.critical_paths(16);
-        // Two critical paths: one starting at a, one at b.
-        assert_eq!(paths.len(), 2);
-        for path in &paths {
-            assert_eq!(dfg.node(*path.last().unwrap()).label(), "e[i][j][k]");
-        }
-        assert_eq!(analysis.critical_paths(1).len(), 1);
-    }
-
-    #[test]
     fn longest_to_and_from_are_consistent_with_length() {
         let (_, dfg, model) = setup();
         let analysis = CriticalPathAnalysis::new(&dfg, &model, &StorageMap::all_ram());
@@ -321,5 +299,11 @@ mod tests {
         assert!(!cg.contains(c));
         assert_eq!(cg.sinks().len(), 1);
         assert_eq!(cg.sources().len(), 2);
+        // a, b -> mul#0 -> d -> mul#1 -> e: five critical edges, and c has none.
+        let edges: usize = cg.nodes().iter().map(|&n| cg.successors(n).len()).sum();
+        assert_eq!(edges, 5);
+        assert_eq!(cg.successors(d).len(), 1);
+        assert!(cg.successors(c).is_empty());
+        assert_eq!(cg.successors(cg.sinks()[0]), &[]);
     }
 }

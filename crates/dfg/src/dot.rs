@@ -40,7 +40,7 @@ pub fn to_dot(dfg: &DataFlowGraph, analysis: Option<&CriticalPathAnalysis>) -> S
             NodeKind::Binary { .. } | NodeKind::Unary { .. } => "ellipse",
             NodeKind::Input => "plaintext",
         };
-        let mut label = escape(node.label());
+        let mut label = escape(&node.label());
         let mut colour = "black";
         if let Some(analysis) = analysis {
             label = format!(
@@ -62,14 +62,8 @@ pub fn to_dot(dfg: &DataFlowGraph, analysis: Option<&CriticalPathAnalysis>) -> S
     }
     for from in dfg.node_ids() {
         for &to in dfg.successors(from) {
-            let critical_edge = analysis
-                .map(|a| {
-                    a.critical_graph()
-                        .edges()
-                        .iter()
-                        .any(|&(f, t)| f == from && t == to)
-                })
-                .unwrap_or(false);
+            let critical_edge =
+                analysis.is_some_and(|a| a.critical_graph().successors(from).contains(&to));
             let attrs = if critical_edge {
                 " [color=red, penwidth=2]"
             } else {

@@ -1,5 +1,8 @@
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
-use srra_ir::{AccessKind, ArrayId, BinOp, RefId, UnOp};
+use srra_ir::{AccessKind, ArrayId, BinOp, LoopId, RefId, UnOp};
 
 /// Identifier of a node within a [`DataFlowGraph`].
 #[derive(
@@ -72,12 +75,30 @@ impl NodeKind {
     }
 }
 
+/// Where a node's label comes from, see [`Node::label`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub(crate) enum Label {
+    /// A shared name: a reference group's rendered name, a scalar's name, or the
+    /// label passed to [`DataFlowGraph::add_node`].
+    Name(Arc<str>),
+    /// An operation, rendered from its kind as `mnemonic#statement`.
+    Operation,
+    /// A loop-index input, rendered as the loop's id (`L0`).
+    LoopIndex(LoopId),
+    /// A constant input, rendered as its value.
+    Constant(i64),
+}
+
 /// A node of the data-flow graph.
+///
+/// A node stores no label text of its own: a reference node shares its group's name
+/// with the kernel's reference table, and the labels of operations and of loop-index
+/// and constant inputs are rendered when [`Node::label`] is called.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
-    label: String,
+    label: Label,
 }
 
 impl Node {
@@ -92,8 +113,25 @@ impl Node {
     }
 
     /// Human-readable label (e.g. `a[k]` or `mul#0`), used in reports and tests.
-    pub fn label(&self) -> &str {
-        &self.label
+    ///
+    /// Borrowed for a reference node or a named one; rendered afresh for an
+    /// operation, a loop index or a constant.
+    pub fn label(&self) -> Cow<'_, str> {
+        match &self.label {
+            Label::Name(name) => Cow::Borrowed(name),
+            Label::LoopIndex(loop_id) => Cow::Owned(loop_id.to_string()),
+            Label::Constant(value) => Cow::Owned(value.to_string()),
+            Label::Operation => match &self.kind {
+                NodeKind::Binary { op, statement } => {
+                    Cow::Owned(format!("{}#{statement}", op.mnemonic()))
+                }
+                NodeKind::Unary { op, statement } => {
+                    Cow::Owned(format!("{}#{statement}", op.mnemonic()))
+                }
+                // The builder labels only operation nodes by their operation.
+                NodeKind::Reference { .. } | NodeKind::Input => Cow::Borrowed(""),
+            },
+        }
     }
 
     /// Shorthand for [`NodeKind::as_reference`].
@@ -127,14 +165,15 @@ impl DataFlowGraph {
         Self::default()
     }
 
-    /// Adds a node and returns its identifier.
-    pub fn add_node(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
+    /// Adds a node with the given label and returns its identifier.
+    pub fn add_node(&mut self, kind: NodeKind, label: impl Into<Arc<str>>) -> NodeId {
+        self.push_node(kind, Label::Name(label.into()))
+    }
+
+    /// Adds a node whose label is rendered on demand, see [`Node::label`].
+    pub(crate) fn push_node(&mut self, kind: NodeKind, label: Label) -> NodeId {
         let id = NodeId::new(self.nodes.len());
-        self.nodes.push(Node {
-            id,
-            kind,
-            label: label.into(),
-        });
+        self.nodes.push(Node { id, kind, label });
         self.succs.push(Vec::new());
         self.preds.push(Vec::new());
         id
@@ -221,13 +260,6 @@ impl DataFlowGraph {
             .collect()
     }
 
-    /// Nodes belonging to the given reference group.
-    pub fn nodes_of_reference(&self, ref_id: RefId) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|n| self.node(*n).reference() == Some(ref_id))
-            .collect()
-    }
-
     /// A topological order of the nodes.
     ///
     /// # Panics
@@ -256,48 +288,6 @@ impl DataFlowGraph {
             "data-flow graph contains a cycle"
         );
         order
-    }
-
-    /// Returns `true` when the graph contains no directed cycle.
-    pub fn is_acyclic(&self) -> bool {
-        let mut in_degree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut ready: Vec<NodeId> = self
-            .node_ids()
-            .filter(|n| in_degree[n.index()] == 0)
-            .collect();
-        let mut seen = 0usize;
-        while let Some(n) = ready.pop() {
-            seen += 1;
-            for &s in &self.succs[n.index()] {
-                in_degree[s.index()] -= 1;
-                if in_degree[s.index()] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        seen == self.nodes.len()
-    }
-
-    /// Returns `true` when `to` is reachable from `from` following edges forward.
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut visited = vec![false; self.nodes.len()];
-        visited[from.index()] = true;
-        while let Some(n) = stack.pop() {
-            for &s in &self.succs[n.index()] {
-                if s == to {
-                    return true;
-                }
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -328,7 +318,7 @@ mod tests {
         assert_eq!(g.sinks(), vec![d]);
         assert_eq!(g.successors(a), &[b, c]);
         assert_eq!(g.predecessors(d), &[b, c]);
-        assert!(g.is_acyclic());
+        assert_eq!(g.topological_order().len(), g.node_count());
         assert_eq!(g.node(a).label(), "a");
         assert_eq!(a.to_string(), "n0");
     }
@@ -353,20 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let (g, [a, b, c, d]) = diamond();
-        assert!(g.reachable(a, d));
-        assert!(g.reachable(a, a));
-        assert!(!g.reachable(b, c));
-        assert!(!g.reachable(d, a));
-    }
-
-    #[test]
     fn reference_and_operation_queries_on_empty_kinds() {
         let (g, _) = diamond();
         assert!(g.reference_nodes().is_empty());
         assert!(g.operation_nodes().is_empty());
-        assert!(g.nodes_of_reference(RefId::new(0)).is_empty());
     }
 
     #[test]

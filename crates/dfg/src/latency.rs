@@ -50,18 +50,6 @@ impl StorageMap {
             .copied()
             .unwrap_or(Storage::Ram)
     }
-
-    /// References currently placed in registers.
-    pub fn register_refs(&self) -> Vec<RefId> {
-        let mut refs: Vec<RefId> = self
-            .placements
-            .iter()
-            .filter(|(_, s)| **s == Storage::Register)
-            .map(|(r, _)| *r)
-            .collect();
-        refs.sort_unstable();
-        refs
-    }
 }
 
 /// Latencies (in clock cycles) of operations and memory accesses.
@@ -206,7 +194,6 @@ mod tests {
         let map = map.with_register(RefId::new(2));
         assert_eq!(map.storage(RefId::new(2)), Storage::Register);
         assert_eq!(map.storage(RefId::new(1)), Storage::Ram);
-        assert_eq!(map.register_refs(), vec![RefId::new(2)]);
     }
 
     #[test]
@@ -215,6 +202,5 @@ mod tests {
         map.set(RefId::new(0), Storage::Register);
         map.set(RefId::new(0), Storage::Ram);
         assert_eq!(map.storage(RefId::new(0)), Storage::Ram);
-        assert!(map.register_refs().is_empty());
     }
 }

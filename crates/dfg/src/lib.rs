@@ -14,6 +14,14 @@
 //! * [`find_cuts`] — enumeration of the minimal reference-node cuts of the critical
 //!   graph, the objects CPA-RA promotes one at a time.
 //!
+//! The front end works on ids and shares text.  A reference node carries its group's
+//! name as the `Arc<str>` the kernel's reference table rendered once; other labels are
+//! rendered only when [`Node::label`] is called.  [`CriticalGraph`] keeps its
+//! successors in offset arrays, and [`find_cuts`] walks them in the paper's DFS order
+//! over bitsets of the critical graph's nodes (one `u64` word per 64 nodes).  Its cap
+//! of 4,096 cuts bounds the results, not the work: the search is exponential in the
+//! worst case, as the paper notes.
+//!
 //! # Example
 //!
 //! Reproduce the cut structure of the paper's Figure 2(b):
@@ -30,7 +38,7 @@
 //! let cuts = srra_dfg::find_cuts(&dfg, analysis.critical_graph());
 //! let mut names: Vec<Vec<String>> = cuts
 //!     .iter()
-//!     .map(|cut| cut.iter().map(|&n| dfg.node(n).label().to_owned()).collect())
+//!     .map(|cut| cut.iter().map(|&n| dfg.node(n).label().into_owned()).collect())
 //!     .collect();
 //! names.iter_mut().for_each(|c| c.sort());
 //! assert!(names.contains(&vec!["a[k]".to_owned(), "b[k][j]".to_owned()]));

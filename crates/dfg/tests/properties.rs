@@ -1,6 +1,8 @@
 //! Property-based tests for the data-flow graph, critical-path analysis and cut
 //! enumeration.
 
+mod oracle;
+
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
@@ -47,12 +49,9 @@ fn storage_for(dfg: &DataFlowGraph, mask: u32) -> StorageMap {
 
 fn blocks_all_paths(analysis: &CriticalPathAnalysis, cut: &[NodeId]) -> bool {
     let blocked: BTreeSet<NodeId> = cut.iter().copied().collect();
-    // Re-derive path blocking through the public API: every critical path enumerated
-    // must contain at least one cut node.
-    analysis
-        .critical_paths(256)
-        .iter()
-        .all(|path| path.iter().any(|node| blocked.contains(node)))
+    // Re-derive path blocking through the oracle's own path search: no critical path
+    // may avoid every cut node.
+    oracle::is_blocking(analysis.critical_graph(), &blocked)
 }
 
 proptest! {
@@ -67,7 +66,6 @@ proptest! {
     ) {
         let kernel = generated_kernel(ni, nj, nk, chain);
         let dfg = DataFlowGraph::from_kernel(&kernel);
-        prop_assert!(dfg.is_acyclic());
         let order = dfg.topological_order();
         prop_assert_eq!(order.len(), dfg.node_count());
         let position = |n: NodeId| order.iter().position(|&x| x == n).unwrap();

@@ -179,35 +179,57 @@ impl AffineExpr {
     ///
     /// Loops without a supplied name are rendered as `i<depth>`.
     pub fn render(&self, names: &[&str]) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for (loop_id, coeff) in &self.terms {
-            let name = names
-                .get(loop_id.index())
-                .map(|s| (*s).to_owned())
-                .unwrap_or_else(|| format!("i{}", loop_id.index()));
-            let part = match coeff {
-                1 => name,
-                -1 => format!("-{name}"),
-                c => format!("{c}*{name}"),
-            };
-            parts.push(part);
-        }
-        if self.constant != 0 || parts.is_empty() {
-            parts.push(self.constant.to_string());
-        }
         let mut out = String::new();
-        for (idx, part) in parts.iter().enumerate() {
-            if idx == 0 {
-                out.push_str(part);
-            } else if let Some(stripped) = part.strip_prefix('-') {
-                out.push_str(" - ");
-                out.push_str(stripped);
-            } else {
-                out.push_str(" + ");
-                out.push_str(part);
-            }
-        }
+        self.render_into(names, &mut out);
         out
+    }
+
+    /// Appends [`AffineExpr::render`]'s text to `out`.
+    ///
+    /// Each term is written as `name`, `-name` or `c*name`, then the constant when it
+    /// is non-zero or stands alone; every part after the first is joined with ` + `,
+    /// or with ` - ` in place of its leading minus sign.
+    pub(crate) fn render_into(&self, names: &[&str], out: &mut String) {
+        let mut first = true;
+        for (loop_id, &coeff) in &self.terms {
+            let name = LoopName(names.get(loop_id.index()).copied(), loop_id.index());
+            match coeff {
+                1 => push_part(out, first, format_args!("{name}")),
+                -1 => push_part(out, first, format_args!("-{name}")),
+                c => push_part(out, first, format_args!("{c}*{name}")),
+            }
+            first = false;
+        }
+        if self.constant != 0 || first {
+            push_part(out, first, format_args!("{}", self.constant));
+        }
+    }
+}
+
+/// A loop's name in a rendering: the supplied one, or `i<depth>`.
+struct LoopName<'a>(Option<&'a str>, usize);
+
+impl fmt::Display for LoopName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(name) => f.write_str(name),
+            None => write!(f, "i{}", self.1),
+        }
+    }
+}
+
+/// Appends one part of a rendering: the first as written, a later one after ` + `, or
+/// after ` - ` in place of its leading minus sign.
+fn push_part(out: &mut String, first: bool, part: fmt::Arguments<'_>) {
+    let mark = out.len();
+    // Writing into a `String` cannot fail.
+    let _ = fmt::Write::write_fmt(out, part);
+    if !first {
+        if out[mark..].starts_with('-') {
+            out.replace_range(mark..=mark, " - ");
+        } else {
+            out.insert_str(mark, " + ");
+        }
     }
 }
 
@@ -316,6 +338,27 @@ mod tests {
         assert_eq!(e.render(&["i", "j", "k"]), "i - 2*k + 1");
         assert_eq!(e.render(&["i"]), "i - 2*i2 + 1");
         assert_eq!(AffineExpr::zero().render(&[]), "0");
+        assert_eq!(AffineExpr::zero().render(&["i", "j"]), "0");
+        let names = ["i", "j", "k"];
+        // Negative and scaled coefficients, first and later.
+        let e = AffineExpr::zero().with_term(l(0), -1).with_term(l(1), 4);
+        assert_eq!(e.render(&names), "-i + 4*j");
+        let e = AffineExpr::zero().with_term(l(0), -3).with_term(l(2), -1);
+        assert_eq!(e.render(&names), "-3*i - k");
+        let e = AffineExpr::constant(1)
+            .with_term(l(0), 1)
+            .with_term(l(1), i64::MIN);
+        assert_eq!(e.render(&names), "i - 9223372036854775808*j + 1");
+        // A negative constant, alone and after terms.
+        assert_eq!(AffineExpr::constant(-7).render(&names), "-7");
+        let e = AffineExpr::constant(-3).with_term(l(1), 2);
+        assert_eq!(e.render(&names), "2*j - 3");
+        // Missing loop names fall back to the loop's depth.
+        let e = AffineExpr::constant(5)
+            .with_term(l(3), -1)
+            .with_term(l(5), 2);
+        assert_eq!(e.render(&names), "-i3 + 2*i5 + 5");
+        assert_eq!(e.render(&[]), e.to_string());
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::affine::AffineExpr;
@@ -118,16 +120,21 @@ impl ArrayDecl {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ArrayRef {
     array: ArrayId,
-    subscripts: Vec<AffineExpr>,
+    /// Shared with the reference table's group of the first such reference.
+    subscripts: Arc<[AffineExpr]>,
     access: AccessKind,
 }
 
 impl ArrayRef {
     /// Creates a reference to `array` with the given subscripts and access kind.
-    pub fn new(array: ArrayId, subscripts: Vec<AffineExpr>, access: AccessKind) -> Self {
+    pub fn new(
+        array: ArrayId,
+        subscripts: impl Into<Arc<[AffineExpr]>>,
+        access: AccessKind,
+    ) -> Self {
         Self {
             array,
-            subscripts,
+            subscripts: subscripts.into(),
             access,
         }
     }
@@ -139,6 +146,12 @@ impl ArrayRef {
 
     /// The affine subscript expressions, outermost dimension first.
     pub fn subscripts(&self) -> &[AffineExpr] {
+        &self.subscripts
+    }
+
+    /// [`ArrayRef::subscripts`] as the shared slice, for a table that keeps the
+    /// pattern without copying it.
+    pub(crate) fn shared_subscripts(&self) -> &Arc<[AffineExpr]> {
         &self.subscripts
     }
 
@@ -179,13 +192,19 @@ impl ArrayRef {
 
     /// Renders the reference as `name[sub][sub]...` given array and loop names.
     pub fn render(&self, array_name: &str, loop_names: &[&str]) -> String {
-        let mut out = String::from(array_name);
-        for sub in &self.subscripts {
+        let mut out = String::new();
+        self.render_into(array_name, loop_names, &mut out);
+        out
+    }
+
+    /// Appends [`ArrayRef::render`]'s text to `out`.
+    pub(crate) fn render_into(&self, array_name: &str, loop_names: &[&str], out: &mut String) {
+        out.push_str(array_name);
+        for sub in self.subscripts.iter() {
             out.push('[');
-            out.push_str(&sub.render(loop_names));
+            sub.render_into(loop_names, out);
             out.push(']');
         }
-        out
     }
 }
 

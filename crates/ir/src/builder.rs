@@ -182,7 +182,7 @@ impl KernelBuilder {
     pub fn read(&self, array: ArrayId, subscripts: &[AffineExpr]) -> ExprHandle {
         self.push(Node::Expr(Expr::ArrayAccess(ArrayRef::new(
             array,
-            subscripts.to_vec(),
+            subscripts,
             AccessKind::Read,
         ))))
     }
@@ -229,8 +229,7 @@ impl KernelBuilder {
 
     /// Appends a statement storing `value` into `array[subscripts]`.
     pub fn store(&self, array: ArrayId, subscripts: &[AffineExpr], value: ExprHandle) {
-        let target =
-            StoreTarget::Array(ArrayRef::new(array, subscripts.to_vec(), AccessKind::Write));
+        let target = StoreTarget::Array(ArrayRef::new(array, subscripts, AccessKind::Write));
         let value = self.consume(value);
         self.statements.borrow_mut().push((target, value));
     }

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -46,12 +46,18 @@ pub struct Occurrence {
 }
 
 /// A reference group: an array plus a subscript pattern, with all its occurrences.
+///
+/// The group's name (`b[k][j]`) is rendered once, when the table is built, and shared
+/// as an `Arc<str>` with the reuse analysis and the data-flow graph; every group of one
+/// array shares one `Arc<str>` of the array's name, and a group shares its subscript
+/// pattern with the body's first reference of the group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RefInfo {
     id: RefId,
     array: ArrayId,
-    array_name: String,
-    subscripts: Vec<AffineExpr>,
+    array_name: Arc<str>,
+    rendered: Arc<str>,
+    subscripts: Arc<[AffineExpr]>,
     occurrences: Vec<Occurrence>,
 }
 
@@ -69,6 +75,17 @@ impl RefInfo {
     /// Name of the referenced array.
     pub fn array_name(&self) -> &str {
         &self.array_name
+    }
+
+    /// The reference rendered as `name[sub]...` with the kernel's loop names.
+    pub fn rendered(&self) -> &str {
+        &self.rendered
+    }
+
+    /// [`RefInfo::array_name`] and [`RefInfo::rendered`] as the table's shared
+    /// strings: a result that keeps a name clones its `Arc` instead of its text.
+    pub fn shared_names(&self) -> (&Arc<str>, &Arc<str>) {
+        (&self.array_name, &self.rendered)
     }
 
     /// The common affine subscript pattern of every occurrence in the group.
@@ -96,24 +113,14 @@ impl RefInfo {
     pub fn accesses_per_iteration(&self) -> u64 {
         self.occurrences.len() as u64
     }
-
-    /// Renders the reference as `name[sub]...` using the kernel's loop names.
-    pub fn render(&self, loop_names: &[&str]) -> String {
-        let mut out = self.array_name.clone();
-        for sub in &self.subscripts {
-            out.push('[');
-            out.push_str(&sub.render(loop_names));
-            out.push(']');
-        }
-        out
-    }
 }
 
 /// The table of all reference groups of a kernel, in first-occurrence order.
 ///
 /// [`Kernel::new`] builds a kernel's table once; read it with [`Kernel::reference_table`].
 /// The table preserves insertion order, so [`RefId`]s are stable for a given kernel and
-/// the analyses downstream are deterministic.
+/// the analyses downstream are deterministic.  Building it renders each group's name
+/// once (see [`RefInfo`]).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ReferenceTable {
     refs: Vec<RefInfo>,
@@ -122,33 +129,47 @@ pub struct ReferenceTable {
 impl ReferenceTable {
     /// Builds the reference table of a kernel.
     pub fn build(kernel: &Kernel) -> Self {
-        let mut table = ReferenceTable::default();
-        let mut index: HashMap<(ArrayId, &[AffineExpr]), RefId> = HashMap::new();
-        for (stmt_idx, stmt) in kernel.nest().body().iter().enumerate() {
+        let loop_names = kernel.nest().loop_names();
+        let mut refs: Vec<RefInfo> = Vec::new();
+        // Each array's shared name and groups, indexed by its dense `ArrayId`.
+        let mut arrays: Vec<(Arc<str>, Vec<RefId>)> = kernel
+            .arrays()
+            .iter()
+            .map(|decl| (decl.name().into(), Vec::new()))
+            .collect();
+        let mut rendered = String::new();
+        for (statement, stmt) in kernel.nest().body().iter().enumerate() {
             for array_ref in stmt.array_refs() {
-                let key = (array_ref.array(), array_ref.subscripts());
-                let id = *index.entry(key).or_insert_with(|| {
-                    let id = RefId::new(table.refs.len());
-                    let array_name = kernel
-                        .array(array_ref.array())
-                        .map(|a| a.name().to_owned())
-                        .unwrap_or_else(|| array_ref.array().to_string());
-                    table.refs.push(RefInfo {
+                let array = array_ref.array();
+                let (array_name, groups) = &mut arrays[array.index()];
+                let subscripts = array_ref.subscripts();
+                let existing = groups
+                    .iter()
+                    .copied()
+                    .find(|id| refs[id.index()].subscripts() == subscripts);
+                let id = existing.unwrap_or_else(|| {
+                    let array_name = Arc::clone(array_name);
+                    rendered.clear();
+                    array_ref.render_into(&array_name, &loop_names, &mut rendered);
+                    let id = RefId::new(refs.len());
+                    groups.push(id);
+                    refs.push(RefInfo {
                         id,
-                        array: array_ref.array(),
+                        array,
                         array_name,
-                        subscripts: array_ref.subscripts().to_vec(),
+                        rendered: rendered.as_str().into(),
+                        subscripts: Arc::clone(array_ref.shared_subscripts()),
                         occurrences: Vec::new(),
                     });
                     id
                 });
-                table.refs[id.index()].occurrences.push(Occurrence {
-                    statement: stmt_idx,
+                refs[id.index()].occurrences.push(Occurrence {
+                    statement,
                     access: array_ref.access(),
                 });
             }
         }
-        table
+        Self { refs }
     }
 
     /// Number of reference groups.
@@ -234,7 +255,7 @@ mod tests {
         assert!(d.has_write());
         assert!(d.has_read());
         assert_eq!(d.accesses_per_iteration(), 2);
-        assert_eq!(d.render(&["i", "j", "k"]), "d[i][k]");
+        assert_eq!(d.rendered(), "d[i][k]");
     }
 
     #[test]
@@ -255,6 +276,24 @@ mod tests {
         let table = kernel.reference_table();
         // a, b, c reads + d write + d read + e write = 6
         assert_eq!(table.accesses_per_iteration(), 6);
+    }
+
+    #[test]
+    fn names_are_rendered_once_and_shared_per_array() {
+        let kernel = crate::examples::stencil3(16);
+        let table = kernel.reference_table();
+        let rendered: Vec<&str> = table.iter().map(RefInfo::rendered).collect();
+        assert_eq!(rendered, ["in[i]", "in[i + 1]", "in[i + 2]", "out[i]"]);
+        let inputs = table.by_array(table.find_by_name("in").unwrap().array());
+        assert_eq!(inputs.len(), 3);
+        for pair in inputs.windows(2) {
+            assert!(Arc::ptr_eq(
+                pair[0].shared_names().0,
+                pair[1].shared_names().0
+            ));
+        }
+        let (array_name, name) = table.iter().last().unwrap().shared_names();
+        assert_eq!((&**array_name, &**name), ("out", "out[i]"));
     }
 
     #[test]

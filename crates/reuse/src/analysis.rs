@@ -5,7 +5,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use srra_ir::{ArrayId, Kernel, LoopId, RefId};
 
-use crate::registers::{invariant_loops, registers_for_full_replacement, reuse_loop};
+use crate::registers::{invariant_loops, registers_with_reuse_loop, reuse_loop};
 use crate::savings::AccessCounts;
 
 /// The analysis results for a single reference group.
@@ -143,7 +143,6 @@ impl ReuseAnalysis {
     pub fn of(kernel: &Kernel) -> Self {
         ANALYSIS_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let nest = kernel.nest();
-        let loop_names = nest.loop_names();
         let summaries = kernel
             .reference_table()
             .iter()
@@ -152,15 +151,17 @@ impl ReuseAnalysis {
                     .array(info.array())
                     .map(|a| a.elem_bits())
                     .unwrap_or(16);
+                let (array_name, rendered) = info.shared_names();
+                let reuse = reuse_loop(info, nest);
                 ReuseSummary {
                     ref_id: info.id(),
                     array: info.array(),
-                    array_name: info.array_name().into(),
-                    rendered: info.render(&loop_names).into(),
+                    array_name: Arc::clone(array_name),
+                    rendered: Arc::clone(rendered),
                     invariant_loops: invariant_loops(info, nest),
-                    reuse_loop: reuse_loop(info, nest),
-                    registers_full: registers_for_full_replacement(info, nest),
-                    access_counts: AccessCounts::of(info, nest),
+                    reuse_loop: reuse,
+                    registers_full: registers_with_reuse_loop(info, nest, reuse),
+                    access_counts: AccessCounts::with_reuse_loop(info, nest, reuse),
                     elem_bits,
                 }
             })
@@ -301,6 +302,18 @@ mod tests {
             analysis.total_saved_full(),
             analysis.iter().map(|s| s.saved_full()).sum::<u64>()
         );
+    }
+
+    #[test]
+    fn summaries_share_the_reference_tables_names() {
+        let kernel = paper_example();
+        let analysis = ReuseAnalysis::of(&kernel);
+        for (summary, info) in analysis.iter().zip(kernel.reference_table()) {
+            let (array_name, rendered) = summary.shared_names();
+            let (table_array_name, table_rendered) = info.shared_names();
+            assert!(Arc::ptr_eq(&array_name, table_array_name));
+            assert!(Arc::ptr_eq(&rendered, table_rendered));
+        }
     }
 
     #[test]

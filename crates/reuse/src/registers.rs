@@ -100,7 +100,16 @@ pub fn reuse_loop(reference: &RefInfo, nest: &LoopNest) -> Option<LoopId> {
 /// assert_eq!(registers_for_full_replacement(c, kernel.nest()), 20);
 /// ```
 pub fn registers_for_full_replacement(reference: &RefInfo, nest: &LoopNest) -> u64 {
-    match reuse_loop(reference, nest) {
+    registers_with_reuse_loop(reference, nest, reuse_loop(reference, nest))
+}
+
+/// [`registers_for_full_replacement`] given the reference's [`reuse_loop`].
+pub(crate) fn registers_with_reuse_loop(
+    reference: &RefInfo,
+    nest: &LoopNest,
+    reuse: Option<LoopId>,
+) -> u64 {
+    match reuse {
         None => 1,
         Some(reuse) => footprint(reference, nest, reuse.index() + 1).max(1),
     }

@@ -1,7 +1,7 @@
 //! Memory-access accounting for full scalar replacement of one reference.
 
 use serde::{Deserialize, Serialize};
-use srra_ir::{LoopNest, RefInfo};
+use srra_ir::{LoopId, LoopNest, RefInfo};
 
 use crate::registers::{footprint, reuse_loop};
 
@@ -30,6 +30,15 @@ impl AccessCounts {
     /// between the two multiplies), so they never touch memory and are excluded from
     /// both counts.
     pub fn of(reference: &RefInfo, nest: &LoopNest) -> Self {
+        Self::with_reuse_loop(reference, nest, reuse_loop(reference, nest))
+    }
+
+    /// [`AccessCounts::of`] given the reference's [`reuse_loop`].
+    pub(crate) fn with_reuse_loop(
+        reference: &RefInfo,
+        nest: &LoopNest,
+        reuse: Option<LoopId>,
+    ) -> Self {
         let total_iterations = nest.total_iterations();
         let first_write = reference
             .occurrences()
@@ -46,7 +55,7 @@ impl AccessCounts {
             .count() as u64;
         let total = memory_occurrences.saturating_mul(total_iterations);
 
-        let essential = match reuse_loop(reference, nest) {
+        let essential = match reuse {
             None => total,
             Some(reuse) => {
                 // With the working set held in registers across the reuse loop, every

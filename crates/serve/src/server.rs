@@ -28,7 +28,7 @@
 //!   indefinitely) to hang up first.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +47,7 @@ use srra_obs::{
 
 use crate::binary::{
     decode_payload, encode_response_frame, holds_complete_request, read_frame, FrameError,
-    BINARY_MAGIC,
+    BINARY_MAGIC, MAX_FRAME_LEN,
 };
 use crate::protocol::{
     stamp_trace, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
@@ -736,7 +736,7 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::with_capacity(256);
+    let mut line: Vec<u8> = Vec::with_capacity(256);
     let mut rendered = String::with_capacity(256);
     let mut payload: Vec<u8> = Vec::with_capacity(256);
     let mut frame: Vec<u8> = Vec::with_capacity(256);
@@ -797,13 +797,38 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
             state.counters.codec_parse_us.record(parse_elapsed);
         } else {
             line.clear();
-            match reader.read_line(&mut line) {
+            // Read at most one byte past the frame cap, so an endless line costs
+            // no more memory than the largest binary frame.
+            match (&mut reader)
+                .take(MAX_FRAME_LEN as u64 + 1)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) => return, // Clean EOF.
                 Ok(_) => {}
                 Err(_) => return, // Peer vanished mid-line.
             }
-            // Strip the line terminator (read_line keeps it).
-            let request_line = line.trim_end_matches(['\n', '\r']);
+            if line.len() > MAX_FRAME_LEN && line.last() != Some(&b'\n') {
+                // The line's end is unknowable: answer once, then close the
+                // connection, as for a binary frame over the cap.
+                state.counters.requests.inc();
+                state.counters.codec_json.inc();
+                state.counters.record_op(Op::Invalid, Duration::ZERO, None);
+                rendered.clear();
+                Response::Error {
+                    message: format!("JSON request line longer than {MAX_FRAME_LEN} bytes"),
+                }
+                .render_into(&mut rendered);
+                rendered.push('\n');
+                let _ = writer.write_all(rendered.as_bytes());
+                let _ = writer.flush();
+                return;
+            }
+            // A line that is not UTF-8 closes the connection.
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            // Strip the line terminator (read_until keeps it).
+            let request_line = text.trim_end_matches(['\n', '\r']);
             if request_line.trim().is_empty() {
                 continue;
             }

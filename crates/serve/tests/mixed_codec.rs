@@ -4,7 +4,7 @@
 //! binary frames come back as protocol errors without desyncing the stream,
 //! and the per-codec counters account for every request.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
@@ -135,6 +135,39 @@ fn read_reply(reader: &mut BufReader<&TcpStream>) -> Result<Response, FrameError
     let (response, _trace) = decode_payload::<Response>(&payload)
         .map_err(|err| FrameError::Io(std::io::Error::other(err.to_string())))?;
     Ok(response)
+}
+
+#[test]
+fn a_json_line_over_the_frame_cap_is_answered_once_and_closed() {
+    let dir = scratch_dir("long-line");
+    let server = Server::bind(&ServerConfig::ephemeral(dir.clone())).expect("server binds");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("server runs"));
+
+    // One byte past the cap and no newline, streamed without holding a copy.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = &stream;
+    let mut line = std::io::repeat(b'a').take(MAX_FRAME_LEN as u64 + 1);
+    std::io::copy(&mut line, &mut writer).expect("write the long line");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    assert_eq!(
+        reply,
+        "{\"ok\":false,\"error\":\"JSON request line longer than 67108864 bytes\"}\n"
+    );
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("EOF"), 0, "{reply}");
+
+    // The refused line counts as one request of the invalid op.
+    let mut client = Connection::connect(&addr).expect("connects");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.op("invalid").map(|op| op.count), Some(1));
+    assert_eq!(stats.requests, 2, "the long line and this stats call");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

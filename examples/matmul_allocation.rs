@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("cuts of the critical graph:");
     for cut in find_cuts(dfg, cg) {
-        let labels: Vec<&str> = cut.iter().map(|&n| dfg.node(n).label()).collect();
+        let labels: Vec<_> = cut.iter().map(|&n| dfg.node(n).label()).collect();
         println!("  {{{}}}", labels.join(", "));
     }
 

@@ -37,7 +37,7 @@ fn critical_graph_cuts_match_figure_2b() {
         .map(|cut| {
             let mut labels: Vec<String> = cut
                 .iter()
-                .map(|&n| dfg.node(n).label().to_owned())
+                .map(|&n| dfg.node(n).label().into_owned())
                 .collect();
             labels.sort();
             labels
