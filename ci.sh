@@ -4,11 +4,13 @@
 #   2. lints as errors     (cargo clippy --workspace -- -D warnings)
 #   3. doc warnings as errors (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps)
 #   4. tier-1 verification (cargo build --release && cargo test -q)
-#   5. explore sweep bytes (a 1,512-point `srra explore` sweep with --jobs 1
-#                           and --jobs 2: identical CSVs and cache files,
-#                           and the cache matches a pinned sha256; then a
-#                           warm re-run over that cache: all hits, the same
-#                           CSV bytes and an unchanged cache)
+#   5. explore sweep bytes (a 1,512-point `srra explore` sweep with --jobs 1,
+#                           2 and 4, the last more workers than CPUs, so
+#                           workers share one kernel's costs by β vector:
+#                           identical CSVs and cache files, and the cache
+#                           matches a pinned sha256; then a warm re-run over
+#                           that cache: all hits, the same CSV bytes and an
+#                           unchanged cache)
 #   6. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
@@ -87,18 +89,21 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 # Every kernel x allocator over budgets that include infeasible ones: the CSV
 # and the cache file must not depend on --jobs, and the cache's bytes are
-# pinned, so a change that moves any record fails here.
+# pinned, so a change that moves any record fails here.  At --jobs 4 the
+# workers outnumber the CPUs and race for each kernel's shared costs.
 SWEEP_AXES="--kernel all --algos none,fr,pr,cpa,ks,greedy --budgets 1,4,8,16,32,64,128 --latencies 1,2,4 --devices xcv1000,xcv300"
-for JOBS in 1 2; do
+for JOBS in 1 2 4; do
   "$SRRA" explore $SWEEP_AXES --csv --jobs "$JOBS" --cache "$SMOKE_DIR/sweep-$JOBS.jsonl" \
     > "$SMOKE_DIR/sweep-$JOBS.csv" 2> /dev/null
 done
 [ "$(wc -l < "$SMOKE_DIR/sweep-1.jsonl")" -eq 1512 ] \
   || { echo "explore sweep: expected 1512 records"; exit 1; }
-cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-2.csv" \
-  || { echo "explore sweep: the CSV depends on --jobs"; exit 1; }
-cmp -s "$SMOKE_DIR/sweep-1.jsonl" "$SMOKE_DIR/sweep-2.jsonl" \
-  || { echo "explore sweep: the cache file depends on --jobs"; exit 1; }
+for JOBS in 2 4; do
+  cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-$JOBS.csv" \
+    || { echo "explore sweep: the CSV depends on --jobs ($JOBS)"; exit 1; }
+  cmp -s "$SMOKE_DIR/sweep-1.jsonl" "$SMOKE_DIR/sweep-$JOBS.jsonl" \
+    || { echo "explore sweep: the cache file depends on --jobs ($JOBS)"; exit 1; }
+done
 SWEEP_SHA256="f96a44436c68aea9dbaa625f2c85e7e5817a571fc451380d07caa9b01d9813ca"
 echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-1.jsonl" | sha256sum --check --quiet \
   || { echo "explore sweep: cache bytes changed"; exit 1; }

@@ -48,7 +48,10 @@ pub struct RefAllocation {
 }
 
 impl RefAllocation {
-    pub(crate) fn new(summary: &ReuseSummary, beta: u64, mode: ReplacementMode) -> Self {
+    /// The decision to give `beta` registers to the reference `summary`
+    /// describes.  Its mode follows from `beta` ([`mode_for`]), so two
+    /// allocations with the same β vector make the same decisions.
+    pub(crate) fn new(summary: &ReuseSummary, beta: u64) -> Self {
         let (array_name, rendered) = summary.shared_names();
         Self {
             ref_id: summary.ref_id(),
@@ -56,7 +59,7 @@ impl RefAllocation {
             rendered,
             registers_full: summary.registers_full(),
             beta,
-            mode,
+            mode: mode_for(summary, beta),
         }
     }
 
@@ -229,8 +232,8 @@ impl<'a> IntoIterator for &'a RegisterAllocation {
     }
 }
 
-/// Shared helper used by the concrete algorithms: derive the [`ReplacementMode`] of a
-/// reference from its summary and assigned register count.
+/// The [`ReplacementMode`] of a reference, from its summary and assigned register
+/// count.
 pub(crate) fn mode_for(summary: &ReuseSummary, beta: u64) -> ReplacementMode {
     if !summary.has_reuse() || beta == 0 {
         ReplacementMode::None
@@ -244,8 +247,8 @@ pub(crate) fn mode_for(summary: &ReuseSummary, beta: u64) -> ReplacementMode {
     }
 }
 
-/// Shared helper: build the final [`RegisterAllocation`] from a `β` vector, deriving
-/// each reference's mode with [`mode_for`].
+/// Shared helper: build the final [`RegisterAllocation`] from a `β` vector, each
+/// reference's mode following from its `β`.
 pub(crate) fn build_allocation(
     kernel_name: &str,
     algorithm: AllocatorRef,
@@ -255,10 +258,7 @@ pub(crate) fn build_allocation(
 ) -> RegisterAllocation {
     let refs = analysis
         .iter()
-        .map(|summary| {
-            let beta = betas[summary.ref_id().index()];
-            RefAllocation::new(summary, beta, mode_for(summary, beta))
-        })
+        .map(|summary| RefAllocation::new(summary, betas[summary.ref_id().index()]))
         .collect();
     RegisterAllocation::new(kernel_name, algorithm, budget, refs)
 }
@@ -266,7 +266,8 @@ pub(crate) fn build_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_ir::examples::paper_example;
+    use crate::{AllocatorRegistry, CompiledKernel};
+    use srra_ir::examples::{dot_product, paper_example, paper_example_with, stencil3};
 
     #[test]
     fn mode_for_rules() {
@@ -288,16 +289,49 @@ mod tests {
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
         let a = analysis.by_name("a").unwrap();
-        assert_eq!(
-            RefAllocation::new(a, 30, ReplacementMode::Full).coverage(),
-            1.0
-        );
-        assert_eq!(
-            RefAllocation::new(a, 1, ReplacementMode::None).coverage(),
-            0.0
-        );
-        let partial = RefAllocation::new(a, 15, ReplacementMode::Partial);
+        let full = RefAllocation::new(a, 30);
+        assert_eq!(full.mode(), ReplacementMode::Full);
+        assert_eq!(full.coverage(), 1.0);
+        let feasibility = RefAllocation::new(a, 1);
+        assert_eq!(feasibility.mode(), ReplacementMode::None);
+        assert_eq!(feasibility.coverage(), 0.0);
+        let partial = RefAllocation::new(a, 15);
+        assert_eq!(partial.mode(), ReplacementMode::Partial);
         assert!((partial.coverage() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_allocators_modes_follow_from_beta() {
+        let kernels = [
+            paper_example(),
+            paper_example_with(8, 6, 4),
+            stencil3(32),
+            dot_product(16),
+        ];
+        let mut decisions = 0;
+        for kernel in kernels {
+            let ck = CompiledKernel::new(kernel);
+            let references = ck.analysis().len() as u64;
+            for budget in [references, 8, 16, 32, 64, 128] {
+                for allocator in AllocatorRegistry::global().iter() {
+                    let Ok(allocation) = allocator.allocate(&ck, budget) else {
+                        continue;
+                    };
+                    for (summary, decision) in ck.analysis().iter().zip(&allocation) {
+                        assert_eq!(
+                            decision.mode(),
+                            mode_for(summary, decision.beta()),
+                            "{} on {} at budget {budget}, reference {}",
+                            allocator.name(),
+                            ck.kernel().name(),
+                            decision.rendered()
+                        );
+                        decisions += 1;
+                    }
+                }
+            }
+        }
+        assert!(decisions > 0);
     }
 
     #[test]

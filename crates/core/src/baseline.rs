@@ -3,7 +3,7 @@
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
-use crate::allocation::{RefAllocation, RegisterAllocation, ReplacementMode};
+use crate::allocation::{RefAllocation, RegisterAllocation};
 use crate::registry::{AllocatorRef, NO_REPLACEMENT};
 
 /// Produces the allocation corresponding to the untransformed code: no reference is
@@ -15,7 +15,7 @@ use crate::registry::{AllocatorRef, NO_REPLACEMENT};
 pub fn no_replacement(kernel: &Kernel, analysis: &ReuseAnalysis) -> RegisterAllocation {
     let refs = analysis
         .iter()
-        .map(|summary| RefAllocation::new(summary, 0, ReplacementMode::None))
+        .map(|summary| RefAllocation::new(summary, 0))
         .collect();
     RegisterAllocation::new(kernel.name(), AllocatorRef::of(&NO_REPLACEMENT), 0, refs)
 }
@@ -23,6 +23,7 @@ pub fn no_replacement(kernel: &Kernel, analysis: &ReuseAnalysis) -> RegisterAllo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::ReplacementMode;
     use srra_ir::examples::paper_example;
 
     #[test]

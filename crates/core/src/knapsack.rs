@@ -62,46 +62,40 @@ pub fn knapsack_optimal(
     let capacity = (budget - n as u64) as usize;
 
     // Items: references with exploitable reuse whose upgrade fits the capacity at all.
-    let items: Vec<(usize, usize, u64)> = analysis
+    let items: Vec<Item> = analysis
         .iter()
         .filter(|s| s.has_reuse())
-        .map(|s| {
-            (
-                s.ref_id().index(),
-                s.registers_full().saturating_sub(1) as usize,
-                s.saved_full(),
-            )
+        .map(|s| Item {
+            ref_index: s.ref_id().index(),
+            weight: s.registers_full().saturating_sub(1) as usize,
+            value: s.saved_full(),
+            registers_full: s.registers_full(),
         })
-        .filter(|(_, weight, _)| *weight <= capacity)
+        .filter(|item| item.weight <= capacity)
         .collect();
 
-    // Classic 0/1 knapsack with a full (items + 1) x (capacity + 1) table so the
-    // chosen subset can be reconstructed exactly.
-    let mut table = vec![vec![0u64; capacity + 1]; items.len() + 1];
-    for (item_idx, (_, weight, value)) in items.iter().enumerate() {
-        for cap in 0..=capacity {
-            let without = table[item_idx][cap];
-            let with = if cap >= *weight {
-                table[item_idx][cap - weight] + value
-            } else {
-                0
-            };
-            table[item_idx + 1][cap] = without.max(with);
+    // Classic 0/1 knapsack over one flat (items + 1) x (capacity + 1) table, one
+    // row per item prefix, so the chosen subset can be reconstructed exactly.
+    let width = capacity + 1;
+    let mut table = vec![0u64; (items.len() + 1) * width];
+    for (row, item) in items.iter().enumerate() {
+        let (filled, rest) = table.split_at_mut((row + 1) * width);
+        let above = &filled[row * width..];
+        let current = &mut rest[..width];
+        current[..item.weight].copy_from_slice(&above[..item.weight]);
+        for cap in item.weight..width {
+            current[cap] = above[cap].max(above[cap - item.weight] + item.value);
         }
     }
 
-    // Reconstruct the chosen set by walking the table backwards.
+    // Reconstruct the chosen set by walking the table backwards: an item is taken
+    // iff its row differs from the row above at the remaining capacity.
     let mut betas = vec![1u64; n];
     let mut cap = capacity;
-    for item_idx in (0..items.len()).rev() {
-        if table[item_idx + 1][cap] != table[item_idx][cap] {
-            let (ref_index, weight, _) = items[item_idx];
-            let summary = analysis
-                .iter()
-                .find(|s| s.ref_id().index() == ref_index)
-                .expect("item comes from the analysis");
-            betas[ref_index] = summary.registers_full();
-            cap -= weight;
+    for (row, item) in items.iter().enumerate().rev() {
+        if table[(row + 1) * width + cap] != table[row * width + cap] {
+            betas[item.ref_index] = item.registers_full;
+            cap -= item.weight;
         }
     }
 
@@ -112,6 +106,17 @@ pub fn knapsack_optimal(
         analysis,
         &betas,
     ))
+}
+
+/// One reference the knapsack may upgrade to full replacement.
+struct Item {
+    ref_index: usize,
+    /// Upgrade cost: registers beyond the feasibility register (`R - 1`).
+    weight: usize,
+    /// Accesses a full replacement eliminates.
+    value: u64,
+    /// Registers a full replacement requires (`R`).
+    registers_full: u64,
 }
 
 #[cfg(test)]

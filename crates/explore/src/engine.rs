@@ -3,18 +3,25 @@
 //! over a work-stealing thread pool.
 //!
 //! Cache misses are evaluated in runs: consecutive points that share a
-//! kernel, an allocator and a budget.  A run allocates once and computes the
-//! allocation's cost terms once ([`srra_fpga::AllocationCost`]); each point
-//! then adds only the terms of its RAM latency and device on its kernel's
-//! [`CostTable`], which is built once per RAM latency for one explore call.
+//! kernel, an allocator and a budget.  A run allocates once and takes the
+//! allocation's cost terms ([`srra_fpga::AllocationCost`]) once.  Those terms
+//! depend on the allocation's β vector alone, so each kernel keeps them by β
+//! vector for one explore call: a run whose vector an earlier run already
+//! costed, under any allocator, budget or worker, reuses that run's terms.
+//! Each point then adds only the terms of its RAM latency and device on its
+//! kernel's [`CostTable`], one per RAM latency for one explore call.  The
+//! first table a kernel needs runs its list schedule; a table for another
+//! RAM latency is derived from one already built and differs only in its
+//! memory stages.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use srra_core::{CompiledKernel, MemoryCostModel};
+use srra_core::{CompiledKernel, MemoryCostModel, RegisterAllocation};
 use srra_fpga::{AllocationCost, CostTable, EvaluationOptions};
 use srra_obs::{Counter, Histogram, Registry};
 
@@ -28,6 +35,7 @@ struct EngineMetrics {
     infeasible: Arc<Counter>,
     store_reads: Arc<Counter>,
     store_writes: Arc<Counter>,
+    shared_costs: Arc<Counter>,
     reuse_analysis_us: Arc<Histogram>,
     allocation_us: Arc<Histogram>,
     cost_model_us: Arc<Histogram>,
@@ -42,6 +50,7 @@ fn engine_metrics() -> &'static EngineMetrics {
             infeasible: registry.counter("explore_infeasible_total"),
             store_reads: registry.counter("explore_store_reads_total"),
             store_writes: registry.counter("explore_store_writes_total"),
+            shared_costs: registry.counter("explore_shared_costs_total"),
             reuse_analysis_us: registry.histogram("explore_reuse_analysis_us"),
             allocation_us: registry.histogram("explore_allocation_us"),
             cost_model_us: registry.histogram("explore_cost_model_us"),
@@ -92,11 +101,13 @@ fn options_for(ram_latency: u64) -> EvaluationOptions {
     }
 }
 
-/// One kernel's cost tables, one per RAM latency, each built at the first
-/// feasible point that needs it and kept for one batch of evaluations.
+/// One kernel's cost state for one batch of evaluations: a cost table per RAM
+/// latency, each built at the first feasible point that needs it, and the
+/// cost terms of every β vector costed so far.
 struct KernelTables<'k> {
     kernel: &'k CompiledKernel,
     tables: Vec<(u64, OnceLock<CostTable<'k>>)>,
+    costs: Mutex<HashMap<Box<[u64]>, Arc<AllocationCost>>>,
 }
 
 impl<'k> KernelTables<'k> {
@@ -107,6 +118,7 @@ impl<'k> KernelTables<'k> {
                 .iter()
                 .map(|&latency| (latency, OnceLock::new()))
                 .collect(),
+            costs: Mutex::new(HashMap::new()),
         }
     }
 
@@ -117,13 +129,38 @@ impl<'k> KernelTables<'k> {
             .find(|(latency, _)| *latency == ram_latency)
             .expect("a table slot for every RAM latency of the batch");
         table.get_or_init(|| {
-            CostTable::new(
-                self.kernel.kernel(),
-                self.kernel.analysis(),
-                self.kernel.dfg(),
-                &options_for(ram_latency),
-            )
+            // Only the memory stages depend on the RAM latency, so a table
+            // built for another latency lends its schedule.
+            match self.tables.iter().find_map(|(_, built)| built.get()) {
+                Some(built) => built.at_ram_latency(ram_latency),
+                None => CostTable::new(
+                    self.kernel.kernel(),
+                    self.kernel.analysis(),
+                    self.kernel.dfg(),
+                    &options_for(ram_latency),
+                ),
+            }
         })
+    }
+
+    /// The cost terms of `allocation`: an earlier allocation's, when it had
+    /// the same β vector, otherwise computed on `table`.  Costing holds the
+    /// kernel's lock, so each vector is costed once whatever the worker count.
+    fn cost(&self, table: &CostTable<'k>, allocation: &RegisterAllocation) -> Arc<AllocationCost> {
+        let betas: Box<[u64]> = allocation.iter().map(|r| r.beta()).collect();
+        let mut costs = self
+            .costs
+            .lock()
+            .expect("no worker panics while holding a kernel's cost lock");
+        match costs.entry(betas) {
+            Entry::Occupied(shared) => {
+                engine_metrics().shared_costs.inc();
+                Arc::clone(shared.get())
+            }
+            Entry::Vacant(fresh) => {
+                Arc::clone(fresh.insert(Arc::new(table.allocation_cost(allocation))))
+            }
+        }
     }
 }
 
@@ -174,9 +211,10 @@ impl Pending<'_> {
 
 /// Evaluates one run: consecutive points that share a kernel, an allocator
 /// and a budget, so they share one allocation.  The run allocates once and
-/// computes the allocation's cost terms once, through the table of its first
-/// point; each point then adds only its RAM-latency and device terms.  An
-/// infeasible allocation makes every point of the run infeasible.
+/// takes the allocation's cost terms once, from its kernel's costs by β
+/// vector or through the table of its first point; each point then adds only
+/// its RAM-latency and device terms.  An infeasible allocation makes every
+/// point of the run infeasible.
 ///
 /// `emit` receives each point's record, in run order, with the stage time it
 /// paid: the first point carries the reuse analysis (if it ran) and the
@@ -209,13 +247,13 @@ fn evaluate_run(
         }
         return;
     };
-    let mut cost: Option<AllocationCost> = None;
+    let mut cost: Option<Arc<AllocationCost>> = None;
     for pending in run {
         metrics.evaluations.inc();
         let point = pending.point;
         let started = Instant::now();
         let table = tables.get(point.ram_latency);
-        let cost = cost.get_or_insert_with(|| table.allocation_cost(&allocation));
+        let cost = cost.get_or_insert_with(|| tables.cost(table, &allocation));
         let terms = table.point_cost(cost, &point.device);
         timings.cost_model_us = finish_stage(&metrics.cost_model_us, started);
         let record = PointRecord {
@@ -400,10 +438,10 @@ impl Explorer {
         }
 
         // Each kernel's `CompiledKernel` context memoizes its reuse analysis
-        // and DFG, and its cost tables live for this call: the first feasible
-        // point of a kernel at a RAM latency builds the table, every other
-        // point (on any worker thread) reuses it, and a fully warm run builds
-        // none of them.
+        // and DFG, and its cost tables and costs by β vector live for this
+        // call: the first feasible point of a kernel at a RAM latency builds
+        // or derives the table, every other point (on any worker thread)
+        // reuses it, and a fully warm run builds none of them.
         let mut ram_latencies: Vec<u64> = Vec::new();
         for pending in &pending {
             if !ram_latencies.contains(&pending.point.ram_latency) {

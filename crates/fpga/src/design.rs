@@ -116,7 +116,8 @@ impl HardwareDesign {
     /// `dfg`, which the schedule, the memory stages and the operator area all share.
     ///
     /// This is one pass through the three levels of [`CostTable`]: the kernel's
-    /// table, then the allocation's terms, then the point's.
+    /// table, then the allocation's terms, then the point's.  The design's
+    /// algorithm and version labels are `allocation`'s.
     ///
     /// # Panics
     ///
@@ -131,7 +132,11 @@ impl HardwareDesign {
         options: &EvaluationOptions,
     ) -> Self {
         let table = CostTable::new(kernel, analysis, dfg, options);
-        table.design(&table.allocation_cost(allocation), device)
+        table.design(
+            allocation.algorithm(),
+            &table.allocation_cost(allocation),
+            device,
+        )
     }
 
     /// Percentage reduction of this design's cycle count relative to `baseline`

@@ -17,9 +17,11 @@
 //! * [`HardwareDesign`] — the combined design point (cycles, clock, wall-clock time,
 //!   area), produced by [`HardwareDesign::evaluate`],
 //! * [`CostTable`] — the same cost model split by what a register vector can change:
-//!   a kernel's allocation-independent terms, built once per kernel and options, then
-//!   each allocation's terms ([`AllocationCost`]) once, then each design point's RAM
-//!   latency and device terms ([`PointCost`]).  A sweep pays for each level once.
+//!   a kernel's allocation-independent terms, built once per kernel and options (a
+//!   table at another RAM latency keeps the list schedule and re-derives only its
+//!   memory stages), then each β vector's terms ([`AllocationCost`]) once, whichever
+//!   allocator chose it, then each design point's RAM latency and device terms
+//!   ([`PointCost`]).  A sweep pays for each level once.
 //!
 //! The absolute numbers are not expected to match a 2001-era synthesis flow; the
 //! *relative* behaviour (cycle-count ordering across FR-RA/PR-RA/CPA-RA, slight clock

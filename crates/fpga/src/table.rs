@@ -4,19 +4,22 @@
 //!
 //! * [`CostTable`] — per kernel and [`EvaluationOptions`]: the compute cycles of the
 //!   all-register list schedule, the memory stages at the options' RAM latency and
-//!   the operator slices.  No allocation changes these.
-//! * [`AllocationCost`] — per allocation: its per-reference terms, registers used,
+//!   the operator slices.  No allocation changes these, and only the memory stages
+//!   depend on the RAM latency: [`CostTable::at_ram_latency`] derives a kernel's
+//!   table for another RAM latency from one it already has, keeping its schedule.
+//! * [`AllocationCost`] — per β vector: its per-reference terms, registers used,
 //!   register distribution, clock period, device-independent area, remaining
-//!   accesses and prologue plus epilogue transfers.  No RAM latency or device changes
-//!   these.
+//!   accesses and prologue plus epilogue transfers.  No RAM latency, device or
+//!   allocator changes these, so allocations with the same β vector, from any
+//!   allocator, share one.
 //! * [`PointCost`] — per design point: the memory-stage fold at the table's RAM
 //!   latency, the transfer, total and wall-clock times, and the BlockRAMs and fit on
 //!   the point's device.
 //!
 //! [`HardwareDesign::evaluate_on_dfg`] is one pass through all three levels.  A sweep
-//! that visits many points of one allocation builds its [`AllocationCost`] through
-//! one table and costs it on every table of the kernel, which differ only in RAM
-//! latency.
+//! that visits many points of one kernel builds one table, derives the table of each
+//! other RAM latency from it, builds each distinct β vector's [`AllocationCost`]
+//! once, and costs it on every table of the kernel.
 
 use srra_core::{AllocatorRef, MemoryStages, RefTerms, RegisterAllocation};
 use srra_dfg::{DataFlowGraph, Storage, StorageMap};
@@ -34,6 +37,7 @@ use crate::schedule::ListScheduler;
 pub struct CostTable<'k> {
     kernel: &'k Kernel,
     analysis: &'k ReuseAnalysis,
+    dfg: &'k DataFlowGraph,
     options: EvaluationOptions,
     compute_cycles: u64,
     stages: MemoryStages,
@@ -45,7 +49,7 @@ impl<'k> CostTable<'k> {
     pub fn new(
         kernel: &'k Kernel,
         analysis: &'k ReuseAnalysis,
-        dfg: &DataFlowGraph,
+        dfg: &'k DataFlowGraph,
         options: &EvaluationOptions,
     ) -> Self {
         // Datapath skeleton: the schedule of one iteration when every operand is
@@ -63,6 +67,7 @@ impl<'k> CostTable<'k> {
         Self {
             kernel,
             analysis,
+            dfg,
             options: options.clone(),
             compute_cycles,
             stages: MemoryStages::new(kernel, analysis, dfg, &options.memory),
@@ -70,8 +75,30 @@ impl<'k> CostTable<'k> {
         }
     }
 
+    /// The table of the same kernel and options at another RAM latency.
+    ///
+    /// The list schedule, the compute cycles and the operator slices do not depend
+    /// on the RAM latency, so they are kept; only the memory stages are derived
+    /// again.  The result equals [`CostTable::new`] at that latency.
+    pub fn at_ram_latency(&self, ram_latency: u64) -> Self {
+        let mut options = self.options.clone();
+        options.memory.ram_latency = ram_latency;
+        Self {
+            kernel: self.kernel,
+            analysis: self.analysis,
+            dfg: self.dfg,
+            compute_cycles: self.compute_cycles,
+            stages: MemoryStages::new(self.kernel, self.analysis, self.dfg, &options.memory),
+            operator_slices: self.operator_slices,
+            options,
+        }
+    }
+
     /// The terms of `allocation` that no RAM latency or device changes, computed
     /// with this table's clock and area models.
+    ///
+    /// They depend on the allocation's β vector alone: every allocator derives a
+    /// reference's replacement mode from its β, and the terms name no allocator.
     ///
     /// # Panics
     ///
@@ -91,7 +118,6 @@ impl<'k> CostTable<'k> {
         let prologue_loads: u64 = refs.iter().map(|r| r.prologue_loads).sum();
         let epilogue_stores: u64 = refs.iter().map(|r| r.epilogue_stores).sum();
         AllocationCost {
-            algorithm: allocation.algorithm(),
             registers_used: allocation.total_registers(),
             distribution: allocation.distribution(),
             clock_period_ns: self.options.clock.period_of(&refs),
@@ -132,14 +158,19 @@ impl<'k> CostTable<'k> {
         }
     }
 
-    /// The full design point of `cost`'s allocation at this table's RAM latency on
-    /// `device`.
-    pub(crate) fn design(&self, cost: &AllocationCost, device: &DeviceModel) -> HardwareDesign {
+    /// The full design point of `cost`'s allocation, chosen by `algorithm`, at this
+    /// table's RAM latency on `device`.
+    pub(crate) fn design(
+        &self,
+        algorithm: AllocatorRef,
+        cost: &AllocationCost,
+        device: &DeviceModel,
+    ) -> HardwareDesign {
         let point = self.point_cost(cost, device);
         HardwareDesign {
             kernel: self.kernel.name().to_owned(),
-            version: cost.algorithm.version_name().to_owned(),
-            algorithm: cost.algorithm.label().to_owned(),
+            version: algorithm.version_name().to_owned(),
+            algorithm: algorithm.label().to_owned(),
             registers_used: cost.registers_used,
             register_distribution: cost.distribution.clone(),
             total_cycles: point.total_cycles,
@@ -156,11 +187,10 @@ impl<'k> CostTable<'k> {
     }
 }
 
-/// The cost terms of one allocation that no RAM latency or device changes, built
-/// by [`CostTable::allocation_cost`].
+/// The cost terms of one β vector that no RAM latency, device or allocator changes,
+/// built by [`CostTable::allocation_cost`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocationCost {
-    algorithm: AllocatorRef,
     registers_used: u64,
     distribution: String,
     clock_period_ns: f64,
@@ -218,7 +248,8 @@ pub struct PointCost {
 mod tests {
     use super::*;
     use srra_core::{AllocatorRegistry, CompiledKernel, MemoryCostModel};
-    use srra_ir::examples::{paper_example, stencil3};
+    use srra_ir::examples::{dot_product, paper_example, stencil3};
+    use std::collections::HashMap;
 
     fn options(ram_latency: u64) -> EvaluationOptions {
         EvaluationOptions {
@@ -231,14 +262,25 @@ mod tests {
     fn allocation_terms_carry_across_tables_of_one_kernel() {
         let ck = CompiledKernel::new(paper_example());
         let (kernel, analysis, dfg) = (ck.kernel(), ck.analysis(), ck.dfg());
-        let tables: Vec<CostTable<'_>> = [1, 2, 4]
+        let latencies = [1, 2, 4];
+        let tables: Vec<CostTable<'_>> = latencies
             .iter()
             .map(|&latency| CostTable::new(kernel, analysis, dfg, &options(latency)))
+            .collect();
+        // Each table derived from every other latency's table, keeping its schedule.
+        let derived: Vec<Vec<CostTable<'_>>> = latencies
+            .iter()
+            .map(|&latency| {
+                tables
+                    .iter()
+                    .map(|source| source.at_ram_latency(latency))
+                    .collect()
+            })
             .collect();
         for allocator in AllocatorRegistry::global().iter() {
             let allocation = allocator.allocate(&ck, 64).unwrap();
             let carried = tables[0].allocation_cost(&allocation);
-            for table in &tables {
+            for (table, derived) in tables.iter().zip(&derived) {
                 let own = table.allocation_cost(&allocation);
                 assert_eq!(own, carried, "{}", allocator.name());
                 for device in [DeviceModel::xcv1000(), DeviceModel::xcv300()] {
@@ -247,7 +289,7 @@ mod tests {
                         table.point_cost(&own, &device)
                     );
                     assert_eq!(
-                        table.design(&carried, &device),
+                        table.design(allocation.algorithm(), &carried, &device),
                         HardwareDesign::evaluate_on_dfg(
                             kernel,
                             analysis,
@@ -258,8 +300,52 @@ mod tests {
                         )
                     );
                 }
+                for derived in derived {
+                    assert_eq!(derived.options, table.options);
+                    assert_eq!(derived.allocation_cost(&allocation), own);
+                    for device in [DeviceModel::xcv1000(), DeviceModel::xcv300()] {
+                        assert_eq!(
+                            derived.point_cost(&carried, &device),
+                            table.point_cost(&own, &device),
+                            "{} at RAM latency {}",
+                            allocator.name(),
+                            table.options.memory.ram_latency
+                        );
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn allocations_with_equal_beta_vectors_cost_the_same() {
+        let mut shared_across_allocators = 0;
+        for kernel in [paper_example(), stencil3(32), dot_product(16)] {
+            let ck = CompiledKernel::new(kernel);
+            let table = CostTable::new(ck.kernel(), ck.analysis(), ck.dfg(), &options(2));
+            let references = ck.analysis().len() as u64;
+            let mut first: HashMap<Vec<u64>, (AllocatorRef, AllocationCost)> = HashMap::new();
+            for budget in [references, 8, 16, 32, 64, 128] {
+                for allocator in AllocatorRegistry::global().iter() {
+                    let Ok(allocation) = allocator.allocate(&ck, budget) else {
+                        continue;
+                    };
+                    let betas = allocation.iter().map(|r| r.beta()).collect::<Vec<_>>();
+                    let cost = table.allocation_cost(&allocation);
+                    let (by, earlier) = first.entry(betas).or_insert((allocator, cost.clone()));
+                    assert_eq!(
+                        cost,
+                        *earlier,
+                        "{} on {} at budget {budget}, against {}",
+                        allocator.name(),
+                        ck.kernel().name(),
+                        by.name()
+                    );
+                    shared_across_allocators += usize::from(*by != allocator);
+                }
+            }
+        }
+        assert!(shared_across_allocators > 0);
     }
 
     #[test]
