@@ -10,7 +10,10 @@
 #                           identical CSVs and cache files, and the cache
 #                           matches a pinned sha256; then a warm re-run over
 #                           that cache: all hits, the same CSV bytes and an
-#                           unchanged cache)
+#                           unchanged cache; then the same points as one
+#                           served `explore` batch on a fresh node, whose
+#                           records match the pinned sha256, and a second
+#                           pass as `mexplore` that is all hits)
 #   6. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
@@ -78,6 +81,7 @@ SRRA="target/release/srra"
 SMOKE_DIR="$(mktemp -d)"
 cleanup_smoke() {
   [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
+  [ -n "${SWEEP_PID:-}" ] && kill "$SWEEP_PID" 2>/dev/null || true
   [ -n "${NODE_A_PID:-}" ] && kill "$NODE_A_PID" 2>/dev/null || true
   [ -n "${NODE_B_PID:-}" ] && kill "$NODE_B_PID" 2>/dev/null || true
   [ -n "${NODE_C_PID:-}" ] && kill "$NODE_C_PID" 2>/dev/null || true
@@ -117,6 +121,32 @@ grep -q '"cache_hits":1512,"evaluated":0' "$SMOKE_DIR/sweep-warm.json" \
   || { echo "explore sweep: the warm run missed the cache"; exit 1; }
 echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-1.jsonl" | sha256sum --check --quiet \
   || { echo "explore sweep: the warm run changed the cache"; exit 1; }
+# The same points served as one batch: a fresh node evaluates all 1,512 and
+# answers the explorer's records byte for byte, one record per line hashing
+# to the pinned sha256; a second pass, batched as mexplore, is all hits.
+"$SRRA" serve --addr 127.0.0.1:0 --shards 4 --cache-dir "$SMOKE_DIR/sweep-serve" \
+  > "$SMOKE_DIR/sweep-serve.out" 2> /dev/null &
+SWEEP_PID=$!
+SWEEP_ADDR=""
+for _ in $(seq 1 100); do
+  SWEEP_ADDR="$(sed -n 's/^srra-serve listening on \([0-9.:]*\).*/\1/p' "$SMOKE_DIR/sweep-serve.out")"
+  [ -n "$SWEEP_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$SWEEP_ADDR" ] || { echo "explore sweep: the node never announced its address"; exit 1; }
+"$SRRA" query --addr "$SWEEP_ADDR" explore $SWEEP_AXES > "$SMOKE_DIR/sweep-served.out"
+grep -q '"evaluated":1512}$' "$SMOKE_DIR/sweep-served.out" \
+  || { echo "explore sweep: the served batch did not evaluate 1512 points"; exit 1; }
+sed 's/^{"ok":true,"records":\[//; s/\],"hits".*$//; s/},{/}\n{/g' "$SMOKE_DIR/sweep-served.out" \
+  > "$SMOKE_DIR/sweep-served.jsonl"
+echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-served.jsonl" | sha256sum --check --quiet \
+  || { echo "explore sweep: the served records differ from the explorer's"; exit 1; }
+"$SRRA" query --addr "$SWEEP_ADDR" explore $SWEEP_AXES --batch \
+  | grep -q '"hits":1512,"evaluated":0' \
+  || { echo "explore sweep: the second served pass missed the cache"; exit 1; }
+"$SRRA" query --addr "$SWEEP_ADDR" shutdown > /dev/null
+wait "$SWEEP_PID"
+SWEEP_PID=""
 
 # perfbench is a Cargo workspace of its own, so the steps above never build it.
 echo "==> perfbench unit tests"

@@ -30,7 +30,7 @@ use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel};
 use srra_explore::codec::to_json;
 use srra_explore::{
     exploration_csv, render_exploration, DesignSpace, Exploration, Explorer, JsonlStore,
-    MemoryStore, ResultStore,
+    MemoryStore, ResultStore, MAX_RAM_LATENCY,
 };
 use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
@@ -378,7 +378,7 @@ fn paper_kernel_names() -> impl Iterator<Item = String> {
 
 impl Axes {
     /// Reads the value of `flag` when it names an axis; `false` when it
-    /// names none.
+    /// names none.  A RAM latency above [`MAX_RAM_LATENCY`] is refused.
     fn read(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, CliError> {
         match flag {
             "--kernel" | "--kernels" => {
@@ -392,7 +392,15 @@ impl Axes {
             }
             "--algos" | "--algo" => self.algos = flags.list("--algos")?,
             "--budgets" => self.budgets = flags.numbers(flag)?,
-            "--latencies" => self.latencies = flags.numbers(flag)?,
+            "--latencies" => {
+                self.latencies = flags.numbers(flag)?;
+                if let Some(latency) = self.latencies.iter().find(|&&l| l > MAX_RAM_LATENCY) {
+                    return Err(CliError(format!(
+                        "invalid {flag} value `{latency}`: above the RAM latency limit of \
+                         {MAX_RAM_LATENCY} cycles"
+                    )));
+                }
+            }
             "--devices" => self.devices = flags.list(flag)?,
             _ => return Ok(false),
         }
@@ -1976,6 +1984,12 @@ mod tests {
             ),
             (&["explore", "--kernels"], "--kernel needs a value".into()),
             (
+                &["explore", "--latencies", "2,18446744073709551615"],
+                "invalid --latencies value `18446744073709551615`: above the RAM latency \
+                 limit of 4294967296 cycles"
+                    .into(),
+            ),
+            (
                 &["explore", "--cache", "a.jsonl", "--cache-dir", "b"],
                 "explore: --cache and --cache-dir are mutually exclusive".into(),
             ),
@@ -2038,6 +2052,33 @@ mod tests {
                     "--bogus",
                 ],
                 "unknown get flag `--bogus`".into(),
+            ),
+            (
+                &[
+                    "query",
+                    "--addr",
+                    "127.0.0.1:9",
+                    "get",
+                    "fir",
+                    "cpa",
+                    "32",
+                    "--latency",
+                    "4294967297",
+                ],
+                "RAM latency 4294967297 exceeds the limit of 4294967296 cycles".into(),
+            ),
+            (
+                &[
+                    "query",
+                    "--addr",
+                    "127.0.0.1:9",
+                    "explore",
+                    "--latencies",
+                    "4294967297",
+                ],
+                "invalid --latencies value `4294967297`: above the RAM latency limit of \
+                 4294967296 cycles"
+                    .into(),
             ),
             (
                 &["query", "--addr", "127.0.0.1:9", "series"],
@@ -2146,6 +2187,19 @@ mod tests {
             (
                 &["cluster", "--nodes", "127.0.0.1:9", "mget", "--bogus"],
                 "unknown query explore flag `--bogus`".into(),
+            ),
+            (
+                &[
+                    "cluster",
+                    "--nodes",
+                    "127.0.0.1:9",
+                    "explore",
+                    "--latencies",
+                    "18446744073709551615",
+                ],
+                "invalid --latencies value `18446744073709551615`: above the RAM latency \
+                 limit of 4294967296 cycles"
+                    .into(),
             ),
             (
                 &[

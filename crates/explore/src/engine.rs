@@ -1,18 +1,20 @@
 //! The exploration engine: evaluates every point of a [`DesignSpace`],
 //! deduplicating against a [`ResultStore`] and fanning the cache misses out
-//! over a work-stealing thread pool.
+//! over a work-stealing thread pool, and evaluates a served batch's fresh
+//! points one at a time through a [`BatchEvaluator`].
 //!
 //! Cache misses are evaluated in runs: consecutive points that share a
 //! kernel, an allocator and a budget.  A run allocates once and takes the
 //! allocation's cost terms ([`srra_fpga::AllocationCost`]) once.  Those terms
 //! depend on the allocation's β vector alone, so each kernel keeps them by β
-//! vector for one explore call: a run whose vector an earlier run already
-//! costed, under any allocator, budget or worker, reuses that run's terms.
-//! Each point then adds only the terms of its RAM latency and device on its
-//! kernel's [`CostTable`], one per RAM latency for one explore call.  The
-//! first table a kernel needs runs its list schedule; a table for another
-//! RAM latency is derived from one already built and differs only in its
-//! memory stages.
+//! vector for one explore call or one batch: a run whose vector an earlier
+//! run already costed, under any allocator, budget or worker, reuses that
+//! run's terms.  Each point then adds only the terms of its RAM latency and
+//! device on its kernel's [`CostTable`], one per RAM latency for one explore
+//! call or one batch.  The first table a kernel needs runs its list
+//! schedule; a table for another RAM latency is derived from one already
+//! built and differs only in its memory stages.  The explorer and the batch
+//! evaluator share one per-point step, so their records are the same.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use srra_core::{CompiledKernel, MemoryCostModel, RegisterAllocation};
+use srra_core::{AllocatorRef, CompiledKernel, MemoryCostModel, RegisterAllocation};
 use srra_fpga::{AllocationCost, CostTable, EvaluationOptions};
 use srra_obs::{Counter, Histogram, Registry};
 
@@ -58,20 +60,21 @@ fn engine_metrics() -> &'static EngineMetrics {
     })
 }
 
-/// Wall time spent in each stage of one [`evaluate_point_timed`] call, in
-/// microseconds.
+/// Wall time spent in each stage of one point's evaluation by a
+/// [`BatchEvaluator`], in microseconds.
 ///
 /// The same three stages the engine's global histograms
 /// (`explore_reuse_analysis_us` / `explore_allocation_us` /
-/// `explore_cost_model_us`) aggregate, surfaced per call so a traced serve
+/// `explore_cost_model_us`) aggregate, surfaced per point so a traced serve
 /// request can attribute its evaluation time span by span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
     /// Memoized reuse analysis (0 when the kernel's analysis was already
     /// cached and the stage never ran).
     pub reuse_analysis_us: u64,
-    /// Register allocation (the point's allocator strategy).
-    pub allocation_us: u64,
+    /// Register allocation (the point's allocator strategy); `None` when the
+    /// point took its run's allocation and the stage never ran.
+    pub allocation_us: Option<u64>,
     /// Hardware cost-model evaluation (0 for infeasible points, which never
     /// reach it).
     pub cost_model_us: u64,
@@ -80,7 +83,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Total stage time in microseconds.
     pub fn total_us(&self) -> u64 {
-        self.reuse_analysis_us + self.allocation_us + self.cost_model_us
+        self.reuse_analysis_us + self.allocation_us.unwrap_or(0) + self.cost_model_us
     }
 }
 
@@ -119,6 +122,17 @@ impl<'k> KernelTables<'k> {
                 .map(|&latency| (latency, OnceLock::new()))
                 .collect(),
             costs: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Adds a table slot for `ram_latency`, unless one exists.
+    fn add_latency(&mut self, ram_latency: u64) {
+        if !self
+            .tables
+            .iter()
+            .any(|(latency, _)| *latency == ram_latency)
+        {
+            self.tables.push((ram_latency, OnceLock::new()));
         }
     }
 
@@ -164,99 +178,91 @@ impl<'k> KernelTables<'k> {
     }
 }
 
-/// A point waiting for evaluation, with the content address the cache pass
-/// built for it and its slot in the point order.
-struct Pending<'s> {
-    point: &'s DesignPoint,
-    canonical: String,
-    key: u64,
-    slot: usize,
+/// A point's record before evaluation: its identity, marked infeasible.
+fn unevaluated(point: &DesignPoint, canonical: &str, key: u64) -> PointRecord {
+    PointRecord {
+        key,
+        canonical: canonical.to_owned(),
+        kernel: point.kernel.clone(),
+        algorithm: point.allocator.label().to_owned(),
+        version: point.allocator.version_name().to_owned(),
+        budget: point.budget,
+        ram_latency: point.ram_latency,
+        device: point.device.name().to_owned(),
+        feasible: false,
+        fits: false,
+        registers_used: 0,
+        total_cycles: 0,
+        compute_cycles: 0,
+        memory_cycles: 0,
+        transfer_cycles: 0,
+        clock_period_ns: 0.0,
+        execution_time_us: 0.0,
+        slices: 0,
+        block_rams: 0,
+        distribution: String::new(),
+    }
 }
 
-impl Pending<'_> {
-    /// The point's record before evaluation: its identity, marked infeasible.
-    fn unevaluated(&self) -> PointRecord {
-        let point = self.point;
-        PointRecord {
-            key: self.key,
-            canonical: self.canonical.clone(),
-            kernel: point.kernel.clone(),
-            algorithm: point.allocator.label().to_owned(),
-            version: point.allocator.version_name().to_owned(),
-            budget: point.budget,
-            ram_latency: point.ram_latency,
-            device: point.device.name().to_owned(),
-            feasible: false,
-            fits: false,
-            registers_used: 0,
-            total_cycles: 0,
-            compute_cycles: 0,
-            memory_cycles: 0,
-            transfer_cycles: 0,
-            clock_period_ns: 0.0,
-            execution_time_us: 0.0,
-            slices: 0,
-            block_rams: 0,
-            distribution: String::new(),
+/// What the points of one run share: consecutive evaluated points with one
+/// kernel, allocator and budget have one allocation (`None` when it is
+/// infeasible) and, once the run's first feasible point took them, its cost
+/// terms.
+struct Run {
+    allocation: Option<RegisterAllocation>,
+    cost: Option<Arc<AllocationCost>>,
+}
+
+impl Run {
+    /// Starts the run whose first point is `point`: allocates once.  The
+    /// kernel's memoized reuse analysis is forced first, so its cost (paid
+    /// only by the first run of each kernel) lands in its own histogram
+    /// instead of being folded into the allocation.
+    fn start(kernel: &CompiledKernel, point: &DesignPoint, timings: &mut StageTimings) -> Self {
+        let metrics = engine_metrics();
+        if !kernel.analysis_is_cached() {
+            let started = Instant::now();
+            let _ = kernel.analysis();
+            timings.reuse_analysis_us = finish_stage(&metrics.reuse_analysis_us, started);
         }
-    }
-
-    /// Whether `next` continues this point's run: same kernel, allocator and
-    /// budget.
-    fn same_run(&self, next: &Pending<'_>) -> bool {
-        let (a, b) = (self.point, next.point);
-        a.kernel_index == b.kernel_index && a.allocator == b.allocator && a.budget == b.budget
-    }
-}
-
-/// Evaluates one run: consecutive points that share a kernel, an allocator
-/// and a budget, so they share one allocation.  The run allocates once and
-/// takes the allocation's cost terms once, from its kernel's costs by β
-/// vector or through the table of its first point; each point then adds only
-/// its RAM-latency and device terms.  An infeasible allocation makes every
-/// point of the run infeasible.
-///
-/// `emit` receives each point's record, in run order, with the stage time it
-/// paid: the first point carries the reuse analysis (if it ran) and the
-/// allocation, and every feasible point its own cost-model time.
-fn evaluate_run(
-    tables: &KernelTables<'_>,
-    run: &[Pending<'_>],
-    mut emit: impl FnMut(PointRecord, StageTimings),
-) {
-    let metrics = engine_metrics();
-    let kernel = tables.kernel;
-    let mut timings = StageTimings::default();
-    // Force the kernel's memoized reuse analysis now, so its cost (paid only
-    // by the first run of each kernel) lands in its own histogram instead
-    // of being folded into whichever stage happens to trigger it.
-    if !kernel.analysis_is_cached() {
         let started = Instant::now();
-        let _ = kernel.analysis();
-        timings.reuse_analysis_us = finish_stage(&metrics.reuse_analysis_us, started);
-    }
-    let first = run[0].point;
-    let started = Instant::now();
-    let allocated = first.allocator.allocate(kernel, first.budget);
-    timings.allocation_us = finish_stage(&metrics.allocation_us, started);
-    let Ok(allocation) = allocated else {
-        for pending in run {
-            metrics.evaluations.inc();
-            metrics.infeasible.inc();
-            emit(pending.unevaluated(), std::mem::take(&mut timings));
+        let allocated = point.allocator.allocate(kernel, point.budget);
+        timings.allocation_us = Some(finish_stage(&metrics.allocation_us, started));
+        Self {
+            allocation: allocated.ok(),
+            cost: None,
         }
-        return;
-    };
-    let mut cost: Option<Arc<AllocationCost>> = None;
-    for pending in run {
+    }
+
+    /// The per-point step: evaluates `point`, one of this run's points,
+    /// content-addressed by `canonical` and `key`.  The run takes its
+    /// allocation's cost terms once, from its kernel's costs by β vector or
+    /// through this point's table; each point then adds only its RAM-latency
+    /// and device terms.  An infeasible allocation makes the point
+    /// infeasible.
+    fn evaluate(
+        &mut self,
+        tables: &KernelTables<'_>,
+        point: &DesignPoint,
+        canonical: &str,
+        key: u64,
+        timings: &mut StageTimings,
+    ) -> PointRecord {
+        let metrics = engine_metrics();
         metrics.evaluations.inc();
-        let point = pending.point;
+        let record = unevaluated(point, canonical, key);
+        let Some(allocation) = &self.allocation else {
+            metrics.infeasible.inc();
+            return record;
+        };
         let started = Instant::now();
         let table = tables.get(point.ram_latency);
-        let cost = cost.get_or_insert_with(|| tables.cost(table, &allocation));
+        let cost = self
+            .cost
+            .get_or_insert_with(|| tables.cost(table, allocation));
         let terms = table.point_cost(cost, &point.device);
         timings.cost_model_us = finish_stage(&metrics.cost_model_us, started);
-        let record = PointRecord {
+        PointRecord {
             feasible: true,
             fits: terms.fits,
             registers_used: cost.registers_used(),
@@ -269,13 +275,121 @@ fn evaluate_run(
             slices: cost.slices(),
             block_rams: terms.block_rams,
             distribution: cost.distribution().to_owned(),
-            ..pending.unevaluated()
-        };
-        emit(record, std::mem::take(&mut timings));
+            ..record
+        }
     }
 }
 
-/// Evaluates one design point from scratch (no cache involved).
+/// A point waiting for evaluation, with the content address the cache pass
+/// built for it and its slot in the point order.
+struct Pending<'s> {
+    point: &'s DesignPoint,
+    canonical: String,
+    key: u64,
+    slot: usize,
+}
+
+impl Pending<'_> {
+    /// Whether `next` continues this point's run: same kernel, allocator and
+    /// budget.
+    fn same_run(&self, next: &Pending<'_>) -> bool {
+        let (a, b) = (self.point, next.point);
+        a.kernel_index == b.kernel_index && a.allocator == b.allocator && a.budget == b.budget
+    }
+}
+
+/// Evaluates one run of the explorer's pending points, appending their
+/// records to `fresh` in run order.
+fn evaluate_run(tables: &KernelTables<'_>, run: &[Pending<'_>], fresh: &mut Vec<PointRecord>) {
+    // The explorer reports no per-point stage times.
+    let mut timings = StageTimings::default();
+    let mut shared = Run::start(tables.kernel, run[0].point, &mut timings);
+    for pending in run {
+        let (point, canonical) = (pending.point, &pending.canonical);
+        fresh.push(shared.evaluate(tables, point, canonical, pending.key, &mut timings));
+    }
+}
+
+/// The run a [`BatchEvaluator`] evaluated last, with what identifies it.
+struct LastRun<'k> {
+    kernel: &'k CompiledKernel,
+    allocator: AllocatorRef,
+    budget: u64,
+    run: Run,
+}
+
+/// Evaluates the fresh points of one batch, one at a time in the caller's
+/// order, sharing what [`Explorer::explore`] shares within one call: each
+/// kernel's cost tables (one per RAM latency) and cost terms by β vector,
+/// and the allocation and cost terms of a run, consecutive evaluated points
+/// with one kernel, allocator and budget.
+///
+/// Every record equals [`evaluate_point`]'s for its point: an allocation
+/// depends only on its kernel, allocator and budget, and a point's cost terms
+/// only on its allocation's β vector, its RAM latency and its device.  The
+/// shared state lives as long as the evaluator, and a new evaluator builds
+/// nothing until its first point arrives.
+#[derive(Default)]
+pub struct BatchEvaluator<'k> {
+    kernels: Vec<KernelTables<'k>>,
+    last: Option<LastRun<'k>>,
+}
+
+impl<'k> BatchEvaluator<'k> {
+    /// An evaluator with nothing shared yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Evaluates `point` of `kernel`, content-addressed by `canonical` and
+    /// `key` (the caller's own, so each canonical is rendered once), and
+    /// reports the stage times it paid.  A point that starts a run carries
+    /// the reuse analysis (if it ran) and the allocation; a point that
+    /// continues the last run reports no allocation.  Every feasible point
+    /// carries its own cost-model time.
+    pub fn evaluate(
+        &mut self,
+        kernel: &'k CompiledKernel,
+        point: &DesignPoint,
+        canonical: &str,
+        key: u64,
+    ) -> (PointRecord, StageTimings) {
+        let mut timings = StageTimings::default();
+        let continues = self.last.as_ref().is_some_and(|last| {
+            std::ptr::eq(last.kernel, kernel)
+                && last.allocator == point.allocator
+                && last.budget == point.budget
+        });
+        if !continues {
+            self.last = Some(LastRun {
+                kernel,
+                allocator: point.allocator,
+                budget: point.budget,
+                run: Run::start(kernel, point, &mut timings),
+            });
+        }
+        let known = self
+            .kernels
+            .iter()
+            .position(|tables| std::ptr::eq(tables.kernel, kernel));
+        let tables = match known {
+            Some(index) => &mut self.kernels[index],
+            None => {
+                self.kernels.push(KernelTables::new(kernel, &[]));
+                self.kernels.last_mut().expect("just pushed")
+            }
+        };
+        tables.add_latency(point.ram_latency);
+        let last = self.last.as_mut().expect("the point's run is the last run");
+        let record = last
+            .run
+            .evaluate(tables, point, canonical, key, &mut timings);
+        (record, timings)
+    }
+}
+
+/// Evaluates one design point from scratch (no cache involved), as a batch
+/// of one.
 ///
 /// The kernel's [`CompiledKernel`] context supplies the (memoized) reuse
 /// analysis and data-flow graph, so evaluating many points of one kernel
@@ -285,34 +399,11 @@ fn evaluate_run(
 /// `ram_latency = 1` reproduces the abstract `T_mem` metric of the Figure 2
 /// reproduction.
 pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointRecord {
-    evaluate_point_timed(kernel, point).0
-}
-
-/// [`evaluate_point`] plus per-stage wall timings for span emission.
-///
-/// The point is a run of one with a fresh cost table, so it does the work of
-/// one whole design point.  The global stage histograms record exactly as in
-/// [`evaluate_point`]; the returned [`StageTimings`] additionally surfaces
-/// this call's own stage durations so callers can attach them to a trace.
-pub fn evaluate_point_timed(
-    kernel: &CompiledKernel,
-    point: &DesignPoint,
-) -> (PointRecord, StageTimings) {
     let canonical = point.canonical();
     let key = crate::space::fnv1a_64(canonical.as_bytes());
-    let run = [Pending {
-        point,
-        canonical,
-        key,
-        slot: 0,
-    }];
-    let mut evaluated = None;
-    evaluate_run(
-        &KernelTables::new(kernel, &[point.ram_latency]),
-        &run,
-        |record, timings| evaluated = Some((record, timings)),
-    );
-    evaluated.expect("a run of one point emits one record")
+    BatchEvaluator::new()
+        .evaluate(kernel, point, &canonical, key)
+        .0
 }
 
 /// The outcome of one [`Explorer::explore`] run.
@@ -458,9 +549,7 @@ impl Explorer {
             let mut fresh = Vec::with_capacity(pending.len());
             for run in &runs {
                 let run = &pending[run.clone()];
-                evaluate_run(&tables[run[0].point.kernel_index], run, |record, _| {
-                    fresh.push(record);
-                });
+                evaluate_run(&tables[run[0].point.kernel_index], run, &mut fresh);
             }
             fresh
         } else {
@@ -511,9 +600,7 @@ impl Explorer {
                     };
                     let run = &pending[run.clone()];
                     let mut records = Vec::with_capacity(run.len());
-                    evaluate_run(&tables[run[0].point.kernel_index], run, |record, _| {
-                        records.push(record);
-                    });
+                    evaluate_run(&tables[run[0].point.kernel_index], run, &mut records);
                     results
                         .lock()
                         .expect("no worker panics while holding the result lock")
@@ -660,14 +747,31 @@ mod tests {
             .with_budgets(&[64, 1]);
         let points = space.points();
         let kernel = &space.kernels()[0];
+        let mut batch = BatchEvaluator::new();
+        let mut timed = |point: &DesignPoint| {
+            let canonical = point.canonical();
+            batch.evaluate(kernel, point, &canonical, point.key())
+        };
         let feasible = &points[0];
-        let (timed, timings) = evaluate_point_timed(kernel, feasible);
-        assert_eq!(timed, evaluate_point(kernel, feasible));
-        assert!(timed.feasible);
+        let (record, timings) = timed(feasible);
+        assert_eq!(record, evaluate_point(kernel, feasible));
+        assert!(record.feasible);
         assert!(timings.total_us() >= timings.cost_model_us);
+        assert!(
+            timings.allocation_us.is_some(),
+            "a run's first point allocates"
+        );
+        // The next RAM latency continues the run: it takes the allocation.
+        let next = DesignPoint {
+            ram_latency: 1,
+            ..feasible.clone()
+        };
+        let (record, timings) = timed(&next);
+        assert_eq!(record, evaluate_point(kernel, &next));
+        assert_eq!(timings.allocation_us, None);
         // The infeasible budget never reaches the cost model.
         let infeasible = points.iter().find(|p| p.budget == 1).unwrap();
-        let (record, timings) = evaluate_point_timed(kernel, infeasible);
+        let (record, timings) = timed(infeasible);
         assert!(!record.feasible);
         assert_eq!(timings.cost_model_us, 0);
         // The analysis was cached by the calls above, so the stage is skipped.

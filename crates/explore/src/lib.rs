@@ -56,10 +56,10 @@ mod space;
 mod store;
 
 pub use codec::{Decoder, Encoder, Wire, WireError};
-pub use engine::{evaluate_point, evaluate_point_timed, Exploration, Explorer, StageTimings};
+pub use engine::{evaluate_point, BatchEvaluator, Exploration, Explorer, StageTimings};
 pub use json::JsonValue;
 pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};
 pub use render::{exploration_csv, render_best_allocators, render_exploration, render_frontier};
 pub use segment::{SegmentStore, MAX_SEGMENT_RECORD_LEN, SEGMENT_MAGIC};
-pub use space::{fnv1a_64, DesignPoint, DesignSpace};
+pub use space::{fnv1a_64, DesignPoint, DesignSpace, MAX_RAM_LATENCY};
 pub use store::{JsonlError, JsonlStore, MemoryStore, PointRecord, ResultStore, StoreBase};

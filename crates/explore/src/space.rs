@@ -16,6 +16,16 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The largest RAM latency, in cycles, that a served or swept design point
+/// may name; `srra serve` and `srra explore` refuse a point above it.
+///
+/// The cycle model adds cycle counts in `u64`.  Over every served kernel,
+/// allocator, device and budget from 1 to 128, RAM latencies up to 2^44
+/// overflow nothing, while at 2^48 more than half of those points overflow,
+/// so this bound keeps a margin of 4,096 below the largest latency known to
+/// be safe.
+pub const MAX_RAM_LATENCY: u64 = 1 << 32;
+
 /// A cross-product design space over kernels, allocation algorithms, register
 /// budgets, RAM latencies and target devices.
 ///

@@ -22,10 +22,12 @@
 //!    the first byte ([`BINARY_MAGIC`] vs anything else) so clients of both
 //!    kinds share one listener.  The ops: `get` a record by
 //!    canonical design-point string, `explore` a batch of points (hits
-//!    answered from the shards, misses evaluated through the
-//!    [`srra_explore::evaluate_point`] seam exactly once — concurrent
+//!    answered from the shards, misses evaluated exactly once — concurrent
 //!    requests for the same missing point block on an in-flight table rather
-//!    than re-evaluating), batched `mget` / `mexplore` (many lookups or
+//!    than re-evaluating — through one [`srra_explore::BatchEvaluator`] per
+//!    request, so a batch's fresh points share their kernels' cost tables,
+//!    their runs' allocations and the costs of repeated β vectors, as an
+//!    explore call's do), batched `mget` / `mexplore` (many lookups or
 //!    points per wire line), `put` (store pre-evaluated records verbatim —
 //!    the cluster replication tee), `ping` (liveness probe), `stats` (with
 //!    per-op latency quantiles), `metrics` (the full [`srra_obs`] telemetry

@@ -640,16 +640,16 @@ impl Wire for ServerStats {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome {
-    /// The point resolved; `hit` is `true` when the shards already held the
-    /// record before this request arrived.  `hit == false` means the point
-    /// was evaluated on this request's account — by this request itself *or
-    /// by a concurrent one it waited on* (matching the `evaluated` counter
-    /// of [`Response::Explored`]).
+    /// The point resolved; `hit` is `true` when the point's first lookup
+    /// found the record: stored before this request arrived, or by an earlier
+    /// point of this request (a repeated point).  `hit == false` means the
+    /// point was evaluated on this request's account — by this request itself
+    /// *or by a concurrent one it waited on* (matching the `evaluated`
+    /// counter of [`Response::Explored`]).
     Answered {
         /// The stored or freshly evaluated record.
         record: PointRecord,
-        /// Whether the shards already held the record when the request
-        /// arrived.
+        /// Whether the point's first lookup found the record in the shards.
         hit: bool,
     },
     /// The point failed to resolve (unknown kernel/algorithm/device or a

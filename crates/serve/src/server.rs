@@ -36,7 +36,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use srra_core::{AllocatorRegistry, CompiledKernel};
-use srra_explore::{evaluate_point_timed, fnv1a_64, DesignPoint, PointRecord};
+use srra_explore::{
+    fnv1a_64, BatchEvaluator, DesignPoint, PointRecord, StageTimings, MAX_RAM_LATENCY,
+};
 use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
 use srra_kernels::paper_suite;
@@ -460,12 +462,19 @@ pub fn device_by_name(name: &str) -> Result<DeviceModel, String> {
 
 /// The design point a query names, its allocator and device resolved by
 /// name: the one resolver behind [`canonical_for`] and the server's answers.
+/// A RAM latency above [`MAX_RAM_LATENCY`] is refused.
 fn resolve(point: &QueryPoint) -> Result<DesignPoint, String> {
     let allocator = AllocatorRegistry::global()
         .get(&point.algorithm)
         .ok_or_else(|| format!("unknown algorithm `{}`", point.algorithm))?;
+    if point.ram_latency > MAX_RAM_LATENCY {
+        return Err(format!(
+            "RAM latency {} exceeds the limit of {MAX_RAM_LATENCY} cycles",
+            point.ram_latency
+        ));
+    }
     Ok(DesignPoint {
-        kernel_index: 0, // Unused by `evaluate_point`; the kernel is passed directly.
+        kernel_index: 0, // Unused outside an explorer; the kernel is passed directly.
         kernel: point.kernel.clone(),
         allocator,
         budget: point.budget,
@@ -480,8 +489,9 @@ fn resolve(point: &QueryPoint) -> Result<DesignPoint, String> {
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for an unknown algorithm or device (kernel
-/// names pass through verbatim; an unknown kernel simply misses).
+/// Returns a user-facing message for an unknown algorithm or device, or a RAM
+/// latency above [`MAX_RAM_LATENCY`] (kernel names pass through verbatim; an
+/// unknown kernel simply misses).
 pub fn canonical_for(point: &QueryPoint) -> Result<String, String> {
     resolve(point).map(|point| point.canonical())
 }
@@ -1208,23 +1218,33 @@ fn handle_explore(
 }
 
 /// The answers to `points` in request order, computed lazily: a point is
-/// looked up, or evaluated, only when the caller asks for its answer.
+/// looked up, or evaluated, only when the caller asks for its answer.  The
+/// points this request evaluates go through one [`BatchEvaluator`], so they
+/// share their kernels' cost tables and their runs' allocations.
 fn answers<'a>(
     state: &'a ServerState,
     points: &'a [QueryPoint],
     trace: Option<&'a str>,
     mut collector: Option<&'a mut SpanCollector>,
 ) -> impl Iterator<Item = Result<(PointRecord, bool), String>> + 'a {
-    points
-        .iter()
-        .map(move |point| answer_point(state, point, trace, collector.as_deref_mut()))
+    let mut evaluator = BatchEvaluator::new();
+    points.iter().map(move |point| {
+        answer_point(
+            state,
+            point,
+            &mut evaluator,
+            trace,
+            collector.as_deref_mut(),
+        )
+    })
 }
 
 /// Resolves and answers one point; the boolean is `true` when the record came
 /// from the store without this request evaluating it.
-fn answer_point(
-    state: &ServerState,
+fn answer_point<'a>(
+    state: &'a ServerState,
     point: &QueryPoint,
+    evaluator: &mut BatchEvaluator<'a>,
     trace: Option<&str>,
     mut collector: Option<&mut SpanCollector>,
 ) -> Result<(PointRecord, bool), String> {
@@ -1255,12 +1275,11 @@ fn answer_point(
             }
             let outcome = evaluate_claimed(
                 state,
-                kernel,
-                &design_point,
                 key,
                 &canonical,
                 trace,
                 collector.as_deref_mut(),
+                || evaluator.evaluate(kernel, &design_point, &canonical, key),
             );
             state.inflight.release(key);
             return outcome;
@@ -1292,17 +1311,17 @@ fn answer_point(
 
 /// Runs while holding the in-flight claim on `key`: re-checks the store
 /// first — the previous holder may have published between this request's
-/// miss and its claim succeeding — then evaluates.  Without the re-check a
-/// preempted worker could evaluate a point twice, breaking the exactly-once
-/// guarantee.  The caller releases the claim.
+/// miss and its claim succeeding — then calls `evaluate`, the point's
+/// evaluation through the request's [`BatchEvaluator`].  Without the
+/// re-check a preempted worker could evaluate a point twice, breaking the
+/// exactly-once guarantee.  The caller releases the claim.
 fn evaluate_claimed(
     state: &ServerState,
-    kernel: &CompiledKernel,
-    design_point: &DesignPoint,
     key: u64,
     canonical: &str,
     trace: Option<&str>,
     collector: Option<&mut SpanCollector>,
+    evaluate: impl FnOnce() -> (PointRecord, StageTimings),
 ) -> Result<(PointRecord, bool), String> {
     match state.store.get_record(key, canonical) {
         Ok(Some(record)) => {
@@ -1311,7 +1330,7 @@ fn evaluate_claimed(
         }
         Ok(None) => {
             let eval_started = Instant::now();
-            let (record, timings) = evaluate_point_timed(kernel, design_point);
+            let (record, timings) = evaluate();
             let eval_elapsed = eval_started.elapsed();
             if let Some(spans) = collector {
                 // The engine reports stage durations, not wall-clock bounds;
@@ -1323,9 +1342,11 @@ fn evaluate_claimed(
                     spans.child("engine.reuse_analysis", at, dur);
                     at += dur;
                 }
-                let dur = Duration::from_micros(timings.allocation_us);
-                spans.child("engine.allocation", at, dur);
-                at += dur;
+                if let Some(micros) = timings.allocation_us {
+                    let dur = Duration::from_micros(micros);
+                    spans.child("engine.allocation", at, dur);
+                    at += dur;
+                }
                 if record.feasible {
                     let dur = Duration::from_micros(timings.cost_model_us);
                     spans.child("engine.cost_model", at, dur);
