@@ -12,13 +12,18 @@
 #                           that cache: all hits, the same CSV bytes and an
 #                           unchanged cache; then the same points as one
 #                           served `explore` batch on a fresh node, whose
-#                           records match the pinned sha256, and a second
-#                           pass as `mexplore` that is all hits)
+#                           records match the pinned sha256; a copy of the
+#                           node's shard files taken while it runs, which
+#                           a warm `srra explore --cache-dir` answers all
+#                           from, with the same CSV; and a second pass as
+#                           `mexplore` that is all hits)
 #   6. benchmark goldens   (perfbench's unit tests, then a short sweep_cold
 #                           run, which exits 1 unless Table 1 and the sweep
 #                           checksums match perfbench/golden/ bit for bit)
 #   7. serve smoke test    (srra serve + srra query against a live socket,
-#                           incl. one pipelined keep-alive connection, one
+#                           incl. a `ks` point at a budget of 2^32 answered
+#                           feasible while the node keeps serving, one
+#                           pipelined keep-alive connection, one
 #                           raw-socket mget sent canonical and scrambled
 #                           (reordered, spaced, an escaped name, an unknown
 #                           member, trace first) that must get byte-identical
@@ -141,6 +146,16 @@ sed 's/^{"ok":true,"records":\[//; s/\],"hits".*$//; s/},{/}\n{/g' "$SMOKE_DIR/s
   > "$SMOKE_DIR/sweep-served.jsonl"
 echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-served.jsonl" | sha256sum --check --quiet \
   || { echo "explore sweep: the served records differ from the explorer's"; exit 1; }
+# The reply left after the node flushed its shards: a copy of the shard files
+# taken now, while the node runs, answers the whole sweep warm.
+mkdir "$SMOKE_DIR/sweep-copy"
+cp "$SMOKE_DIR"/sweep-serve/shard-*.seg "$SMOKE_DIR/sweep-copy/"
+"$SRRA" explore $SWEEP_AXES --csv --jobs 1 --cache-dir "$SMOKE_DIR/sweep-copy" --shards 4 \
+  --stats-json "$SMOKE_DIR/sweep-copy.json" > "$SMOKE_DIR/sweep-copy.csv" 2> /dev/null
+grep -q '"cache_hits":1512,"evaluated":0' "$SMOKE_DIR/sweep-copy.json" \
+  || { echo "explore sweep: the running node's shard files miss records"; exit 1; }
+cmp -s "$SMOKE_DIR/sweep-1.csv" "$SMOKE_DIR/sweep-copy.csv" \
+  || { echo "explore sweep: the shard files' CSV differs from the explorer's"; exit 1; }
 "$SRRA" query --addr "$SWEEP_ADDR" explore $SWEEP_AXES --batch \
   | grep -q '"hits":1512,"evaluated":0' \
   || { echo "explore sweep: the second served pass missed the cache"; exit 1; }
@@ -176,6 +191,13 @@ done
   | grep -q '"evaluated":1'
 "$SRRA" query --addr "$ADDR" get fir cpa 32 | grep -q '"found":true'
 "$SRRA" query --addr "$ADDR" stats | grep -q '"records":1'
+# A knapsack budget far past every upgrade the kernel can use is answered
+# with a feasible record, and the node keeps serving.
+"$SRRA" query --addr "$ADDR" explore --kernel fir --algos ks --budgets 4294967296 \
+  --latencies 2 --devices xcv1000 | grep -q '"feasible":true.*"evaluated":1}$' \
+  || { echo "serve smoke: the ks point at budget 2^32 was not answered"; exit 1; }
+"$SRRA" query --addr "$ADDR" stats | grep -q '"ok":true' \
+  || { echo "serve smoke: the node stopped serving after the ks point"; exit 1; }
 # Pipelined keep-alive: several ops written over ONE connection before any
 # reply is read (`query pipe`), replies strictly in request order.
 FIR_CANON='kernel=fir;algo=CPA-RA;budget=32;latency=2;device=XCV1000-BG560'

@@ -59,7 +59,7 @@ pub fn knapsack_optimal(
 ) -> Result<RegisterAllocation, AllocError> {
     check_budget(analysis, budget)?;
     let n = analysis.len();
-    let capacity = (budget - n as u64) as usize;
+    let capacity = usize::try_from(budget - n as u64).unwrap_or(usize::MAX);
 
     // Items: references with exploitable reuse whose upgrade fits the capacity at all.
     let items: Vec<Item> = analysis
@@ -73,6 +73,12 @@ pub fn knapsack_optimal(
         })
         .filter(|item| item.weight <= capacity)
         .collect();
+
+    // The table is as wide as the capacity, so clamp it to the items' total
+    // weight: every row r holds the unconstrained optimum of the first r
+    // items at any capacity of at least their weight, so the walk below takes
+    // the same items at the clamped capacity as at the budget's.
+    let capacity = capacity.min(items.iter().map(|item| item.weight).sum());
 
     // Classic 0/1 knapsack over one flat (items + 1) x (capacity + 1) table, one
     // row per item prefix, so the chosen subset can be reconstructed exactly.

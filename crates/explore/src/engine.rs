@@ -463,13 +463,14 @@ impl Explorer {
     /// and each record's content depends only on the design point, never on the
     /// worker count or the store's prior contents.  Fresh records are written
     /// to the store in point order too, so a persistent store's bytes do not
-    /// depend on the worker count.
+    /// depend on the worker count, and the store is flushed once at the end,
+    /// so a persistent store's file holds every record when this returns.
     ///
     /// # Errors
     ///
     /// Propagates the store's error type (I/O or corrupt-cache errors for
-    /// persistent backends; [`std::convert::Infallible`] for the in-memory
-    /// store).
+    /// persistent backends, a failed flush included;
+    /// [`std::convert::Infallible`] for the in-memory store).
     pub fn explore<S: ResultStore>(
         &self,
         space: &DesignSpace,
@@ -563,6 +564,7 @@ impl Explorer {
             store.put(&record)?;
             records[queued.slot] = Some(record);
         }
+        store.flush()?;
         for (slot, twin) in twins {
             records[slot] = records[pending[twin].slot].clone();
         }

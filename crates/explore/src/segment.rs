@@ -17,14 +17,18 @@
 //! the key — the scan verifies the two agree, so a misaligned or corrupt
 //! record cannot be silently indexed under the wrong key).
 //!
-//! Appends write one header+payload and flush, the same crash contract as
-//! [`crate::JsonlStore`]: a killed process loses at most the record being
-//! written.  On open, a torn or corrupt tail is truncated away and counted
+//! A put encodes one header+payload into the store's write buffer, and
+//! [`flush`](crate::ResultStore::flush) writes the buffer to the file; the
+//! buffer also goes out when it fills and when the store is dropped.  The
+//! buffer only ever holds whole records, so the crash contract is this: a
+//! killed process loses the records put since the last flush, and at most
+//! one record of them is left cut short in the file.  On open, a torn or
+//! corrupt tail is truncated away and counted
 //! ([`SegmentStore::torn_records`]) instead of failing the store — corruption
-//! in an append-only, flush-per-record file is realistically tail-only, and
-//! a record that *does* fail mid-file marks everything after it unreachable
-//! anyway (the scan cannot resynchronize), so truncation at the first bad
-//! header is the honest recovery.
+//! in an append-only file is realistically tail-only, and a record that
+//! *does* fail mid-file marks everything after it unreachable anyway (the
+//! scan cannot resynchronize), so truncation at the first bad header is the
+//! honest recovery.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -44,17 +48,19 @@ pub const MAX_SEGMENT_RECORD_LEN: usize = 64 << 20;
 /// read-side fallback to a legacy JSONL sibling.
 ///
 /// `open` scans the segment file sequentially into an in-memory key index;
-/// `put` appends one fixed-header record and flushes.  When a legacy `.jsonl`
-/// file is supplied (see [`SegmentStore::open_with_legacy`]) its records are
-/// folded into the index read-only — new appends always go to the segment
-/// file, and a later `compact` (see `srra-serve`'s `ShardedStore`) rewrites
-/// everything into pure segment form.
+/// `put` adds one fixed-header record to the index and to the write buffer,
+/// and [`flush`](ResultStore::flush) appends the buffered records to the
+/// file, so a batch of puts costs one flush, not one each.  When a legacy
+/// `.jsonl` file is supplied (see [`SegmentStore::open_with_legacy`]) its
+/// records are folded into the index read-only — new appends always go to
+/// the segment file, and a later `compact` (see `srra-serve`'s
+/// `ShardedStore`) rewrites everything into pure segment form.
 #[derive(Debug)]
 pub struct SegmentStore {
     path: PathBuf,
     arena: RecordArena,
-    /// Raw records sitting in the segment file, duplicates included — what
-    /// the opening scan saw plus every append since.
+    /// Raw records in the segment file, duplicates included — what the
+    /// opening scan saw plus every append since, buffered ones included.
     scanned: usize,
     torn: usize,
     writer: BufWriter<File>,
@@ -153,7 +159,8 @@ impl SegmentStore {
     }
 
     /// Raw records in the segment file, duplicates included — what the
-    /// opening scan saw plus every append since.  Compaction uses the gap
+    /// opening scan saw plus every append since, buffered ones included
+    /// (they reach the file at the next flush).  Compaction uses the gap
     /// between this and [`len`](StoreBase::len) to report dropped
     /// duplicates.
     pub fn segment_records(&self) -> usize {
@@ -218,28 +225,29 @@ fn scan_record(bytes: &[u8]) -> Option<(PointRecord, usize)> {
     Some((record, 12 + len))
 }
 
-/// Appends one `[len][key][payload]` record through `writer`, using
-/// `scratch` for the payload encoding (no flush — callers own the flush
-/// policy).
+/// Appends one `[len][key][payload]` record through `writer` with a single
+/// `write_all`, encoding it into `scratch` first (no flush — callers own the
+/// flush policy).  A `BufWriter` whose buffer cannot take the record writes
+/// the buffer out first and keeps it on failure, so a failed append leaves
+/// no part of its record behind.
 fn append_record(
     writer: &mut impl Write,
     scratch: &mut Vec<u8>,
     record: &PointRecord,
 ) -> Result<(), JsonlError> {
     scratch.clear();
+    scratch.extend_from_slice(&[0; 12]);
     write_bytes(scratch, record).map_err(|err| JsonlError::Parse {
         line: 0,
         message: format!("record does not encode: {err}"),
     })?;
-    let len = u32::try_from(scratch.len()).map_err(|_| JsonlError::Parse {
+    let payload = scratch.len() - 12;
+    let len = u32::try_from(payload).map_err(|_| JsonlError::Parse {
         line: 0,
-        message: format!(
-            "record payload of {} bytes overflows the header",
-            scratch.len()
-        ),
+        message: format!("record payload of {payload} bytes overflows the header"),
     })?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&record.key.to_le_bytes())?;
+    scratch[..4].copy_from_slice(&len.to_le_bytes());
+    scratch[4..12].copy_from_slice(&record.key.to_le_bytes());
     writer.write_all(scratch)?;
     Ok(())
 }
@@ -265,14 +273,14 @@ impl ResultStore for SegmentStore {
         if self.arena.get(record.key, &record.canonical).is_some() {
             return Ok(false);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outcome = append_record(&mut self.writer, &mut scratch, record);
-        self.scratch = scratch;
-        outcome?;
-        self.writer.flush()?;
+        append_record(&mut self.writer, &mut self.scratch, record)?;
         self.arena.insert(record.clone());
         self.scanned += 1;
         Ok(true)
+    }
+
+    fn flush(&mut self) -> Result<(), JsonlError> {
+        Ok(self.writer.flush()?)
     }
 }
 
@@ -333,6 +341,67 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], SEGMENT_MAGIC);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn puts_stay_in_the_write_buffer_until_a_flush() {
+        let path = scratch_path("flush");
+        let _ = std::fs::remove_file(&path);
+        let records = [sample_record(1), sample_record(2)];
+        let mut store = SegmentStore::open(&path).unwrap();
+        for record in &records {
+            assert!(store.put(record).unwrap());
+            assert_eq!(
+                store.get(record.key, &record.canonical).unwrap().as_ref(),
+                Some(record)
+            );
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), SEGMENT_MAGIC);
+        store.flush().unwrap();
+        let copy = path.with_extension("copy");
+        std::fs::copy(&path, &copy).unwrap();
+        let reopened = SegmentStore::open(&copy).unwrap();
+        assert_eq!(reopened.torn_records(), 0);
+        assert_eq!(
+            reopened.records().collect::<Vec<_>>(),
+            Vec::from_iter(&records)
+        );
+        // A clean store's flush writes nothing.
+        store.flush().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&copy).unwrap());
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&copy).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_buffers_no_part_of_its_record() {
+        /// A file whose every write fails, as on a full disk.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("no space left"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // Appends fill the buffer until one needs it written out, which
+        // fails: the buffer must hold the whole records before it and none
+        // of the failed one, or the next flush would write a torn record
+        // with everything after it.
+        let mut writer = BufWriter::new(Full);
+        let mut scratch = Vec::new();
+        let mut whole = 0;
+        for key in 1.. {
+            let record = sample_record(key);
+            match append_record(&mut writer, &mut scratch, &record) {
+                Ok(()) => whole += 12 + to_bytes(&record).unwrap().len(),
+                Err(JsonlError::Io(_)) => break,
+                Err(other) => panic!("{other}"),
+            }
+        }
+        assert_eq!(writer.buffer().len(), whole);
     }
 
     #[test]

@@ -142,10 +142,27 @@ pub trait ResultStore: StoreBase {
     /// immutable).  A record whose key collides with a *different* canonical
     /// string is stored alongside the existing one, not dropped.
     ///
+    /// The record is readable through [`get`](Self::get) at once.  A
+    /// persistent store may leave it in a write buffer (the segment store
+    /// does): it then reaches the file at the next [`flush`](Self::flush),
+    /// when the buffer fills, or when the store is dropped.
+    ///
     /// # Errors
     ///
     /// Backend-specific (I/O for persistent stores).
     fn put(&mut self, record: &PointRecord) -> Result<bool, Self::Error>;
+
+    /// Writes every record put since the last flush to the store's file.  A
+    /// failed flush keeps the unwritten bytes, so the next flush retries
+    /// them.  The default does nothing, for a store with no file
+    /// ([`MemoryStore`]) or whose puts write through ([`JsonlStore`]).
+    ///
+    /// # Errors
+    ///
+    /// Backend-specific (I/O for persistent stores).
+    fn flush(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// The owned-record arena behind every store: records in insertion order,

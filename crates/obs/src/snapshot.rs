@@ -72,7 +72,10 @@ fn help_for(name: &str) -> &'static str {
             return "Cost-model time in microseconds, one sample per feasible design point."
         }
         "store_shard_reads_total" => return "Shard read-lock acquisitions.",
-        "store_shard_writes_total" => return "Shard write-lock acquisitions.",
+        "store_shard_writes_total" => return "Records appended to shard segment stores.",
+        "store_shard_flushes_total" => {
+            return "Shard flushes that wrote buffered appends to a segment file."
+        }
         "store_shard_read_wait_us" => return "Shard read-lock wait in microseconds.",
         "store_shard_write_wait_us" => return "Shard write-lock wait in microseconds.",
         "store_rehydrate_us" => return "Startup shard re-hydration time in microseconds.",

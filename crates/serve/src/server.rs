@@ -20,6 +20,9 @@
 //!   evaluated *exactly once* even when many clients request the same point
 //!   concurrently: the first claimant evaluates, everyone else blocks until
 //!   the record lands in the store and then reads it back;
+//! * a request that stores records (`explore`, `mexplore`, `put`) leaves
+//!   them in the shards' write buffers and flushes the store once before
+//!   its reply is rendered, so each dirty shard costs the request one write;
 //! * `shutdown` flips an atomic flag and pokes the listener with a loopback
 //!   connection so the blocking `accept` wakes up; in-flight requests are
 //!   answered, then the read halves of all open sockets are shut down so
@@ -142,58 +145,87 @@ impl ServerConfig {
 
 /// The in-flight table: keys currently being evaluated by some worker, each
 /// carrying the claimant request's trace id (when it had one) so waiters can
-/// attribute their stall.
+/// attribute their stall, and how many requests are blocked waiting on a
+/// claim, so a release wakes the condvar only when someone waits.
 #[derive(Debug, Default)]
 struct Inflight {
-    keys: Mutex<HashMap<u64, Option<String>>>,
+    table: Mutex<InflightTable>,
     done: Condvar,
 }
 
+/// What the in-flight lock guards.
+#[derive(Debug, Default)]
+struct InflightTable {
+    claims: HashMap<u64, Option<String>>,
+    /// Requests blocked in [`Inflight::wait_released`].
+    waiters: usize,
+}
+
+/// A claim on one key of the in-flight table.  Dropping it releases the key,
+/// also when the evaluation under it unwinds, so no request waits on a claim
+/// nobody holds.
+struct Claim<'a> {
+    inflight: &'a Inflight,
+    key: u64,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.inflight.release(self.key);
+    }
+}
+
 impl Inflight {
-    /// Claims `key` for evaluation on behalf of `trace`; `false` means
-    /// another worker holds it.
-    fn claim(&self, key: u64, trace: Option<&str>) -> bool {
-        let mut keys = self
-            .keys
+    fn table(&self) -> std::sync::MutexGuard<'_, InflightTable> {
+        self.table
             .lock()
-            .expect("no worker panics while holding the in-flight lock");
-        match keys.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
+            .expect("no worker panics while holding the in-flight lock")
+    }
+
+    /// Claims `key` for evaluation on behalf of `trace`; `None` means
+    /// another worker holds it.
+    fn claim(&self, key: u64, trace: Option<&str>) -> Option<Claim<'_>> {
+        match self.table().claims.entry(key) {
+            std::collections::hash_map::Entry::Occupied(_) => None,
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(trace.map(str::to_owned));
-                true
+                Some(Claim {
+                    inflight: self,
+                    key,
+                })
             }
         }
     }
 
-    /// Releases `key` and wakes every waiter.
+    /// Releases `key` and wakes every waiter, if any request waits.  A
+    /// waiter counts itself under the table's lock before it sleeps, so a
+    /// release that reads no waiter cannot miss one.
     fn release(&self, key: u64) {
-        let mut keys = self
-            .keys
-            .lock()
-            .expect("no worker panics while holding the in-flight lock");
-        keys.remove(&key);
-        drop(keys);
-        self.done.notify_all();
+        let mut table = self.table();
+        table.claims.remove(&key);
+        let waiting = table.waiters > 0;
+        drop(table);
+        if waiting {
+            self.done.notify_all();
+        }
     }
 
     /// Blocks until `key` is not claimed (returns immediately if it already
     /// is not), returning the trace id of the claimant that was waited on,
     /// if it had one.
     fn wait_released(&self, key: u64) -> Option<String> {
-        let mut keys = self
-            .keys
-            .lock()
-            .expect("no worker panics while holding the in-flight lock");
+        let mut table = self.table();
         let mut claimant = None;
-        while let Some(trace) = keys.get(&key) {
+        while let Some(trace) = table.claims.get(&key) {
             if claimant.is_none() {
                 claimant.clone_from(trace);
             }
-            keys = self
+            table.waiters += 1;
+            table = self
                 .done
-                .wait(keys)
+                .wait(table)
                 .expect("no worker panics while holding the in-flight lock");
+            table.waiters -= 1;
         }
         claimant
     }
@@ -1002,9 +1034,13 @@ fn handle(
                 |err| failed(err.to_string()),
                 |records| Response::MultiGot { records },
             ),
-        Request::Explore { points } => handle_explore(state, points, trace, collector),
-        Request::MultiExplore { points } => handle_mexplore(state, points, trace, collector),
-        Request::Put { records } => handle_put(state, records),
+        Request::Explore { points } => {
+            flushed(state, handle_explore(state, points, trace, collector))
+        }
+        Request::MultiExplore { points } => {
+            flushed(state, handle_mexplore(state, points, trace, collector))
+        }
+        Request::Put { records } => flushed(state, handle_put(state, records)),
         Request::Ping => Response::Pong,
         Request::Stats => {
             snapshot_stats(state).map_or_else(|err| failed(err.to_string()), Response::Stats)
@@ -1025,6 +1061,19 @@ fn handle(
             limit,
         } => handle_scan(state, *shard, *offset, *limit),
         Request::Shutdown => Response::ShuttingDown,
+    }
+}
+
+/// `response`, once the store's buffered appends are in their shard files:
+/// every record a storing request names (evaluated, stored, or a hit on
+/// another request's append) is on disk before its reply leaves.  The
+/// flush runs on error replies too, and a failed flush becomes the reply.
+fn flushed(state: &ServerState, response: Response) -> Response {
+    match state.store.flush() {
+        Ok(()) => response,
+        Err(err) => Response::Error {
+            message: err.to_string(),
+        },
     }
 }
 
@@ -1268,7 +1317,7 @@ fn answer_point<'a>(
             Err(err) => return Err(err.to_string()),
         }
         let claim_started = Instant::now();
-        if state.inflight.claim(key, trace) {
+        if let Some(claim) = state.inflight.claim(key, trace) {
             state.counters.inflight_claims.inc();
             if let Some(spans) = collector.as_deref_mut() {
                 spans.child("inflight.claim", claim_started, claim_started.elapsed());
@@ -1281,7 +1330,7 @@ fn answer_point<'a>(
                 collector.as_deref_mut(),
                 || evaluator.evaluate(kernel, &design_point, &canonical, key),
             );
-            state.inflight.release(key);
+            drop(claim);
             return outcome;
         }
         // Another worker is evaluating this key: wait for it, then re-read.
@@ -1312,9 +1361,11 @@ fn answer_point<'a>(
 /// Runs while holding the in-flight claim on `key`: re-checks the store
 /// first — the previous holder may have published between this request's
 /// miss and its claim succeeding — then calls `evaluate`, the point's
-/// evaluation through the request's [`BatchEvaluator`].  Without the
-/// re-check a preempted worker could evaluate a point twice, breaking the
-/// exactly-once guarantee.  The caller releases the claim.
+/// evaluation through the request's [`BatchEvaluator`], and puts the record
+/// into the store's arena and write buffer.  Without the re-check a
+/// preempted worker could evaluate a point twice, breaking the exactly-once
+/// guarantee.  The caller releases the claim; the request flushes the store
+/// once, after its last point.
 fn evaluate_claimed(
     state: &ServerState,
     key: u64,
@@ -1377,6 +1428,100 @@ fn evaluate_claimed(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How long a test waits for a wake-up before it fails instead of hanging.
+    const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+    /// Spins, without sleeping, until `count` requests wait on a claim.
+    fn wait_for_waiters(inflight: &Inflight, count: usize) {
+        let deadline = Instant::now() + WAKE_DEADLINE;
+        while inflight.table().waiters < count {
+            assert!(Instant::now() < deadline, "{count} waiters never blocked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_release_wakes_every_waiter_and_leaves_no_waiter_counted() {
+        const KEY: u64 = 7;
+        // The waiters run on detached threads: a lost wake-up fails the
+        // receive below instead of hanging a scope's join.
+        let inflight = Arc::new(Inflight::default());
+        let claim = inflight.claim(KEY, Some("claimant")).expect("a free key");
+        let (sender, receiver) = mpsc::channel();
+        for _ in 0..2 {
+            let (inflight, sender) = (Arc::clone(&inflight), sender.clone());
+            std::thread::spawn(move || sender.send(inflight.wait_released(KEY)));
+        }
+        wait_for_waiters(&inflight, 2);
+        drop(claim);
+        for _ in 0..2 {
+            let woken = receiver.recv_timeout(WAKE_DEADLINE).expect("a waiter woke");
+            assert_eq!(woken.as_deref(), Some("claimant"));
+        }
+        assert_eq!(inflight.table().waiters, 0);
+        // A release nobody waits on leaves the count at zero.
+        drop(inflight.claim(KEY, None).expect("the key was released"));
+        assert_eq!(inflight.table().waiters, 0);
+        assert!(inflight.table().claims.is_empty());
+    }
+
+    #[test]
+    fn a_claim_dropped_by_a_panic_wakes_its_waiter_and_frees_the_key() {
+        const KEY: u64 = 11;
+        let inflight = Arc::new(Inflight::default());
+        let (claimed, is_claimed) = mpsc::channel();
+        let claimant = {
+            let inflight = Arc::clone(&inflight);
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _claim = inflight.claim(KEY, Some("doomed")).expect("a free key");
+                    claimed.send(()).expect("the test listens");
+                    wait_for_waiters(&inflight, 1);
+                    panic!("an evaluation panics under its claim");
+                }))
+                .is_err()
+            })
+        };
+        is_claimed
+            .recv_timeout(WAKE_DEADLINE)
+            .expect("the claim is taken");
+        let (sender, receiver) = mpsc::channel();
+        {
+            let inflight = Arc::clone(&inflight);
+            std::thread::spawn(move || sender.send(inflight.wait_released(KEY)));
+        }
+        let woken = receiver
+            .recv_timeout(WAKE_DEADLINE)
+            .expect("the waiter woke");
+        assert_eq!(woken.as_deref(), Some("doomed"));
+        assert!(claimant.join().expect("the panic was caught"));
+        assert!(inflight.claim(KEY, None).is_some(), "the key is free again");
+    }
+
+    #[test]
+    fn a_ks_budget_far_past_every_upgrade_is_answered_and_the_node_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!(
+            "srra-serve-ks-unit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(&ServerConfig::ephemeral(&dir)).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        let mut connection = crate::Connection::connect(&addr).unwrap();
+        let reply = connection
+            .explore(&[QueryPoint::new("fir", "ks", 1 << 32)])
+            .unwrap();
+        assert_eq!(reply.evaluated, 1);
+        assert!(reply.records[0].feasible, "{:?}", reply.records[0]);
+        assert_eq!(connection.stats().unwrap().evaluated, 1);
+        connection.shutdown().unwrap();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn canonical_resolution_matches_design_point_canonicals() {

@@ -6,23 +6,27 @@
 //! shard's in-memory record arena under a shared read guard, so any
 //! number of concurrent warm `get`s proceed in parallel without touching the
 //! filesystem and without contending with each other; appends take the
-//! exclusive write guard and tee the record to the shard's segment file
-//! (fixed-header binary records — startup re-hydration is a sequential
-//! scan, not a JSON parse).  A legacy `shard-NNN.jsonl` sibling, when
-//! present, is folded into the index read-only so pre-segment cache
-//! directories work unmodified; [`compact`] rewrites everything into pure
-//! segment form and retires the JSONL files.  A lock file in the cache
-//! directory keeps concurrent *processes* from interleaving appends.
-//! [`merge_file`] folds a legacy single-file cache into the shards and
+//! exclusive write guard, add the record to the arena and leave it in the
+//! shard's write buffer, and [`flush`] writes every shard that holds
+//! buffered appends to its segment file (fixed-header binary records —
+//! startup re-hydration is a sequential scan, not a JSON parse).  A legacy
+//! `shard-NNN.jsonl` sibling, when present, is folded into the index
+//! read-only so pre-segment cache directories work unmodified; [`compact`]
+//! rewrites everything into pure segment form and retires the JSONL files.
+//! A lock file in the cache directory keeps concurrent *processes* from
+//! interleaving appends.  [`merge_file`] folds a legacy single-file cache
+//! into the shards and
 //! [`compact`] also drops duplicate disk records and re-routes records that
 //! sit in the wrong shard.
 //!
+//! [`flush`]: ShardedStore::flush
 //! [`merge_file`]: ShardedStore::merge_file
 //! [`compact`]: ShardedStore::compact
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -38,7 +42,10 @@ use crate::protocol::ShardDigest;
 /// resolved once so the hot read path never takes the registry's name map.
 struct ShardMetrics {
     reads: Arc<Counter>,
+    /// Records appended (fresh puts).
     writes: Arc<Counter>,
+    /// Shard flushes that wrote buffered appends to a segment file.
+    flushes: Arc<Counter>,
     read_wait: Arc<Histogram>,
     write_wait: Arc<Histogram>,
     /// Wall time of one full store open (all shards re-hydrated).
@@ -54,6 +61,7 @@ fn shard_metrics() -> &'static ShardMetrics {
         ShardMetrics {
             reads: registry.counter("store_shard_reads_total"),
             writes: registry.counter("store_shard_writes_total"),
+            flushes: registry.counter("store_shard_flushes_total"),
             read_wait: registry.histogram("store_shard_read_wait_us"),
             write_wait: registry.histogram("store_shard_write_wait_us"),
             rehydrate: registry.histogram("store_rehydrate_us"),
@@ -176,13 +184,20 @@ pub struct CompactOutcome {
 /// Routing is `key % N`.  All read/write methods take `&self` (each shard sits
 /// behind its own `RwLock`), so one `ShardedStore` can be shared across server
 /// worker threads: reads of the same shard run concurrently against the
-/// in-memory index, and only appends serialise against other users of that
-/// shard.  The [`ResultStore`] impl forwards to the same methods, so the store
-/// also drops into [`srra_explore::Explorer::explore`] unchanged.
+/// in-memory index, and only appends and flushes serialise against other
+/// users of that shard.  A put is readable at once and reaches its segment
+/// file at the next [`flush`](Self::flush) (or when the shard's write buffer
+/// fills, or when the store is dropped).  The [`ResultStore`] impl forwards
+/// to the same methods, so the store also drops into
+/// [`srra_explore::Explorer::explore`] unchanged.
 #[derive(Debug)]
 pub struct ShardedStore {
     dir: PathBuf,
     shards: Vec<RwLock<SegmentStore>>,
+    /// Per shard: whether it holds appends no flush has written.  Set by a
+    /// fresh put and cleared by a flush, both under the shard's write lock,
+    /// and read without a lock, so a flush skips a clean shard for free.
+    unflushed: Vec<AtomicBool>,
     _lock: DirLock,
 }
 
@@ -248,6 +263,7 @@ impl ShardedStore {
         }
         Ok(Self {
             dir,
+            unflushed: shards.iter().map(|_| AtomicBool::new(false)).collect(),
             shards,
             _lock: lock,
         })
@@ -301,15 +317,13 @@ impl ShardedStore {
         guard
     }
 
-    /// Exclusive write guard on the shard `key` routes to.
-    fn shard_write(&self, key: u64) -> RwLockWriteGuard<'_, SegmentStore> {
-        let metrics = shard_metrics();
+    /// Exclusive write guard on shard `index`.
+    fn shard_write(&self, index: usize) -> RwLockWriteGuard<'_, SegmentStore> {
         let waited = Instant::now();
-        let guard = self.shards[self.route(key)]
+        let guard = self.shards[index]
             .write()
             .expect("no shard user panics while holding the lock");
-        metrics.write_wait.record(waited.elapsed());
-        metrics.writes.inc();
+        shard_metrics().write_wait.record(waited.elapsed());
         guard
     }
 
@@ -347,15 +361,51 @@ impl ShardedStore {
     /// Inserts a record into its shard (shared-reference twin of
     /// [`ResultStore::put`]); returns whether the record was fresh.
     ///
-    /// Takes the shard's write lock: the in-memory arena and the segment file
-    /// are updated together, so a reader sees either the old state or the new
-    /// record, never a torn one.
+    /// Takes the shard's write lock: the in-memory arena and the shard's
+    /// write buffer are updated together, so a reader sees either the old
+    /// state or the new record, never a torn one.  The record reaches the
+    /// segment file at the next [`flush`](Self::flush).
     ///
     /// # Errors
     ///
-    /// Propagates shard I/O errors.
+    /// Propagates shard I/O errors (a full write buffer is written out
+    /// first).
     pub fn put_record(&self, record: &PointRecord) -> Result<bool, ShardError> {
-        Ok(self.shard_write(record.key).put(record)?)
+        let index = self.route(record.key);
+        let mut shard = self.shard_write(index);
+        let fresh = shard.put(record)?;
+        if fresh {
+            self.unflushed[index].store(true, Ordering::Release);
+            shard_metrics().writes.inc();
+        }
+        Ok(fresh)
+    }
+
+    /// Writes the buffered appends of every shard that holds any to its
+    /// segment file (shared-reference twin of [`ResultStore::flush`]), one
+    /// write lock and one flush per such shard.  A clean shard costs an
+    /// atomic load and no lock.  When this returns `Ok`, every record put
+    /// before the call, by any thread, is in its segment file.
+    ///
+    /// # Errors
+    ///
+    /// The first shard I/O error; that shard keeps its unwritten bytes and
+    /// the shards after it keep their appends, for the next flush to retry.
+    pub fn flush(&self) -> Result<(), ShardError> {
+        for (index, unflushed) in self.unflushed.iter().enumerate() {
+            if !unflushed.load(Ordering::Acquire) {
+                continue;
+            }
+            let mut shard = self.shard_write(index);
+            // A concurrent flush may have written this shard's appends while
+            // this one waited for the lock.
+            if unflushed.load(Ordering::Acquire) {
+                shard.flush()?;
+                unflushed.store(false, Ordering::Release);
+                shard_metrics().flushes.inc();
+            }
+        }
+        Ok(())
     }
 
     /// Record count per shard, in shard order.
@@ -435,11 +485,12 @@ impl ShardedStore {
     ///
     /// Every record of `path` is routed to its shard; records whose canonical
     /// string is already stored are skipped.  The legacy file itself is left
-    /// untouched.
+    /// untouched.  The shards are flushed once at the end.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and parse errors from either side.
+    /// Propagates I/O and parse errors from either side, a failed flush
+    /// included.
     pub fn merge_file(&self, path: impl AsRef<Path>) -> Result<MergeOutcome, ShardError> {
         let legacy = JsonlStore::open(path)?;
         let mut outcome = MergeOutcome {
@@ -453,6 +504,7 @@ impl ShardedStore {
                 outcome.duplicates += 1;
             }
         }
+        self.flush()?;
         Ok(outcome)
     }
 
@@ -475,6 +527,8 @@ impl ShardedStore {
     /// their compacted contents and the rest keep their originals (every state
     /// in between is a valid store).
     pub fn compact(&mut self) -> Result<CompactOutcome, ShardError> {
+        // The originals hold every record, whichever shard fails below.
+        self.flush()?;
         let shard_count = self.shards.len();
         // Drain: collect every record, remembering which shard held it, and
         // count raw disk records (segment records plus legacy JSONL lines)
@@ -543,6 +597,10 @@ impl ResultStore for ShardedStore {
 
     fn put(&mut self, record: &PointRecord) -> Result<bool, ShardError> {
         self.put_record(record)
+    }
+
+    fn flush(&mut self) -> Result<(), ShardError> {
+        ShardedStore::flush(self)
     }
 }
 
@@ -848,6 +906,41 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         assert_eq!(shard_bytes[0], shard_bytes[1]);
+    }
+
+    #[test]
+    fn an_explore_leaves_every_record_in_the_shard_files() {
+        use srra_explore::{DesignSpace, Explorer};
+        use srra_ir::examples::paper_example;
+
+        let dir = scratch_dir("explore-flush");
+        let space = DesignSpace::new()
+            .with_kernel(paper_example())
+            .with_budgets(&[16, 64])
+            .with_ram_latencies(&[1, 2]);
+        let mut store = ShardedStore::open(&dir, 4).unwrap();
+        let run = Explorer::new(1).explore(&space, &mut store).unwrap();
+        assert_eq!(run.evaluated, space.len());
+        // Read the files while the store is still open: nothing waits in a
+        // write buffer.
+        let mut on_disk = Vec::new();
+        for index in 0..4 {
+            let copy = dir.join(format!("copy-{index}.seg"));
+            std::fs::copy(dir.join(shard_file_name(index)), &copy).unwrap();
+            let shard = SegmentStore::open(&copy).unwrap();
+            assert_eq!(shard.torn_records(), 0);
+            on_disk.extend(shard.records().cloned());
+        }
+        assert_eq!(on_disk.len(), run.records.len());
+        for record in &run.records {
+            assert!(
+                on_disk.contains(record),
+                "{} is not on disk",
+                record.canonical
+            );
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
