@@ -10,8 +10,11 @@
 #                           identical CSVs and cache files, and the cache
 #                           matches a pinned sha256; then a warm re-run over
 #                           that cache: all hits, the same CSV bytes and an
-#                           unchanged cache; then the same points as one
-#                           served `explore` batch on a fresh node, whose
+#                           unchanged cache; then a 48-point space that
+#                           repeats a value on every axis, at --jobs 1 and
+#                           2: 2 evaluations, identical CSVs of 2 distinct
+#                           rows and 2 cached records; then the 1,512 points
+#                           as one served `explore` batch on a fresh node, whose
 #                           records match the pinned sha256; a copy of the
 #                           node's shard files taken while it runs, which
 #                           a warm `srra explore --cache-dir` answers all
@@ -126,6 +129,24 @@ grep -q '"cache_hits":1512,"evaluated":0' "$SMOKE_DIR/sweep-warm.json" \
   || { echo "explore sweep: the warm run missed the cache"; exit 1; }
 echo "$SWEEP_SHA256  $SMOKE_DIR/sweep-1.jsonl" | sha256sum --check --quiet \
   || { echo "explore sweep: the warm run changed the cache"; exit 1; }
+# A space that repeats a value on every axis (the XCV1000 also by its full
+# part name): its 48 points name 2 canonicals, so each worker count
+# evaluates 2 points, prints 2 distinct rows and caches 2 records.
+TWIN_AXES="--kernel fir,fir --algos cpa,CPA-RA --budgets 32,32,64 --latencies 2,2 --devices xcv1000,XCV1000-BG560"
+"$SRRA" explore $TWIN_AXES --csv --jobs 1 --stats-json "$SMOKE_DIR/twins-1.json" \
+  > "$SMOKE_DIR/twins-1.csv" 2> /dev/null
+"$SRRA" explore $TWIN_AXES --csv --jobs 2 --cache "$SMOKE_DIR/twins.jsonl" \
+  --stats-json "$SMOKE_DIR/twins-2.json" > "$SMOKE_DIR/twins-2.csv" 2> /dev/null
+for JOBS in 1 2; do
+  grep -q '"points":48,"cache_hits":0,"evaluated":2,' "$SMOKE_DIR/twins-$JOBS.json" \
+    || { echo "explore twins: expected 48 points and 2 evaluations (--jobs $JOBS)"; exit 1; }
+done
+cmp -s "$SMOKE_DIR/twins-1.csv" "$SMOKE_DIR/twins-2.csv" \
+  || { echo "explore twins: the CSV depends on --jobs"; exit 1; }
+[ "$(tail -n +2 "$SMOKE_DIR/twins-1.csv" | sort -u | grep -c .)" -eq 2 ] \
+  || { echo "explore twins: expected 2 distinct CSV rows"; exit 1; }
+[ "$(wc -l < "$SMOKE_DIR/twins.jsonl")" -eq 2 ] \
+  || { echo "explore twins: expected 2 cached records"; exit 1; }
 # The same points served as one batch: a fresh node evaluates all 1,512 and
 # answers the explorer's records byte for byte, one record per line hashing
 # to the pinned sha256; a second pass, batched as mexplore, is all hits.

@@ -3,6 +3,15 @@
 //! over a work-stealing thread pool, and evaluates a served batch's fresh
 //! points one at a time through a [`BatchEvaluator`].
 //!
+//! The explorer's cache pass walks the space in place: each point borrows
+//! its kernel name and device from the space, so the pass allocates nothing
+//! for a point but its canonical string and, for a hit, the store's copy of
+//! its record.  The canonical is rendered once and moved into the point's
+//! record when it is evaluated.  A map from queued canonicals to their first
+//! occurrence is kept only for a space that can repeat a canonical (an axis
+//! value listed twice, or a name holding the canonical's `;` separator);
+//! without one every canonical is distinct.
+//!
 //! Cache misses are evaluated in runs: consecutive points that share a
 //! kernel, an allocator and a budget.  A run allocates once and takes the
 //! allocation's cost terms ([`srra_fpga::AllocationCost`]) once.  Those terms
@@ -18,8 +27,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -27,7 +34,7 @@ use srra_core::{AllocatorRef, CompiledKernel, MemoryCostModel, RegisterAllocatio
 use srra_fpga::{AllocationCost, CostTable, EvaluationOptions};
 use srra_obs::{Counter, Histogram, Registry};
 
-use crate::space::{DesignPoint, DesignSpace};
+use crate::space::{fnv1a_64, DesignPoint, DesignSpace, PointRef};
 use crate::store::{PointRecord, ResultStore};
 
 /// Handles into [`Registry::global`] for the engine's per-stage instruments,
@@ -179,11 +186,11 @@ impl<'k> KernelTables<'k> {
 }
 
 /// A point's record before evaluation: its identity, marked infeasible.
-fn unevaluated(point: &DesignPoint, canonical: &str, key: u64) -> PointRecord {
+fn unevaluated(point: &PointRef<'_>, canonical: String, key: u64) -> PointRecord {
     PointRecord {
         key,
-        canonical: canonical.to_owned(),
-        kernel: point.kernel.clone(),
+        canonical,
+        kernel: point.kernel.to_owned(),
         algorithm: point.allocator.label().to_owned(),
         version: point.allocator.version_name().to_owned(),
         budget: point.budget,
@@ -218,7 +225,7 @@ impl Run {
     /// kernel's memoized reuse analysis is forced first, so its cost (paid
     /// only by the first run of each kernel) lands in its own histogram
     /// instead of being folded into the allocation.
-    fn start(kernel: &CompiledKernel, point: &DesignPoint, timings: &mut StageTimings) -> Self {
+    fn start(kernel: &CompiledKernel, point: &PointRef<'_>, timings: &mut StageTimings) -> Self {
         let metrics = engine_metrics();
         if !kernel.analysis_is_cached() {
             let started = Instant::now();
@@ -235,16 +242,16 @@ impl Run {
     }
 
     /// The per-point step: evaluates `point`, one of this run's points,
-    /// content-addressed by `canonical` and `key`.  The run takes its
-    /// allocation's cost terms once, from its kernel's costs by β vector or
-    /// through this point's table; each point then adds only its RAM-latency
-    /// and device terms.  An infeasible allocation makes the point
-    /// infeasible.
+    /// content-addressed by `canonical` (which the record takes) and `key`.
+    /// The run takes its allocation's cost terms once, from its kernel's
+    /// costs by β vector or through this point's table; each point then adds
+    /// only its RAM-latency and device terms.  An infeasible allocation makes
+    /// the point infeasible.
     fn evaluate(
         &mut self,
         tables: &KernelTables<'_>,
-        point: &DesignPoint,
-        canonical: &str,
+        point: &PointRef<'_>,
+        canonical: String,
         key: u64,
         timings: &mut StageTimings,
     ) -> PointRecord {
@@ -260,7 +267,7 @@ impl Run {
         let cost = self
             .cost
             .get_or_insert_with(|| tables.cost(table, allocation));
-        let terms = table.point_cost(cost, &point.device);
+        let terms = table.point_cost(cost, point.device);
         timings.cost_model_us = finish_stage(&metrics.cost_model_us, started);
         PointRecord {
             feasible: true,
@@ -281,9 +288,10 @@ impl Run {
 }
 
 /// A point waiting for evaluation, with the content address the cache pass
-/// built for it and its slot in the point order.
+/// built for it and its slot in the point order.  Its evaluation moves the
+/// canonical string into the point's record.
 struct Pending<'s> {
-    point: &'s DesignPoint,
+    point: PointRef<'s>,
     canonical: String,
     key: u64,
     slot: usize,
@@ -293,20 +301,38 @@ impl Pending<'_> {
     /// Whether `next` continues this point's run: same kernel, allocator and
     /// budget.
     fn same_run(&self, next: &Pending<'_>) -> bool {
-        let (a, b) = (self.point, next.point);
+        let (a, b) = (&self.point, &next.point);
         a.kernel_index == b.kernel_index && a.allocator == b.allocator && a.budget == b.budget
     }
 }
 
+/// Splits the explorer's pending points into runs: maximal stretches that
+/// share a kernel, an allocator and a budget (point order puts the RAM
+/// latency and the device innermost), so each run allocates once.
+fn runs<'a, 's>(mut pending: &'a mut [Pending<'s>]) -> Vec<&'a mut [Pending<'s>]> {
+    let mut runs = Vec::new();
+    while !pending.is_empty() {
+        let len = 1 + pending
+            .windows(2)
+            .take_while(|pair| pair[0].same_run(&pair[1]))
+            .count();
+        let (run, rest) = std::mem::take(&mut pending).split_at_mut(len);
+        runs.push(run);
+        pending = rest;
+    }
+    runs
+}
+
 /// Evaluates one run of the explorer's pending points, appending their
 /// records to `fresh` in run order.
-fn evaluate_run(tables: &KernelTables<'_>, run: &[Pending<'_>], fresh: &mut Vec<PointRecord>) {
+fn evaluate_run(tables: &KernelTables<'_>, run: &mut [Pending<'_>], fresh: &mut Vec<PointRecord>) {
     // The explorer reports no per-point stage times.
     let mut timings = StageTimings::default();
-    let mut shared = Run::start(tables.kernel, run[0].point, &mut timings);
+    let mut shared = Run::start(tables.kernel, &run[0].point, &mut timings);
     for pending in run {
-        let (point, canonical) = (pending.point, &pending.canonical);
-        fresh.push(shared.evaluate(tables, point, canonical, pending.key, &mut timings));
+        let canonical = std::mem::take(&mut pending.canonical);
+        let record = shared.evaluate(tables, &pending.point, canonical, pending.key, &mut timings);
+        fresh.push(record);
     }
 }
 
@@ -342,11 +368,11 @@ impl<'k> BatchEvaluator<'k> {
     }
 
     /// Evaluates `point` of `kernel`, content-addressed by `canonical` and
-    /// `key` (the caller's own, so each canonical is rendered once), and
-    /// reports the stage times it paid.  A point that starts a run carries
-    /// the reuse analysis (if it ran) and the allocation; a point that
-    /// continues the last run reports no allocation.  Every feasible point
-    /// carries its own cost-model time.
+    /// `key` (the caller's own, so each canonical is rendered once; the
+    /// record holds a copy), and reports the stage times it paid.  A point
+    /// that starts a run carries the reuse analysis (if it ran) and the
+    /// allocation; a point that continues the last run reports no
+    /// allocation.  Every feasible point carries its own cost-model time.
     pub fn evaluate(
         &mut self,
         kernel: &'k CompiledKernel,
@@ -354,6 +380,7 @@ impl<'k> BatchEvaluator<'k> {
         canonical: &str,
         key: u64,
     ) -> (PointRecord, StageTimings) {
+        let point = point.borrowed();
         let mut timings = StageTimings::default();
         let continues = self.last.as_ref().is_some_and(|last| {
             std::ptr::eq(last.kernel, kernel)
@@ -365,7 +392,7 @@ impl<'k> BatchEvaluator<'k> {
                 kernel,
                 allocator: point.allocator,
                 budget: point.budget,
-                run: Run::start(kernel, point, &mut timings),
+                run: Run::start(kernel, &point, &mut timings),
             });
         }
         let known = self
@@ -383,7 +410,7 @@ impl<'k> BatchEvaluator<'k> {
         let last = self.last.as_mut().expect("the point's run is the last run");
         let record = last
             .run
-            .evaluate(tables, point, canonical, key, &mut timings);
+            .evaluate(tables, &point, canonical.to_owned(), key, &mut timings);
         (record, timings)
     }
 }
@@ -400,7 +427,7 @@ impl<'k> BatchEvaluator<'k> {
 /// reproduction.
 pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointRecord {
     let canonical = point.canonical();
-    let key = crate::space::fnv1a_64(canonical.as_bytes());
+    let key = fnv1a_64(canonical.as_bytes());
     BatchEvaluator::new()
         .evaluate(kernel, point, &canonical, key)
         .0
@@ -466,6 +493,15 @@ impl Explorer {
     /// depend on the worker count, and the store is flushed once at the end,
     /// so a persistent store's file holds every record when this returns.
     ///
+    /// The cache pass walks the space in place: its points borrow their
+    /// kernel names and devices from `space`, so no point is materialised.
+    /// Each point's canonical string is rendered once, and a fresh point's is
+    /// moved into its record.  Only a space that can repeat a canonical (an
+    /// axis value listed twice, or a name holding the canonical's `;`
+    /// separator) keeps a map of the canonicals it has queued, so that a
+    /// twin, a later point with a queued canonical, takes its first
+    /// occurrence's record instead of a second evaluation.
+    ///
     /// # Errors
     ///
     /// Propagates the store's error type (I/O or corrupt-cache errors for
@@ -476,24 +512,21 @@ impl Explorer {
         space: &DesignSpace,
         store: &mut S,
     ) -> Result<Exploration, S::Error> {
-        let points = space.points();
-
-        // Cache pass: answer what we can, queue the rest.  A repeated design
-        // point within one run (a duplicated axis value) is a twin: its slot
-        // is filled from the one pending evaluation of its first occurrence.
-        // Each point's canonical string is built exactly once here.
+        // Cache pass: answer what we can, queue the rest.  A twin's slot is
+        // filled from the slot of its first occurrence once that is
+        // evaluated.
         let metrics = engine_metrics();
-        let mut records: Vec<Option<PointRecord>> = vec![None; points.len()];
+        let mut records: Vec<Option<PointRecord>> = vec![None; space.len()];
         let mut pending: Vec<Pending<'_>> = Vec::new();
         let mut twins: Vec<(usize, usize)> = Vec::new();
-        let mut seen: HashMap<u64, usize> = HashMap::with_capacity(points.len());
+        let mut seen: Option<HashMap<u64, usize>> = space.can_repeat_canonical().then(HashMap::new);
         let mut cache_hits = 0;
-        for (slot, point) in points.iter().enumerate() {
+        for (slot, point) in space.walk().enumerate() {
             let canonical = point.canonical();
-            let key = crate::space::fnv1a_64(canonical.as_bytes());
-            if let Some(&twin) = seen.get(&key) {
+            let key = fnv1a_64(canonical.as_bytes());
+            if let Some(&twin) = seen.as_ref().and_then(|seen| seen.get(&key)) {
                 if pending[twin].canonical == canonical {
-                    twins.push((slot, twin));
+                    twins.push((slot, pending[twin].slot));
                     continue;
                 }
                 // A key collision between distinct points: fall through and
@@ -507,7 +540,9 @@ impl Explorer {
                     cache_hits += 1;
                 }
                 None => {
-                    seen.insert(key, pending.len());
+                    if let Some(seen) = &mut seen {
+                        seen.insert(key, pending.len());
+                    }
                     pending.push(Pending {
                         point,
                         canonical,
@@ -515,17 +550,6 @@ impl Explorer {
                         slot,
                     });
                 }
-            }
-        }
-
-        // Runs: maximal stretches of pending points that share a kernel, an
-        // allocator and a budget (point order puts the RAM latency and the
-        // device innermost), so each run allocates once.
-        let mut runs: Vec<Range<usize>> = Vec::new();
-        for end in 1..=pending.len() {
-            if end == pending.len() || !pending[end - 1].same_run(&pending[end]) {
-                let start = runs.last().map_or(0, |run| run.end);
-                runs.push(start..end);
             }
         }
 
@@ -545,16 +569,17 @@ impl Explorer {
             .iter()
             .map(|kernel| KernelTables::new(kernel, &ram_latencies))
             .collect();
+
         let evaluated = pending.len();
+        let runs = runs(&mut pending);
         let fresh: Vec<PointRecord> = if self.jobs == 1 || runs.len() <= 1 {
-            let mut fresh = Vec::with_capacity(pending.len());
-            for run in &runs {
-                let run = &pending[run.clone()];
+            let mut fresh = Vec::with_capacity(evaluated);
+            for run in runs {
                 evaluate_run(&tables[run[0].point.kernel_index], run, &mut fresh);
             }
             fresh
         } else {
-            self.evaluate_parallel(&tables, &pending, &runs)
+            self.evaluate_parallel(&tables, runs)
         };
 
         // Fresh records reach the store in point order, so a persistent
@@ -565,8 +590,8 @@ impl Explorer {
             records[queued.slot] = Some(record);
         }
         store.flush()?;
-        for (slot, twin) in twins {
-            records[slot] = records[pending[twin].slot].clone();
+        for (slot, first) in twins {
+            records[slot] = records[first].clone();
         }
 
         Ok(Exploration {
@@ -579,28 +604,29 @@ impl Explorer {
         })
     }
 
-    /// Fans the runs out over scoped worker threads.  Work distribution is a
-    /// shared atomic cursor: each worker claims the next unclaimed run, so
-    /// fast workers steal the load of slow ones without any queue structure.
-    /// Returns the fresh records in pending order.
+    /// Fans the runs out over scoped worker threads.  Work distribution is
+    /// a shared queue of runs: each worker takes the next untaken run, so
+    /// fast workers steal the load of slow ones.  Returns the fresh records
+    /// in run order.
     fn evaluate_parallel(
         &self,
         tables: &[KernelTables<'_>],
-        pending: &[Pending<'_>],
-        runs: &[Range<usize>],
+        runs: Vec<&mut [Pending<'_>]>,
     ) -> Vec<PointRecord> {
-        let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, Vec<PointRecord>)>> =
             Mutex::new(Vec::with_capacity(runs.len()));
         let workers = self.jobs.min(runs.len());
+        let queue = Mutex::new(runs.into_iter().enumerate());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(run) = runs.get(index) else {
+                    let next = queue
+                        .lock()
+                        .expect("no worker panics while holding the run queue")
+                        .next();
+                    let Some((index, run)) = next else {
                         break;
                     };
-                    let run = &pending[run.clone()];
                     let mut records = Vec::with_capacity(run.len());
                     evaluate_run(&tables[run[0].point.kernel_index], run, &mut records);
                     results

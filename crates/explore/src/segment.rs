@@ -184,6 +184,12 @@ impl SegmentStore {
         self.arena.iter()
     }
 
+    /// Whether a record with this key and canonical string is held, without
+    /// copying it.
+    pub fn contains_record(&self, key: u64, canonical: &str) -> bool {
+        self.arena.get(key, canonical).is_some()
+    }
+
     /// Writes `records` as a fresh segment file at `path` (truncating any
     /// existing file) and returns how many were written.  This is the
     /// rewrite primitive `compact` builds on: over fixed-header records,
@@ -270,7 +276,7 @@ impl ResultStore for SegmentStore {
     }
 
     fn put(&mut self, record: &PointRecord) -> Result<bool, JsonlError> {
-        if self.arena.get(record.key, &record.canonical).is_some() {
+        if self.contains_record(record.key, &record.canonical) {
             return Ok(false);
         }
         append_record(&mut self.writer, &mut self.scratch, record)?;
@@ -340,6 +346,24 @@ mod tests {
         assert_eq!(store.get(2, &second.canonical).unwrap(), Some(second));
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], SEGMENT_MAGIC);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn contains_record_needs_both_the_key_and_the_canonical() {
+        let path = scratch_path("contains");
+        let _ = std::fs::remove_file(&path);
+        let record = sample_record(1);
+        let mut store = SegmentStore::open(&path).unwrap();
+        assert!(!store.contains_record(1, &record.canonical));
+        assert!(store.put(&record).unwrap());
+        assert!(store.contains_record(1, &record.canonical));
+        let colliding = sample_record(2).canonical;
+        assert!(
+            !store.contains_record(1, &colliding),
+            "same key, other canonical"
+        );
+        assert!(!store.contains_record(2, &record.canonical));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -143,26 +143,62 @@ impl DesignSpace {
     /// then allocator, budget, latency, device).
     pub fn points(&self) -> Vec<DesignPoint> {
         let mut points = Vec::with_capacity(self.len());
-        for (kernel_index, kernel) in self.kernels.iter().enumerate() {
-            for &allocator in &self.allocators {
-                for &budget in &self.budgets {
-                    for &ram_latency in &self.ram_latencies {
-                        for device in &self.devices {
-                            points.push(DesignPoint {
+        points.extend(self.walk().map(PointRef::to_point));
+        points
+    }
+
+    /// Walks every design point in [`DesignSpace::points`]' order, borrowing
+    /// each axis value from the space instead of cloning it.
+    pub(crate) fn walk(&self) -> impl Iterator<Item = PointRef<'_>> {
+        self.kernels
+            .iter()
+            .enumerate()
+            .flat_map(move |(kernel_index, kernel)| {
+                self.allocators.iter().flat_map(move |&allocator| {
+                    self.budgets.iter().flat_map(move |&budget| {
+                        self.ram_latencies.iter().flat_map(move |&ram_latency| {
+                            self.devices.iter().map(move |device| PointRef {
                                 kernel_index,
-                                kernel: kernel.name().to_owned(),
+                                kernel: kernel.name(),
                                 allocator,
                                 budget,
                                 ram_latency,
-                                device: device.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        points
+                                device,
+                            })
+                        })
+                    })
+                })
+            })
     }
+
+    /// Whether two points of the space can render one canonical string: only
+    /// when an axis repeats a value as the canonical writes it (a kernel
+    /// name, an allocator label, a budget, a RAM latency or a device name),
+    /// or when one of those names holds the canonical's `;` separator, so
+    /// that two distinct tuples can render one string.
+    pub(crate) fn can_repeat_canonical(&self) -> bool {
+        let kernels = self.kernels.iter().map(CompiledKernel::name);
+        let labels = self.allocators.iter().map(|allocator| allocator.label());
+        let devices = self.devices.iter().map(DeviceModel::name);
+        let separated = kernels
+            .clone()
+            .chain(labels.clone())
+            .chain(devices.clone())
+            .any(|name| name.contains(';'));
+        separated
+            || repeats(kernels)
+            || repeats(labels)
+            || repeats(devices)
+            || repeats(self.budgets.iter())
+            || repeats(self.ram_latencies.iter())
+    }
+}
+
+/// Whether `values` holds some value twice.
+fn repeats<T: Ord>(values: impl Iterator<Item = T>) -> bool {
+    let mut values: Vec<T> = values.collect();
+    values.sort_unstable();
+    values.windows(2).any(|pair| pair[0] == pair[1])
 }
 
 impl Default for DesignSpace {
@@ -192,13 +228,49 @@ impl DesignPoint {
     /// The canonical key string this point is content-addressed by:
     /// `kernel=K;algo=A;budget=N;latency=L;device=D`.
     pub fn canonical(&self) -> String {
+        self.borrowed().canonical()
+    }
+
+    /// The FNV-1a hash of [`DesignPoint::canonical`], the store key.
+    pub fn key(&self) -> u64 {
+        fnv1a_64(self.canonical().as_bytes())
+    }
+
+    /// This point with its kernel name and device borrowed.
+    pub(crate) fn borrowed(&self) -> PointRef<'_> {
+        PointRef {
+            kernel_index: self.kernel_index,
+            kernel: &self.kernel,
+            allocator: self.allocator,
+            budget: self.budget,
+            ram_latency: self.ram_latency,
+            device: &self.device,
+        }
+    }
+}
+
+/// A design point that borrows its kernel name and device, from a
+/// [`DesignSpace`] being walked or from a [`DesignPoint`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointRef<'s> {
+    pub(crate) kernel_index: usize,
+    pub(crate) kernel: &'s str,
+    pub(crate) allocator: AllocatorRef,
+    pub(crate) budget: u64,
+    pub(crate) ram_latency: u64,
+    pub(crate) device: &'s DeviceModel,
+}
+
+impl PointRef<'_> {
+    /// The point's canonical string; see [`DesignPoint::canonical`].
+    pub(crate) fn canonical(&self) -> String {
         let (label, device) = (self.allocator.label(), self.device.name());
         // The field names and separators, the three names, and two u64s of
         // at most 20 digits each.
         let names = self.kernel.len() + label.len() + device.len();
         let mut canonical = String::with_capacity(38 + names + 2 * 20);
         canonical.push_str("kernel=");
-        canonical.push_str(&self.kernel);
+        canonical.push_str(self.kernel);
         canonical.push_str(";algo=");
         canonical.push_str(label);
         let _ = write!(
@@ -210,9 +282,16 @@ impl DesignPoint {
         canonical
     }
 
-    /// The FNV-1a hash of [`DesignPoint::canonical`], the store key.
-    pub fn key(&self) -> u64 {
-        fnv1a_64(self.canonical().as_bytes())
+    /// The owned point, its kernel name and device cloned.
+    fn to_point(self) -> DesignPoint {
+        DesignPoint {
+            kernel_index: self.kernel_index,
+            kernel: self.kernel.to_owned(),
+            allocator: self.allocator,
+            budget: self.budget,
+            ram_latency: self.ram_latency,
+            device: self.device.clone(),
+        }
     }
 }
 
@@ -251,5 +330,36 @@ mod tests {
             assert_eq!(point.key(), fnv1a_64(point.canonical().as_bytes()));
         }
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn only_a_repeated_value_or_a_separator_can_repeat_a_canonical() {
+        let registry = AllocatorRegistry::global();
+        let allocators: Vec<AllocatorRef> = registry.iter().collect();
+        let distinct = DesignSpace::new()
+            .with_kernel(paper_example())
+            .with_allocators(&allocators)
+            .with_budgets(&[8, 16, 32])
+            .with_ram_latencies(&[1, 2])
+            .with_devices(vec![DeviceModel::xcv1000(), DeviceModel::xcv300()]);
+        assert!(!distinct.can_repeat_canonical());
+        let cpa = [
+            registry.get("cpa").unwrap(),
+            registry.get("CPA-RA").unwrap(),
+        ];
+        let separated = DeviceModel::new("X;algo=FR-RA", 12_288, 32, 4_096, 2);
+        let twins = [
+            distinct.clone().with_kernel(paper_example()),
+            distinct.clone().with_allocators(&cpa),
+            distinct.clone().with_budgets(&[8, 16, 8]),
+            distinct.clone().with_ram_latencies(&[2, 2]),
+            distinct
+                .clone()
+                .with_devices(vec![DeviceModel::xcv1000(), DeviceModel::xcv1000()]),
+            distinct.clone().with_devices(vec![separated]),
+        ];
+        for space in twins {
+            assert!(space.can_repeat_canonical(), "{space:?}");
+        }
     }
 }

@@ -1167,9 +1167,12 @@ fn lookup(
 }
 
 /// Answers a `put`: stores pre-evaluated records verbatim, skipping records
-/// whose canonical is already present.  The replication tee of the cluster
-/// router lands here, so the records must be byte-identical to what the
-/// evaluating node stored — [`PointRecord`]'s JSONL round trip guarantees it.
+/// whose canonical is already present.  A stored record is found under its
+/// shard's read lock without being copied, so a repeated put (a rebalance
+/// re-sends every record to owners that may hold it) takes no write lock.
+/// The replication tee of the cluster router lands here, so the records must
+/// be byte-identical to what the evaluating node stored — [`PointRecord`]'s
+/// JSONL round trip guarantees it.
 fn handle_put(state: &ServerState, records: &[PointRecord]) -> Response {
     let mut stored = 0;
     for record in records {
@@ -1195,6 +1198,9 @@ fn handle_put(state: &ServerState, records: &[PointRecord]) -> Response {
                     record.canonical
                 ),
             };
+        }
+        if state.store.contains_record(record.key, &record.canonical) {
+            continue;
         }
         match state.store.put_record(record) {
             Ok(true) => stored += 1,

@@ -341,6 +341,12 @@ impl ShardedStore {
         Ok(self.shard_read(key).get(key, canonical)?)
     }
 
+    /// Whether the shard `key` routes to holds a record with this canonical
+    /// string, found under the shard's read lock without copying it.
+    pub fn contains_record(&self, key: u64, canonical: &str) -> bool {
+        self.shard_read(key).contains_record(key, canonical)
+    }
+
     /// [`Self::get_record`] plus how long the read-lock acquisition waited,
     /// for traced requests that attribute shard contention span by span.
     ///

@@ -1,9 +1,9 @@
 //! A request that stores records (`explore`, `mexplore`, `put`) leaves them in
 //! the shards' write buffers and flushes the store once before it replies:
 //! one flush per shard its fresh records route to, none for a batch of hits,
-//! and no write lock for a shard with nothing to flush.  Every record a reply
-//! names must then be in its shard file, read from a copy taken while the
-//! node runs.
+//! and no write lock for a shard with nothing to flush or for a record that
+//! a `put` finds stored.  Every record a reply names must then be in its
+//! shard file, read from a copy taken while the node runs.
 //!
 //! The store's counters are process-global, so this binary holds only these
 //! tests, and each takes one lock.
@@ -235,10 +235,10 @@ fn a_put_of_records_for_one_shard_flushes_that_shard_once() {
     node.assert_on_disk(&records);
     node.assert_on_disk(std::slice::from_ref(&evaluated));
 
-    // Each duplicate takes its shard's write lock to find it is stored, and
-    // appends nothing, so the flush skips every shard.
+    // Each duplicate is found stored under its shard's read lock: no write
+    // lock is taken, nothing is appended, and the flush skips every shard.
     let before = store_counts();
     assert_eq!(connection.put(&records).expect("put again"), 0);
-    assert_eq!(delta(before), [0, 0, 5]);
+    assert_eq!(delta(before), [0, 0, 0]);
     node.stop(connection);
 }
