@@ -32,9 +32,11 @@
 #                           member, trace first) that must get byte-identical
 #                           replies, a JSON line one byte over the 64 MiB
 #                           frame cap refused with the pinned error while
-#                           the node keeps serving, the same ops over the
-#                           binary wire codec, and a malformed --trace id
-#                           refused with exit 1 before any connection opens)
+#                           the node keeps serving, a non-UTF-8 line answered
+#                           with an error and the ping pipelined behind it
+#                           with a pong, the same ops over the binary wire
+#                           codec, and a malformed --trace id refused with
+#                           exit 1 before any connection opens)
 #   8. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary, the connection flag before and after
@@ -53,8 +55,10 @@
 #                           and a deliberately impossible SLO rule breaches)
 #  12. self-healing smoke  (replicated cluster survives kill -9, an empty
 #                           reborn node is healed by read-repair and
-#                           converged by `cluster repair`; idle-connection
-#                           reaping under --idle-timeout-secs)
+#                           converged by `cluster repair`; a rebalance onto
+#                           the same nodes then stores nothing and sends no
+#                           put; idle-connection reaping under
+#                           --idle-timeout-secs)
 #  13. code size           (prints ROADMAP's "Code size" figure, the
 #                           non-test lines of crates/*/src and src, in total
 #                           and per crate; reported, never gating)
@@ -269,6 +273,22 @@ IFS= read -r -t 10 LONG_LINE_REPLY <&8 \
 exec 8<&- 8>&-
 [ "$LONG_LINE_REPLY" = '{"ok":false,"error":"JSON request line longer than 67108864 bytes"}' ] \
   || { echo "serve smoke: unexpected over-long line reply: $LONG_LINE_REPLY"; exit 1; }
+# A request line that is not UTF-8 is malformed like any other: one error
+# reply naming UTF-8, and the connection stays open for the ping behind it.
+exec 8<>"/dev/tcp/127.0.0.1/${ADDR##*:}" \
+  || { echo "serve smoke: raw non-UTF-8 connection failed"; exit 1; }
+printf '{"op":"get","canonical":"\377"}\n{"op":"ping"}\n' >&8
+IFS= read -r -t 10 UTF8_ERROR <&8 \
+  || { echo "serve smoke: no reply to the non-UTF-8 line"; exit 1; }
+IFS= read -r -t 10 UTF8_PONG <&8 \
+  || { echo "serve smoke: no reply to the ping behind the non-UTF-8 line"; exit 1; }
+exec 8<&- 8>&-
+case "$UTF8_ERROR" in
+  '{"ok":false,"error":"JSON request line is not UTF-8'*) ;;
+  *) echo "serve smoke: unexpected non-UTF-8 line reply: $UTF8_ERROR"; exit 1 ;;
+esac
+[ "$UTF8_PONG" = '{"ok":true,"pong":true}' ] \
+  || { echo "serve smoke: unexpected reply behind the non-UTF-8 line: $UTF8_PONG"; exit 1; }
 "$SRRA" query --addr "$ADDR" stats | grep -Eq '"invalid":\{"count":[1-9]' \
   || { echo "serve smoke: the over-long JSON line was not counted"; exit 1; }
 # Binary wire codec: every deterministic op prints identical replies over
@@ -641,6 +661,19 @@ grep -Eq '"records_copied":[1-9]' "$SMOKE_DIR/heal-repair-1.out" \
 "$SRRA" cluster --nodes "$HEAL_NODES" --replicas 2 repair \
   | grep -q '"digests_equal":true' \
   || { echo "self-healing smoke: cluster did not converge after repair"; exit 1; }
+# A rebalance onto the same node list finds every record at its owners, so
+# it stores nothing and sends no `put` to either node.
+heal_puts() {
+  for addr in "$ADDR_C" "$ADDR_D"; do
+    "$SRRA" query --addr "$addr" metrics | grep -o '"serve_op_put_total":[0-9]*'
+  done
+}
+HEAL_PUTS_BEFORE="$(heal_puts)"
+"$SRRA" cluster --nodes "$HEAL_NODES" --replicas 2 rebalance --to "$HEAL_NODES" \
+  | grep -q '"records_stored":0' \
+  || { echo "self-healing smoke: a converged rebalance stored records"; exit 1; }
+[ "$(heal_puts)" = "$HEAL_PUTS_BEFORE" ] \
+  || { echo "self-healing smoke: a converged rebalance sent puts"; exit 1; }
 # The idle deadline reaps a connection that goes silent: hold a raw socket
 # open past --idle-timeout-secs and watch the counter move.
 exec 9<>"/dev/tcp/127.0.0.1/${ADDR_D##*:}" \

@@ -14,12 +14,11 @@
 //!   is scanned.  Otherwise each node's canonicals are walked with the paged
 //!   `scan` op, owners are recomputed ring-side, and only the records an
 //!   owner lacks are fetched and copied — the diff, not the dataset.
-//! * [`ClusterClient::rebalance`] moves every record to its owners under a
-//!   *new* node list — the client-side half of adding or removing nodes.
-//!   Placement is deterministic (the ring depends only on the node names and
-//!   vnode count), so walking the old nodes and `put`-ting each record to
-//!   its new owners is all a topology change takes; consistent hashing keeps
-//!   the moved fraction near `1/n`.
+//! * [`ClusterClient::rebalance`] copies the same diff under a ring built
+//!   from a *new* node list — the client-side half of adding or removing
+//!   nodes.  Placement is deterministic (the ring depends only on the node
+//!   names and vnode count), so that is all a topology change takes;
+//!   consistent hashing keeps the moved fraction near `1/n`.
 
 use std::collections::BTreeMap;
 
@@ -109,6 +108,92 @@ impl ClusterClient {
         Ok(canonicals)
     }
 
+    /// Who holds what: every canonical on this client's nodes, with the
+    /// nodes that hold it.  The `BTreeMap` keeps the copy batches in
+    /// deterministic order, which keeps runs comparable in tests and logs.
+    fn holders(&mut self) -> Result<BTreeMap<String, Vec<usize>>, ClusterError> {
+        let mut holders: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for node in 0..self.nodes.len() {
+            for canonical in self.scan_node(node)? {
+                holders.entry(canonical).or_default().push(node);
+            }
+        }
+        Ok(holders)
+    }
+
+    /// Makes every record of `holders` reach its owners under `ring`: each
+    /// record is fetched from its first holder and `put` only to the owners
+    /// that lack it — the diff, not the dataset.  An owner that is one of
+    /// this client's nodes is reached over its keep-alive connection (a
+    /// serve node may run a single worker, where a second connection would
+    /// starve behind the first until the deadline fired); any other owner is
+    /// dialled once, lazily, with this client's codec and timeout.  Returns
+    /// how many records the owners newly stored.
+    fn place(
+        &mut self,
+        ring: &Ring,
+        holders: BTreeMap<String, Vec<usize>>,
+    ) -> Result<u64, ClusterError> {
+        // Each owner's index among this client's nodes, if it is one.
+        let members: Vec<Option<usize>> = ring
+            .nodes()
+            .iter()
+            .map(|addr| self.nodes.iter().position(|node| node.addr == *addr))
+            .collect();
+        // Per source node, the canonicals it feeds and the owners lacking
+        // each, both in one order.
+        let mut moves: BTreeMap<usize, (Vec<String>, Vec<Vec<usize>>)> = BTreeMap::new();
+        for (canonical, holding) in holders {
+            let lacking: Vec<usize> = ring
+                .owners(fnv1a_64(canonical.as_bytes()), self.replicas)
+                .into_iter()
+                .filter(|&owner| !members[owner].is_some_and(|node| holding.contains(&node)))
+                .collect();
+            if !lacking.is_empty() {
+                let (canonicals, owners) = moves.entry(holding[0]).or_default();
+                canonicals.push(canonical);
+                owners.push(lacking);
+            }
+        }
+        let mut dialled: Vec<Option<Connection>> = (0..ring.len()).map(|_| None).collect();
+        let mut stored = 0;
+        for (source, (canonicals, owners)) in moves {
+            for (chunk, lacking) in canonicals.chunks(PAGE).zip(owners.chunks(PAGE)) {
+                let records = self.nodes[source]
+                    .call(|connection| connection.mget(chunk))
+                    .map_err(|err| node_err(&self.nodes[source].addr, err))?;
+                let mut batches: BTreeMap<usize, Vec<PointRecord>> = BTreeMap::new();
+                for (record, owners) in records.into_iter().zip(lacking) {
+                    // A record gone since the scan has nothing to copy.
+                    let Some(record) = record else { continue };
+                    for &owner in owners {
+                        batches.entry(owner).or_default().push(record.clone());
+                    }
+                }
+                for (owner, batch) in batches {
+                    let addr = &ring.nodes()[owner];
+                    stored += match members[owner] {
+                        Some(node) => {
+                            self.nodes[node].forget_down_window();
+                            self.nodes[node].call(|connection| connection.put(&batch))
+                        }
+                        None => match &mut dialled[owner] {
+                            Some(connection) => connection.put(&batch),
+                            slot @ None => slot
+                                .insert(
+                                    Connection::connect_with_codec(addr, self.binary, self.timeout)
+                                        .map_err(|err| node_err(addr, err))?,
+                                )
+                                .put(&batch),
+                        },
+                    }
+                    .map_err(|err| node_err(addr, err))?;
+                }
+            }
+        }
+        Ok(stored)
+    }
+
     /// Anti-entropy pass: makes every record reach all of its replica owners
     /// under the current ring.  With full replication the per-node digests
     /// are compared first and an already-converged cluster returns without
@@ -133,64 +218,19 @@ impl ClusterClient {
                 return Ok(report);
             }
         }
-        // Who holds what.  BTreeMap keeps the copy batches in deterministic
-        // order, which keeps repair runs comparable in tests and logs.
-        let mut holders: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for node in 0..self.nodes.len() {
-            for canonical in self.scan_node(node)? {
-                holders.entry(canonical).or_default().push(node);
-            }
-        }
+        let holders = self.holders()?;
         report.records_seen = holders.len() as u64;
-        // The diff: for every record, the owners that lack it, fed from the
-        // first node holding it.
-        let mut moves: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
-        for (canonical, holding) in &holders {
-            let owners = self
-                .ring
-                .owners(fnv1a_64(canonical.as_bytes()), self.replicas);
-            for &owner in &owners {
-                if !holding.contains(&owner) {
-                    moves
-                        .entry((holding[0], owner))
-                        .or_default()
-                        .push(canonical.clone());
-                }
-            }
-        }
-        for ((source, target), canonicals) in moves {
-            for chunk in canonicals.chunks(PAGE) {
-                let records: Vec<PointRecord> = self.nodes[source]
-                    .call(|connection| connection.mget(chunk))
-                    .map_err(|err| node_err(&self.nodes[source].addr, err))?
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                if records.is_empty() {
-                    continue;
-                }
-                self.nodes[target].forget_down_window();
-                let stored = self.nodes[target]
-                    .call(|connection| connection.put(&records))
-                    .map_err(|err| node_err(&self.nodes[target].addr, err))?;
-                cluster_counters().repair_records.add(stored);
-                report.records_copied += stored;
-            }
-        }
+        report.records_copied = self.place(&self.ring.clone(), holders)?;
+        cluster_counters().repair_records.add(report.records_copied);
         Ok(report)
     }
 
-    /// Moves every record to its owners under a *new* node list: walks the
-    /// old nodes' shards, recomputes each record's owners on a ring built
-    /// from `to` (same vnode count and replication factor as this client),
-    /// and `put`s the records there.  Targets that are already cluster
-    /// members are reached over this client's keep-alive connections — a
-    /// serve node may run a single worker, where a second connection would
-    /// starve behind the first until the deadline — and only genuinely new
-    /// nodes are dialled directly (same codec and timeout).  Old nodes that
-    /// remain in `to` keep the records they already own; retired nodes can
-    /// be shut down afterwards.  Purely client-side — the servers never
-    /// learn the topology changed.
+    /// Moves every record to its owners under a *new* node list: the diff
+    /// [`repair`](Self::repair) copies, under a ring built from `to` (same
+    /// vnode count and replication factor as this client).  Members are
+    /// reached over their keep-alive connections and new nodes dialled
+    /// directly.  Retired nodes can be shut down afterwards; the servers
+    /// never learn the topology changed.
     ///
     /// # Errors
     ///
@@ -208,50 +248,10 @@ impl ClusterClient {
                 target_ring.len()
             )));
         }
-        let mut report = RebalanceReport::default();
-        // Target slots: an existing cluster member is addressed through its
-        // keep-alive connection (`Ok(index)`); a new node gets a lazily
-        // dialled direct connection (`Err(slot)`).
-        let members: Vec<Option<usize>> = target_ring
-            .nodes()
-            .iter()
-            .map(|addr| self.nodes.iter().position(|node| node.addr == *addr))
-            .collect();
-        let mut targets: Vec<Option<Connection>> = (0..target_ring.len()).map(|_| None).collect();
-        for node in 0..self.nodes.len() {
-            let canonicals = self.scan_node(node)?;
-            for chunk in canonicals.chunks(PAGE) {
-                let records = self.nodes[node]
-                    .call(|connection| connection.mget(chunk))
-                    .map_err(|err| node_err(&self.nodes[node].addr, err))?;
-                let mut groups: BTreeMap<usize, Vec<PointRecord>> = BTreeMap::new();
-                for record in records.into_iter().flatten() {
-                    report.records_walked += 1;
-                    for owner in target_ring.owners(record.key, self.replicas) {
-                        groups.entry(owner).or_default().push(record.clone());
-                    }
-                }
-                for (owner, batch) in groups {
-                    let addr = &target_ring.nodes()[owner];
-                    let stored = if let Some(member) = members[owner] {
-                        self.nodes[member].forget_down_window();
-                        self.nodes[member]
-                            .call(|connection| connection.put(&batch))
-                            .map_err(|err| node_err(addr, err))?
-                    } else {
-                        let connection = match &mut targets[owner] {
-                            Some(connection) => connection,
-                            slot @ None => slot.insert(
-                                Connection::connect_with_codec(addr, self.binary, self.timeout)
-                                    .map_err(|err| node_err(addr, err))?,
-                            ),
-                        };
-                        connection.put(&batch).map_err(|err| node_err(addr, err))?
-                    };
-                    report.records_stored += stored;
-                }
-            }
-        }
-        Ok(report)
+        let holders = self.holders()?;
+        Ok(RebalanceReport {
+            records_walked: holders.values().map(|holding| holding.len() as u64).sum(),
+            records_stored: self.place(&target_ring, holders)?,
+        })
     }
 }

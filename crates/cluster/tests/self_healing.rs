@@ -250,6 +250,19 @@ fn scratch(label: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("srra-self-healing-{label}-{}", std::process::id()))
 }
 
+/// Each node's served `put` count, in the cluster's node order.
+fn put_counts(cluster: &mut ClusterClient) -> Vec<u64> {
+    cluster
+        .stats()
+        .nodes
+        .iter()
+        .map(|node| {
+            let stats = node.stats.as_ref().expect("the node answers stats");
+            stats.op("put").map_or(0, |op| op.count)
+        })
+        .collect()
+}
+
 /// Starts `count` in-process serve nodes under `dir`; returns their
 /// addresses and join handles.
 fn start_nodes(
@@ -501,11 +514,17 @@ fn rebalance_moves_records_onto_a_grown_node_list() {
     let cold = cluster.explore(&points).expect("cold explore");
     let original_lines = json_lines(&records_of(&cold));
 
+    let old_puts = put_counts(&mut cluster);
     let report = cluster.rebalance(&addrs).expect("rebalance");
     assert_eq!(report.records_walked, points.len() as u64);
     assert!(
         report.records_stored > 0,
         "the joining node took over part of the ring"
+    );
+    assert_eq!(
+        put_counts(&mut cluster),
+        old_puts,
+        "no record is sent back to an old node that holds it"
     );
 
     // A client on the new topology answers every key byte-identically...
@@ -560,9 +579,15 @@ fn rebalance_reuses_cluster_connections_on_single_worker_nodes() {
 
     // With a direct dial to a member this would time out against the
     // member's single worker; over the keep-alive connections it completes.
+    let old_puts = put_counts(&mut cluster);
     let report = cluster.rebalance(&addrs).expect("rebalance");
     assert_eq!(report.records_walked, points.len() as u64);
     assert!(report.records_stored > 0, "the joining node took its share");
+    assert_eq!(
+        put_counts(&mut cluster),
+        old_puts,
+        "no record is sent back to an old node that holds it"
+    );
 
     // Release the old keep-alive connections before dialling the grown
     // topology — each node has exactly one worker to serve one socket.

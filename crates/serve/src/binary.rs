@@ -30,12 +30,17 @@
 //! frame and the connection *stays open* — the frame boundary was already
 //! known, so the stream never desyncs (mirroring the JSON contract where a
 //! malformed line still produces exactly one reply line).
+//!
+//! The crate-private [`read_message`] / [`decode`] and [`write_messages`]
+//! are the one reader and the one writer of both codecs, for the server and
+//! [`Connection`](crate::Connection) alike: neither of those knows how a
+//! message of either codec is framed.
 
-use std::io::Read;
+use std::io::{BufRead, Read};
 
-use srra_explore::codec::{from_bytes, write_bytes, Wire, WireError, WireResult};
+use srra_explore::codec::{from_bytes, write_bytes, write_json, Wire, WireError, WireResult};
 
-use crate::protocol::{check_trace, Request, Response};
+use crate::protocol::{check_trace, parse_line, stamp_trace, Message, Request, Response};
 
 /// First byte of every binary frame.  `0xB1` can never open a JSON request
 /// (those start with `{`, whitespace or nothing), so one peeked byte decides
@@ -189,33 +194,126 @@ pub fn decode_payload<T: Wire>(payload: &[u8]) -> Result<(T, Option<String>), Wi
     Ok((from_bytes(body)?, trace))
 }
 
-/// Whether `buffer` (a read buffer already known to start a request) holds at
-/// least one *complete* request of either codec — the flush-deferral test of
-/// the pipelined server loop, generalised to mixed codecs.
-pub(crate) fn holds_complete_request(buffer: &[u8]) -> bool {
-    let mut rest = buffer;
-    // Skip leading blank bytes (the JSON path ignores blank lines).
-    while let [b, tail @ ..] = rest {
-        if b.is_ascii_whitespace() {
-            rest = tail;
-        } else {
-            break;
+/// The two wire codecs: JSON lines and binary frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Codec {
+    Json,
+    Binary,
+}
+
+impl Codec {
+    /// The codec's name in metrics and spans.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Codec::Json => "json",
+            Codec::Binary => "binary",
         }
     }
-    match rest.first() {
-        None => false,
-        Some(&BINARY_MAGIC) => {
-            if rest.len() < 5 {
-                return false;
-            }
-            let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
-            // A malformed length still counts as "something to answer
-            // immediately" — the server will reply and close without waiting
-            // for more bytes.
-            len == 0 || len > MAX_FRAME_LEN || rest.len() >= 5 + len
+}
+
+/// A message [`read_message`] found, in its codec: `Ok` holds a whole
+/// message (a JSON line without its `\n`, or a frame's payload) for
+/// [`decode`]; `Err` says why a message has no findable end (a bad frame
+/// length, or a JSON line that reaches the cap), so the stream cannot be
+/// resynchronised past it.
+pub(crate) type Found<'a> = (Codec, Result<&'a [u8], String>);
+
+/// Reads the next message of either codec off `reader` into `buf`: the
+/// first byte picks the codec, both codecs stop at [`MAX_FRAME_LEN`] bytes,
+/// and blank lines are skipped.  `None` is a clean end of the stream.
+///
+/// # Errors
+///
+/// The stream's I/O errors, `UnexpectedEof` inside a frame included.
+pub(crate) fn read_message<'b, T: Message>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Found<'b>>> {
+    loop {
+        let Some(&first) = reader.fill_buf()?.first() else {
+            return Ok(None);
+        };
+        if first == BINARY_MAGIC {
+            return match read_frame(reader, buf) {
+                Ok(()) => Ok(Some((Codec::Binary, Ok(buf)))),
+                Err(FrameError::Io(err)) => Err(err),
+                Err(err) => Ok(Some((Codec::Binary, Err(err.to_string())))),
+            };
         }
-        Some(_) => rest.contains(&b'\n'),
+        buf.clear();
+        reader
+            .by_ref()
+            .take(MAX_FRAME_LEN as u64 + 1)
+            .read_until(b'\n', buf)?;
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_FRAME_LEN {
+            let message = format!("JSON {} line longer than {MAX_FRAME_LEN} bytes", T::NOUN);
+            return Ok(Some((Codec::Json, Err(message))));
+        }
+        if !buf.iter().all(u8::is_ascii_whitespace) {
+            return Ok(Some((Codec::Json, Ok(buf))));
+        }
     }
+}
+
+/// Decodes a whole message [`read_message`] found and splits off its trace
+/// id.  A JSON line that is not UTF-8 is malformed like any other.
+///
+/// # Errors
+///
+/// The first problem, fit for an error reply.
+pub(crate) fn decode<T: Message>(
+    codec: Codec,
+    bytes: &[u8],
+) -> Result<(T, Option<String>), String> {
+    match codec {
+        Codec::Binary => decode_payload(bytes).map_err(|err| err.to_string()),
+        Codec::Json => std::str::from_utf8(bytes)
+            .map_err(|err| format!("JSON {} line is not UTF-8: {err}", T::NOUN))
+            .and_then(parse_line),
+    }
+}
+
+/// Replaces `out` with `messages` in `codec`, each carrying `trace`.
+///
+/// # Errors
+///
+/// An illegal trace id, or a message over [`MAX_FRAME_LEN`] bytes.
+pub(crate) fn write_messages<T: Message>(
+    out: &mut Vec<u8>,
+    codec: Codec,
+    trace: Option<&str>,
+    messages: &[T],
+) -> Result<(), String> {
+    out.clear();
+    if codec == Codec::Binary {
+        return messages
+            .iter()
+            .try_for_each(|message| frame_into(out, trace, message))
+            .map_err(|err| err.to_string());
+    }
+    if let Some(id) = trace {
+        check_trace(id)?;
+    }
+    let mut text = String::from_utf8(std::mem::take(out)).expect("a cleared buffer is UTF-8");
+    let written = messages.iter().try_for_each(|message| {
+        let start = text.len();
+        write_json(&mut text, message);
+        if let Some(id) = trace {
+            stamp_trace(&mut text, id);
+        }
+        let len = text.len() - start;
+        text.push('\n');
+        if len > MAX_FRAME_LEN {
+            return Err(format!(
+                "JSON line of {len} bytes exceeds the {MAX_FRAME_LEN} cap"
+            ));
+        }
+        Ok(())
+    });
+    *out = text.into_bytes();
+    written
 }
 
 #[cfg(test)]
@@ -336,23 +434,5 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(back.to_json_line(), record.to_json_line());
-    }
-
-    #[test]
-    fn complete_request_detection_handles_both_codecs() {
-        assert!(!holds_complete_request(b""));
-        assert!(!holds_complete_request(b"   \n  "));
-        assert!(!holds_complete_request(b"{\"op\":\"ping\"}"));
-        assert!(holds_complete_request(b"{\"op\":\"ping\"}\n"));
-        assert!(holds_complete_request(b"  \n{\"op\":\"ping\"}\n"));
-
-        let mut wire = Vec::new();
-        encode_request_frame(&mut wire, None, &Request::Ping).unwrap();
-        assert!(holds_complete_request(&wire));
-        assert!(!holds_complete_request(&wire[..wire.len() - 1]));
-        assert!(!holds_complete_request(&wire[..3]));
-        // A malformed length is "complete": the server answers and closes.
-        assert!(holds_complete_request(&[BINARY_MAGIC, 0, 0, 0, 0]));
-        assert!(holds_complete_request(&[BINARY_MAGIC, 255, 255, 255, 255]));
     }
 }

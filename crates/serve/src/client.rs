@@ -5,8 +5,10 @@
 //! number of requests, encodes each request (a `\n`-terminated JSON line or
 //! one binary frame) into a reused buffer and sends it with a single
 //! `write_all`, and supports *pipelining* — write N requests back-to-back,
-//! then read the N replies in order.  Connection-per-request callers simply
-//! open a fresh `Connection` per call.
+//! then read the N replies in order, through the crate's one reader and
+//! writer of both codecs, which stop a reply at
+//! [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) bytes.  Connection-per-request
+//! callers simply open a fresh `Connection` per call.
 //!
 //! A keep-alive socket can go stale while idle — the server restarted, or a
 //! middlebox dropped the connection — surfacing as broken-pipe / ECONNRESET
@@ -24,23 +26,14 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use srra_explore::codec::WireError;
 use srra_explore::PointRecord;
 use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
-use crate::binary::{decode_payload, encode_request_frame, read_frame, FrameError};
+use crate::binary::{decode, read_message, write_messages, Codec};
 use crate::protocol::{
-    stamp_trace, valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response, ServerStats,
-    ShardDigest, TRACE_MAX_LEN,
+    valid_trace_id, Op, PointOutcome, QueryPoint, Request, Response, ServerStats, ShardDigest,
+    TRACE_MAX_LEN,
 };
-
-/// Lifts a codec failure into the client error space.
-fn wire_err(err: WireError) -> ClientError {
-    match err {
-        WireError::Io(err) => ClientError::Io(err),
-        WireError::Corrupt(message) => ClientError::Protocol(message),
-    }
-}
 
 /// Handles into [`Registry::global`] for the client-side instruments,
 /// resolved once — recording on the reconnect paths is handle-direct.
@@ -131,17 +124,13 @@ pub struct Connection {
     addr: String,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Whether this connection speaks the binary frame codec instead of
-    /// JSON lines (chosen at connect time; the server negotiates per frame).
-    binary: bool,
-    /// Outgoing request lines (JSON codec).
-    scratch: String,
-    /// Scratch buffer for incoming response lines.
-    line: String,
-    /// Outgoing request frames (binary codec).
-    frame: Vec<u8>,
-    /// Scratch buffer for incoming binary frame payloads.
-    payload: Vec<u8>,
+    /// The codec this connection speaks, chosen at connect time (the server
+    /// negotiates per frame).
+    codec: Codec,
+    /// The outgoing request window.
+    window: Vec<u8>,
+    /// The bytes of the incoming reply.
+    reply: Vec<u8>,
     /// Trace id stamped onto every outgoing request, when set.
     trace: Option<String>,
     /// Trace id echoed on the most recently received reply, if any.
@@ -219,6 +208,23 @@ fn unexpected(op: Op, response: Response) -> ClientError {
     }
 }
 
+/// Reads the next reply off `reader` into `buf` through the shared reader,
+/// with the trace id it echoes.  `deadline` names a read that timed out.
+fn read_reply(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    deadline: Option<Duration>,
+) -> Result<(Response, Option<String>), ClientError> {
+    let read = read_message::<Response>(reader, buf).map_err(|err| name_deadline(err, deadline))?;
+    let Some((codec, message)) = read else {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection without answering",
+        )));
+    };
+    decode(codec, message.map_err(ClientError::Protocol)?).map_err(ClientError::Protocol)
+}
+
 impl Connection {
     /// Connects to the server at `addr` (`host:port`) speaking JSON lines,
     /// with no I/O deadline.
@@ -262,11 +268,9 @@ impl Connection {
             addr: addr.to_owned(),
             reader,
             writer,
-            binary,
-            scratch: String::with_capacity(256),
-            line: String::with_capacity(256),
-            frame: Vec::with_capacity(256),
-            payload: Vec::with_capacity(256),
+            codec: if binary { Codec::Binary } else { Codec::Json },
+            window: Vec::with_capacity(256),
+            reply: Vec::with_capacity(256),
             trace: None,
             last_trace: None,
             timeout,
@@ -275,7 +279,7 @@ impl Connection {
 
     /// Whether this connection speaks the binary frame codec.
     pub fn is_binary(&self) -> bool {
-        self.binary
+        self.codec == Codec::Binary
     }
 
     /// Sets (or clears, with `None`) the trace id stamped onto every
@@ -302,58 +306,13 @@ impl Connection {
     }
 
     /// Replaces the stale socket with a fresh one to the same address.  The
-    /// outgoing buffers survive, so a failed window can be replayed
+    /// outgoing window survives, so a failed window can be replayed
     /// byte-identically.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let (reader, writer) = open_stream(&self.addr, self.timeout)?;
         self.reader = reader;
         self.writer = writer;
         Ok(())
-    }
-
-    /// Appends `request` to the outgoing buffer in this connection's codec:
-    /// a binary frame carrying the trace id, or a JSON line with the trace
-    /// id stamped on and its `\n` terminator.
-    fn append_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        if self.binary {
-            return encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
-                .map_err(wire_err);
-        }
-        request.render_into(&mut self.scratch);
-        if let Some(trace) = &self.trace {
-            stamp_trace(&mut self.scratch, trace);
-        }
-        self.scratch.push('\n');
-        Ok(())
-    }
-
-    /// Reads and decodes the next reply (a line or a binary frame, matching
-    /// this connection's codec), recording the trace id it echoes.
-    fn receive(&mut self) -> Result<Response, ClientError> {
-        if self.binary {
-            match read_frame(&mut self.reader, &mut self.payload) {
-                Ok(()) => {}
-                Err(FrameError::Io(err)) => return Err(name_deadline(err, self.timeout)),
-                Err(err) => return Err(ClientError::Protocol(err.to_string())),
-            }
-            let (response, trace) = decode_payload::<Response>(&self.payload).map_err(wire_err)?;
-            self.last_trace = trace;
-            return Ok(response);
-        }
-        self.line.clear();
-        self.reader
-            .read_line(&mut self.line)
-            .map_err(|err| name_deadline(err, self.timeout))?;
-        if self.line.is_empty() {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection without answering",
-            )));
-        }
-        let (response, trace) =
-            Response::parse_with_trace(self.line.trim_end()).map_err(ClientError::Protocol)?;
-        self.last_trace = trace;
-        Ok(response)
     }
 
     /// Sends one request and reads its response, transparently reconnecting
@@ -394,11 +353,13 @@ impl Connection {
     /// reply is returned in place, not promoted to an `Err` — pipelined
     /// batches are position-addressed.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        self.scratch.clear();
-        self.frame.clear();
-        for request in requests {
-            self.append_request(request)?;
-        }
+        write_messages(
+            &mut self.window,
+            self.codec,
+            self.trace.as_deref(),
+            requests,
+        )
+        .map_err(ClientError::Protocol)?;
         let replayable = !requests
             .iter()
             .any(|request| matches!(request, Request::Shutdown));
@@ -417,20 +378,18 @@ impl Connection {
     /// whether a retry is safe: `true` only while no reply byte has been
     /// consumed.
     fn try_pipeline(&mut self, count: usize) -> Result<Vec<Response>, (ClientError, bool)> {
-        let window = if self.binary {
-            &self.frame[..]
-        } else {
-            self.scratch.as_bytes()
-        };
-        if let Err(err) = self.writer.write_all(window) {
+        if let Err(err) = self.writer.write_all(&self.window) {
             let err = name_deadline(err, self.timeout);
             let retryable = is_stale(&err);
             return Err((err, retryable));
         }
         let mut responses = Vec::with_capacity(count);
         for index in 0..count {
-            match self.receive() {
-                Ok(response) => responses.push(response),
+            match read_reply(&mut self.reader, &mut self.reply, self.timeout) {
+                Ok((response, trace)) => {
+                    responses.push(response);
+                    self.last_trace = trace;
+                }
                 Err(err) => {
                     let retryable = index == 0 && is_stale(&err);
                     return Err((err, retryable));
@@ -680,5 +639,27 @@ impl Connection {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected(Op::Shutdown, other)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufReader, Read};
+
+    use super::*;
+    use crate::MAX_FRAME_LEN;
+
+    #[test]
+    fn a_json_reply_stops_one_byte_past_the_frame_cap() {
+        let sent = 2 * MAX_FRAME_LEN as u64;
+        let mut reader = BufReader::new(std::io::repeat(b'a').take(sent));
+        match read_reply(&mut reader, &mut Vec::new(), None) {
+            Err(ClientError::Protocol(message)) => {
+                assert_eq!(message, "JSON reply line longer than 67108864 bytes");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let unread = reader.get_ref().limit() + reader.buffer().len() as u64;
+        assert_eq!(sent - unread, MAX_FRAME_LEN as u64 + 1);
     }
 }

@@ -17,42 +17,29 @@
 //!    cache into the shards and [`ShardedStore::compact`] deduplicates,
 //!    re-routes and rewrites dirty or legacy shards to pure segment form.
 //! 2. [`Server`] — a thread-pool TCP front end (`std::net` only, no async
-//!    runtime) speaking two interchangeable wire codecs — line-delimited
-//!    JSON and a length-prefixed binary framing, negotiated per frame by
-//!    the first byte ([`BINARY_MAGIC`] vs anything else) so clients of both
-//!    kinds share one listener.  The ops: `get` a record by
-//!    canonical design-point string, `explore` a batch of points (hits
-//!    answered from the shards, misses evaluated exactly once — concurrent
-//!    requests for the same missing point block on an in-flight table rather
-//!    than re-evaluating — through one [`srra_explore::BatchEvaluator`] per
-//!    request, so a batch's fresh points share their kernels' cost tables,
-//!    their runs' allocations and the costs of repeated β vectors, as an
-//!    explore call's do), batched `mget` / `mexplore` (many lookups or
-//!    points per wire line), `put` (store pre-evaluated records verbatim —
-//!    the cluster replication tee), `ping` (liveness probe), `stats` (with
-//!    per-op latency quantiles), `metrics` (the full [`srra_obs`] telemetry
-//!    snapshot, as structured JSON or Prometheus text exposition), `trace`
-//!    (the spans the flight recorder retains for a trace id — see
-//!    `docs/observability.md`), `series` (the last N timestamped snapshots
-//!    of the opt-in metrics sampler, or the rate/quantile-ready delta over a
-//!    trailing window — the time dimension behind `srra cluster top` and
-//!    the SLO evaluator), `digest` (per-shard anti-entropy digests:
-//!    record count plus an order-insensitive hash fold, so two replicas can
-//!    compare contents without shipping them) and `scan` (offset-paged
-//!    canonical strings of one shard — the diff-streaming substrate for
-//!    cluster repair and rebalance), and graceful `shutdown` (which also closes
-//!    idle keep-alive connections so draining never waits on clients).  Any
-//!    request line may carry a `trace` id — the server echoes it on the
-//!    reply, emits a span tree for the request into the
-//!    [`srra_obs::TraceBuffer`] flight recorder, attributes its slow-query
-//!    log lines to it, and attaches it to the latency histogram bucket the
-//!    request lands in as an exemplar.
+//!    runtime) speaking two interchangeable wire codecs, line-delimited
+//!    JSON and length-prefixed binary frames, told apart per message by the
+//!    first byte ([`BINARY_MAGIC`] vs anything else), so clients of both
+//!    kinds share one listener.  Its ops are the [`Request`] variants:
+//!    lookups (`get`, `mget`); batch answers (`explore`, `mexplore`) whose
+//!    misses are evaluated exactly once — concurrent requests for the same
+//!    missing point wait on an in-flight table — through one
+//!    [`srra_explore::BatchEvaluator`] per request, so a batch's fresh
+//!    points share their kernels' cost tables as an explore call's do;
+//!    `put` (the cluster replication tee); `ping`, `stats`, `metrics`,
+//!    `trace` and `series` (telemetry, see `docs/observability.md`);
+//!    `digest` and `scan` (the substrate of cluster repair and rebalance);
+//!    and graceful `shutdown`.  Any request may carry a `trace` id: the
+//!    server echoes it, records the request's span tree in the
+//!    [`srra_obs::TraceBuffer`] flight recorder, and tags its slow-query log
+//!    lines and latency exemplars with it.
 //!
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
 //! [`Response`] are its single shape definition, and the `protocol` module
 //! lists each type's fields once for both codecs (the
-//! [`srra_explore::Wire`] trait); `binary` adds only the frame envelope.
-//! [`Connection`]
+//! [`srra_explore::Wire`] trait).  The `binary` module adds the frame
+//! envelope and the one reader and one writer of both codecs, shared by the
+//! server's socket-free request handler and by [`Connection`], which
 //! is the keep-alive, pipelining client ([`Connection::connect`] for JSON
 //! lines, [`Connection::connect_binary`] for the binary codec, and
 //! [`Connection::connect_with_codec`] to pick the codec and an I/O

@@ -13,8 +13,9 @@
 //! The full specification lives in `docs/serving.md`.
 //!
 //! All render methods come in a pair: `render` (fresh `String`) and
-//! `render_into` (append to a caller-owned buffer), so the server and the
-//! keep-alive client can reuse one scratch allocation across requests.
+//! `render_into` (append to a caller-owned buffer).  The server and the
+//! keep-alive client read and write messages of both codecs through the one
+//! reader and writer of the `binary` module.
 
 use srra_explore::codec::{
     from_json_with, to_json, write_json, Decoder, Encoder, Wire, WireError, WireResult,
@@ -69,9 +70,23 @@ pub fn stamp_trace(out: &mut String, id: &str) {
     out.push_str("\"}");
 }
 
+/// A [`Request`] or a [`Response`], as the shared reader and writer of the
+/// `binary` module carry them; `NOUN` names it in the reader's errors.
+pub(crate) trait Message: Wire {
+    const NOUN: &'static str;
+}
+
+impl Message for Request {
+    const NOUN: &'static str = "request";
+}
+
+impl Message for Response {
+    const NOUN: &'static str = "reply";
+}
+
 /// Decodes one JSON line into `T` plus its optional top-level `trace`
 /// member, which may sit at any position.
-fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
+pub(crate) fn parse_line<T: Wire>(line: &str) -> Result<(T, Option<String>), String> {
     let (decoded, trace) = from_json_with(line, "trace")?;
     if let Some(id) = &trace {
         check_trace(id)?;

@@ -1,5 +1,6 @@
-//! The thread-pool TCP server: accepts line-delimited JSON queries and
-//! answers them from the sharded store, evaluating misses on demand.
+//! The thread-pool TCP server: accepts queries as JSON lines or binary
+//! frames and answers them from the sharded store, evaluating misses on
+//! demand.
 //!
 //! Built entirely on `std::net` + scoped threads (the build environment is
 //! offline, so no async runtime).  Architecture:
@@ -10,12 +11,16 @@
 //!   shard-level read/write locks let any number of warm lookups proceed in
 //!   parallel (even on the same shard) while appends briefly exclude their
 //!   own shard only;
-//! * each connection reuses one request-line buffer and one response buffer
-//!   across its whole lifetime, renders every reply (`\n` included) with a
-//!   single `write_all`, and defers the flush while another complete
-//!   pipelined request is already sitting in the read buffer — so a client
-//!   that writes N requests before reading gets its N replies in large
-//!   batches instead of N round-trips;
+//! * request handling is a function of bytes: `ServerState::serve_request`
+//!   reads one request of either codec off any `BufRead` through the
+//!   crate's one reader, answers and accounts it, renders the reply into a
+//!   buffer through the one writer, and says whether to go on, close or
+//!   shut down — so tests need no socket.  The client reads and writes
+//!   through the same pair, so it too stops a reply at `MAX_FRAME_LEN`;
+//! * the socket loop around it keeps only the stream: one `write_all` per
+//!   reply, a flush only before the next socket read — so a client that
+//!   writes N requests before reading gets its N replies in large batches
+//!   instead of N round-trips — idle reaping and the start of a shutdown;
 //! * an in-flight table (mutex + condvar) guarantees each cache miss is
 //!   evaluated *exactly once* even when many clients request the same point
 //!   concurrently: the first claimant evaluates, everyone else blocks until
@@ -31,7 +36,7 @@
 //!   indefinitely) to hang up first.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,13 +55,8 @@ use srra_obs::{
     SloRule, Span,
 };
 
-use crate::binary::{
-    decode_payload, encode_response_frame, holds_complete_request, read_frame, FrameError,
-    BINARY_MAGIC, MAX_FRAME_LEN,
-};
-use crate::protocol::{
-    stamp_trace, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
-};
+use crate::binary::{decode, read_message, write_messages, Codec, MAX_FRAME_LEN};
+use crate::protocol::{Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats};
 use crate::shard::{ShardError, ShardedStore};
 
 /// Errors starting or running a [`Server`].
@@ -265,10 +265,8 @@ struct Counters {
     codec_parse_us: Arc<Histogram>,
     /// Response-line encode time (codec render, per request).
     codec_render_us: Arc<Histogram>,
-    /// Requests that arrived as binary frames.
-    codec_binary: Arc<Counter>,
-    /// Requests that arrived as JSON lines.
-    codec_json: Arc<Counter>,
+    /// Requests per codec they arrived in, indexed by `Codec as usize`.
+    codecs: [Arc<Counter>; 2],
     /// Idle keep-alive connections reaped by the idle-connection deadline.
     idle_reaped: Arc<Counter>,
     /// Per-op accounting, indexed by `Op as usize`.
@@ -292,8 +290,8 @@ impl Counters {
             open_connections: registry.gauge("serve_open_connections"),
             codec_parse_us: registry.histogram("serve_codec_parse_us"),
             codec_render_us: registry.histogram("serve_codec_render_us"),
-            codec_binary: registry.counter("serve_codec_binary_total"),
-            codec_json: registry.counter("serve_codec_json_total"),
+            codecs: [Codec::Json, Codec::Binary]
+                .map(|codec| registry.counter(&format!("serve_codec_{}_total", codec.name()))),
             idle_reaped: registry.counter("serve_idle_reaped_total"),
             ops: Op::TABLE.map(|(_, name, _)| OpCounter {
                 count: registry.counter(&format!("serve_op_{name}_total")),
@@ -414,15 +412,70 @@ struct ServerState {
     started: Instant,
     /// Read-shutdown handles of the currently open connections, keyed by a
     /// per-connection id.  A graceful shutdown walks this table and shuts
-    /// down each socket's *read* half: workers blocked in `read_line` on an
-    /// idle keep-alive connection wake with EOF (pending replies can still
-    /// be written), so draining never waits on clients that simply keep
-    /// their connection open — the cluster router does exactly that.
+    /// down each socket's *read* half: workers blocked reading an idle
+    /// keep-alive connection wake with EOF (pending replies can still be
+    /// written), so draining never waits on clients that simply keep their
+    /// connection open — the cluster router does exactly that.
     open_connections: Mutex<HashMap<u64, TcpStream>>,
     next_connection_id: AtomicU64,
 }
 
 impl ServerState {
+    /// Opens the sharded store and builds everything a server answers from,
+    /// without a listener: [`Server::bind`] binds one beside it, and tests
+    /// drive [`serve_request`](Self::serve_request) over in-memory bytes.
+    fn open(config: &ServerConfig) -> Result<Self, ServeError> {
+        let store = ShardedStore::open(&config.cache_dir, config.shards)?;
+        let mut kernels = HashMap::new();
+        kernels.insert("example".to_owned(), CompiledKernel::new(paper_example()));
+        for spec in paper_suite() {
+            kernels.insert(spec.kernel.name().to_owned(), spec.compiled());
+        }
+        let registry = Registry::new();
+        let counters = Counters::register(&registry);
+        let mut rules = Vec::new();
+        for spec in &config.slos {
+            rules.push(SloRule::parse(spec).map_err(ServeError::Config)?);
+        }
+        // Size the series ring to cover the longest SLO window at the
+        // configured cadence (plus slack), so a rule never starves for
+        // history; without rules the default depth is plenty for `top`.
+        let mut capacity = SeriesBuffer::DEFAULT_CAPACITY;
+        if config.sample_interval_ms > 0 {
+            let interval_us = config.sample_interval_ms.saturating_mul(1_000).max(1);
+            for rule in &rules {
+                let needed = (rule.window_us() / interval_us).saturating_add(2);
+                capacity = capacity.max(usize::try_from(needed).unwrap_or(usize::MAX));
+            }
+        }
+        let slos = if rules.is_empty() {
+            None
+        } else {
+            Some(SloEvaluator::new(rules, &registry))
+        };
+        let state = Self {
+            store,
+            kernels,
+            inflight: Inflight::default(),
+            registry,
+            counters,
+            series: SeriesBuffer::new(capacity.min(4096)),
+            slos,
+            slow_query_us: config.slow_query_us,
+            idle_timeout: Duration::from_secs(config.idle_timeout_secs),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            open_connections: Mutex::new(HashMap::new()),
+            next_connection_id: AtomicU64::new(0),
+        };
+        if config.sample_interval_ms > 0 {
+            // The t0 baseline: without it, traffic served before the
+            // sampler's first tick would fall into no window delta.
+            state.series.record(merged_snapshot(&state));
+        }
+        Ok(state)
+    }
+
     /// Registers a connection's read-shutdown handle; returns its id.  When
     /// the server is already shutting down, the read half is shut down
     /// immediately so the connection cannot linger.
@@ -542,70 +595,23 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and opens the sharded store.
+    /// Opens the sharded store, then binds the listener.
     ///
     /// # Errors
     ///
-    /// Socket errors ([`ServeError::Io`]) or store errors
-    /// ([`ServeError::Shard`], including the directory lock).
+    /// Socket errors ([`ServeError::Io`]), store errors
+    /// ([`ServeError::Shard`], including the directory lock) and a malformed
+    /// SLO rule ([`ServeError::Config`]).
     pub fn bind(config: &ServerConfig) -> Result<Self, ServeError> {
-        let store = ShardedStore::open(&config.cache_dir, config.shards)?;
+        let state = ServerState::open(config)?;
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let mut kernels = HashMap::new();
-        kernels.insert("example".to_owned(), CompiledKernel::new(paper_example()));
-        for spec in paper_suite() {
-            kernels.insert(spec.kernel.name().to_owned(), spec.compiled());
-        }
-        let registry = Registry::new();
-        let counters = Counters::register(&registry);
-        let mut rules = Vec::new();
-        for spec in &config.slos {
-            rules.push(SloRule::parse(spec).map_err(ServeError::Config)?);
-        }
-        // Size the series ring to cover the longest SLO window at the
-        // configured cadence (plus slack), so a rule never starves for
-        // history; without rules the default depth is plenty for `top`.
-        let mut capacity = SeriesBuffer::DEFAULT_CAPACITY;
-        if config.sample_interval_ms > 0 {
-            let interval_us = config.sample_interval_ms.saturating_mul(1_000).max(1);
-            for rule in &rules {
-                let needed = (rule.window_us() / interval_us).saturating_add(2);
-                capacity = capacity.max(usize::try_from(needed).unwrap_or(usize::MAX));
-            }
-        }
-        let slos = if rules.is_empty() {
-            None
-        } else {
-            Some(SloEvaluator::new(rules, &registry))
-        };
-        let server = Self {
+        Ok(Self {
+            local_addr: listener.local_addr()?,
             listener,
-            local_addr,
-            state: ServerState {
-                store,
-                kernels,
-                inflight: Inflight::default(),
-                registry,
-                counters,
-                series: SeriesBuffer::new(capacity.min(4096)),
-                slos,
-                slow_query_us: config.slow_query_us,
-                idle_timeout: Duration::from_secs(config.idle_timeout_secs),
-                shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                open_connections: Mutex::new(HashMap::new()),
-                next_connection_id: AtomicU64::new(0),
-            },
+            state,
             workers: config.workers.max(1),
             sample_interval: Duration::from_millis(config.sample_interval_ms),
-        };
-        if !server.sample_interval.is_zero() {
-            // The t0 baseline: without it, traffic served before the
-            // sampler's first tick would fall into no window delta.
-            server.state.series.record(merged_snapshot(&server.state));
-        }
-        Ok(server)
+        })
     }
 
     /// The bound address (with the real port when the config asked for `:0`).
@@ -735,279 +741,208 @@ fn snapshot_stats(state: &ServerState) -> Result<ServerStats, ServeError> {
     })
 }
 
-/// Serves one connection: any number of request lines, one response line each,
-/// in strict request order.
-///
-/// The loop owns two scratch buffers for its whole lifetime — the request
-/// line and the rendered response — so a keep-alive connection stops
-/// allocating once the buffers have grown to the workload's line sizes.  Each
-/// response (trailing `\n` included) goes out with one `write_all`; the
-/// `BufWriter` flush is skipped while the read buffer already holds another
-/// complete request line, which batches pipelined replies into large writes.
+/// Serves one connection, one reply per request in strict request order:
+/// the socket loop around [`ServerState::serve_request`].  It keeps the
+/// stream, one request and one reply buffer for the connection's lifetime,
+/// one `write_all` per reply, idle reaping and the start of a shutdown.
 fn serve_connection(state: &ServerState, stream: TcpStream, local_addr: SocketAddr) {
     // Register before serving so a graceful shutdown can wake this
     // connection's blocking read; deregister on the way out.  A connection
-    // that cannot be registered (fd exhaustion on the try_clone) is refused
-    // outright — serving it unregistered could leave a graceful shutdown
-    // waiting forever on its read, and the client's reconnect-and-retry
-    // turns the refusal into one clean retry on a fresh socket.
-    let Some(id) = state.register_connection(&stream) else {
-        return;
-    };
-    serve_connection_requests(state, stream, local_addr);
-    state.deregister_connection(id);
-}
-
-/// The request/response loop of [`serve_connection`].
-///
-/// The codec is negotiated per request by sniffing the first buffered byte:
-/// [`BINARY_MAGIC`] selects the binary frame codec, anything else the JSON
-/// line codec — so one connection may freely interleave both, and existing
-/// JSON clients keep working unchanged.
-fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr: SocketAddr) {
-    // Replies are latency-sensitive single lines: never let Nagle hold them.
-    let _ = stream.set_nodelay(true);
-    // The idle-connection deadline rides on a plain read timeout: a client
-    // that stays silent past it wakes the blocked codec sniff below with
-    // `WouldBlock`/`TimedOut` and the connection is reaped.
-    if !state.idle_timeout.is_zero() {
-        let _ = stream.set_read_timeout(Some(state.idle_timeout));
-    }
+    // whose socket cannot be cloned (fd exhaustion) is refused outright —
+    // serving it unregistered could leave a graceful shutdown waiting
+    // forever on its read, and the client's reconnect-and-retry turns the
+    // refusal into one clean retry on a fresh socket.
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::with_capacity(256);
-    let mut rendered = String::with_capacity(256);
-    let mut payload: Vec<u8> = Vec::with_capacity(256);
-    let mut frame: Vec<u8> = Vec::with_capacity(256);
+    let Some(id) = state.register_connection(&stream) else {
+        return;
+    };
+    // Replies are latency-sensitive single lines: never let Nagle hold them.
+    let _ = stream.set_nodelay(true);
+    // The idle-connection deadline rides on a plain read timeout: a client
+    // that stays silent past it fails the read with `WouldBlock`/`TimedOut`
+    // and the connection is reaped.
+    if !state.idle_timeout.is_zero() {
+        let _ = stream.set_read_timeout(Some(state.idle_timeout));
+    }
+    let mut connection = BufReader::new(Duplex {
+        read: stream,
+        write: BufWriter::new(write_half),
+    });
+    let (mut request, mut reply) = (Vec::with_capacity(256), Vec::with_capacity(256));
     loop {
-        // Sniff the codec of the next request off the first buffered byte
-        // (this is also where an idle keep-alive connection blocks).
-        let binary = match reader.fill_buf() {
-            Ok([]) => return, // Clean EOF.
-            Ok(buffered) => buffered[0] == BINARY_MAGIC,
-            // The idle deadline fired while waiting for the next request:
-            // reap the connection.  (Timeouts surface as `WouldBlock` on Unix
-            // and `TimedOut` on Windows.)
-            Err(err)
+        let next = match state.serve_request(&mut connection, &mut request, &mut reply) {
+            Ok(next) => next,
+            // The idle deadline fired (timeouts surface as `WouldBlock` on
+            // Unix and `TimedOut` on Windows), or the peer vanished.
+            Err(err) => {
                 if matches!(
                     err.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                state.counters.idle_reaped.inc();
-                return;
+                ) {
+                    state.counters.idle_reaped.inc();
+                }
+                break;
             }
-            Err(_) => return,
         };
-        let started;
-        let parse_elapsed;
-        let parsed: Result<(Request, Option<String>), String>;
-        if binary {
-            match read_frame(&mut reader, &mut payload) {
-                Ok(()) => {}
-                Err(FrameError::BadLength(len)) => {
-                    // The next frame boundary is unknowable: answer once with
-                    // a binary error frame, then close the connection.
-                    state.counters.requests.inc();
-                    state.counters.codec_binary.inc();
-                    state.counters.record_op(Op::Invalid, Duration::ZERO, None);
-                    frame.clear();
-                    let reply = Response::Error {
-                        message: FrameError::BadLength(len).to_string(),
-                    };
-                    if encode_response_frame(&mut frame, None, &reply).is_ok() {
-                        let _ = writer.write_all(&frame);
-                        let _ = writer.flush();
-                    }
-                    return;
-                }
-                // Peer vanished mid-frame; `BadMagic` is unreachable after
-                // the sniff above.
-                Err(FrameError::Io(_) | FrameError::BadMagic(_)) => return,
-            }
-            started = Instant::now();
-            state.counters.requests.inc();
-            state.counters.codec_binary.inc();
-            // A payload that fails to decode is recoverable: the frame
-            // boundary was already consumed, so answer the error and keep
-            // the connection (no desync).
-            parsed = decode_payload::<Request>(&payload).map_err(|err| err.to_string());
-            parse_elapsed = started.elapsed();
-            state.counters.codec_parse_us.record(parse_elapsed);
-        } else {
-            line.clear();
-            // Read at most one byte past the frame cap, so an endless line costs
-            // no more memory than the largest binary frame.
-            match (&mut reader)
-                .take(MAX_FRAME_LEN as u64 + 1)
-                .read_until(b'\n', &mut line)
-            {
-                Ok(0) => return, // Clean EOF.
-                Ok(_) => {}
-                Err(_) => return, // Peer vanished mid-line.
-            }
-            if line.len() > MAX_FRAME_LEN && line.last() != Some(&b'\n') {
-                // The line's end is unknowable: answer once, then close the
-                // connection, as for a binary frame over the cap.
-                state.counters.requests.inc();
-                state.counters.codec_json.inc();
-                state.counters.record_op(Op::Invalid, Duration::ZERO, None);
-                rendered.clear();
-                Response::Error {
-                    message: format!("JSON request line longer than {MAX_FRAME_LEN} bytes"),
-                }
-                .render_into(&mut rendered);
-                rendered.push('\n');
-                let _ = writer.write_all(rendered.as_bytes());
-                let _ = writer.flush();
-                return;
-            }
-            // A line that is not UTF-8 closes the connection.
-            let Ok(text) = std::str::from_utf8(&line) else {
-                return;
-            };
-            // Strip the line terminator (read_until keeps it).
-            let request_line = text.trim_end_matches(['\n', '\r']);
-            if request_line.trim().is_empty() {
-                continue;
-            }
-            started = Instant::now();
-            state.counters.requests.inc();
-            state.counters.codec_json.inc();
-            parsed = Request::parse_with_trace(request_line);
-            parse_elapsed = started.elapsed();
-            state.counters.codec_parse_us.record(parse_elapsed);
+        let writer = &mut connection.get_mut().write;
+        if writer.write_all(&reply).is_ok() && next == Next::Reply {
+            continue;
         }
-        let trace = match &parsed {
-            Ok((_, trace)) => {
-                if trace.is_some() {
-                    state.counters.traced_requests.inc();
-                }
-                trace.clone()
-            }
-            Err(_) => None,
+        let _ = writer.flush();
+        if next == Next::Shutdown {
+            state.shutdown.store(true, Ordering::SeqCst);
+            // Poke the accept loop awake; it re-checks the flag and exits.
+            let _ = TcpStream::connect(local_addr);
+            // Wake workers blocked on idle keep-alive connections: their
+            // sockets' read halves are shut down, their reads return EOF and
+            // the drain completes without waiting for clients to hang up.
+            state.close_idle_connections();
+        }
+        break;
+    }
+    state.deregister_connection(id);
+}
+
+/// A connection's two halves behind one reader.  Every read from the socket
+/// first flushes the replies buffered for it, so a reply waits only while
+/// the next request is already buffered and will be answered without
+/// blocking: pipelined replies go out in large writes, and no reply is
+/// stranded while the worker waits on the socket.
+struct Duplex {
+    read: TcpStream,
+    write: BufWriter<TcpStream>,
+}
+
+impl Read for Duplex {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.write.flush()?;
+        self.read.read(buf)
+    }
+}
+
+/// What the socket loop does after [`ServerState::serve_request`]: send
+/// the reply (if any), then read the next request, close the connection, or
+/// shut the server down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    Reply,
+    Close,
+    Shutdown,
+}
+
+impl ServerState {
+    /// The socket-free request handler: reads the next request off `reader`
+    /// into `request`, answers it, accounts it (counters, spans, the
+    /// slow-query log) and renders the reply into `reply` in the request's
+    /// codec.  The reply is empty when the stream ended.
+    ///
+    /// # Errors
+    ///
+    /// The reader's I/O errors.
+    fn serve_request(
+        &self,
+        reader: &mut impl BufRead,
+        request: &mut Vec<u8>,
+        reply: &mut Vec<u8>,
+    ) -> std::io::Result<Next> {
+        reply.clear();
+        let Some((codec, message)) = read_message::<Request>(reader, request)? else {
+            return Ok(Next::Close);
         };
-        let trace_ref = trace.as_deref();
+        let started = Instant::now();
+        self.counters.requests.inc();
+        self.counters.codecs[codec as usize].inc();
+        let bytes = match message {
+            Ok(bytes) => bytes,
+            // Where the next request starts is unknowable: answer once, then
+            // close the connection.
+            Err(message) => {
+                self.counters.record_op(Op::Invalid, Duration::ZERO, None);
+                render(reply, codec, None, &Response::Error { message });
+                return Ok(Next::Close);
+            }
+        };
+        // A message that fails to decode is recoverable: its end was found,
+        // so it is answered with an error and the stream stays in sync.
+        let (parsed, trace) = match decode::<Request>(codec, bytes) {
+            Ok((request, trace)) => (Ok(request), trace),
+            Err(message) => (Err(message), None),
+        };
+        let parse_elapsed = started.elapsed();
+        self.counters.codec_parse_us.record(parse_elapsed);
+        let trace = trace.as_deref();
         // Traced requests accumulate a span tree; untraced requests never
         // allocate a collector.
-        let mut collector = trace_ref.map(SpanCollector::new);
+        let mut collector = trace.map(SpanCollector::new);
         if let Some(spans) = collector.as_mut() {
+            self.counters.traced_requests.inc();
             spans
                 .child("parse", started, parse_elapsed)
                 .annotations
-                .push((
-                    "codec".to_owned(),
-                    if binary { "binary" } else { "json" }.to_owned(),
-                ));
+                .push(("codec".to_owned(), codec.name().to_owned()));
         }
         let (response, op) = match parsed {
             Err(message) => (Response::Error { message }, Op::Invalid),
-            Ok((request, _)) => (
-                handle(state, &request, trace_ref, collector.as_mut()),
+            Ok(request) => (
+                handle(self, &request, trace, collector.as_mut()),
                 request.op(),
             ),
         };
         let render_started = Instant::now();
-        let reply_bytes: &[u8] = if binary {
-            // Echo the request's trace id on the reply frame.
-            frame.clear();
-            if encode_response_frame(&mut frame, trace_ref, &response).is_err() {
-                // Unreachable for server-built replies under the frame cap,
-                // but never leave a binary client without its reply frame.
-                frame.clear();
-                let _ = encode_response_frame(
-                    &mut frame,
-                    None,
-                    &Response::Error {
-                        message: "reply exceeded the binary frame cap".to_owned(),
-                    },
-                );
-            }
-            &frame
-        } else {
-            rendered.clear();
-            response.render_into(&mut rendered);
-            // Echo the request's trace id in the reply, rendered last so
-            // clients strip it the same cheap way the server did.
-            if let Some(trace) = trace_ref {
-                stamp_trace(&mut rendered, trace);
-            }
-            rendered.push('\n');
-            rendered.as_bytes()
-        };
+        render(reply, codec, trace, &response);
         let render_elapsed = render_started.elapsed();
-        state.counters.codec_render_us.record(render_elapsed);
+        self.counters.codec_render_us.record(render_elapsed);
         // Account the request and record its span tree BEFORE the reply
         // leaves: a client holding the reply must find the trace queryable,
         // so the spans have to reach the flight recorder first.  `elapsed`
         // therefore covers parse through render, not the socket write.
         let elapsed = started.elapsed();
-        state.counters.record_op(op, elapsed, trace_ref);
-        let slow =
-            state.slow_query_us > 0 && elapsed.as_micros() >= u128::from(state.slow_query_us);
+        self.counters.record_op(op, elapsed, trace);
+        let slow = self.slow_query_us > 0 && elapsed.as_micros() >= u128::from(self.slow_query_us);
         let mut span_note = String::new();
         if let Some(mut spans) = collector.take() {
             spans.child("render", render_started, render_elapsed);
             if slow {
-                span_note = spans.slow_note(2);
+                span_note = format!(" spans={}", spans.slow_note(2));
             }
             let trace_id = spans.trace_id.clone();
-            state
-                .registry
+            self.registry
                 .traces()
                 .record_all(spans.finish(op.name(), started, elapsed));
             if slow {
                 // Pin after recording: the pin copies this trace's spans out
                 // of the ring into the retained set.
-                state.registry.traces().pin(&trace_id);
-                state.counters.pinned_traces.inc();
+                self.registry.traces().pin(&trace_id);
+                self.counters.pinned_traces.inc();
             }
         }
         if slow {
-            state.counters.slow_queries.inc();
-            if span_note.is_empty() {
-                eprintln!(
-                    "srra-serve slow-query: op={} elapsed_us={} trace={}",
-                    op.name(),
-                    elapsed.as_micros(),
-                    trace_ref.unwrap_or("-"),
-                );
-            } else {
-                eprintln!(
-                    "srra-serve slow-query: op={} elapsed_us={} trace={} spans={span_note}",
-                    op.name(),
-                    elapsed.as_micros(),
-                    trace_ref.unwrap_or("-"),
-                );
-            }
+            self.counters.slow_queries.inc();
+            eprintln!(
+                "srra-serve slow-query: op={} elapsed_us={} trace={}{span_note}",
+                op.name(),
+                elapsed.as_micros(),
+                trace.unwrap_or("-"),
+            );
         }
-        let mut sent = writer.write_all(reply_bytes);
-        // Defer the flush only while the read buffer still holds a complete
-        // request of either codec — one guaranteed to produce another
-        // response before this worker can block on the socket again, so the
-        // reply bytes ride along with that response's flush.  A buffered
-        // blank line or partial frame alone produces no response, so
-        // deferring on one would strand this reply in the BufWriter.
-        if sent.is_ok() && !holds_complete_request(reader.buffer()) {
-            sent = writer.flush();
-        }
-        if op == Op::Shutdown {
-            let _ = writer.flush();
-            state.shutdown.store(true, Ordering::SeqCst);
-            // Poke the accept loop awake; it re-checks the flag and exits.
-            let _ = TcpStream::connect(local_addr);
-            // Wake workers blocked on idle keep-alive connections: their
-            // sockets' read halves are shut down, read_line returns EOF and
-            // the drain completes without waiting for clients to hang up.
-            state.close_idle_connections();
-            return;
-        }
-        if sent.is_err() {
-            return;
-        }
+        Ok(if op == Op::Shutdown {
+            Next::Shutdown
+        } else {
+            Next::Reply
+        })
+    }
+}
+
+/// Renders `response` into `reply` in `codec`, echoing `trace`; a reply over
+/// the frame cap becomes an error reply.
+fn render(reply: &mut Vec<u8>, codec: Codec, trace: Option<&str>, response: &Response) {
+    if write_messages(reply, codec, trace, std::slice::from_ref(response)).is_err() {
+        let error = Response::Error {
+            message: format!("reply exceeded the {MAX_FRAME_LEN}-byte frame cap"),
+        };
+        let _ = write_messages(reply, codec, None, std::slice::from_ref(&error));
     }
 }
 
@@ -1434,9 +1369,136 @@ fn evaluate_claimed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binary::BINARY_MAGIC;
 
     /// How long a test waits for a wake-up before it fails instead of hanging.
     const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A fresh cache directory for one test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "srra-serve-{tag}-unit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Reads the next reply of either codec off `reader` through the shared
+    /// reader, with the trace id it echoes.
+    fn next_reply(reader: &mut impl BufRead) -> (Response, Option<String>) {
+        let mut buf = Vec::new();
+        match read_message::<Response>(reader, &mut buf).expect("the reply reads") {
+            Some((codec, Ok(bytes))) => decode(codec, bytes).expect("the reply decodes"),
+            _ => panic!("expected a whole reply"),
+        }
+    }
+
+    #[test]
+    fn one_buffer_of_both_codecs_gets_the_replies_a_socket_gets() {
+        let canonical = "kernel=fir;algo=CPA-RA;budget=32;latency=2;device=XCV1000-BG560";
+        let frame = |trace: Option<&str>, request: Request| {
+            let mut out = Vec::new();
+            write_messages(&mut out, Codec::Binary, trace, &[request]).expect("frames");
+            out
+        };
+        // JSON lines and binary frames interleaved: a blank line, a
+        // malformed line, a frame whose payload is garbage and two traced
+        // requests among them.
+        let mut wire = b"{\"op\":\"ping\"}\n \r\n".to_vec();
+        wire.extend(frame(
+            Some("t.explore"),
+            Request::Explore {
+                points: vec![QueryPoint::new("fir", "cpa", 32)],
+            },
+        ));
+        wire.extend_from_slice(b"{\"op\":\"nope\"}\n");
+        wire.extend(frame(
+            None,
+            Request::Get {
+                canonical: canonical.to_owned(),
+            },
+        ));
+        wire.extend_from_slice(
+            format!(
+                "{{\"op\":\"mget\",\"canonicals\":[\"{canonical}\",\"kernel=nope\"],\"trace\":\"t.mget\"}}\n"
+            )
+            .as_bytes(),
+        );
+        wire.extend_from_slice(&[BINARY_MAGIC, 2, 0, 0, 0, 0, 0xEE]);
+        wire.extend(frame(None, Request::Ping));
+
+        // Through the handler, with no socket.
+        let dir = scratch_dir("handler");
+        let state = ServerState::open(&ServerConfig::ephemeral(&dir)).unwrap();
+        let (mut reader, mut request, mut reply) = (wire.as_slice(), Vec::new(), Vec::new());
+        let mut replies = Vec::new();
+        while state
+            .serve_request(&mut reader, &mut request, &mut reply)
+            .unwrap()
+            == Next::Reply
+        {
+            replies.push(reply.clone());
+        }
+        assert!(reply.is_empty(), "the buffer ends after its last request");
+        drop(state);
+        let decoded: Vec<_> = replies
+            .iter()
+            .map(|r| next_reply(&mut r.as_slice()))
+            .collect();
+        assert_eq!(decoded.len(), 7, "{decoded:?}");
+        assert!(matches!(&decoded[0], (Response::Pong, None)));
+        assert!(matches!(&decoded[1],
+            (Response::Explored { evaluated: 1, .. }, Some(trace)) if trace == "t.explore"));
+        assert!(matches!(&decoded[2], (Response::Error { .. }, None)));
+        assert!(matches!(&decoded[3], (Response::Found { .. }, None)));
+        assert!(matches!(&decoded[4],
+            (Response::MultiGot { .. }, Some(trace)) if trace == "t.mget"));
+        assert!(matches!(&decoded[5], (Response::Error { .. }, None)));
+        assert!(matches!(&decoded[6], (Response::Pong, None)));
+        let binary: Vec<bool> = replies.iter().map(|r| r[0] == BINARY_MAGIC).collect();
+        assert_eq!(binary, [false, true, false, true, false, true, true]);
+
+        // The same bytes over a socket, to a bound server on a fresh store.
+        let socket_dir = scratch_dir("handler-socket");
+        let server = Server::bind(&ServerConfig::ephemeral(&socket_dir)).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut received = Vec::new();
+        stream.read_to_end(&mut received).unwrap();
+        assert_eq!(received, replies.concat(), "byte-identical replies");
+
+        crate::Connection::connect(&addr.to_string())
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&socket_dir).unwrap();
+    }
+
+    #[test]
+    fn an_endless_json_line_gets_the_pinned_error_and_closes() {
+        let dir = scratch_dir("endless");
+        let state = ServerState::open(&ServerConfig::ephemeral(&dir)).unwrap();
+        let mut reader = BufReader::new(std::io::repeat(b'a'));
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
+        let next = state.serve_request(&mut reader, &mut request, &mut reply);
+        assert_eq!(next.unwrap(), Next::Close);
+        assert_eq!(
+            String::from_utf8(reply).unwrap(),
+            "{\"ok\":false,\"error\":\"JSON request line longer than 67108864 bytes\"}\n"
+        );
+        let metrics = state.registry.snapshot();
+        assert_eq!(metrics.counter("serve_op_invalid_total"), Some(1));
+        assert_eq!(metrics.counter("serve_codec_json_total"), Some(1));
+        drop(state);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// Spins, without sleeping, until `count` requests wait on a claim.
     fn wait_for_waiters(inflight: &Inflight, count: usize) {
@@ -1638,11 +1700,9 @@ mod tests {
         stream
             .write_all(format!("{}\n", Request::Stats.render()).as_bytes())
             .unwrap();
-        let mut reply = String::new();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        reader.read_line(&mut reply).unwrap();
-        let Response::Stats(stats) = Response::parse(reply.trim()).unwrap() else {
-            panic!("expected stats, got {reply}");
+        let (Response::Stats(stats), _) = next_reply(&mut reader) else {
+            panic!("expected stats");
         };
         assert_eq!(stats.shard_records.len(), 4);
 
@@ -1650,9 +1710,7 @@ mod tests {
         stream
             .write_all(format!("{}\n", Request::Shutdown.render()).as_bytes())
             .unwrap();
-        let mut ack = String::new();
-        reader.read_line(&mut ack).unwrap();
-        assert_eq!(Response::parse(ack.trim()).unwrap(), Response::ShuttingDown);
+        assert_eq!(next_reply(&mut reader).0, Response::ShuttingDown);
 
         let report = handle.join().unwrap();
         assert!(report.stats.requests >= 2);
